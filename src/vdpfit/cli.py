@@ -142,7 +142,9 @@ def _fit_configs(path: str, seed: int) -> tuple[float, int, PenaltyConfig, Searc
     dt = float(doc["dt"])
     if not dt > 0:
         raise ConfigError("dt must be positive")
-    substeps = int(doc.get("substeps", 1))
+    substeps = doc.get("substeps", 1)
+    if type(substeps) is not int or substeps < 1:
+        raise ConfigError("substeps must be an integer >= 1")
     p_cfg = _penalty_from(doc.get("penalty", {}))
     s_cfg = _search_from(doc.get("search", {}), seed, p_cfg.bounds)
     return dt, substeps, p_cfg, s_cfg, doc
@@ -204,10 +206,10 @@ def cmd_fit(args) -> int:
     out = _resolve_out(args)
     with (out / "trace.ndjson").open("w") as trace:
         result = search_and_refine(
-            z, s_cfg, p_cfg, dt=dt, init=init, x2_init=x2_init, trace=trace
+            z, s_cfg, p_cfg, dt=dt, substeps=substeps, init=init, x2_init=x2_init,
+            trace=trace,
         )
     result.config_echo["seed"] = args.seed
-    result.config_echo["substeps"] = substeps
     (out / "fit.json").write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
     print(f"fit: converged={result.converged} ({result.reason}); wrote {out / 'fit.json'}")
     return 0
@@ -244,6 +246,7 @@ def cmd_forecast(args) -> int:
                         replace(s_cfg, seed=args.seed + s_idx),
                         p_cfg,
                         dt=dt,
+                        substeps=substeps,
                         init=_init_params(doc, z.m),
                     )
                 )

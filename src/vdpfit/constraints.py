@@ -9,6 +9,10 @@ so G vanishes exactly on simulated trajectories whose first sample matches the
 anchor. The state Jacobian dG/dx is block lower-bidiagonal with identity
 diagonal blocks, which keeps Gauss-Newton normal systems block-tridiagonal and
 solvable in O(N).
+
+G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
+batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
+`batch_param_jacobians`), for any substep count.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from .model import (
     VdpParams,
     batch_param_jacobians,
     batch_state_jacobians,
-    step,
+    euler_map,
 )
 
 DENSE_GUARD = 4096  # refuse to densify block operators past this side length
@@ -115,25 +119,12 @@ def residual(
         raise DimensionError("component count mismatch between state, params, anchor")
     x1 = x.x1()
     x2 = x.x2()
-    n, m = x1.shape
-    out = np.empty((n, 2 * m))
+    g1, g2 = euler_map(params, x1[:-1], x2[:-1], dt, substeps)
+    out = np.empty((x.n_steps, 2 * x.m))
     out[0, 0::2] = x1[0] - anchor.x0.x1
     out[0, 1::2] = x2[0] - anchor.x0.x2
-    if substeps == 1:
-        a1 = params.alpha[:, 0]
-        a2 = params.alpha[:, 1]
-        prev1, prev2 = x1[:-1], x2[:-1]
-        g1 = prev1 + dt * (
-            a1 * prev1 * (1.0 - prev1 * prev1) + a2 * prev2 + prev1 @ params.coupling.T
-        )
-        g2 = prev2 - dt * prev1
-        out[1:, 0::2] = x1[1:] - g1
-        out[1:, 1::2] = x2[1:] - g2
-    else:
-        for k in range(1, n):
-            nxt = step(params, State(x1=x1[k - 1], x2=x2[k - 1]), dt, substeps)
-            out[k, 0::2] = x1[k] - nxt.x1
-            out[k, 1::2] = x2[k] - nxt.x2
+    out[1:, 0::2] = x1[1:] - g1
+    out[1:, 1::2] = x2[1:] - g2
     return out.ravel()
 
 

@@ -31,20 +31,12 @@ class DataMatrix:
     """P x T recording: rows are spatial locations (pixels/cells), columns time."""
 
     values: np.ndarray
-    spatial_shape: Optional[tuple[int, int]] = None
-    sample_rate_hz: Optional[float] = None
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if not np.all(np.isfinite(values)):
             raise ValueError("data matrix contains non-finite entries")
-        if self.spatial_shape is not None:
-            r, c = self.spatial_shape
-            if r * c != values.shape[0]:
-                raise DimensionError(
-                    f"spatial_shape {self.spatial_shape} does not cover {values.shape[0]} rows"
-                )
         object.__setattr__(self, "values", values)
 
     @property
@@ -97,10 +89,6 @@ class SvdComponents:
 class Segment:
     train: tuple[int, int]  # half-open [start, stop)
     test: tuple[int, int]
-
-    @property
-    def offset(self) -> int:
-        return self.train[0]
 
 
 @dataclass(frozen=True)

@@ -192,18 +192,24 @@ class FitResult:
             "config_echo": self.config_echo,
         }
 
+    @property
+    def substeps(self) -> int:
+        """Euler substeps per sample the fit used (1 when not recorded)."""
+        return int(self.config_echo.get("substeps", 1))
+
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitResult":
         params = VdpParams(alpha=np.array(doc["alpha"]), coupling=np.array(doc["W"]))
         echo = doc.get("config_echo", {})
-        dt = float(echo.get("dt", 1.0))
+        if "dt" not in echo:
+            raise ValueError("config_echo has no time step 'dt'")
         states = Trajectory(
             x1=np.array(doc["states"]["x1"]),
             x2=np.array(doc["states"]["x2"]),
-            dt=dt,
+            dt=float(echo["dt"]),
         )
         conv = doc.get("converged", {})
-        return cls(
+        result = cls(
             params=params,
             states=states,
             objective_history=[tuple(e) for e in doc.get("objective_history", [])],
@@ -212,6 +218,9 @@ class FitResult:
             reason=str(conv.get("reason", "")),
             config_echo=echo,
         )
+        if result.substeps < 1:
+            raise ValueError("config_echo.substeps must be >= 1")
+        return result
 
 
 def _obs_mask(m: int, n: int) -> np.ndarray:
@@ -243,6 +252,19 @@ def default_x_init(z: ObservationSet, dt: float) -> StackedState:
     return StackedState.from_arrays(z.values, hidden_x2_estimate(z.values, dt))
 
 
+def _check_shapes(z: ObservationSet, x: StackedState) -> None:
+    if z.n_steps != x.n_steps or z.m != x.m:
+        raise DimensionError(
+            f"observations are {z.n_steps}x{z.m}, state is {x.n_steps}x{x.m}"
+        )
+
+
+def _objective_parts(x_blocks, z_values, r, lam):
+    """1/2 ||z - Hx||^2 + lam/2 ||r||^2 from the residual r = G(x) - eta0."""
+    misfit = x_blocks[:, 0::2] - z_values
+    return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
+
+
 def objective(
     x: StackedState,
     params: VdpParams,
@@ -256,22 +278,10 @@ def objective(
 ) -> float:
     """Penalty objective f_lam(x, params); `lam` overrides cfg.lam (0 allowed
     for diagnostics, reducing to the pure data misfit)."""
-    if z.n_steps != x.n_steps or z.m != x.m:
-        raise DimensionError(
-            f"observations are {z.n_steps}x{z.m}, state is {x.n_steps}x{x.m}"
-        )
+    _check_shapes(z, x)
     lam_eff = cfg.lam if lam is None else float(lam)
-    misfit = x.x1() - z.values
-    val = 0.5 * float(np.sum(misfit * misfit))
-    if lam_eff != 0.0:
-        r = residual(x, params, anchor, dt, substeps)
-        val += 0.5 * lam_eff * float(r @ r)
-    return val
-
-
-def _objective_parts(x_blocks, z_values, r, lam):
-    misfit = x_blocks[:, 0::2] - z_values
-    return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
+    r = residual(x, params, anchor, dt, substeps) if lam_eff != 0.0 else np.zeros(0)
+    return _objective_parts(x.blocks(), z.values, r, lam_eff)
 
 
 def inner_solve(
@@ -294,10 +304,7 @@ def inner_solve(
     halve under an Armijo test; a step that underflows returns the current
     iterate flagged not-converged.
     """
-    if z.n_steps != x_init.n_steps or z.m != x_init.m:
-        raise DimensionError(
-            f"observations are {z.n_steps}x{z.m}, init is {x_init.n_steps}x{x_init.m}"
-        )
+    _check_shapes(z, x_init)
     lam_eff = cfg.lam if lam is None else float(lam)
     if lam_eff <= 0:
         raise ValueError("inner solve requires lam > 0")
@@ -442,11 +449,11 @@ def fit(
         x_init = default_x_init(z, dt)
     if anchor is None:
         anchor = InitAnchor(x0=x_init.state(0))
+    _check_shapes(z, x_init)
 
     with np.errstate(over="ignore", invalid="ignore"):
         r0 = residual(x_init, init, anchor, dt, substeps)
-        f0 = objective(x_init, init, anchor, z, cfg, dt=dt, substeps=substeps,
-                       lam=cfg.stages()[0][0])
+        f0 = _objective_parts(x_init.blocks(), z.values, r0, cfg.stages()[0][0])
     if not math.isfinite(f0):
         comp = _name_bad_component(x_init, r0)
         raise FitError(

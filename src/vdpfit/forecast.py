@@ -111,14 +111,15 @@ def var_predict(model: VarModel, history: np.ndarray, steps: int) -> np.ndarray:
 
 
 def vdp_predict(fit: FitResult, steps: int) -> np.ndarray:
-    """Integrate the fitted oscillator from the final estimated (x1, x2) state."""
+    """Integrate the fitted oscillator from the final estimated (x1, x2) state,
+    with the fit's own time step and substep count."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     m = fit.params.m
     if steps == 0:
         return np.empty((m, 0))
     last = fit.states.state(fit.states.n_steps - 1)
-    traj = simulate(fit.params, last, steps + 1, fit.states.dt)
+    traj = simulate(fit.params, last, steps + 1, fit.states.dt, fit.substeps)
     return traj.x1[1:].T
 
 
@@ -474,10 +475,11 @@ def export_simulations(
 
     Each simulated series draws a fit round-robin, perturbs its initial state
     with Gaussian noise scaled by noise_sigma times the per-component track
-    std, and integrates `length` samples; divergent draws are retried up to 10
-    times, then skipped. The noisy-real corpus adds the same relative noise to
-    the provided real series (falling back to the fits' own activity tracks
-    when none are given). Fully deterministic under `seed`.
+    std, and integrates `length` samples with that fit's time step and substep
+    count; divergent draws are retried up to 10 times, then skipped. The
+    noisy-real corpus adds the same relative noise to the provided real series
+    (falling back to the fits' own activity tracks when none are given). Fully
+    deterministic under `seed`.
     """
     if not fits:
         raise ValueError("need at least one fit")
@@ -499,7 +501,7 @@ def export_simulations(
                 x2=base.x2 + rng.normal(size=f.params.m) * noise_sigma * sd2,
             )
             try:
-                traj = simulate(f.params, s0, length, f.states.dt)
+                traj = simulate(f.params, s0, length, f.states.dt, f.substeps)
             except SimulationDiverged:
                 continue
             sim.series.append(traj.x1.copy())

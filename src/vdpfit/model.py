@@ -9,12 +9,19 @@ excitability variable x2_i:
 Discrete trajectories use the explicit Euler map g(s) = s + dt * f(s), with an
 optional substep count for stiff parameter regimes (dt/n applied n times).
 
+One batched core over (K, m) state arrays holds the whole map: the vector
+field, one Euler substep (`euler_map`), the one-substep state and parameter
+Jacobians, and one loop chaining them through the substeps. `step`,
+`simulate`, the batch Jacobians and the single-state `jacobians` call it, as
+do the stacked constraints in `constraints.py`.
+
 Flat state vectors interleave the two variables per component: component i of
 a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -178,6 +185,17 @@ class ObservationSet:
         return self.values.shape[1]
 
 
+def _check_components(params: VdpParams, s: State) -> None:
+    if s.m != params.m:
+        raise DimensionError(f"state has {s.m} components, params have {params.m}")
+
+
+def _substep_size(dt: float, substeps: int) -> float:
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    return dt / substeps
+
+
 def _field_arrays(
     alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray, x2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,25 +204,86 @@ def _field_arrays(
     return dx1, -x1
 
 
+def euler_map(
+    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample map g on raw arrays: `substeps` Euler substeps s + h * f(s)
+    with h = dt / substeps. x1/x2 may be (m,) or batched (K, m)."""
+    h = _substep_size(dt, substeps)
+    for _ in range(substeps):
+        dx1, dx2 = _field_arrays(params.alpha, params.coupling, x1, x2)
+        x1, x2 = x1 + h * dx1, x2 + h * dx2
+    return x1, x2
+
+
+def _substep_state_jacobian(params: VdpParams, x1: np.ndarray, h: float) -> np.ndarray:
+    """d/dstate of one substep s + h * f(s) at K states: (K, 2m, 2m)."""
+    K, m = x1.shape
+    r1 = 2 * np.arange(m)  # x1 rows
+    r2 = r1 + 1  # x2 rows
+    out = np.zeros((K, 2 * m, 2 * m))
+    # dx1_i rows: coupling row, self term, excitability term
+    out[:, r1[:, None], r1[None, :]] = h * params.coupling
+    out[:, r1, r1] += 1.0 + h * params.alpha[:, 0] * (1.0 - 3.0 * x1 * x1)
+    out[:, r1, r2] = h * params.alpha[:, 1]
+    # dx2_i rows
+    out[:, r2, r1] = -h
+    out[:, r2, r2] = 1.0
+    return out
+
+
+def _substep_param_jacobian(x1: np.ndarray, x2: np.ndarray, h: float) -> np.ndarray:
+    """d/dparams of one substep at K states: (K, 2m, 2m + m^2)."""
+    K, m = x1.shape
+    r1 = 2 * np.arange(m)
+    cols = np.arange(m)
+    out = np.zeros((K, 2 * m, 2 * m + m * m))
+    out[:, r1, cols] = h * x1 * (1.0 - x1 * x1)
+    out[:, r1, m + cols] = h * x2
+    # row x1_i carries h * x1 under the W[i, :] columns
+    out[:, r1[:, None], 2 * m + m * cols[:, None] + cols] = (h * x1)[:, None, :]
+    return out
+
+
+def _chained_jacobians(
+    params: VdpParams,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    dt: float,
+    substeps: int,
+    want_state: bool,
+    want_params: bool,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """dg/dstate and dg/dparams at K states (x1/x2 are (K, m)), chained
+    through the substeps: J <- J_sub J, P <- J_sub P + P_sub, with each
+    substep's Jacobians taken at its own intermediate state. Only the
+    requested ones are built (None otherwise); at substeps=1 the parameter
+    Jacobian needs no state Jacobian."""
+    h = _substep_size(dt, substeps)
+    x1 = np.atleast_2d(x1)
+    x2 = np.atleast_2d(x2)
+    jx = _substep_state_jacobian(params, x1, h) if want_state else None
+    jp = _substep_param_jacobian(x1, x2, h) if want_params else None
+    for _ in range(substeps - 1):
+        x1, x2 = euler_map(params, x1, x2, h)
+        j_sub = _substep_state_jacobian(params, x1, h)
+        if want_state:
+            jx = j_sub @ jx
+        if want_params:
+            jp = j_sub @ jp + _substep_param_jacobian(x1, x2, h)
+    return jx, jp
+
+
 def vector_field(params: VdpParams, s: State) -> tuple[np.ndarray, np.ndarray]:
     """Time derivative (dx1, dx2) at state `s`."""
-    if s.m != params.m:
-        raise DimensionError(f"state has {s.m} components, params have {params.m}")
+    _check_components(params, s)
     return _field_arrays(params.alpha, params.coupling, s.x1, s.x2)
 
 
 def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
     """One explicit Euler sample: s + dt * f(s), optionally split into substeps."""
-    if s.m != params.m:
-        raise DimensionError(f"state has {s.m} components, params have {params.m}")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    h = dt / substeps
-    x1, x2 = s.x1, s.x2
-    for _ in range(substeps):
-        dx1, dx2 = _field_arrays(params.alpha, params.coupling, x1, x2)
-        x1 = x1 + h * dx1
-        x2 = x2 + h * dx2
+    _check_components(params, s)
+    x1, x2 = euler_map(params, s.x1, s.x2, dt, substeps)
     return State(x1=x1, x2=x2)
 
 
@@ -221,24 +300,16 @@ def simulate(
     Raises SimulationDiverged naming the first step whose state magnitude
     exceeds `divergence_limit`.
     """
-    if s0.m != params.m:
-        raise DimensionError(f"state has {s0.m} components, params have {params.m}")
+    _check_components(params, s0)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    m = params.m
-    x1 = np.empty((n_steps, m))
-    x2 = np.empty((n_steps, m))
+    _substep_size(dt, substeps)  # reject a bad substep count before any step
+    x1 = np.empty((n_steps, params.m))
+    x2 = np.empty((n_steps, params.m))
     x1[0], x2[0] = s0.x1, s0.x2
-    alpha, coupling = params.alpha, params.coupling
-    h = dt / substeps
-    cur1, cur2 = s0.x1.astype(float), s0.x2.astype(float)
+    cur1, cur2 = s0.x1, s0.x2
     for k in range(1, n_steps):
-        for _ in range(substeps):
-            d1, d2 = _field_arrays(alpha, coupling, cur1, cur2)
-            cur1 = cur1 + h * d1
-            cur2 = cur2 + h * d2
+        cur1, cur2 = euler_map(params, cur1, cur2, dt, substeps)
         if not (
             np.all(np.abs(cur1) <= divergence_limit)
             and np.all(np.abs(cur2) <= divergence_limit)
@@ -248,110 +319,27 @@ def simulate(
     return Trajectory(x1=x1, x2=x2, dt=dt)
 
 
-def _euler_jacobians(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobians of the single Euler substep s + h*f(s) at one state.
-
-    Returns (d/dstate (2m x 2m), d/dalpha (2m x 2m), d/dW (2m x m^2)) in the
-    interleaved state layout and the [a1 block, a2 block, W row-major]
-    parameter column order.
-    """
-    m = params.m
-    a1 = params.alpha[:, 0]
-    a2 = params.alpha[:, 1]
-    W = params.coupling
-    r1 = 2 * np.arange(m)  # x1 rows
-    r2 = r1 + 1  # x2 rows
-
-    jx = np.zeros((2 * m, 2 * m))
-    # dx1_i rows: self term, excitability term, coupling row
-    jx[np.ix_(r1, r1)] = h * W
-    jx[r1, r1] += 1.0 + h * a1 * (1.0 - 3.0 * x1 * x1)
-    jx[r1, r2] = h * a2
-    # dx2_i rows
-    jx[r2, r1] = -h
-    jx[r2, r2] = 1.0
-
-    ja = np.zeros((2 * m, 2 * m))
-    ja[r1, np.arange(m)] = h * x1 * (1.0 - x1 * x1)
-    ja[r1, m + np.arange(m)] = h * x2
-
-    jw = np.zeros((2 * m, m * m))
-    for i in range(m):
-        jw[2 * i, i * m : (i + 1) * m] = h * x1
-    return jx, ja, jw
-
-
 def jacobians(
     params: VdpParams, s: State, dt: float, substeps: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobians of the full Euler map g at state `s`.
-
-    For substeps > 1 the per-substep Jacobians are chained through the
-    intermediate states, so the result differentiates the composed map.
-    """
-    if s.m != params.m:
-        raise DimensionError(f"state has {s.m} components, params have {params.m}")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    h = dt / substeps
-    x1, x2 = s.x1.astype(float), s.x2.astype(float)
-    jx_tot, ja_tot, jw_tot = _euler_jacobians(params, x1, x2, h)
-    for _ in range(substeps - 1):
-        d1, d2 = _field_arrays(params.alpha, params.coupling, x1, x2)
-        x1 = x1 + h * d1
-        x2 = x2 + h * d2
-        jx, ja, jw = _euler_jacobians(params, x1, x2, h)
-        ja_tot = jx @ ja_tot + ja
-        jw_tot = jx @ jw_tot + jw
-        jx_tot = jx @ jx_tot
-    return jx_tot, ja_tot, jw_tot
+    """Jacobians of g at state `s`: (d/dstate (2m x 2m), d/dalpha (2m x 2m),
+    d/dW (2m x m^2)), in the interleaved state layout and the [a1 block,
+    a2 block, W row-major] parameter column order."""
+    _check_components(params, s)
+    jx, jp = _chained_jacobians(params, s.x1, s.x2, dt, substeps, True, True)
+    b = 2 * params.m
+    return jx[0], jp[0, :, :b], jp[0, :, b:]
 
 
 def batch_state_jacobians(
     params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
     """dg/dstate at K states at once; x1/x2 are (K, m), result is (K, 2m, 2m)."""
-    x1 = np.atleast_2d(x1)
-    x2 = np.atleast_2d(x2)
-    K, m = x1.shape
-    if substeps != 1:
-        out = np.empty((K, 2 * m, 2 * m))
-        for k in range(K):
-            out[k] = jacobians(params, State(x1=x1[k], x2=x2[k]), dt, substeps)[0]
-        return out
-    a1 = params.alpha[:, 0]
-    a2 = params.alpha[:, 1]
-    r1 = 2 * np.arange(m)
-    r2 = r1 + 1
-    out = np.zeros((K, 2 * m, 2 * m))
-    out[:, r1[:, None], r1[None, :]] = dt * params.coupling
-    out[:, r1, r1] += 1.0 + dt * a1 * (1.0 - 3.0 * x1 * x1)
-    out[:, r1, r2] = dt * a2
-    out[:, r2, r1] = -dt
-    out[:, r2, r2] = 1.0
-    return out
+    return _chained_jacobians(params, x1, x2, dt, substeps, True, False)[0]
 
 
 def batch_param_jacobians(
     params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
     """dg/dparams at K states at once; result is (K, 2m, 2m + m^2)."""
-    x1 = np.atleast_2d(x1)
-    x2 = np.atleast_2d(x2)
-    K, m = x1.shape
-    p = 2 * m + m * m
-    if substeps != 1:
-        out = np.empty((K, 2 * m, p))
-        for k in range(K):
-            _, ja, jw = jacobians(params, State(x1=x1[k], x2=x2[k]), dt, substeps)
-            out[k] = np.hstack([ja, jw])
-        return out
-    r1 = 2 * np.arange(m)
-    out = np.zeros((K, 2 * m, p))
-    out[:, r1, np.arange(m)] = dt * x1 * (1.0 - x1 * x1)
-    out[:, r1, m + np.arange(m)] = dt * x2
-    for i in range(m):
-        out[:, 2 * i, 2 * m + i * m : 2 * m + (i + 1) * m] = dt * x1
-    return out
+    return _chained_jacobians(params, x1, x2, dt, substeps, False, True)[1]

@@ -157,11 +157,11 @@ def fitness(z: ObservationSet, sim: Trajectory, gamma: float) -> float:
 
 
 def _simulate_candidate(
-    z: ObservationSet, params: VdpParams, x2_init: np.ndarray, dt: float
+    z: ObservationSet, params: VdpParams, x2_init: np.ndarray, dt: float, substeps: int
 ) -> Optional[Trajectory]:
     s0 = State(x1=z.values[0].copy(), x2=np.asarray(x2_init, dtype=float))
     try:
-        return simulate(params, s0, z.n_steps, dt)
+        return simulate(params, s0, z.n_steps, dt, substeps)
     except SimulationDiverged:
         return None
 
@@ -172,8 +172,9 @@ def score_candidate(
     x2_init: np.ndarray,
     gamma: float,
     dt: float,
+    substeps: int = 1,
 ) -> float:
-    sim = _simulate_candidate(z, params, x2_init, dt)
+    sim = _simulate_candidate(z, params, x2_init, dt, substeps)
     if sim is None:
         return -math.inf
     return fitness(z, sim, gamma)
@@ -186,6 +187,7 @@ def propose(
     rng: np.random.Generator,
     *,
     dt: float = 1.0,
+    substeps: int = 1,
     scales: Optional[StepScales] = None,
 ) -> Candidate:
     """One Gaussian perturbation of a uniformly chosen group, clipped and scored."""
@@ -210,7 +212,7 @@ def propose(
         i = pick - m - m * m
         x2_init[i] = np.clip(x2_init[i] + rng.normal(0.0, sc.x2), *cfg.x2_bounds)
     params = VdpParams(alpha=alpha, coupling=coupling)
-    f = score_candidate(z, params, x2_init, cfg.gamma, dt)
+    f = score_candidate(z, params, x2_init, cfg.gamma, dt, substeps)
     return Candidate(params=params, x2_init=x2_init, fitness=f)
 
 
@@ -236,6 +238,7 @@ def search_and_refine(
     vp_cfg: PenaltyConfig,
     *,
     dt: float = 1.0,
+    substeps: int = 1,
     init: Optional[VdpParams] = None,
     x2_init: Optional[np.ndarray] = None,
     trace: Optional[IO[str]] = None,
@@ -244,7 +247,9 @@ def search_and_refine(
 
     Stops on max_rounds or when the best fitness has improved by less than
     plateau_tol for `patience` consecutive rounds. With max_rounds=0 this is
-    exactly a single VP fit from the initial parameters.
+    exactly a single VP fit from the initial parameters. Candidate scoring and
+    the VP fits both integrate with `substeps` Euler substeps per sample.
+    Raises FitError when no candidate survives to the end.
     """
     m = z.m
     if init is None:
@@ -260,14 +265,14 @@ def search_and_refine(
     rng = np.random.default_rng(search_cfg.seed)
 
     if search_cfg.max_rounds == 0:
-        return fit(z, vp_cfg, vp_cfg.bounds.clip_params(init), dt=dt)
+        return fit(z, vp_cfg, vp_cfg.bounds.clip_params(init), dt=dt, substeps=substeps)
 
     init_params = search_cfg.bounds.clip_params(init)
     init_x2 = np.clip(x2_init, *search_cfg.x2_bounds)
     best = Candidate(
         params=init_params,
         x2_init=init_x2,
-        fitness=score_candidate(z, init_params, init_x2, gamma, dt),
+        fitness=score_candidate(z, init_params, init_x2, gamma, dt, substeps),
         provenance=(0, 0, "init"),
     )
     best_fit_result: Optional[FitResult] = None
@@ -284,7 +289,7 @@ def search_and_refine(
         round_start_fitness = best.fitness
         any_valid = False
         for j in range(search_cfg.proposals_per_round):
-            cand = propose(best, z, search_cfg, rng, dt=dt, scales=scales)
+            cand = propose(best, z, search_cfg, rng, dt=dt, substeps=substeps, scales=scales)
             if cand.valid:
                 any_valid = True
             else:
@@ -305,7 +310,7 @@ def search_and_refine(
                 scales = scales.halved()
                 halved_once = True
         if round_idx % search_cfg.vp_every == 0 or round_idx == search_cfg.max_rounds:
-            vp_candidate, vp_result = _run_vp(z, best, vp_cfg, gamma, dt, round_idx)
+            vp_candidate, vp_result = _run_vp(z, best, vp_cfg, gamma, dt, substeps, round_idx)
             accepted = vp_candidate is not None and vp_candidate.fitness > best.fitness
             if vp_candidate is not None:
                 writer.write(round_idx, -1, vp_candidate.fitness, accepted)
@@ -324,7 +329,7 @@ def search_and_refine(
             break
 
     return _finalize(
-        z, best, best_fit_result, search_cfg, vp_cfg, dt, gamma,
+        z, best, best_fit_result, search_cfg, vp_cfg, dt, substeps, gamma,
         stop_reason, rounds_run, invalid_candidates, all_invalid_rounds, halved_once,
     )
 
@@ -335,17 +340,18 @@ def _run_vp(
     vp_cfg: PenaltyConfig,
     gamma: float,
     dt: float,
+    substeps: int,
     round_idx: int,
 ) -> tuple[Optional[Candidate], Optional[FitResult]]:
     try:
         seed_params = vp_cfg.bounds.clip_params(best.params)
-        sim = _simulate_candidate(z, seed_params, best.x2_init, dt)
+        sim = _simulate_candidate(z, seed_params, best.x2_init, dt, substeps)
         x_init = StackedState.from_trajectory(sim) if sim is not None else None
-        result = fit(z, vp_cfg, seed_params, x_init, dt=dt)
+        result = fit(z, vp_cfg, seed_params, x_init, dt=dt, substeps=substeps)
     except (FitError, SimulationDiverged, ValueError, np.linalg.LinAlgError):
         return None, None
     x2_hat = result.states.x2[0]
-    f_vp = score_candidate(z, result.params, x2_hat, gamma, dt)
+    f_vp = score_candidate(z, result.params, x2_hat, gamma, dt, substeps)
     cand = Candidate(
         params=result.params,
         x2_init=np.asarray(x2_hat, dtype=float),
@@ -356,7 +362,7 @@ def _run_vp(
 
 
 def _finalize(
-    z, best, best_fit_result, search_cfg, vp_cfg, dt, gamma,
+    z, best, best_fit_result, search_cfg, vp_cfg, dt, substeps, gamma,
     stop_reason, rounds_run, invalid_candidates, all_invalid_rounds, halved_once,
 ) -> FitResult:
     diagnostics = {
@@ -373,15 +379,15 @@ def _finalize(
         result.config_echo = dict(result.config_echo)
         result.config_echo["search"] = {**search_cfg.echo(), **diagnostics}
         return result
-    sim = _simulate_candidate(z, best.params, best.x2_init, dt)
+    sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
     if sim is None:
-        raise RuntimeError(
-            "best candidate no longer simulates without divergence; "
+        raise FitError(
+            "search found no candidate that simulates without divergence; "
             f"stop_reason={stop_reason}"
         )
     echo = vp_cfg.echo()
     echo["dt"] = float(dt)
-    echo["substeps"] = 1
+    echo["substeps"] = int(substeps)
     echo["search"] = {**search_cfg.echo(), **diagnostics}
     return FitResult(
         params=best.params,

@@ -163,6 +163,47 @@ class TestFit:
         assert code == 2
         assert "'dt'" in capsys.readouterr().err
 
+    def test_substeps_reach_the_fit(self, workdir, series_csv, fit_config):
+        base = json.loads(fit_config.read_text())
+        fits = {}
+        for name, extra in (("absent", {}), ("one", {"substeps": 1}), ("three", {"substeps": 3})):
+            cfg = workdir / f"{name}.json"
+            cfg.write_text(json.dumps({**base, **extra}))
+            out = workdir / name
+            args = ["fit", str(series_csv), "--config", str(cfg), "--seed", "3", "-o", str(out)]
+            assert main(args) == 0
+            fits[name] = (out / "fit.json").read_bytes()
+        assert fits["one"] == fits["absent"]
+        one, three = json.loads(fits["one"]), json.loads(fits["three"])
+        assert three["config_echo"]["substeps"] == 3
+        del one["config_echo"], three["config_echo"]
+        assert three != one
+
+    @pytest.mark.parametrize("substeps", [0, 2.5, "3"])
+    def test_bad_substeps_is_config_error(self, workdir, series_csv, capsys, substeps):
+        cfg = workdir / "bad_substeps.json"
+        cfg.write_text(json.dumps({"dt": 0.1, "substeps": substeps}))
+        code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
+                     "-o", str(workdir / "x")])
+        assert code == 2
+        assert "substeps" in capsys.readouterr().err
+
+    def test_search_without_surviving_candidate_is_data_error(self, workdir, capsys):
+        # dt=5 with a1=5 blows every candidate up, so no search result survives
+        series = workdir / "sine.csv"
+        save_csv(np.sin(np.arange(60) * 0.1 + 0.5)[:, None], series)
+        cfg = workdir / "unstable.json"
+        cfg.write_text(json.dumps({
+            "dt": 5.0,
+            "init_alpha": [5, 5],
+            "penalty": {"lam_schedule": [10.0], "outer_max_iter": 2, "inner_max_iter": 10},
+            "search": {"max_rounds": 1, "proposals_per_round": 3},
+        }))
+        code = main(["fit", str(series), "--config", str(cfg), "--seed", "1",
+                     "-o", str(workdir / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_key_reports_dotted_path(self, workdir, series_csv, capsys):
         cfg = workdir / "bogus.json"
         cfg.write_text(json.dumps({"dt": 0.1, "search": {"bogus": 1}}))
@@ -308,6 +349,19 @@ class TestExportSim:
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["simulated"]["count"] == 3
         assert len(list((a / "noisy_real").iterdir())) == 3
+
+    def test_fit_without_dt_is_config_error(self, workdir, capsys):
+        fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
+        doc = json.loads(fit.read_text())
+        del doc["config_echo"]["dt"]
+        fit.write_text(json.dumps(doc))
+        code = main(
+            ["export-sim", str(fit), "--n-series", "1", "--length", "10",
+             "--seed", "1", "-o", str(workdir / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a fit result" in err and "'dt'" in err
 
     def test_real_series_override(self, workdir, series_csv):
         fit = write_fit_json(workdir / "fa.json", m=1, seed=5)

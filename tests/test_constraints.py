@@ -78,7 +78,7 @@ def test_linear_case_constant_subdiagonal(rng):
         npt.assert_allclose(jac.sub[k], jac.sub[0], rtol=1e-13)
 
 
-def _fd_residual_jacobian(x, params, anchor, dt, wrt, h=1e-6):
+def _fd_residual_jacobian(x, params, anchor, dt, wrt, substeps=1, h=1e-6):
     if wrt == "x":
         base = x.flat
         cols = base.size
@@ -91,31 +91,38 @@ def _fd_residual_jacobian(x, params, anchor, dt, wrt, h=1e-6):
         hi[j] += h
         lo[j] -= h
         if wrt == "x":
-            r_hi = residual(x.replace_flat(hi), params, anchor, dt)
-            r_lo = residual(x.replace_flat(lo), params, anchor, dt)
+            r_hi = residual(x.replace_flat(hi), params, anchor, dt, substeps)
+            r_lo = residual(x.replace_flat(lo), params, anchor, dt, substeps)
         else:
-            r_hi = residual(x, VdpParams.from_vector(hi, params.m), anchor, dt)
-            r_lo = residual(x, VdpParams.from_vector(lo, params.m), anchor, dt)
+            r_hi = residual(x, VdpParams.from_vector(hi, params.m), anchor, dt, substeps)
+            r_lo = residual(x, VdpParams.from_vector(lo, params.m), anchor, dt, substeps)
         out[:, j] = (r_hi - r_lo) / (2 * h)
     return out
 
 
-@pytest.mark.parametrize("trial", range(5))
-def test_jacobians_match_finite_differences(trial):
+@pytest.mark.parametrize(
+    "trial, substeps",
+    [pytest.param(t, 1, id=str(t)) for t in range(5)]
+    + [pytest.param(t, k, id=f"{t}-substeps{k}") for k in (2, 3) for t in range(5)],
+)
+def test_jacobians_match_finite_differences(trial, substeps):
     rng = np.random.default_rng(100 + trial)
     m = int(rng.integers(1, 3))
     params = random_params(rng, m)
     s0 = random_state(rng, m, 0.5)
-    traj = simulate(params, s0, 5, 0.07)
+    traj = simulate(params, s0, 5, 0.07, substeps)
     x = stacked_from(traj).replace_flat(
         stacked_from(traj).flat + rng.normal(0, 0.05, 5 * 2 * m)
     )
     anchor = InitAnchor(s0)
-    jx = residual_jacobian_x(x, params, 0.07).to_dense()
-    jp = residual_jacobian_params(x, params, 0.07)
-    npt.assert_allclose(jx, _fd_residual_jacobian(x, params, anchor, 0.07, "x"),
+    # G uses the same substepped map as simulate, so it vanishes on its trajectory
+    npt.assert_allclose(residual(stacked_from(traj), params, anchor, 0.07, substeps),
+                        0.0, atol=1e-14)
+    jx = residual_jacobian_x(x, params, 0.07, substeps).to_dense()
+    jp = residual_jacobian_params(x, params, 0.07, substeps)
+    npt.assert_allclose(jx, _fd_residual_jacobian(x, params, anchor, 0.07, "x", substeps),
                         rtol=1e-6, atol=1e-8)
-    npt.assert_allclose(jp, _fd_residual_jacobian(x, params, anchor, 0.07, "p"),
+    npt.assert_allclose(jp, _fd_residual_jacobian(x, params, anchor, 0.07, "p", substeps),
                         rtol=1e-6, atol=1e-8)
 
 

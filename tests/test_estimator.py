@@ -7,6 +7,7 @@ import pytest
 from vdpfit.constraints import InitAnchor, StackedState, residual, residual_jacobian_x
 from vdpfit.estimator import (
     FitError,
+    FitResult,
     ParamBounds,
     PenaltyConfig,
     default_x_init,
@@ -281,6 +282,19 @@ class TestFit:
         npt.assert_allclose(back.params.alpha, res.params.alpha)
         npt.assert_allclose(back.states.x1, res.states.x1)
         assert back.states.dt == res.states.dt
+
+
+def test_json_needs_dt_and_defaults_substeps(rng):
+    params = random_params(rng, 1)
+    traj = simulate(params, random_state(rng, 1, 0.3), 10, 0.1)
+    doc = FitResult(params, traj, [], [], True, "synthetic", {"dt": 0.1}).to_json_dict()
+    assert FitResult.from_json_dict(doc).substeps == 1
+    doc["config_echo"] = {"dt": 0.1, "substeps": 0}
+    with pytest.raises(ValueError, match="substeps"):
+        FitResult.from_json_dict(doc)
+    doc["config_echo"] = {}
+    with pytest.raises(ValueError, match="'dt'"):
+        FitResult.from_json_dict(doc)
 
 
 def test_default_x_init_uses_observations(rng):

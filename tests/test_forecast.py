@@ -168,6 +168,16 @@ class TestVdpPredict:
         pred = vdp_predict(fit, 9)
         npt.assert_array_equal(pred, full.x1[31:40].T)
 
+    def test_integrates_with_the_fits_substeps(self, rng):
+        params = random_params(rng, 2)
+        s0 = State(x1=np.array([0.4, -0.2]), x2=np.array([0.1, 0.3]))
+        fit = make_fit(params, s0, 31, 0.2)
+        fit.config_echo["substeps"] = 3
+        last = fit.states.state(30)
+        want = simulate(params, last, 10, 0.2, substeps=3).x1[1:].T
+        npt.assert_array_equal(vdp_predict(fit, 9), want)
+        assert not np.array_equal(want, simulate(params, last, 10, 0.2).x1[1:].T)
+
     def test_same_state_same_forecast(self, rng):
         params = random_params(rng, 2)
         s0 = State(x1=np.array([0.4, -0.2]), x2=np.array([0.1, 0.3]))
@@ -384,6 +394,13 @@ class TestExport:
             npt.assert_array_equal(series, want)
         for series, base in zip(res.noisy_real.series, [fit.states.x1] * 2):
             npt.assert_array_equal(series, base)
+
+    def test_simulates_with_the_fits_substeps(self, rng):
+        fit = self._fit(rng, dt=0.2)
+        fit.config_echo["substeps"] = 3
+        res = export_simulations([fit], 1, 30, noise_sigma=0.0)
+        want = simulate(fit.params, fit.states.state(0), 30, 0.2, substeps=3).x1
+        npt.assert_array_equal(res.simulated.series[0], want)
 
     def test_round_robin_and_determinism(self, rng):
         fits = [self._fit(rng) for _ in range(2)]

@@ -208,6 +208,18 @@ class TestSearchAndRefine:
         assert diag["all_invalid_rounds"] >= 1
         assert diag["scales_halved"] is True
 
+    def test_substeps_reach_scoring_and_the_echo(self):
+        _, _, z = coupled_pair()
+        cfg = SearchConfig(max_rounds=1, proposals_per_round=5, seed=3)
+        vp_cfg = PenaltyConfig(lam_schedule=(10.0,), outer_max_iter=3, inner_max_iter=20)
+        res = search_and_refine(z, cfg, vp_cfg, dt=0.1, substeps=3)
+        assert res.config_echo["substeps"] == 3
+        # the reported best fitness scores the returned candidate with 3 substeps
+        x2_init = res.states.x2[0]
+        best = res.config_echo["search"]["best_fitness"]
+        assert best == score_candidate(z, res.params, x2_init, cfg.gamma, 0.1, 3)
+        assert best != score_candidate(z, res.params, x2_init, cfg.gamma, 0.1)
+
     def test_returned_params_respect_bounds(self):
         _, _, z = coupled_pair()
         bounds = ParamBounds(alpha1=(0.0, 2.0), alpha2=(-2.0, 2.0), coupling=(-0.5, 0.5))
