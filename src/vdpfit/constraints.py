@@ -7,8 +7,9 @@ For a trajectory x^0..x^{N-1} the stacked constraint is
 
 so G vanishes exactly on simulated trajectories whose first sample matches the
 anchor. The state Jacobian dG/dx is block lower-bidiagonal with identity
-diagonal blocks, which keeps Gauss-Newton normal systems block-tridiagonal and
-solvable in O(N).
+diagonal blocks, which keeps Gauss-Newton normal systems block-tridiagonal:
+with b = 2m they are banded with half-bandwidth 2b - 1 and are solved in O(N)
+by one LAPACK banded Cholesky (`scipy.linalg.solveh_banded`).
 
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
 batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solveh_banded
 
 from .model import (
     DimensionError,
@@ -211,29 +212,23 @@ def solve_block_tridiagonal(
     """Solve a symmetric positive-definite block-tridiagonal system in O(N).
 
     diag: (N, b, b) diagonal blocks; sub: (N-1, b, b) blocks at (k+1, k); the
-    (k, k+1) blocks are their transposes. rhs: (N, b). Block Cholesky forward
-    elimination followed by back substitution.
+    (k, k+1) blocks are their transposes. rhs: (N, b). The upper triangles of
+    the diagonal blocks and the transposed sub blocks are scattered into LAPACK
+    upper-banded storage with half-bandwidth u = 2b - 1, and the system is
+    solved by one banded Cholesky (`solveh_banded`, LAPACK pbsv). Non-finite
+    input raises ValueError; a matrix that is not positive definite raises
+    np.linalg.LinAlgError.
     """
-    diag = np.asarray(diag, dtype=float)
-    sub = np.asarray(sub, dtype=float)
+    # the banded storage holds only the upper triangles, so check whole blocks here
+    diag = np.asarray_chkfinite(diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[0]
-    factors = []
-    # forward: factor Schur complements and eliminate sub blocks
-    c = diag[0]
-    v = np.empty_like(rhs)
-    gains = np.empty_like(sub)  # gains[k] = C_k^{-1} sub_k^T
-    fac = cho_factor(c, lower=True)
-    factors.append(fac)
-    v[0] = cho_solve(fac, rhs[0])
-    for k in range(1, n):
-        gains[k - 1] = cho_solve(factors[k - 1], sub[k - 1].T)
-        c = diag[k] - sub[k - 1] @ gains[k - 1]
-        fac = cho_factor(c, lower=True)
-        factors.append(fac)
-        v[k] = cho_solve(fac, rhs[k] - sub[k - 1] @ v[k - 1])
-    out = np.empty_like(rhs)
-    out[n - 1] = v[n - 1]
-    for k in range(n - 2, -1, -1):
-        out[k] = v[k] - gains[k] @ out[k + 1]
-    return out
+    n, b = rhs.shape
+    # block column k, rows (k-1)b .. (k+1)b-1: [sub[k-1]^T; diag[k]]
+    cols = np.zeros((n, 2 * b, b))
+    cols[1:, :b] = np.swapaxes(sub, 1, 2)
+    cols[:, b:] = diag
+    # block-column entry (r, j) goes to band row b-1+r-j; r <= b+j is the upper triangle
+    r, j = np.nonzero(np.arange(2 * b)[:, None] <= b + np.arange(b))
+    banded = np.zeros((2 * b, n, b))
+    banded[b - 1 + r - j, :, j] = cols[:, r, j].T
+    return solveh_banded(banded.reshape(2 * b, n * b), rhs.ravel()).reshape(n, b)

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from vdpfit.constraints import (
     BlockBidiagonal,
@@ -149,7 +150,76 @@ class TestBlockBidiagonal:
         npt.assert_allclose(op.rmatvec(v), dense.T @ v, rtol=1e-12)
 
 
+def _block_cholesky_reference(diag, sub, rhs):
+    """Block Cholesky recursion, one cho_factor/cho_solve per block: the oracle."""
+    n = diag.shape[0]
+    factors = [cho_factor(diag[0], lower=True)]
+    v = np.empty_like(rhs)
+    gains = np.empty_like(sub)  # gains[k] = C_k^{-1} sub_k^T
+    v[0] = cho_solve(factors[0], rhs[0])
+    for k in range(1, n):
+        gains[k - 1] = cho_solve(factors[k - 1], sub[k - 1].T)
+        c = diag[k] - sub[k - 1] @ gains[k - 1]
+        factors.append(cho_factor(c, lower=True))
+        v[k] = cho_solve(factors[k], rhs[k] - sub[k - 1] @ v[k - 1])
+    out = np.empty_like(rhs)
+    out[n - 1] = v[n - 1]
+    for k in range(n - 2, -1, -1):
+        out[k] = v[k] - gains[k] @ out[k + 1]
+    return out
+
+
+def _dense_block_tridiagonal(diag, sub):
+    n, b = diag.shape[:2]
+    dense = np.zeros((n * b, n * b))
+    for k in range(n):
+        dense[k * b : (k + 1) * b, k * b : (k + 1) * b] = diag[k]
+    for k in range(n - 1):
+        dense[(k + 1) * b : (k + 2) * b, k * b : (k + 1) * b] = sub[k]
+        dense[k * b : (k + 1) * b, (k + 1) * b : (k + 2) * b] = sub[k].T
+    return dense
+
+
+def _normal_system(rng, n, b, lam):
+    """(diag, sub, rhs) shaped as inner_solve builds them: lam I + H'H + lam J'J, lam J."""
+    jac = -(np.eye(b) + 0.1 * rng.normal(size=(n - 1, b, b)))  # -(Euler state Jacobian)
+    diag = np.empty((n, b, b))
+    diag[:] = lam * np.eye(b)
+    diag[:, np.arange(0, b, 2), np.arange(0, b, 2)] += 1.0  # H'H: x1 is observed
+    diag[:-1] += lam * np.einsum("kji,kjl->kil", jac, jac)
+    return diag, lam * jac, rng.normal(size=(n, b))
+
+
 class TestBlockTridiagonalSolve:
+    @pytest.mark.parametrize("n", [1, 2, 150])
+    @pytest.mark.parametrize("lam", [10.0, 1000.0])
+    @pytest.mark.parametrize("b", [2, 4, 6])
+    def test_normal_equations_match_reference_and_dense(self, b, lam, n):
+        diag, sub, rhs = _normal_system(np.random.default_rng(b * n), n, b, lam)
+        got = solve_block_tridiagonal(diag, sub, rhs)
+        assert got.shape == (n, b)
+        dense = np.linalg.solve(_dense_block_tridiagonal(diag, sub), rhs.ravel())
+        for want in (dense, _block_cholesky_reference(diag, sub, rhs).ravel()):
+            assert np.linalg.norm(got.ravel() - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_not_positive_definite_raises(self, rng):
+        diag, sub, rhs = _normal_system(rng, 5, 4, 10.0)
+        diag[3] -= 100.0 * np.eye(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_block_tridiagonal(diag, sub, rhs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "where, index",
+        [("diag", (2, 0, 1)), ("diag", (2, 1, 0)), ("sub", (3, 2, 1)), ("rhs", (4, 3))],
+        ids=["diag-upper", "diag-lower", "sub", "rhs"],
+    )
+    def test_nonfinite_input_raises_value_error(self, rng, where, index, bad):
+        system = dict(zip(("diag", "sub", "rhs"), _normal_system(rng, 5, 4, 10.0)))
+        system[where][index] = bad
+        with pytest.raises(ValueError):
+            solve_block_tridiagonal(system["diag"], system["sub"], system["rhs"])
+
     def test_matches_dense_solve(self, rng):
         n, b = 7, 4
         sub = rng.normal(size=(n - 1, b, b)) * 0.3
