@@ -120,7 +120,7 @@ def _penalty_from(doc: dict) -> PenaltyConfig:
         raise ConfigError(f"bad penalty config: {exc}")
 
 
-def _search_from(doc: dict, seed: int, bounds: ParamBounds) -> SearchConfig:
+def _search_from(doc: dict, seed: int) -> SearchConfig:
     _reject_unknown(doc, _SEARCH_KEYS, "search.")
     kwargs = dict(doc)
     if "step_scales" in kwargs:
@@ -129,7 +129,7 @@ def _search_from(doc: dict, seed: int, bounds: ParamBounds) -> SearchConfig:
     if "x2_bounds" in kwargs:
         kwargs["x2_bounds"] = tuple(float(v) for v in kwargs["x2_bounds"])
     try:
-        return SearchConfig(seed=seed, bounds=bounds, **kwargs)
+        return SearchConfig(seed=seed, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad search config: {exc}")
 
@@ -146,7 +146,7 @@ def _fit_configs(path: str, seed: int) -> tuple[float, int, PenaltyConfig, Searc
     if type(substeps) is not int or substeps < 1:
         raise ConfigError("substeps must be an integer >= 1")
     p_cfg = _penalty_from(doc.get("penalty", {}))
-    s_cfg = _search_from(doc.get("search", {}), seed, p_cfg.bounds)
+    s_cfg = _search_from(doc.get("search", {}), seed)
     return dt, substeps, p_cfg, s_cfg, doc
 
 

@@ -236,12 +236,17 @@ class Edge:
     polarity: str  # "excitatory" | "inhibitory"
 
 
-def _edges_from_matrix(weights: np.ndarray, row_offset: int) -> list[tuple[float, int, int]]:
-    out = []
-    targets, sources = np.nonzero(weights)
-    for t_idx, s_idx in zip(targets, sources):
-        out.append((float(weights[t_idx, s_idx]), int(t_idx) + row_offset, int(s_idx)))
-    return out
+# Entries of F formed at once: every P <= 4096 is a single block, one matmul.
+_BLOCK_ENTRIES = 4096 * 4096
+
+
+def _top_entries(mag, tgt, src, k):
+    """The first k of (mag, tgt, src) ordered by (-mag, tgt, src)."""
+    if mag.size > k:
+        keep = mag >= np.partition(mag, mag.size - k)[mag.size - k]
+        mag, tgt, src = mag[keep], tgt[keep], src[keep]
+    order = np.lexsort((src, tgt, -mag))[:k]
+    return mag[order], tgt[order], src[order]
 
 
 def connectivity_projection(
@@ -249,9 +254,6 @@ def connectivity_projection(
     singular_values: np.ndarray,
     w_models: Sequence[np.ndarray],
     top_k: int,
-    *,
-    streaming_threshold: int = 4096,
-    chunk_rows: int = 512,
 ) -> list[Edge]:
     """Project summed coupling matrices to pixel-to-pixel edges.
 
@@ -259,8 +261,10 @@ def connectivity_projection(
     spatial, so F[p, q] is the net strength of the directed connection q -> p.
     Returns the top_k strictly positive entries as excitatory edges (weight
     descending) followed by the top_k strictly negative entries as inhibitory
-    edges (weight ascending). Ties break on (target, source) ascending. Above
-    `streaming_threshold` pixels the P x P matrix is processed in row chunks.
+    edges (weight ascending). Equal weights order by (target, source)
+    ascending, and a cut through such a tie keeps the first of them in that
+    order. F is formed in row blocks of at most _BLOCK_ENTRIES entries (whole
+    for P <= 4096); each block's candidates merge with the best top_k so far.
     """
     spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
     sigma = np.atleast_1d(np.asarray(singular_values, dtype=float))
@@ -280,31 +284,26 @@ def connectivity_projection(
     scaled = np.sqrt(sigma)[:, None] * spatial  # (m, P)
     left = scaled.T @ w_sum  # (P, m); rows = target pixels
 
-    pos: list[tuple[float, int, int]] = []
-    neg: list[tuple[float, int, int]] = []
-    step = p if p <= streaming_threshold else chunk_rows
-    for start in range(0, p, step):
-        block = left[start : start + step] @ scaled  # (rows, P)
-        pos.extend(_edges_from_matrix(np.where(block > 0, block, 0.0), start))
-        neg.extend(_edges_from_matrix(np.where(block < 0, block, 0.0), start))
-        # keep only plausible survivors to bound memory on huge P
-        if len(pos) > 4 * top_k:
-            pos.sort(key=lambda e: (-e[0], e[1], e[2]))
-            del pos[4 * top_k :]
-        if len(neg) > 4 * top_k:
-            neg.sort(key=lambda e: (e[0], e[1], e[2]))
-            del neg[4 * top_k :]
-    pos.sort(key=lambda e: (-e[0], e[1], e[2]))
-    neg.sort(key=lambda e: (e[0], e[1], e[2]))
-    edges = [
-        Edge(source=s, target=t, weight=w, polarity="excitatory")
-        for w, t, s in pos[:top_k]
+    empty = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    best = {1.0: empty, -1.0: empty}  # sign -> (|weight|, target, source)
+    rows = max(1, _BLOCK_ENTRIES // max(p, 1))
+    for start in range(0, p, rows):
+        block = left[start : start + rows] @ scaled  # (rows, P)
+        for sign in best:
+            mag, tgt, src = best[sign]
+            signed = sign * block
+            t, s = np.nonzero(signed > 0)
+            best[sign] = _top_entries(
+                np.concatenate([mag, signed[t, s]]),
+                np.concatenate([tgt, t + start]),
+                np.concatenate([src, s]),
+                top_k,
+            )
+    return [
+        Edge(source=s, target=t, weight=sign * w, polarity=polarity)
+        for sign, polarity in ((1.0, "excitatory"), (-1.0, "inhibitory"))
+        for w, t, s in zip(*(a.tolist() for a in best[sign]))
     ]
-    edges.extend(
-        Edge(source=s, target=t, weight=w, polarity="inhibitory")
-        for w, t, s in neg[:top_k]
-    )
-    return edges
 
 
 def save_edges(edges: Sequence[Edge], path: str | Path):

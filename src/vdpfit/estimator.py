@@ -223,13 +223,6 @@ class FitResult:
         return result
 
 
-def _obs_mask(m: int, n: int) -> np.ndarray:
-    """(N, 2m) mask, 1.0 at x1 slots."""
-    mask = np.zeros((n, 2 * m))
-    mask[:, 0::2] = 1.0
-    return mask
-
-
 def hidden_x2_estimate(z_values: np.ndarray, dt: float) -> np.ndarray:
     """Initial guess for the hidden track from dx2/dt = -x1.
 
@@ -312,8 +305,8 @@ def inner_solve(
     cap = cfg.inner_max_iter if max_iter is None else int(max_iter)
     m, n = x_init.m, x_init.n_steps
     b = 2 * m
-    mask = _obs_mask(m, n)
     eye = np.eye(b)
+    x1_slots = np.arange(0, b, 2)
 
     cur = x_init
     r = residual(cur, params, anchor, dt, substeps)
@@ -323,8 +316,8 @@ def inner_solve(
     iterations = 0
     for iterations in range(cap + 1):
         jac = residual_jacobian_x(cur, params, dt, substeps)
-        grad_blocks = mask * (cur.blocks() - _embed_obs(z.values, m))
-        grad_blocks = grad_blocks + lam_eff * jac.rmatvec(r).reshape(n, b)
+        grad_blocks = lam_eff * jac.rmatvec(r).reshape(n, b)
+        grad_blocks[:, 0::2] += cur.x1() - z.values
         grad_inf = float(np.max(np.abs(grad_blocks)))
         if grad_inf <= tol_eff:
             converged = True
@@ -334,7 +327,7 @@ def inner_solve(
         sub = jac.sub
         diag = np.empty((n, b, b))
         diag[:] = lam_eff * eye
-        diag[:, np.arange(b), np.arange(b)] += mask[0]
+        diag[:, x1_slots, x1_slots] += 1.0
         diag[:-1] += lam_eff * np.einsum("kji,kjl->kil", sub, sub)
         delta = solve_block_tridiagonal(diag, lam_eff * sub, -grad_blocks)
         dirderiv = float(np.sum(grad_blocks * delta))
@@ -362,14 +355,6 @@ def inner_solve(
         x=cur, converged=converged, iterations=iterations,
         grad_inf=grad_inf, objective=f_cur,
     )
-
-
-def _embed_obs(z_values: np.ndarray, m: int) -> np.ndarray:
-    """Observations placed at their x1 slots of (N, 2m) blocks, zeros elsewhere."""
-    n = z_values.shape[0]
-    out = np.zeros((n, 2 * m))
-    out[:, 0::2] = z_values
-    return out
 
 
 def value_gradient(

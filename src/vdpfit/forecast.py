@@ -31,6 +31,9 @@ from .data import SegmentSplit, SvdComponents, save_csv
 from .estimator import FitResult
 from .model import DimensionError, SimulationDiverged, State, simulate
 
+# Ridge on the VAR normal equations when the lagged design is rank deficient.
+RIDGE_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class VarModel:
@@ -61,12 +64,12 @@ class VarModel:
         return self.coefs.shape[1]
 
 
-def var_fit(train: np.ndarray, k: int = 6, ridge_eps: float = 1e-8) -> VarModel:
+def var_fit(train: np.ndarray, k: int = 6) -> VarModel:
     """Least-squares VAR(k) with intercept, jointly over all components.
 
     Predictors and targets are column-centered so the intercept drops out of
     the solve; a rank-deficient design falls back to ridge normal equations
-    with `ridge_eps` and flags the result. On a constant series this yields
+    with RIDGE_EPS and flags the result. On a constant series this yields
     zero lag coefficients and intercept equal to the constant.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
@@ -84,7 +87,7 @@ def var_fit(train: np.ndarray, k: int = 6, ridge_eps: float = 1e-8) -> VarModel:
     b, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
     ridge = rank < k * m
     if ridge:
-        gram = xc.T @ xc + ridge_eps * np.eye(k * m)
+        gram = xc.T @ xc + RIDGE_EPS * np.eye(k * m)
         b = np.linalg.solve(gram, xc.T @ yc)
     coefs = np.stack([b[(l - 1) * m : l * m].T for l in range(1, k + 1)])
     intercept = y_mean - x_mean @ b
@@ -144,11 +147,10 @@ class VarMethod(ForecastMethod):
     the segment's train start up to each window instead of being reused.
     """
 
-    def __init__(self, order: int = 6, refit_per_window: bool = False, ridge_eps: float = 1e-8):
+    def __init__(self, order: int = 6, refit_per_window: bool = False):
         self.name = f"var{order}"
         self.order = order
         self.refit_per_window = refit_per_window
-        self.ridge_eps = ridge_eps
         self._models: list[VarModel] = []
         self._data: Optional[np.ndarray] = None
         self._split: Optional[SegmentSplit] = None
@@ -157,7 +159,7 @@ class VarMethod(ForecastMethod):
         self._data = data
         self._split = split
         self._models = [
-            var_fit(data[:, seg.train[0] : seg.train[1]], self.order, self.ridge_eps)
+            var_fit(data[:, seg.train[0] : seg.train[1]], self.order)
             for seg in split.segments
         ]
 
@@ -167,9 +169,7 @@ class VarMethod(ForecastMethod):
         model = self._models[segment]
         if self.refit_per_window:
             seg = self._split.segments[segment]
-            model = var_fit(
-                self._data[:, seg.train[0] : start], self.order, self.ridge_eps
-            )
+            model = var_fit(self._data[:, seg.train[0] : start], self.order)
         history = self._data[:, start - self.order : start]
         return var_predict(model, history, steps)
 

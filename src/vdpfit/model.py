@@ -293,12 +293,11 @@ def simulate(
     n_steps: int,
     dt: float = 1.0,
     substeps: int = 1,
-    divergence_limit: float = DIVERGENCE_LIMIT,
 ) -> Trajectory:
     """Integrate `n_steps` samples starting from (and including) `s0`.
 
     Raises SimulationDiverged naming the first step whose state magnitude
-    exceeds `divergence_limit`.
+    exceeds DIVERGENCE_LIMIT.
     """
     _check_components(params, s0)
     if n_steps < 1:
@@ -311,10 +310,10 @@ def simulate(
     for k in range(1, n_steps):
         cur1, cur2 = euler_map(params, cur1, cur2, dt, substeps)
         if not (
-            np.all(np.abs(cur1) <= divergence_limit)
-            and np.all(np.abs(cur2) <= divergence_limit)
+            np.all(np.abs(cur1) <= DIVERGENCE_LIMIT)
+            and np.all(np.abs(cur2) <= DIVERGENCE_LIMIT)
         ):
-            raise SimulationDiverged(step=k, limit=divergence_limit)
+            raise SimulationDiverged(step=k, limit=DIVERGENCE_LIMIT)
         x1[k], x2[k] = cur1, cur2
     return Trajectory(x1=x1, x2=x2, dt=dt)
 

@@ -67,7 +67,6 @@ class SearchConfig:
     vp_every: int = 5
     seed: int = 0
     patience: int = 20
-    bounds: ParamBounds = field(default_factory=ParamBounds)
     x2_bounds: tuple[float, float] = (-5.0, 5.0)
     plateau_tol: float = 1e-6
 
@@ -189,8 +188,10 @@ def propose(
     dt: float = 1.0,
     substeps: int = 1,
     scales: Optional[StepScales] = None,
+    bounds: ParamBounds = ParamBounds(),
 ) -> Candidate:
-    """One Gaussian perturbation of a uniformly chosen group, clipped and scored."""
+    """One Gaussian perturbation of a uniformly chosen group, clipped to
+    `bounds` (and x2 to cfg.x2_bounds) and scored."""
     sc = scales or cfg.step_scales
     m = current.params.m
     alpha = current.params.alpha.copy()
@@ -200,13 +201,13 @@ def propose(
     pick = int(rng.integers(0, m + m * m + m))
     if pick < m:
         alpha[pick] += rng.normal(0.0, sc.alpha, size=2)
-        alpha[pick, 0] = np.clip(alpha[pick, 0], *cfg.bounds.alpha1)
-        alpha[pick, 1] = np.clip(alpha[pick, 1], *cfg.bounds.alpha2)
+        alpha[pick, 0] = np.clip(alpha[pick, 0], *bounds.alpha1)
+        alpha[pick, 1] = np.clip(alpha[pick, 1], *bounds.alpha2)
     elif pick < m + m * m:
         flat_idx = pick - m
         i, j = divmod(flat_idx, m)
         coupling[i, j] = np.clip(
-            coupling[i, j] + rng.normal(0.0, sc.coupling), *cfg.bounds.coupling
+            coupling[i, j] + rng.normal(0.0, sc.coupling), *bounds.coupling
         )
     else:
         i = pick - m - m * m
@@ -249,6 +250,7 @@ def search_and_refine(
     plateau_tol for `patience` consecutive rounds. With max_rounds=0 this is
     exactly a single VP fit from the initial parameters. Candidate scoring and
     the VP fits both integrate with `substeps` Euler substeps per sample.
+    vp_cfg.bounds clips the initial candidate and every proposal.
     Raises FitError when no candidate survives to the end.
     """
     m = z.m
@@ -263,11 +265,11 @@ def search_and_refine(
     writer = _TraceWriter(trace)
     gamma = search_cfg.gamma
     rng = np.random.default_rng(search_cfg.seed)
+    init_params = vp_cfg.bounds.clip_params(init)
 
     if search_cfg.max_rounds == 0:
-        return fit(z, vp_cfg, vp_cfg.bounds.clip_params(init), dt=dt, substeps=substeps)
+        return fit(z, vp_cfg, init_params, dt=dt, substeps=substeps)
 
-    init_params = search_cfg.bounds.clip_params(init)
     init_x2 = np.clip(x2_init, *search_cfg.x2_bounds)
     best = Candidate(
         params=init_params,
@@ -289,7 +291,8 @@ def search_and_refine(
         round_start_fitness = best.fitness
         any_valid = False
         for j in range(search_cfg.proposals_per_round):
-            cand = propose(best, z, search_cfg, rng, dt=dt, substeps=substeps, scales=scales)
+            cand = propose(best, z, search_cfg, rng, dt=dt, substeps=substeps,
+                           scales=scales, bounds=vp_cfg.bounds)
             if cand.valid:
                 any_valid = True
             else:
@@ -344,10 +347,9 @@ def _run_vp(
     round_idx: int,
 ) -> tuple[Optional[Candidate], Optional[FitResult]]:
     try:
-        seed_params = vp_cfg.bounds.clip_params(best.params)
-        sim = _simulate_candidate(z, seed_params, best.x2_init, dt, substeps)
+        sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
         x_init = StackedState.from_trajectory(sim) if sim is not None else None
-        result = fit(z, vp_cfg, seed_params, x_init, dt=dt, substeps=substeps)
+        result = fit(z, vp_cfg, best.params, x_init, dt=dt, substeps=substeps)
     except (FitError, SimulationDiverged, ValueError, np.linalg.LinAlgError):
         return None, None
     x2_hat = result.states.x2[0]

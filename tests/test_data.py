@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdpfit import data
 from vdpfit.data import (
     CsvFormatError,
     DataMatrix,
@@ -257,16 +258,37 @@ class TestConnectivity:
         want = brute_force_edges(spatial, sigma, w, top_k)
         assert_edges_match(got, want, brute_force_matrix(spatial, sigma, w))
 
-    def test_streaming_matches_dense_path(self, rng):
+    def test_streaming_matches_dense_path(self, rng, monkeypatch):
+        # row blocks of 7 pixels (the last one short) against one block
         m, p = 3, 40
         spatial = rng.normal(size=(m, p))
         sigma = np.array([3.0, 2.0, 1.0])
         w = rng.normal(size=(m, m))
         dense = connectivity_projection(spatial, sigma, [w], 10)
-        streamed = connectivity_projection(
-            spatial, sigma, [w], 10, streaming_threshold=8, chunk_rows=7
-        )
+        monkeypatch.setattr(data, "_BLOCK_ENTRIES", 7 * p)
+        streamed = connectivity_projection(spatial, sigma, [w], 10)
         assert dense == streamed
+
+    @pytest.mark.parametrize("block_rows", [6, 4, 1])
+    def test_top_k_cuts_ties_by_target_then_source(self, monkeypatch, block_rows):
+        # duplicated pixel columns and integer weights make F integer-valued
+        # and exact, with every value at least four times
+        base = np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 2.0]])
+        spatial = np.hstack([base, base])
+        sigma = np.ones(2)
+        w = np.array([[1.0, -1.0], [2.0, 1.0]])
+        f = brute_force_matrix(spatial, sigma, w)
+        entries = [(f[t, s], t, s) for t in range(6) for s in range(6)]
+        pos = sorted((e for e in entries if e[0] > 0), key=lambda e: (-e[0], e[1], e[2]))
+        neg = sorted(e for e in entries if e[0] < 0)
+        monkeypatch.setattr(data, "_BLOCK_ENTRIES", block_rows * 6)
+        for top_k in (2, 6, 10):
+            assert pos[top_k - 1][0] == pos[top_k][0]  # the cut splits a tie
+            want = [Edge(source=s, target=t, weight=v, polarity="excitatory")
+                    for v, t, s in pos[:top_k]]
+            want += [Edge(source=s, target=t, weight=v, polarity="inhibitory")
+                     for v, t, s in neg[:top_k]]
+            assert connectivity_projection(spatial, sigma, [w], top_k) == want
 
     def test_edges_csv_round_trip(self, tmp_path, rng):
         spatial = rng.normal(size=(2, 4))

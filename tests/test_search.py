@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdpfit import search
 from vdpfit.estimator import ParamBounds, PenaltyConfig, fit
 from vdpfit.metrics import pearson
 from vdpfit.model import ObservationSet, State, Trajectory, VdpParams, simulate
@@ -92,7 +93,7 @@ class TestPropose:
     def test_proposals_respect_bounds(self):
         _, _, z = coupled_pair()
         bounds = ParamBounds(alpha1=(0.0, 2.0), alpha2=(-1.0, 1.0), coupling=(-0.5, 0.5))
-        cfg = SearchConfig(step_scales=StepScales(5.0, 5.0, 5.0), bounds=bounds,
+        cfg = SearchConfig(step_scales=StepScales(5.0, 5.0, 5.0),
                            x2_bounds=(-1.0, 1.0), seed=8)
         params = bounds.clip_params(VdpParams(alpha=np.ones((2, 2)),
                                               coupling=np.zeros((2, 2))))
@@ -100,7 +101,7 @@ class TestPropose:
                         provenance=(0, 0, "init"))
         rng = np.random.default_rng(2)
         for _ in range(50):
-            cand = propose(cur, z, cfg, rng, dt=0.1)
+            cand = propose(cur, z, cfg, rng, dt=0.1, bounds=bounds)
             assert bounds.contains(cand.params)
             assert np.all(np.abs(cand.x2_init) <= 1.0)
 
@@ -198,12 +199,15 @@ class TestSearchAndRefine:
             proposals_per_round=12,
             vp_every=5,
             seed=0,
-            bounds=ParamBounds(alpha1=(0.0, 50.0), alpha2=(-50.0, 50.0),
-                               coupling=(-50.0, 50.0)),
             x2_bounds=(-1e6, 1e6),
             step_scales=StepScales(1e4, 1e4, 1e6),
         )
-        res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=5), dt=0.1)
+        vp_cfg = PenaltyConfig(
+            bounds=ParamBounds(alpha1=(0.0, 50.0), alpha2=(-50.0, 50.0),
+                               coupling=(-50.0, 50.0)),
+            outer_max_iter=5,
+        )
+        res = search_and_refine(z, cfg, vp_cfg, dt=0.1)
         diag = res.config_echo["search"]
         assert diag["all_invalid_rounds"] >= 1
         assert diag["scales_halved"] is True
@@ -223,8 +227,27 @@ class TestSearchAndRefine:
     def test_returned_params_respect_bounds(self):
         _, _, z = coupled_pair()
         bounds = ParamBounds(alpha1=(0.0, 2.0), alpha2=(-2.0, 2.0), coupling=(-0.5, 0.5))
-        cfg = SearchConfig(max_rounds=3, proposals_per_round=15, vp_every=3,
-                           seed=5, bounds=bounds)
+        cfg = SearchConfig(max_rounds=3, proposals_per_round=15, vp_every=3, seed=5)
         res = search_and_refine(z, cfg, PenaltyConfig(bounds=bounds, outer_max_iter=10),
                                 dt=0.1)
         assert bounds.contains(res.params)
+
+    def test_proposals_stay_in_the_penalty_bounds(self, monkeypatch):
+        _, _, z = coupled_pair()
+        bounds = ParamBounds(alpha1=(0.5, 1.5), alpha2=(0.0, 1.5), coupling=(-0.1, 0.1))
+        proposals = []
+
+        def recording_propose(*args, **kwargs):
+            cand = propose(*args, **kwargs)
+            proposals.append(cand)
+            return cand
+
+        monkeypatch.setattr(search, "propose", recording_propose)
+        cfg = SearchConfig(max_rounds=1, proposals_per_round=20, seed=1,
+                           step_scales=StepScales(5.0, 5.0, 5.0))
+        vp_cfg = PenaltyConfig(bounds=bounds, lam_schedule=(10.0,), outer_max_iter=3,
+                               inner_max_iter=20)
+        search_and_refine(z, cfg, vp_cfg, dt=0.1)
+        assert len(proposals) == 20
+        for cand in proposals:
+            assert bounds.contains(cand.params)
