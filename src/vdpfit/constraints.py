@@ -6,10 +6,12 @@ For a trajectory x^0..x^{N-1} the stacked constraint is
     G(x)[k]  = x^k - g(x^{k-1})        k = 1..N-1
 
 so G vanishes exactly on simulated trajectories whose first sample matches the
-anchor. The state Jacobian dG/dx is block lower-bidiagonal with identity
-diagonal blocks, which keeps Gauss-Newton normal systems block-tridiagonal:
-with b = 2m they are banded with half-bandwidth 2b - 1 and are solved in O(N)
-by one LAPACK banded Cholesky (`scipy.linalg.solveh_banded`).
+anchor: the batched map rounds every transition as `simulate` rounds it alone,
+for any strides of the stacked state (see `model._field_arrays`). The state
+Jacobian dG/dx is block lower-bidiagonal with identity diagonal blocks, which
+keeps Gauss-Newton normal systems block-tridiagonal: with b = 2m they are
+banded with half-bandwidth 2b - 1 and are solved in O(N) by one LAPACK banded
+Cholesky (`scipy.linalg.solveh_banded`).
 
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
 batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,

@@ -179,8 +179,8 @@ def save_csv(values: np.ndarray, path: str | Path, names: Optional[Sequence[str]
     with path.open("w", newline="") as fh:
         if names is not None:
             fh.write(",".join(str(n) for n in names) + "\n")
-        for row in values:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
+        fh.writelines(row_format % tuple(row) for row in values.tolist())
 
 
 def svd_components(data: DataMatrix, m: int) -> SvdComponents:

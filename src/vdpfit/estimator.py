@@ -30,6 +30,8 @@ from .constraints import (
 from .model import DimensionError, ObservationSet, State, Trajectory, VdpParams
 
 _MAX_HALVINGS = 48
+# an accepted step that lowers f by no more than this times |f| is roundoff
+_ROUNDOFF_DECREASE = 8 * np.finfo(float).eps
 
 
 class FitError(RuntimeError):
@@ -296,6 +298,12 @@ def inner_solve(
     is hit. Steps solve the block-tridiagonal normal equations exactly, then
     halve under an Armijo test; a step that underflows returns the current
     iterate flagged not-converged.
+
+    It also stops, as converged, at the roundoff floor: when an accepted step
+    lowers f by no more than 8 * eps * |f| (eps the float64 machine epsilon),
+    the step is kept and the solve ends. At large lam the gradient can bottom
+    out above `tol` from roundoff alone, and further steps would only halve
+    until they no longer change f.
     """
     _check_shapes(z, x_init)
     lam_eff = cfg.lam if lam is None else float(lam)
@@ -311,7 +319,7 @@ def inner_solve(
     cur = x_init
     r = residual(cur, params, anchor, dt, substeps)
     f_cur = _objective_parts(cur.blocks(), z.values, r, lam_eff)
-    converged = False
+    converged = at_floor = False
     grad_inf = math.inf
     iterations = 0
     for iterations in range(cap + 1):
@@ -319,7 +327,7 @@ def inner_solve(
         grad_blocks = lam_eff * jac.rmatvec(r).reshape(n, b)
         grad_blocks[:, 0::2] += cur.x1() - z.values
         grad_inf = float(np.max(np.abs(grad_blocks)))
-        if grad_inf <= tol_eff:
+        if grad_inf <= tol_eff or at_floor:
             converged = True
             break
         if iterations == cap:
@@ -342,6 +350,7 @@ def inner_solve(
             r_trial = residual(trial, params, anchor, dt, substeps)
             f_trial = _objective_parts(trial.blocks(), z.values, r_trial, lam_eff)
             if math.isfinite(f_trial) and f_trial <= f_cur + cfg.armijo_c * t * dirderiv:
+                at_floor = f_cur - f_trial <= _ROUNDOFF_DECREASE * abs(f_cur)
                 cur, r, f_cur = trial, r_trial, f_trial
                 accepted = True
                 break

@@ -29,10 +29,12 @@ import numpy as np
 from . import metrics
 from .data import SegmentSplit, SvdComponents, save_csv
 from .estimator import FitResult
-from .model import DimensionError, SimulationDiverged, State, simulate
+from .model import DimensionError, SimulationDiverged, rollout, simulate
 
 # Ridge on the VAR normal equations when the lagged design is rank deficient.
 RIDGE_EPS = 1e-8
+# Draw rounds per exported series before it is skipped as divergent.
+MAX_EXPORT_ATTEMPTS = 10
 
 
 @dataclass(frozen=True)
@@ -473,43 +475,51 @@ def export_simulations(
 ) -> ExportResult:
     """Generate a simulated corpus and a parallel noisy-real corpus.
 
-    Each simulated series draws a fit round-robin, perturbs its initial state
-    with Gaussian noise scaled by noise_sigma times the per-component track
-    std, and integrates `length` samples with that fit's time step and substep
-    count; divergent draws are retried up to 10 times, then skipped. The
-    noisy-real corpus adds the same relative noise to the provided real series
-    (falling back to the fits' own activity tracks when none are given). Fully
-    deterministic under `seed`.
+    Series idx draws fit idx % len(fits), perturbs its initial state with
+    Gaussian noise scaled by noise_sigma times the per-component track std,
+    and integrates `length` samples with that fit's time step and substep
+    count. The series are made in draw rounds, at most MAX_EXPORT_ATTEMPTS:
+    each round draws the start-state noise of every pending series in index
+    order (x1 then x2 per series), makes one batched `rollout` per fit over
+    its pending series, and sends the ones that diverged to the next round.
+    A series that diverges in every round is skipped. `attempts` in the
+    manifest is the round in which a series succeeded. When nothing diverges
+    the draws are those of one series at a time; retry draws come after all
+    of a round's first draws. The noisy-real corpus adds the same relative
+    noise to the provided real series (falling back to the fits' own activity
+    tracks when none are given). Fully deterministic under `seed`; the corpus
+    keeps index order.
     """
     if not fits:
         raise ValueError("need at least one fit")
     if n_series < 0 or length < 2:
         raise ValueError("n_series must be >= 0 and length >= 2")
     rng = np.random.default_rng(seed)
-    sim = Corpus(series=[], sources=[])
-    for idx in range(n_series):
-        src = idx % len(fits)
-        f = fits[src]
-        base = f.states.state(0)
-        sd1 = f.states.x1.std(axis=0)
-        sd2 = f.states.x2.std(axis=0)
-        made = False
-        attempts = 0
-        for attempts in range(1, 11):
-            s0 = State(
-                x1=base.x1 + rng.normal(size=f.params.m) * noise_sigma * sd1,
-                x2=base.x2 + rng.normal(size=f.params.m) * noise_sigma * sd2,
+    sds = [(f.states.x1.std(axis=0), f.states.x2.std(axis=0)) for f in fits]
+    made: dict[int, tuple[np.ndarray, int]] = {}  # index -> (x1 series, round)
+    pending = list(range(n_series))
+    for attempt in range(1, MAX_EXPORT_ATTEMPTS + 1):
+        starts: dict[int, list] = {}  # source fit -> [(index, x1 start, x2 start)]
+        for idx in pending:
+            src = idx % len(fits)
+            f, (sd1, sd2) = fits[src], sds[src]
+            x1 = f.states.x1[0] + rng.normal(size=f.params.m) * noise_sigma * sd1
+            x2 = f.states.x2[0] + rng.normal(size=f.params.m) * noise_sigma * sd2
+            starts.setdefault(src, []).append((idx, x1, x2))
+        for src, batch in starts.items():
+            f = fits[src]
+            indices, x1, x2 = zip(*batch)
+            out1, _, diverged = rollout(
+                f.params, np.array(x1), np.array(x2), length, f.states.dt, f.substeps
             )
-            try:
-                traj = simulate(f.params, s0, length, f.states.dt, f.substeps)
-            except SimulationDiverged:
-                continue
-            sim.series.append(traj.x1.copy())
-            sim.sources.append({"index": idx, "source_fit": src, "attempts": attempts})
-            made = True
-            break
-        if not made:
-            sim.skipped += 1
+            for idx, step, series in zip(indices, diverged, out1.swapaxes(0, 1)):
+                if not step:
+                    made[idx] = (series.copy(), attempt)
+        pending = [idx for idx in pending if idx not in made]
+    sim = Corpus(series=[], sources=[], skipped=len(pending))
+    for idx, (series, attempts) in sorted(made.items()):
+        sim.series.append(series)
+        sim.sources.append({"index": idx, "source_fit": idx % len(fits), "attempts": attempts})
     if real_series is None:
         real_series = [f.states.x1 for f in fits]
     real_series = [np.atleast_2d(np.asarray(r, dtype=float)) for r in real_series]

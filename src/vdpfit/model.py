@@ -11,9 +11,9 @@ optional substep count for stiff parameter regimes (dt/n applied n times).
 
 One batched core over (K, m) state arrays holds the whole map: the vector
 field, one Euler substep (`euler_map`), the one-substep state and parameter
-Jacobians, and one loop chaining them through the substeps. `step`,
-`simulate`, the batch Jacobians and the single-state `jacobians` call it, as
-do the stacked constraints in `constraints.py`.
+Jacobians, and one loop chaining them through the substeps. `step`, the
+batched `rollout` behind `simulate`, the batch Jacobians and the single-state
+`jacobians` call it, as do the stacked constraints in `constraints.py`.
 
 Flat state vectors interleave the two variables per component: component i of
 a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
@@ -199,8 +199,15 @@ def _substep_size(dt: float, substeps: int) -> float:
 def _field_arrays(
     alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray, x2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field on raw arrays; x1/x2 may be (m,) or batched (..., m)."""
-    dx1 = alpha[:, 0] * x1 * (1.0 - x1 * x1) + alpha[:, 1] * x2 + x1 @ coupling.T
+    """Vector field on raw arrays; x1/x2 may be (m,) or batched (..., m).
+
+    The coupling sum W x1 is an elementwise product reduced over a fresh
+    contiguous axis, not a BLAS matmul: its summation order then depends on m
+    only, so each row of a batch rounds exactly as the same state alone, for
+    any batch size and any input strides.
+    """
+    coupled = (x1[..., None, :] * coupling).sum(axis=-1)
+    dx1 = alpha[:, 0] * x1 * (1.0 - x1 * x1) + alpha[:, 1] * x2 + coupled
     return dx1, -x1
 
 
@@ -287,6 +294,49 @@ def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
     return State(x1=x1, x2=x2)
 
 
+def rollout(
+    params: VdpParams,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    n_steps: int,
+    dt: float = 1.0,
+    substeps: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate `n_steps` samples from start states x1/x2 of shape (m,) or (K, m).
+
+    Returns (x1, x2, diverged): the samples as (n_steps, m) or (n_steps, K, m)
+    arrays, starting with (and including) the start states, and, per
+    trajectory, the first step whose state leaves the guard box
+    |x| <= DIVERGENCE_LIMIT (a NaN counts as outside), or 0 if none does;
+    `diverged` has the shape of one start state without its last axis. The
+    start states are not tested. Every step is taken and written, so samples
+    past a divergence hold inf/NaN; they raise no floating-point warning.
+    Each trajectory of a batch is bit-identical to its own lone rollout.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != params.m:
+        raise DimensionError(
+            f"start states must both be ({params.m},) or (K, {params.m}), "
+            f"got {x1.shape} and {x2.shape}"
+        )
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    _substep_size(dt, substeps)  # reject a bad substep count before any step
+    out1 = np.empty((n_steps,) + x1.shape)
+    out2 = np.empty((n_steps,) + x1.shape)
+    out1[0], out2[0] = x1, x2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps):
+            out1[k], out2[k] = euler_map(params, out1[k - 1], out2[k - 1], dt, substeps)
+        outside = ~(
+            (np.abs(out1) <= DIVERGENCE_LIMIT) & (np.abs(out2) <= DIVERGENCE_LIMIT)
+        ).all(axis=-1)
+    outside[0] = False
+    # argmax finds the first True step, and gives 0 where every step is False
+    return out1, out2, outside.argmax(axis=0)
+
+
 def simulate(
     params: VdpParams,
     s0: State,
@@ -299,22 +349,9 @@ def simulate(
     Raises SimulationDiverged naming the first step whose state magnitude
     exceeds DIVERGENCE_LIMIT.
     """
-    _check_components(params, s0)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    _substep_size(dt, substeps)  # reject a bad substep count before any step
-    x1 = np.empty((n_steps, params.m))
-    x2 = np.empty((n_steps, params.m))
-    x1[0], x2[0] = s0.x1, s0.x2
-    cur1, cur2 = s0.x1, s0.x2
-    for k in range(1, n_steps):
-        cur1, cur2 = euler_map(params, cur1, cur2, dt, substeps)
-        if not (
-            np.all(np.abs(cur1) <= DIVERGENCE_LIMIT)
-            and np.all(np.abs(cur2) <= DIVERGENCE_LIMIT)
-        ):
-            raise SimulationDiverged(step=k, limit=DIVERGENCE_LIMIT)
-        x1[k], x2[k] = cur1, cur2
+    x1, x2, diverged = rollout(params, s0.x1, s0.x2, n_steps, dt, substeps)
+    if diverged:
+        raise SimulationDiverged(step=int(diverged), limit=DIVERGENCE_LIMIT)
     return Trajectory(x1=x1, x2=x2, dt=dt)
 
 

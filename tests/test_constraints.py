@@ -29,6 +29,18 @@ def test_simulated_trajectory_has_zero_residual(rng):
     npt.assert_allclose(r, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_residual_is_exactly_zero_on_a_simulated_trajectory(rng, m, substeps):
+    # the stacked state's x1/x2 are strided views; the map must round each
+    # transition exactly as the lone rollout did
+    params = random_params(rng, m)
+    s0 = random_state(rng, m, 0.3)
+    traj = simulate(params, s0, 25, 0.05, substeps)
+    r = residual(stacked_from(traj), params, InitAnchor(s0), 0.05, substeps)
+    npt.assert_array_equal(r, 0.0)
+
+
 def test_perturbation_is_banded(rng):
     params = random_params(rng, 2)
     s0 = random_state(rng, 2, 0.4)

@@ -63,6 +63,17 @@ class TestLoadCsv:
         back = load_csv(p)
         npt.assert_array_equal(back.values, values)
 
+    def test_save_bytes_match_per_value_format(self, tmp_path, rng):
+        specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300,
+                    1.7976931348623157e308, np.inf, -np.inf, 0.1, 1e16, 123456789.0]
+        values = np.vstack([np.reshape(specials, (4, 3)), rng.normal(size=(6, 3)) * 1e3])
+        p = tmp_path / "fmt.csv"
+        save_csv(values, p, names=["a", "b", "c"])
+        want = "a,b,c\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in values
+        )
+        assert p.read_bytes() == want.encode()
+
 
 class TestSvdComponents:
     def test_rank_one_recovery(self, rng):

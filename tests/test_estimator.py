@@ -118,6 +118,21 @@ class TestInnerSolve:
         assert not res.converged
         assert res.iterations == 0
 
+    def test_stops_converged_at_the_roundoff_floor(self):
+        # at lam=1000 roundoff keeps the gradient above a 1e-13 tolerance, so
+        # only the stop on a roundoff-sized decrease of f ends this solve
+        rng = np.random.default_rng(0)
+        params, s0, traj, z = make_instance(rng, m=2, n=100, noise=0.05)
+        cfg = PenaltyConfig(lam=1e3, lam_schedule=None)
+        res = inner_solve(params, InitAnchor(s0), z, cfg, default_x_init(z, 0.05),
+                          dt=0.05, tol=1e-13, max_iter=100)
+        assert res.converged
+        assert res.iterations < 20
+        assert res.grad_inf > 1e-13
+        tight = inner_solve(params, InitAnchor(s0), z, cfg, res.x, dt=0.05, tol=1e-13,
+                            max_iter=5)
+        assert res.objective - tight.objective <= 1e-14 * res.objective
+
 
 class TestValueGradient:
     def test_matches_finite_differences(self):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +23,14 @@ from vdpfit.forecast import (
     write_corpus,
 )
 from conftest import random_params
-from vdpfit.model import DimensionError, State, VdpParams, simulate
+from vdpfit.model import (
+    DimensionError,
+    SimulationDiverged,
+    State,
+    Trajectory,
+    VdpParams,
+    simulate,
+)
 
 
 def make_fit(params, s0, n, dt):
@@ -401,6 +409,77 @@ class TestExport:
         res = export_simulations([fit], 1, 30, noise_sigma=0.0)
         want = simulate(fit.params, fit.states.state(0), 30, 0.2, substeps=3).x1
         npt.assert_array_equal(res.simulated.series[0], want)
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_zero_noise_batch_equals_a_lone_simulate(self, rng, m, substeps):
+        fit = self._fit(rng, m=m)
+        fit.config_echo["substeps"] = substeps
+        res = export_simulations([fit], 7, 30, noise_sigma=0.0, seed=5)
+        want = simulate(fit.params, fit.states.state(0), 30, fit.states.dt, substeps).x1
+        assert len(res.simulated.series) == 7
+        for series in res.simulated.series:
+            npt.assert_array_equal(series, want)
+
+    def test_explosive_and_benign_fits(self):
+        benign = make_fit(VdpParams(alpha=np.array([[1.0, 1.0]]), coupling=np.zeros((1, 1))),
+                          State(x1=[0.5], x2=[0.1]), 10, 0.1)
+        explosive = replace(benign, params=VdpParams(alpha=np.array([[1e6, 0.0]]),
+                                                     coupling=np.zeros((1, 1))))
+        runs = [export_simulations([explosive, benign], 5, 20, noise_sigma=0.1, seed=2)
+                for _ in range(2)]
+        manifest = runs[0].manifest()["simulated"]
+        assert (manifest["count"], manifest["skipped"]) == (2, 3)
+        assert manifest["series"] == [
+            {"index": 1, "source_fit": 1, "attempts": 1},
+            {"index": 3, "source_fit": 1, "attempts": 1},
+        ]
+        assert runs[1].manifest() == runs[0].manifest()
+        for a, b in zip(runs[0].simulated.series + runs[0].noisy_real.series,
+                        runs[1].simulated.series + runs[1].noisy_real.series):
+            npt.assert_array_equal(a, b)
+
+    def test_retry_rounds_match_the_documented_draw_order(self):
+        # x1' = -2 x1 (1 - x1^2) blows up from |x1| > 1 and settles from below,
+        # so about half of the draws around x1 = 1 diverge in each round
+        marginal = FitResult(
+            params=VdpParams(alpha=np.array([[-2.0, 0.0]]), coupling=np.zeros((1, 1))),
+            states=Trajectory(x1=[[1.0], [0.6]], x2=[[0.0], [0.4]], dt=0.1),
+            objective_history=[], per_component_stats=[], converged=False,
+            reason="synthetic", config_echo={"dt": 0.1},
+        )
+        benign = make_fit(random_params(np.random.default_rng(4), 2),
+                          State(x1=[0.3, -0.2], x2=[0.1, 0.0]), 20, 0.1)
+        fits, sigma = [marginal, benign], 0.5
+        res = export_simulations(fits, 12, 60, noise_sigma=sigma, seed=11)
+
+        # reference: each round draws (x1, x2) for every pending series in
+        # index order, then integrates them one at a time
+        rng = np.random.default_rng(11)
+        pending, made = list(range(12)), {}
+        for attempt in range(1, 11):
+            draws = []
+            for idx in pending:
+                f = fits[idx % 2]
+                sd1, sd2 = f.states.x1.std(axis=0), f.states.x2.std(axis=0)
+                draws.append((idx, f, State(
+                    x1=f.states.x1[0] + rng.normal(size=f.params.m) * sigma * sd1,
+                    x2=f.states.x2[0] + rng.normal(size=f.params.m) * sigma * sd2,
+                )))
+            pending = []
+            for idx, f, s0 in draws:
+                try:
+                    made[idx] = (simulate(f.params, s0, 60, f.states.dt).x1, attempt)
+                except SimulationDiverged:
+                    pending.append(idx)
+        assert res.simulated.skipped == len(pending)
+        assert [s["index"] for s in res.simulated.sources] == sorted(made)
+        assert [s["attempts"] for s in res.simulated.sources] == [
+            made[i][1] for i in sorted(made)
+        ]
+        assert sum(s["attempts"] > 1 for s in res.simulated.sources) >= 3
+        for series, idx in zip(res.simulated.series, sorted(made)):
+            npt.assert_array_equal(series, made[idx][0])
 
     def test_round_robin_and_determinism(self, rng):
         fits = [self._fit(rng) for _ in range(2)]

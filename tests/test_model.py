@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from vdpfit.model import (
     batch_param_jacobians,
     batch_state_jacobians,
     jacobians,
+    rollout,
     simulate,
     step,
     vector_field,
@@ -125,6 +128,69 @@ class TestSimulate:
     def test_trajectory_needs_two_samples(self):
         with pytest.raises(ValueError):
             simulate(p1(1.0, 1.0), State(x1=[0.1], x2=[0.1]), 1, 0.1)
+
+
+class TestRollout:
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 50])
+    def test_each_row_equals_a_lone_simulate(self, rng, batch, substeps):
+        params = random_params(rng, 3)
+        x1 = rng.normal(0, 0.5, (batch, 3))
+        x2 = rng.normal(0, 0.5, (batch, 3))
+        out1, out2, diverged = rollout(params, x1, x2, 60, 0.1, substeps)
+        assert out1.shape == out2.shape == (60, batch, 3)
+        npt.assert_array_equal(diverged, np.zeros(batch))
+        for k in range(batch):
+            want = simulate(params, State(x1=x1[k], x2=x2[k]), 60, 0.1, substeps)
+            npt.assert_array_equal(out1[:, k], want.x1)
+            npt.assert_array_equal(out2[:, k], want.x2)
+
+    def test_rows_of_strided_starts_equal_lone_rollouts(self, rng):
+        params = random_params(rng, 5)
+        starts = rng.normal(0, 0.5, (9, 10))
+        out1, out2, _ = rollout(params, starts[:, 0::2], starts[:, 1::2], 40, 0.1)
+        for k in range(9):
+            lone1, lone2, _ = rollout(params, starts[k, 0::2].copy(), starts[k, 1::2].copy(),
+                                      40, 0.1)
+            npt.assert_array_equal(out1[:, k], lone1)
+            npt.assert_array_equal(out2[:, k], lone2)
+
+    def test_mixed_batch_names_each_first_bad_step_without_warnings(self):
+        params = p1(5.0, 0.0)
+        x1 = np.array([[3.0], [0.1], [2.5], [-0.3], [-4.0], [2.0]])
+        x2 = np.zeros_like(x1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, diverged = rollout(params, x1, x2, 50, 0.1)
+            steps = []
+            for k in range(len(x1)):
+                try:
+                    simulate(params, State(x1=x1[k], x2=x2[k]), 50, 0.1)
+                    steps.append(0)
+                except SimulationDiverged as exc:
+                    steps.append(exc.step)
+        npt.assert_array_equal(diverged, steps)
+        assert 0 in steps and sum(s > 0 for s in steps) >= 3
+
+    def test_non_finite_state_is_outside_the_box(self):
+        # the start itself is not tested; the NaN it leads to at step 1 is
+        _, _, diverged = rollout(p1(1.0, 1.0), np.array([[np.inf], [0.5]]),
+                                 np.zeros((2, 1)), 5, 0.1)
+        npt.assert_array_equal(diverged, [1, 0])
+
+    def test_lone_start_and_shapes(self, rng):
+        params = random_params(rng, 2)
+        out1, out2, diverged = rollout(params, np.zeros(2), np.zeros(2), 5, 0.1)
+        assert out1.shape == out2.shape == (5, 2)
+        assert diverged.shape == () and diverged == 0
+        with pytest.raises(DimensionError):
+            rollout(params, np.zeros(3), np.zeros(3), 5, 0.1)
+        with pytest.raises(DimensionError):
+            rollout(params, np.zeros((4, 2)), np.zeros((3, 2)), 5, 0.1)
+        with pytest.raises(ValueError):
+            rollout(params, np.zeros(2), np.zeros(2), 0, 0.1)
+        with pytest.raises(ValueError):
+            rollout(params, np.zeros(2), np.zeros(2), 5, 0.1, substeps=0)
 
 
 class TestParamsVector:
