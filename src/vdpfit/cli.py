@@ -6,9 +6,11 @@ connectivity (project coupling matrices to pixel edges), export-sim
 (simulation corpus generation).
 
 Exit codes: 0 success, 1 data or runtime failure, 2 usage or config error.
-Primary outputs carry no timestamps, so a fixed seed reproduces them
-byte for byte. The VDPFIT_OUT environment variable supplies the default
-output root when -o/--out is omitted.
+A fit config's "penalty" and "search" objects take the fields of PenaltyConfig
+and SearchConfig, typed as there (search.seed comes from --seed); a malformed
+key or value exits 2 and names its dotted key, as does a malformed fit.json.
+Primary outputs carry no timestamps, so a fixed seed reproduces them byte for
+byte. VDPFIT_OUT supplies the default output root when -o/--out is omitted.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,10 +36,10 @@ from .data import (
     split_segments,
     svd_components,
 )
-from .estimator import FitError, FitResult, ParamBounds, PenaltyConfig
+from .estimator import FitError, FitResult, PenaltyConfig
 from .forecast import VarMethod, VdpMethod, evaluate, export_simulations, write_corpus
 from .model import DimensionError, ObservationSet, SimulationDiverged, VdpParams
-from .search import SearchConfig, StepScales, search_and_refine
+from .search import SearchConfig, search_and_refine
 
 OUT_ENV = "VDPFIT_OUT"
 
@@ -56,107 +58,86 @@ def _resolve_out(args) -> Path:
 def _load_json(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes and over-long integers
         raise ConfigError(f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str):
+def _value(v, tp, key: str):
+    """Check the JSON value of `key` against its type hint `tp`; tuples become float tuples."""
+    if get_origin(tp) is Union:  # Optional[X]
+        if v is None:
+            return None
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        return _build(tp, v, key + ".")
+    if get_origin(tp) is tuple:
+        if not isinstance(v, list):
+            raise ConfigError(f"{key}: expected a list of numbers, got {v!r}")
+        return tuple(float(_value(x, float, key)) for x in v)
+    if tp is int and type(v) is not int:
+        raise ConfigError(f"{key}: expected an integer, got {v!r}")
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:  # NaN fails too
+        raise ConfigError(f"{key}: expected a finite number, got {v!r}")
+    return v
+
+
+def _build(cls, doc, where: str, **fixed):
+    """Read config dataclass `cls` from JSON object `doc`; its fields, less
+    those `fixed` by a flag, are the keys. Values pass through unchanged."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where[:-1]}: expected a JSON object, got {doc!r}")
+    types = {k: tp for k, tp in get_type_hints(cls).items() if k not in fixed}
     for key in doc:
-        if key not in allowed:
+        if key not in types:
             raise ConfigError(f"unknown config key {where}{key!r}")
+    kwargs = {k: _value(v, types[k], where + k) for k, v in doc.items()}
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}")
 
 
-_BOUND_KEYS = {"alpha1", "alpha2", "coupling"}
-_SCALE_KEYS = {"alpha", "coupling", "x2"}
-_PENALTY_KEYS = {
-    "lam",
-    "lam_schedule",
-    "inner_tol",
-    "inner_tol_start",
-    "inner_max_iter",
-    "inner_max_iter_start",
-    "outer_step",
-    "outer_max_iter",
-    "outer_ftol",
-    "outer_gtol",
-    "armijo_c",
-    "bounds",
-}
-_SEARCH_KEYS = {
-    "gamma",
-    "max_rounds",
-    "proposals_per_round",
-    "vp_every",
-    "patience",
-    "plateau_tol",
-    "x2_bounds",
-    "step_scales",
-}
 _FIT_KEYS = {"dt", "substeps", "init_alpha", "init_coupling", "init_x2", "penalty", "search"}
 
 
-def _bounds_from(doc: dict) -> ParamBounds:
-    _reject_unknown(doc, _BOUND_KEYS, "penalty.bounds.")
-    kwargs = {k: tuple(float(v) for v in doc[k]) for k in doc}
-    try:
-        return ParamBounds(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad bounds: {exc}")
-
-
-def _penalty_from(doc: dict) -> PenaltyConfig:
-    _reject_unknown(doc, _PENALTY_KEYS, "penalty.")
-    kwargs = dict(doc)
-    if "bounds" in kwargs:
-        kwargs["bounds"] = _bounds_from(kwargs["bounds"])
-    if "lam_schedule" in kwargs and kwargs["lam_schedule"] is not None:
-        kwargs["lam_schedule"] = tuple(kwargs["lam_schedule"])
-    try:
-        return PenaltyConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad penalty config: {exc}")
-
-
-def _search_from(doc: dict, seed: int) -> SearchConfig:
-    _reject_unknown(doc, _SEARCH_KEYS, "search.")
-    kwargs = dict(doc)
-    if "step_scales" in kwargs:
-        _reject_unknown(kwargs["step_scales"], _SCALE_KEYS, "search.step_scales.")
-        kwargs["step_scales"] = StepScales(**kwargs["step_scales"])
-    if "x2_bounds" in kwargs:
-        kwargs["x2_bounds"] = tuple(float(v) for v in kwargs["x2_bounds"])
-    try:
-        return SearchConfig(seed=seed, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad search config: {exc}")
-
-
-def _fit_configs(path: str, seed: int) -> tuple[float, int, PenaltyConfig, SearchConfig, dict]:
-    doc = _load_json(path)
+def _fit_configs(args) -> tuple[float, int, PenaltyConfig, SearchConfig, dict]:
+    doc = _load_json(args.config)
     if "dt" not in doc:
         raise ConfigError("missing required config key 'dt'")
-    _reject_unknown(doc, _FIT_KEYS, "")
-    dt = float(doc["dt"])
+    for key in doc:
+        if key not in _FIT_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    dt = float(_value(doc["dt"], float, "dt"))
     if not dt > 0:
         raise ConfigError("dt must be positive")
-    substeps = doc.get("substeps", 1)
-    if type(substeps) is not int or substeps < 1:
+    substeps = _value(doc.get("substeps", 1), int, "substeps")
+    if substeps < 1:
         raise ConfigError("substeps must be an integer >= 1")
-    p_cfg = _penalty_from(doc.get("penalty", {}))
-    s_cfg = _search_from(doc.get("search", {}), seed)
+    p_cfg = _build(PenaltyConfig, doc.get("penalty", {}), "penalty.")
+    s_cfg = _build(SearchConfig, doc.get("search", {}), "search.", seed=args.seed)
+    if args.vp_only:
+        s_cfg = replace(s_cfg, max_rounds=0)
     return dt, substeps, p_cfg, s_cfg, doc
+
+
+def _array(doc: dict, key: str, default) -> np.ndarray:
+    """A top-level init_* value: a number or nested lists of numbers."""
+    leaves = np.array(doc.get(key, default), dtype=object)
+    for v in leaves.flat:
+        _value(v, float, key)
+    return leaves.astype(float)
 
 
 def _init_params(doc: dict, m: int) -> Optional[VdpParams]:
     if "init_alpha" not in doc and "init_coupling" not in doc:
         return None
-    alpha = np.asarray(doc.get("init_alpha", [1.0, 1.0]), dtype=float)
+    alpha = _array(doc, "init_alpha", [1.0, 1.0])
     if alpha.shape == (2,):
         alpha = np.tile(alpha, (m, 1))
-    coupling = np.asarray(doc.get("init_coupling", np.zeros((m, m))), dtype=float)
+    coupling = _array(doc, "init_coupling", 0.0)
     if coupling.ndim == 0:
         coupling = np.full((m, m), float(coupling))
     try:
@@ -192,15 +173,13 @@ def cmd_svd(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dt, substeps, p_cfg, s_cfg, doc = _fit_configs(args.config, args.seed)
-    if args.vp_only:
-        s_cfg = replace(s_cfg, max_rounds=0)
+    dt, substeps, p_cfg, s_cfg, doc = _fit_configs(args)
     z_values = _load_series(args.input, args.layout)
     z = ObservationSet(z_values)
     init = _init_params(doc, z.m)
     x2_init = None
     if "init_x2" in doc:
-        x2_init = np.asarray(doc["init_x2"], dtype=float)
+        x2_init = _array(doc, "init_x2", None)
         if x2_init.shape != (z.m,):
             raise ConfigError(f"init_x2 must have length {z.m}")
     out = _resolve_out(args)
@@ -234,9 +213,7 @@ def cmd_forecast(args) -> int:
         else:
             if not args.config or args.seed is None:
                 raise ConfigError("the vdp method needs --config and --seed")
-            dt, substeps, p_cfg, s_cfg, doc = _fit_configs(args.config, args.seed)
-            if args.vp_only:
-                s_cfg = replace(s_cfg, max_rounds=0)
+            dt, substeps, p_cfg, s_cfg, doc = _fit_configs(args)
             fits = []
             for s_idx, seg in enumerate(split.segments):
                 z = ObservationSet(data[:, seg.train[0] : seg.train[1]].T)
@@ -273,7 +250,7 @@ def _load_fits(paths) -> list[FitResult]:
         doc = _load_json(p)
         try:
             fits.append(FitResult.from_json_dict(doc))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{p}: not a fit result ({exc})")
     return fits
 

@@ -106,9 +106,6 @@ class InitAnchor:
     def m(self) -> int:
         return self.x0.m
 
-    def flat(self) -> np.ndarray:
-        return self.x0.to_flat()
-
 
 def residual(
     x: StackedState,

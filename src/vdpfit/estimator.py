@@ -38,6 +38,13 @@ class FitError(RuntimeError):
     """Estimation could not proceed (non-finite objective, bad init, ...)."""
 
 
+def check_interval(name: str, pair) -> None:
+    """Raise ValueError unless `pair` is two finite numbers (lo, hi) with lo <= hi."""
+    if len(pair) != 2 or not (math.isfinite(pair[0]) and math.isfinite(pair[1])
+                              and pair[0] <= pair[1]):
+        raise ValueError(f"{name} must be two finite numbers (lo, hi) with lo <= hi")
+
+
 @dataclass(frozen=True)
 class ParamBounds:
     """Box constraints per parameter group, as (lo, hi) pairs."""
@@ -48,9 +55,7 @@ class ParamBounds:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "coupling"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bounds.{name} must be a finite (lo, hi) with lo <= hi")
+            check_interval(name, getattr(self, name))
 
     def lower(self, m: int) -> np.ndarray:
         return np.concatenate(
@@ -132,15 +137,10 @@ class PenaltyConfig:
         caps = np.linspace(self.inner_max_iter_start, self.inner_max_iter, n)
         return [(lams[i], float(tols[i]), int(round(caps[i]))) for i in range(n)]
 
-    def echo(self) -> dict:
-        d = asdict(self)
-        d["lam_schedule"] = list(d["lam_schedule"]) if d["lam_schedule"] else None
-        d["bounds"] = {
-            "alpha1": list(self.bounds.alpha1),
-            "alpha2": list(self.bounds.alpha2),
-            "coupling": list(self.bounds.coupling),
-        }
-        return d
+
+def fit_echo(cfg: PenaltyConfig, dt: float, substeps: int) -> dict:
+    """The `config_echo` of a fit: every penalty field plus the time grid."""
+    return {**asdict(cfg), "dt": float(dt), "substeps": int(substeps)}
 
 
 @dataclass(frozen=True)
@@ -201,17 +201,23 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitResult":
-        params = VdpParams(alpha=np.array(doc["alpha"]), coupling=np.array(doc["W"]))
-        echo = doc.get("config_echo", {})
+        """Read a `to_json_dict` document; KeyError, TypeError or ValueError
+        means `doc` is not one."""
+        echo, conv = doc.get("config_echo", {}), doc.get("converged", {})
+        if not (isinstance(echo, dict) and isinstance(conv, dict)):
+            raise TypeError("config_echo and converged must be JSON objects")
         if "dt" not in echo:
             raise ValueError("config_echo has no time step 'dt'")
+        substeps = echo.get("substeps", 1)
+        if type(substeps) is not int or substeps < 1:
+            raise ValueError("config_echo.substeps must be an integer >= 1")
+        params = VdpParams(alpha=np.array(doc["alpha"]), coupling=np.array(doc["W"]))
         states = Trajectory(
             x1=np.array(doc["states"]["x1"]),
             x2=np.array(doc["states"]["x2"]),
             dt=float(echo["dt"]),
         )
-        conv = doc.get("converged", {})
-        result = cls(
+        return cls(
             params=params,
             states=states,
             objective_history=[tuple(e) for e in doc.get("objective_history", [])],
@@ -220,9 +226,6 @@ class FitResult:
             reason=str(conv.get("reason", "")),
             config_echo=echo,
         )
-        if result.substeps < 1:
-            raise ValueError("config_echo.substeps must be >= 1")
-        return result
 
 
 def hidden_x2_estimate(z_values: np.ndarray, dt: float) -> np.ndarray:
@@ -527,9 +530,6 @@ def fit(
 
     params_hat = VdpParams.from_vector(p, m)
     states = x_cur.to_trajectory(dt)
-    echo = cfg.echo()
-    echo["dt"] = float(dt)
-    echo["substeps"] = int(substeps)
     return FitResult(
         params=params_hat,
         states=states,
@@ -537,5 +537,5 @@ def fit(
         per_component_stats=_component_stats(z.values, states.x1),
         converged=converged,
         reason=reason,
-        config_echo=echo,
+        config_echo=fit_echo(cfg, dt, substeps),
     )

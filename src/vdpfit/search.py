@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Optional
 
 import numpy as np
@@ -29,7 +29,9 @@ from .estimator import (
     ParamBounds,
     PenaltyConfig,
     _component_stats,
+    check_interval,
     fit,
+    fit_echo,
 )
 from .model import (
     DimensionError,
@@ -51,8 +53,9 @@ class StepScales:
     x2: float = 0.5
 
     def __post_init__(self):
-        if min(self.alpha, self.coupling, self.x2) <= 0:
-            raise ValueError("step scales must be positive")
+        for name in ("alpha", "coupling", "x2"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     def halved(self) -> "StepScales":
         return StepScales(self.alpha / 2, self.coupling / 2, self.x2 / 2)
@@ -73,27 +76,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.max_rounds < 0 or self.proposals_per_round < 1:
-            raise ValueError("max_rounds must be >= 0, proposals_per_round >= 1")
-        if self.vp_every < 1 or self.patience < 1:
-            raise ValueError("vp_every and patience must be >= 1")
-
-    def echo(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "step_scales": {
-                "alpha": self.step_scales.alpha,
-                "coupling": self.step_scales.coupling,
-                "x2": self.step_scales.x2,
-            },
-            "max_rounds": self.max_rounds,
-            "proposals_per_round": self.proposals_per_round,
-            "vp_every": self.vp_every,
-            "seed": self.seed,
-            "patience": self.patience,
-            "x2_bounds": list(self.x2_bounds),
-            "plateau_tol": self.plateau_tol,
-        }
+        if self.max_rounds < 0:
+            raise ValueError("max_rounds must be >= 0")
+        for name in ("proposals_per_round", "vp_every", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        check_interval("x2_bounds", self.x2_bounds)
 
 
 @dataclass(frozen=True)
@@ -376,21 +364,16 @@ def _finalize(
         "all_invalid_rounds": all_invalid_rounds,
         "scales_halved": halved_once,
     }
+    echo = {**fit_echo(vp_cfg, dt, substeps), "search": {**asdict(search_cfg), **diagnostics}}
     if best_fit_result is not None:
-        result = best_fit_result
-        result.config_echo = dict(result.config_echo)
-        result.config_echo["search"] = {**search_cfg.echo(), **diagnostics}
-        return result
+        best_fit_result.config_echo = echo
+        return best_fit_result
     sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
     if sim is None:
         raise FitError(
             "search found no candidate that simulates without divergence; "
             f"stop_reason={stop_reason}"
         )
-    echo = vp_cfg.echo()
-    echo["dt"] = float(dt)
-    echo["substeps"] = int(substeps)
-    echo["search"] = {**search_cfg.echo(), **diagnostics}
     return FitResult(
         params=best.params,
         states=sim,

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ import pytest
 from conftest import random_params
 from vdpfit.cli import main
 from vdpfit.data import save_csv
-from vdpfit.estimator import FitResult
+from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig
 from vdpfit.model import State, VdpParams, simulate
+from vdpfit.search import SearchConfig, StepScales
 
 
 @pytest.fixture
@@ -116,7 +119,93 @@ class TestSvd:
         assert (target / "temporal.csv").exists()
 
 
+# (dotted key the error must name, config fragment merged over {"dt": 0.1})
+MALFORMED_CONFIGS = [
+    ("penalty.bounds.alpha1", {"penalty": {"bounds": {"alpha1": 5}}}),
+    ("penalty.bounds.alpha1", {"penalty": {"bounds": {"alpha1": ["a", 1]}}}),
+    ("penalty.bounds.coupling", {"penalty": {"bounds": {"coupling": [1]}}}),
+    ("penalty.bounds", {"penalty": {"bounds": 5}}),
+    ("penalty.lam", {"penalty": {"lam": "x"}}),
+    ("penalty.lam_schedule", {"penalty": {"lam_schedule": 5}}),
+    ("penalty.lam_schedule", {"penalty": {"lam_schedule": [10, "x"]}}),
+    ("penalty.inner_max_iter", {"penalty": {"inner_max_iter": 2.5}}),
+    ("penalty.outer_max_iter", {"penalty": {"outer_max_iter": True}}),
+    ("penalty", {"penalty": []}),
+    ("search.step_scales.alpha", {"search": {"step_scales": {"alpha": "x"}}}),
+    ("search.step_scales", {"search": {"step_scales": 5}}),
+    ("search.max_rounds", {"search": {"max_rounds": 1.5}}),
+    ("search.gamma", {"search": {"gamma": None}}),
+    ("search.x2_bounds", {"search": {"x2_bounds": 5}}),
+    ("dt", {"dt": "x"}),
+    ("dt", {"dt": None}),
+    ("init_alpha", {"init_alpha": "x"}),
+    ("dt", {"dt": 10 ** 400}),
+    ("search.x2_bounds", {"search": {"x2_bounds": [5, -5]}}),
+    ("search.x2_bounds", {"search": {"x2_bounds": [1]}}),
+    ("search.x2_bounds", {"search": {"x2_bounds": [1, 2, 3]}}),
+]
+
+
 class TestFit:
+    @pytest.mark.parametrize("key, fragment", MALFORMED_CONFIGS,
+                             ids=[json.dumps(f) for _, f in MALFORMED_CONFIGS])
+    def test_malformed_config_exits_2_naming_the_key(self, workdir, series_csv, capsys,
+                                                      key, fragment):
+        cfg = workdir / "bad.json"
+        cfg.write_text(json.dumps({"dt": 0.1, **fragment}))
+        code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
+                     "-o", str(workdir / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert re.search(rf"{re.escape(key)}(?![\w.])", err), err
+
+    def test_every_config_field_reaches_the_echo(self, workdir, series_csv):
+        penalty = {
+            "lam": 500,
+            "lam_schedule": [10.0, 100.0],
+            "inner_tol": 1e-7,
+            "inner_tol_start": 1e-3,
+            "inner_max_iter": 40,
+            "inner_max_iter_start": 20,
+            "outer_step": 0.05,
+            "outer_max_iter": 8,
+            "outer_ftol": 1e-7,
+            "outer_gtol": 1e-5,
+            "armijo_c": 1e-3,
+            "bounds": {"alpha1": [0.0, 4.0], "alpha2": [-4.0, 4.0], "coupling": [-1.0, 1.0]},
+        }
+        search = {
+            "gamma": 0.5,
+            "step_scales": {"alpha": 0.3, "coupling": 0.05, "x2": 0.4},
+            "max_rounds": 2,
+            "proposals_per_round": 5,
+            "vp_every": 2,
+            "patience": 4,
+            "x2_bounds": [-4.0, 4.0],
+            "plateau_tol": 1e-5,
+        }
+        # every field but the --seed one, each set to a value other than its default
+        for cls, doc in ((PenaltyConfig, penalty), (SearchConfig, search),
+                         (ParamBounds, penalty["bounds"]), (StepScales, search["step_scales"])):
+            names = {f.name for f in fields(cls)} - {"seed"}
+            assert set(doc) == names
+            default = json.loads(json.dumps(asdict(cls())))
+            assert all(doc[k] != default[k] for k in names)
+        cfg = workdir / "every.json"
+        cfg.write_text(json.dumps({"dt": 0.1, "substeps": 2, "penalty": penalty,
+                                   "search": search}))
+        out = workdir / "every"
+        code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "4",
+                     "-o", str(out)])
+        assert code == 0
+        echo = json.loads((out / "fit.json").read_text())["config_echo"]
+        assert {k: echo[k] for k in penalty} == penalty
+        assert {k: echo["search"][k] for k in search} == search
+        assert (echo["dt"], echo["substeps"], echo["seed"], echo["search"]["seed"]) == (
+            0.1, 2, 4, 4)
+        assert type(echo["lam"]) is int
+
     def test_writes_fit_and_trace(self, workdir, series_csv, fit_config, capsys):
         out = workdir / "fit"
         code = main(
@@ -219,6 +308,15 @@ class TestFit:
         code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
                      "-o", str(workdir / "x")])
         assert code == 2
+
+    def test_json_integer_past_the_parser_limit_is_config_error(self, workdir, series_csv,
+                                                                 capsys):
+        cfg = workdir / "long.json"
+        cfg.write_text('{"dt": 1%s}' % ("0" * 5000))
+        code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
+                     "-o", str(workdir / "x")])
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_missing_required_flag_is_usage_error(self, series_csv):
         with pytest.raises(SystemExit) as exc:
@@ -328,6 +426,29 @@ class TestConnectivity:
 
 
 class TestExportSim:
+    @pytest.mark.parametrize("path, value", [
+        (("states",), [1, 2]),
+        (("objective_history",), [5]),
+        (("config_echo",), 5),
+        (("converged",), "yes"),
+        (("config_echo", "substeps"), "2"),
+        (("config_echo", "substeps"), 2.5),
+    ], ids=["states", "history-entry", "echo", "converged", "substeps-str", "substeps-float"])
+    def test_malformed_fit_json_is_config_error(self, workdir, capsys, path, value):
+        fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
+        doc = json.loads(fit.read_text())
+        target = doc
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = value
+        fit.write_text(json.dumps(doc))
+        code = main(
+            ["export-sim", str(fit), "--n-series", "1", "--length", "10",
+             "--seed", "1", "-o", str(workdir / "x")]
+        )
+        assert code == 2
+        assert "not a fit result" in capsys.readouterr().err
+
     def test_corpus_layout_and_determinism(self, workdir):
         fit_a = write_fit_json(workdir / "fa.json", m=2, seed=5)
         fit_b = write_fit_json(workdir / "fb.json", m=2, seed=6)
