@@ -39,14 +39,6 @@ class DataMatrix:
             raise ValueError("data matrix contains non-finite entries")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_locations(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class SvdComponents:

@@ -145,9 +145,11 @@ def fit_echo(cfg: PenaltyConfig, dt: float, substeps: int) -> dict:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Inner Gauss-Newton outcome: the state estimate plus convergence info."""
+    """Inner Gauss-Newton outcome: the state estimate, its residual
+    G(x) - eta0, and convergence info."""
 
     x: StackedState
+    residual: np.ndarray
     converged: bool
     iterations: int
     grad_inf: float
@@ -166,6 +168,14 @@ class ValueGradient:
     @property
     def low_accuracy(self) -> bool:
         return not self.inner.converged
+
+
+def _numeric(value, key: str) -> np.ndarray:
+    """A fit.json array whose entries are all JSON numbers (no bools or strings)."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "if":
+        raise TypeError(f"{key} must hold numbers only")
+    return arr
 
 
 @dataclass
@@ -206,16 +216,19 @@ class FitResult:
         echo, conv = doc.get("config_echo", {}), doc.get("converged", {})
         if not (isinstance(echo, dict) and isinstance(conv, dict)):
             raise TypeError("config_echo and converged must be JSON objects")
-        if "dt" not in echo:
-            raise ValueError("config_echo has no time step 'dt'")
+        dt = echo.get("dt")
+        if type(dt) not in (int, float) or not math.isfinite(dt):
+            raise ValueError(f"config_echo time step 'dt' must be a finite number: {dt!r}")
         substeps = echo.get("substeps", 1)
         if type(substeps) is not int or substeps < 1:
             raise ValueError("config_echo.substeps must be an integer >= 1")
-        params = VdpParams(alpha=np.array(doc["alpha"]), coupling=np.array(doc["W"]))
+        params = VdpParams(
+            alpha=_numeric(doc["alpha"], "alpha"), coupling=_numeric(doc["W"], "W")
+        )
         states = Trajectory(
-            x1=np.array(doc["states"]["x1"]),
-            x2=np.array(doc["states"]["x2"]),
-            dt=float(echo["dt"]),
+            x1=_numeric(doc["states"]["x1"], "states.x1"),
+            x2=_numeric(doc["states"]["x2"], "states.x2"),
+            dt=float(dt),
         )
         return cls(
             params=params,
@@ -360,11 +373,11 @@ def inner_solve(
             t *= 0.5
         if not accepted:
             return InnerResult(
-                x=cur, converged=False, iterations=iterations + 1,
+                x=cur, residual=r, converged=False, iterations=iterations + 1,
                 grad_inf=grad_inf, objective=f_cur,
             )
     return InnerResult(
-        x=cur, converged=converged, iterations=iterations,
+        x=cur, residual=r, converged=converged, iterations=iterations,
         grad_inf=grad_inf, objective=f_cur,
     )
 
@@ -394,23 +407,17 @@ def value_gradient(
         params, anchor, z, cfg, x_init,
         dt=dt, substeps=substeps, lam=lam_eff, tol=tol, max_iter=max_iter,
     )
-    r = residual(inner.x, params, anchor, dt, substeps)
     jp = residual_jacobian_params(inner.x, params, dt, substeps)
-    grad = lam_eff * (jp.T @ r)
+    grad = lam_eff * (jp.T @ inner.residual)
     return ValueGradient(value=inner.objective, gradient=grad, x=inner.x, inner=inner)
 
 
 def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
-    stats = []
-    for i in range(z_values.shape[1]):
-        stats.append(
-            {
-                "component": i,
-                "pearson": metrics.pearson(z_values[:, i], x1_fit[:, i]),
-                "r_squared": metrics.r_squared(z_values[:, i], x1_fit[:, i]),
-            }
-        )
-    return stats
+    c, r2 = metrics.component_scores(z_values, x1_fit)
+    return [
+        {"component": i, "pearson": float(ci), "r_squared": float(ri)}
+        for i, (ci, ri) in enumerate(zip(c, r2))
+    ]
 
 
 def _name_bad_component(x: StackedState, r: np.ndarray) -> int:
@@ -472,8 +479,7 @@ def fit(
             dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s,
         )
         if not math.isfinite(vg.value):
-            r = residual(vg.x, VdpParams.from_vector(p, m), anchor, dt, substeps)
-            comp = _name_bad_component(vg.x, r)
+            comp = _name_bad_component(vg.x, vg.inner.residual)
             raise FitError(
                 f"non-finite objective at initial evaluation (component {comp})"
             )

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from .model import DimensionError
+
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of two 1-d arrays.
@@ -42,6 +44,20 @@ def r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
     if ss_tot == 0.0 or not math.isfinite(ss_tot):
         return math.nan
     return 1.0 - ss_res / ss_tot
+
+
+def component_scores(
+    observed: np.ndarray, simulated: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (pearson, r_squared) arrays of (n, m) tracks; NaN marks undefined entries."""
+    observed = np.atleast_2d(observed)
+    simulated = np.atleast_2d(simulated)
+    if observed.shape != simulated.shape:
+        raise DimensionError(f"observed {observed.shape} vs simulated {simulated.shape} tracks")
+    cols = range(observed.shape[1])
+    c = np.array([pearson(observed[:, i], simulated[:, i]) for i in cols], dtype=float)
+    r2 = np.array([r_squared(observed[:, i], simulated[:, i]) for i in cols], dtype=float)
+    return c, r2
 
 
 def median_and_se(values: np.ndarray) -> tuple[float, float]:

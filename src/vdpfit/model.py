@@ -74,10 +74,6 @@ class VdpParams:
     def m(self) -> int:
         return self.alpha.shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return 2 * self.m + self.m * self.m
-
     def to_vector(self) -> np.ndarray:
         """Flatten as [a1_1..a1_m, a2_1..a2_m, W row-major]."""
         return np.concatenate(

@@ -6,7 +6,8 @@ x2 = candidate x2_init) and taking the fitness
     f = min_i (c_i + gamma * R2_i)
 
 over components, where c_i is the Pearson correlation and R2_i the coefficient
-of determination between observed and simulated activity. Proposals perturb a
+of determination between observed and simulated activity, both taken from
+`metrics.component_scores`, the one per-component scorer. Proposals perturb a
 single randomly chosen group (one alpha row, one W entry, or one x2_init
 entry); only strictly better fitness replaces the incumbent. Every `vp_every`
 rounds the incumbent seeds a variable-projection fit and the better of the two
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Optional
 
 import numpy as np
@@ -102,25 +103,6 @@ class Candidate:
         return math.isfinite(self.fitness)
 
 
-def score_components(
-    z_values: np.ndarray, sim_x1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component (pearson, r_squared) arrays; NaN marks undefined entries."""
-    z_values = np.atleast_2d(z_values)
-    sim_x1 = np.atleast_2d(sim_x1)
-    if z_values.shape != sim_x1.shape:
-        raise DimensionError(
-            f"observed {z_values.shape} vs simulated {sim_x1.shape} tracks"
-        )
-    m = z_values.shape[1]
-    c = np.empty(m)
-    r2 = np.empty(m)
-    for i in range(m):
-        c[i] = metrics.pearson(z_values[:, i], sim_x1[:, i])
-        r2[i] = metrics.r_squared(z_values[:, i], sim_x1[:, i])
-    return c, r2
-
-
 def combine_scores(c: np.ndarray, r2: np.ndarray, gamma: float) -> float:
     """min_i (c_i + gamma * R2_i); any undefined component makes it -inf."""
     vals = np.asarray(c, dtype=float) + gamma * np.asarray(r2, dtype=float)
@@ -133,13 +115,10 @@ def fitness(z: ObservationSet, sim: Trajectory, gamma: float) -> float:
     """Fitness of a simulated trajectory against observations.
 
     A zero-variance track on either side leaves that component's correlation
-    undefined and the whole candidate scores -inf.
+    undefined and the whole candidate scores -inf. Tracks of different shapes
+    raise DimensionError.
     """
-    if sim.n_steps != z.n_steps or sim.m != z.m:
-        raise DimensionError(
-            f"simulation is {sim.n_steps}x{sim.m}, observations {z.n_steps}x{z.m}"
-        )
-    c, r2 = score_components(z.values, sim.x1)
+    c, r2 = metrics.component_scores(z.values, sim.x1)
     return combine_scores(c, r2, gamma)
 
 
@@ -205,20 +184,12 @@ def propose(
     return Candidate(params=params, x2_init=x2_init, fitness=f)
 
 
-class _TraceWriter:
-    def __init__(self, sink: Optional[IO[str]]):
-        self.sink = sink
-
-    def write(self, round_idx: int, proposal: int, fitness_val: float, accepted: bool):
-        if self.sink is None:
-            return
-        rec = {
-            "round": round_idx,
-            "proposal": proposal,
-            "fitness": None if not math.isfinite(fitness_val) else fitness_val,
-            "accepted": accepted,
-        }
-        self.sink.write(json.dumps(rec) + "\n")
+def _trace_row(sink: Optional[IO[str]], round_idx: int, proposal: int, f: float,
+               accepted: bool) -> None:
+    if sink is not None:
+        rec = {"round": round_idx, "proposal": proposal,
+               "fitness": f if math.isfinite(f) else None, "accepted": accepted}
+        sink.write(json.dumps(rec) + "\n")
 
 
 def search_and_refine(
@@ -244,13 +215,10 @@ def search_and_refine(
     m = z.m
     if init is None:
         init = VdpParams(alpha=np.ones((m, 2)), coupling=np.zeros((m, m)))
-    if x2_init is None:
-        x2_init = np.zeros(m)
-    x2_init = np.asarray(x2_init, dtype=float)
+    x2_init = np.zeros(m) if x2_init is None else np.asarray(x2_init, dtype=float)
     if init.m != m or x2_init.shape != (m,):
         raise DimensionError("init/x2_init dimensions must match observations")
 
-    writer = _TraceWriter(trace)
     gamma = search_cfg.gamma
     rng = np.random.default_rng(search_cfg.seed)
     init_params = vp_cfg.bounds.clip_params(init)
@@ -286,14 +254,9 @@ def search_and_refine(
             else:
                 invalid_candidates += 1
             accepted = cand.fitness > best.fitness
-            writer.write(round_idx, j, cand.fitness, accepted)
+            _trace_row(trace, round_idx, j, cand.fitness, accepted)
             if accepted:
-                best = Candidate(
-                    params=cand.params,
-                    x2_init=cand.x2_init,
-                    fitness=cand.fitness,
-                    provenance=(round_idx, j, "proposal"),
-                )
+                best = replace(cand, provenance=(round_idx, j, "proposal"))
                 best_fit_result = None
         if not any_valid:
             all_invalid_rounds += 1
@@ -304,14 +267,12 @@ def search_and_refine(
             vp_candidate, vp_result = _run_vp(z, best, vp_cfg, gamma, dt, substeps, round_idx)
             accepted = vp_candidate is not None and vp_candidate.fitness > best.fitness
             if vp_candidate is not None:
-                writer.write(round_idx, -1, vp_candidate.fitness, accepted)
+                _trace_row(trace, round_idx, -1, vp_candidate.fitness, accepted)
             if accepted:
                 best = vp_candidate
                 best_fit_result = vp_result
-        improvement = best.fitness - round_start_fitness
-        if math.isfinite(improvement) and improvement > search_cfg.plateau_tol:
-            no_improve = 0
-        elif not math.isfinite(round_start_fitness) and best.fitness > round_start_fitness:
+        # -inf - -inf is nan (no improvement); finite - -inf is +inf (improvement)
+        if best.fitness - round_start_fitness > search_cfg.plateau_tol:
             no_improve = 0
         else:
             no_improve += 1
@@ -319,9 +280,34 @@ def search_and_refine(
             stop_reason = "fitness plateau"
             break
 
-    return _finalize(
-        z, best, best_fit_result, search_cfg, vp_cfg, dt, substeps, gamma,
-        stop_reason, rounds_run, invalid_candidates, all_invalid_rounds, halved_once,
+    search_echo = {
+        **asdict(search_cfg),
+        "stop_reason": stop_reason,
+        "rounds": rounds_run,
+        "best_fitness": best.fitness if math.isfinite(best.fitness) else None,
+        "best_provenance": list(best.provenance),
+        "invalid_candidates": invalid_candidates,
+        "all_invalid_rounds": all_invalid_rounds,
+        "scales_halved": halved_once,
+    }
+    echo = {**fit_echo(vp_cfg, dt, substeps), "search": search_echo}
+    if best_fit_result is not None:
+        best_fit_result.config_echo = echo
+        return best_fit_result
+    sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
+    if sim is None:
+        raise FitError(
+            "search found no candidate that simulates without divergence; "
+            f"stop_reason={stop_reason}"
+        )
+    return FitResult(
+        params=best.params,
+        states=sim,
+        objective_history=[],
+        per_component_stats=_component_stats(z.values, sim.x1),
+        converged=stop_reason == "fitness plateau",
+        reason=f"search stopped: {stop_reason}",
+        config_echo=echo,
     )
 
 
@@ -342,44 +328,4 @@ def _run_vp(
         return None, None
     x2_hat = result.states.x2[0]
     f_vp = score_candidate(z, result.params, x2_hat, gamma, dt, substeps)
-    cand = Candidate(
-        params=result.params,
-        x2_init=np.asarray(x2_hat, dtype=float),
-        fitness=f_vp,
-        provenance=(round_idx, -1, "vp"),
-    )
-    return cand, result
-
-
-def _finalize(
-    z, best, best_fit_result, search_cfg, vp_cfg, dt, substeps, gamma,
-    stop_reason, rounds_run, invalid_candidates, all_invalid_rounds, halved_once,
-) -> FitResult:
-    diagnostics = {
-        "stop_reason": stop_reason,
-        "rounds": rounds_run,
-        "best_fitness": best.fitness if math.isfinite(best.fitness) else None,
-        "best_provenance": list(best.provenance),
-        "invalid_candidates": invalid_candidates,
-        "all_invalid_rounds": all_invalid_rounds,
-        "scales_halved": halved_once,
-    }
-    echo = {**fit_echo(vp_cfg, dt, substeps), "search": {**asdict(search_cfg), **diagnostics}}
-    if best_fit_result is not None:
-        best_fit_result.config_echo = echo
-        return best_fit_result
-    sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
-    if sim is None:
-        raise FitError(
-            "search found no candidate that simulates without divergence; "
-            f"stop_reason={stop_reason}"
-        )
-    return FitResult(
-        params=best.params,
-        states=sim,
-        objective_history=[],
-        per_component_stats=_component_stats(z.values, sim.x1),
-        converged=stop_reason == "fitness plateau",
-        reason=f"search stopped: {stop_reason}",
-        config_echo=echo,
-    )
+    return Candidate(result.params, x2_hat, f_vp, provenance=(round_idx, -1, "vp")), result

@@ -433,7 +433,16 @@ class TestExportSim:
         (("converged",), "yes"),
         (("config_echo", "substeps"), "2"),
         (("config_echo", "substeps"), 2.5),
-    ], ids=["states", "history-entry", "echo", "converged", "substeps-str", "substeps-float"])
+        (("config_echo", "dt"), "0.1"),
+        (("config_echo", "dt"), True),
+        # written as Infinity; the reader sees the same inf as for 1e400
+        (("config_echo", "dt"), float("inf")),
+        (("alpha",), [[1.5, "0.8"], [1.2, 0.9]]),
+        (("W",), [["0", "0.1"], ["-0.1", "0"]]),
+        (("states",), {"x1": [["0.1", "0.2"], ["0.3", "0.4"]], "x2": [[0, 1], [1, 0]]}),
+        (("W",), [[True, False], [False, True]]),
+    ], ids=["states", "history-entry", "echo", "converged", "substeps-str", "substeps-float",
+            "dt-str", "dt-bool", "dt-inf", "alpha-str", "W-str", "states-str", "W-bool"])
     def test_malformed_fit_json_is_config_error(self, workdir, capsys, path, value):
         fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
         doc = json.loads(fit.read_text())

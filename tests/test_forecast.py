@@ -74,6 +74,24 @@ class TestMetrics:
         assert metrics.r_squared(obs, obs) == pytest.approx(1.0)
         assert metrics.r_squared(obs, obs.mean() * np.ones(3)) == pytest.approx(0.0)
 
+    def test_component_scores_hand_value(self):
+        observed = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [2.0, 1.0, 3.0]])
+        simulated = np.array([[0.0, 3.0, 2.0], [2.0, 2.0, 2.0], [4.0, 1.0, 2.0]])
+        c, r2 = metrics.component_scores(observed, simulated)
+        # column 1 is flat on the observed side, column 2 on the simulated side
+        np.testing.assert_allclose(c, [1.0, math.nan, math.nan])
+        np.testing.assert_allclose(r2, [-1.5, math.nan, 0.0])
+
+    def test_component_scores_match_the_scalar_metrics_bitwise(self):
+        rng = np.random.default_rng(3)
+        observed, simulated = rng.normal(size=(2, 40, 3))
+        c, r2 = metrics.component_scores(observed, simulated)
+        for i in range(3):
+            assert c[i] == metrics.pearson(observed[:, i], simulated[:, i])
+            assert r2[i] == metrics.r_squared(observed[:, i], simulated[:, i])
+        with pytest.raises(ValueError):
+            metrics.component_scores(observed, simulated[:, :2])
+
     def test_median_se_hand_value(self):
         med, se = metrics.median_and_se(np.array([1.0, 2.0, 9.0]))
         assert med == pytest.approx(2.0)

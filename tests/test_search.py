@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from vdpfit import search
 from vdpfit.estimator import ParamBounds, PenaltyConfig, fit
 from vdpfit.metrics import pearson
-from vdpfit.model import ObservationSet, State, Trajectory, VdpParams, simulate
+from vdpfit.model import (
+    DimensionError, ObservationSet, State, Trajectory, VdpParams, simulate,
+)
 from vdpfit.search import (
     Candidate,
     SearchConfig,
@@ -55,6 +57,12 @@ class TestFitness:
         _, traj, z = coupled_pair()
         flat = Trajectory(x1=np.zeros_like(traj.x1), x2=traj.x2, dt=0.1)
         assert fitness(z, flat, gamma=1.0) == -math.inf
+
+    def test_shape_mismatch_raises_dimension_error(self):
+        _, traj, z = coupled_pair()
+        short = Trajectory(x1=traj.x1[:-1], x2=traj.x2[:-1], dt=0.1)
+        with pytest.raises(DimensionError):
+            fitness(z, short, gamma=1.0)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=20, deadline=None)
@@ -191,6 +199,36 @@ class TestSearchAndRefine:
             assert stats["pearson"] >= 0.8
         diag = res.config_echo["search"]
         assert diag["best_fitness"] >= 1.2
+
+    def test_unbeatable_plateau_tol_stops_after_patience_rounds(self):
+        _, _, z = coupled_pair()
+        buf = io.StringIO()
+        cfg = SearchConfig(max_rounds=10, proposals_per_round=5, vp_every=100,
+                           patience=3, plateau_tol=1e9, seed=4)
+        res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=5), dt=0.1, trace=buf)
+        diag = res.config_echo["search"]
+        assert diag["stop_reason"] == "fitness plateau"
+        assert diag["rounds"] == 3
+        assert max(json.loads(l)["round"] for l in buf.getvalue().splitlines()) == 3
+        assert res.converged
+
+    def test_first_valid_candidate_after_invalid_start_counts_as_improvement(self):
+        truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.zeros((1, 1)))
+        traj = simulate(truth, State(x1=[1.0], x2=[0.0]), 80, 0.1)
+        z = ObservationSet(traj.x1)
+        flat = VdpParams(alpha=np.zeros((1, 2)), coupling=np.zeros((1, 1)))
+        assert score_candidate(z, flat, np.zeros(1), 1.0, 0.1) == -math.inf
+        buf = io.StringIO()
+        cfg = SearchConfig(max_rounds=10, proposals_per_round=10, vp_every=100,
+                           patience=1, plateau_tol=1e9, seed=2)
+        res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=5), dt=0.1,
+                                init=flat, trace=buf)
+        rows = [json.loads(l) for l in buf.getvalue().splitlines()]
+        assert any(r["round"] == 1 and r["accepted"] and r["fitness"] is not None
+                   for r in rows)
+        diag = res.config_echo["search"]
+        assert diag["stop_reason"] == "fitness plateau"
+        assert diag["rounds"] == 2
 
     def test_all_invalid_round_halves_scales_once(self):
         _, _, z = coupled_pair()
