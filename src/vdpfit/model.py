@@ -13,7 +13,9 @@ One batched core over (K, m) state arrays holds the whole map: the vector
 field, one Euler substep (`euler_map`), the one-substep state and parameter
 Jacobians, and one loop chaining them through the substeps. `step`, the
 batched `rollout` behind `simulate`, the batch Jacobians and the single-state
-`jacobians` call it, as do the stacked constraints in `constraints.py`.
+`jacobians` call it, as do the stacked constraints in `constraints.py`. The
+field and its Euler substeps also take one parameter set per trajectory, so
+one `rollout` can integrate K candidates with K different parameters.
 
 Flat state vectors interleave the two variables per component: component i of
 a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
@@ -21,7 +23,7 @@ a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,16 +197,33 @@ def _substep_size(dt: float, substeps: int) -> float:
 def _field_arrays(
     alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray, x2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field on raw arrays; x1/x2 may be (m,) or batched (..., m).
+    """Vector field on raw arrays; x1/x2 may be (m,) or batched (..., m), and
+    alpha/coupling either shared, (m, 2) and (m, m), or one per trajectory,
+    (..., m, 2) and (..., m, m).
 
     The coupling sum W x1 is an elementwise product reduced over a fresh
     contiguous axis, not a BLAS matmul: its summation order then depends on m
     only, so each row of a batch rounds exactly as the same state alone, for
-    any batch size and any input strides.
+    any batch size, any input strides and shared or per-trajectory parameters.
     """
     coupled = (x1[..., None, :] * coupling).sum(axis=-1)
-    dx1 = alpha[:, 0] * x1 * (1.0 - x1 * x1) + alpha[:, 1] * x2 + coupled
+    dx1 = alpha[..., 0] * x1 * (1.0 - x1 * x1) + alpha[..., 1] * x2 + coupled
     return dx1, -x1
+
+
+def _euler_arrays(
+    alpha: np.ndarray,
+    coupling: np.ndarray,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    h: float,
+    substeps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`substeps` Euler substeps s + h * f(s) on raw arrays (see `_field_arrays`)."""
+    for _ in range(substeps):
+        dx1, dx2 = _field_arrays(alpha, coupling, x1, x2)
+        x1, x2 = x1 + h * dx1, x2 + h * dx2
+    return x1, x2
 
 
 def euler_map(
@@ -213,10 +232,7 @@ def euler_map(
     """The sample map g on raw arrays: `substeps` Euler substeps s + h * f(s)
     with h = dt / substeps. x1/x2 may be (m,) or batched (K, m)."""
     h = _substep_size(dt, substeps)
-    for _ in range(substeps):
-        dx1, dx2 = _field_arrays(params.alpha, params.coupling, x1, x2)
-        x1, x2 = x1 + h * dx1, x2 + h * dx2
-    return x1, x2
+    return _euler_arrays(params.alpha, params.coupling, x1, x2, h, substeps)
 
 
 def _substep_state_jacobian(params: VdpParams, x1: np.ndarray, h: float) -> np.ndarray:
@@ -291,7 +307,7 @@ def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
 
 
 def rollout(
-    params: VdpParams,
+    params: Union[VdpParams, Sequence[VdpParams]],
     x1: np.ndarray,
     x2: np.ndarray,
     n_steps: int,
@@ -300,6 +316,8 @@ def rollout(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate `n_steps` samples from start states x1/x2 of shape (m,) or (K, m).
 
+    `params` is one VdpParams shared by every trajectory, or, for (K, m)
+    starts, a sequence of K VdpParams, one per trajectory.
     Returns (x1, x2, diverged): the samples as (n_steps, m) or (n_steps, K, m)
     arrays, starting with (and including) the start states, and, per
     trajectory, the first step whose state leaves the guard box
@@ -311,20 +329,33 @@ def rollout(
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != params.m:
+    if isinstance(params, VdpParams):
+        alpha, coupling = params.alpha, params.coupling
+    else:
+        if x1.ndim != 2 or len(params) != x1.shape[0] or len({p.m for p in params}) != 1:
+            raise DimensionError(
+                f"per-trajectory params need one VdpParams of one size per row of "
+                f"(K, m) start states, got {len(params)} for starts {x1.shape}"
+            )
+        alpha = np.stack([p.alpha for p in params])
+        coupling = np.stack([p.coupling for p in params])
+    m = alpha.shape[-2]
+    if x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != m:
         raise DimensionError(
-            f"start states must both be ({params.m},) or (K, {params.m}), "
+            f"start states must both be ({m},) or (K, {m}), "
             f"got {x1.shape} and {x2.shape}"
         )
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    _substep_size(dt, substeps)  # reject a bad substep count before any step
+    h = _substep_size(dt, substeps)  # reject a bad substep count before any step
     out1 = np.empty((n_steps,) + x1.shape)
     out2 = np.empty((n_steps,) + x1.shape)
     out1[0], out2[0] = x1, x2
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps):
-            out1[k], out2[k] = euler_map(params, out1[k - 1], out2[k - 1], dt, substeps)
+            out1[k], out2[k] = _euler_arrays(
+                alpha, coupling, out1[k - 1], out2[k - 1], h, substeps
+            )
         outside = ~(
             (np.abs(out1) <= DIVERGENCE_LIMIT) & (np.abs(out2) <= DIVERGENCE_LIMIT)
         ).all(axis=-1)

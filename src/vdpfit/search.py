@@ -12,12 +12,19 @@ single randomly chosen group (one alpha row, one W entry, or one x2_init
 entry); only strictly better fitness replaces the incumbent. Every `vp_every`
 rounds the incumbent seeds a variable-projection fit and the better of the two
 survives.
+
+The draws never depend on the incumbent, so a round draws all its proposals
+up front and scores them in speculative batches: the rest of the round is
+built from the incumbent and integrated in one batched rollout, and its rows
+are scored in order up to the first accept. Fitness values, accepts, trace
+rows and results are those of `propose` called once per proposal, bit for
+bit; a round costs accepts + 1 rollouts instead of one per proposal.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import IO, Optional
 
 import numpy as np
@@ -41,6 +48,7 @@ from .model import (
     State,
     Trajectory,
     VdpParams,
+    rollout,
     simulate,
 )
 
@@ -75,8 +83,9 @@ class SearchConfig:
     plateau_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        for name in ("gamma", "plateau_tol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
         for name in ("proposals_per_round", "vp_every", "patience"):
@@ -146,6 +155,45 @@ def score_candidate(
     return fitness(z, sim, gamma)
 
 
+def _draw(m: int, sc: StepScales, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """The one consumer of the proposal RNG: a uniformly chosen group and its
+    Gaussian noise. Groups are m alpha rows, m^2 coupling entries and m x2
+    entries; the draws never depend on the incumbent."""
+    pick = int(rng.integers(0, m + m * m + m))
+    if pick < m:
+        noise = rng.normal(0.0, sc.alpha, size=2)
+    elif pick < m + m * m:
+        noise = rng.normal(0.0, sc.coupling)
+    else:
+        noise = rng.normal(0.0, sc.x2)
+    return pick, noise
+
+
+def _perturb(
+    current: Candidate,
+    draw: tuple[int, np.ndarray],
+    bounds: ParamBounds,
+    x2_bounds: tuple[float, float],
+) -> tuple[VdpParams, np.ndarray]:
+    """Apply a draw to the incumbent, clipped to `bounds` (x2 to `x2_bounds`)."""
+    pick, noise = draw
+    m = current.params.m
+    alpha = current.params.alpha.copy()
+    coupling = current.params.coupling.copy()
+    x2_init = np.asarray(current.x2_init, dtype=float).copy()
+    if pick < m:
+        alpha[pick] += noise
+        alpha[pick, 0] = np.clip(alpha[pick, 0], *bounds.alpha1)
+        alpha[pick, 1] = np.clip(alpha[pick, 1], *bounds.alpha2)
+    elif pick < m + m * m:
+        i, j = divmod(pick - m, m)
+        coupling[i, j] = np.clip(coupling[i, j] + noise, *bounds.coupling)
+    else:
+        i = pick - m - m * m
+        x2_init[i] = np.clip(x2_init[i] + noise, *x2_bounds)
+    return VdpParams(alpha=alpha, coupling=coupling), x2_init
+
+
 def propose(
     current: Candidate,
     z: ObservationSet,
@@ -158,30 +206,50 @@ def propose(
     bounds: ParamBounds = ParamBounds(),
 ) -> Candidate:
     """One Gaussian perturbation of a uniformly chosen group, clipped to
-    `bounds` (and x2 to cfg.x2_bounds) and scored."""
-    sc = scales or cfg.step_scales
-    m = current.params.m
-    alpha = current.params.alpha.copy()
-    coupling = current.params.coupling.copy()
-    x2_init = np.asarray(current.x2_init, dtype=float).copy()
-    # groups: m alpha rows, m^2 coupling entries, m x2 entries
-    pick = int(rng.integers(0, m + m * m + m))
-    if pick < m:
-        alpha[pick] += rng.normal(0.0, sc.alpha, size=2)
-        alpha[pick, 0] = np.clip(alpha[pick, 0], *bounds.alpha1)
-        alpha[pick, 1] = np.clip(alpha[pick, 1], *bounds.alpha2)
-    elif pick < m + m * m:
-        flat_idx = pick - m
-        i, j = divmod(flat_idx, m)
-        coupling[i, j] = np.clip(
-            coupling[i, j] + rng.normal(0.0, sc.coupling), *bounds.coupling
-        )
-    else:
-        i = pick - m - m * m
-        x2_init[i] = np.clip(x2_init[i] + rng.normal(0.0, sc.x2), *cfg.x2_bounds)
-    params = VdpParams(alpha=alpha, coupling=coupling)
+    `bounds` (and x2 to cfg.x2_bounds) and scored on its own. The search
+    round draws and perturbs through the same helpers, so a one-at-a-time
+    loop over `propose` is its reference."""
+    draw = _draw(current.params.m, scales or cfg.step_scales, rng)
+    params, x2_init = _perturb(current, draw, bounds, cfg.x2_bounds)
     f = score_candidate(z, params, x2_init, cfg.gamma, dt, substeps)
     return Candidate(params=params, x2_init=x2_init, fitness=f)
+
+
+def _run_round(
+    z: ObservationSet,
+    best: Candidate,
+    cfg: SearchConfig,
+    rng: np.random.Generator,
+    scales: StepScales,
+    bounds: ParamBounds,
+    dt: float,
+    substeps: int,
+    round_idx: int,
+    trace: Optional[IO[str]],
+) -> tuple[Candidate, int]:
+    """One greedy round of cfg.proposals_per_round proposals in speculative
+    batches (see the module docstring); returns the round's best and its
+    invalid count. A one-at-a-time loop over `propose` gives the same bits."""
+    draws = [_draw(z.m, scales, rng) for _ in range(cfg.proposals_per_round)]
+    invalid = 0
+    start = 0
+    while start < len(draws):
+        built = [_perturb(best, d, bounds, cfg.x2_bounds) for d in draws[start:]]
+        x2 = np.stack([x2_init for _, x2_init in built])
+        x1 = np.broadcast_to(z.values[0], x2.shape)
+        out1, out2, diverged = rollout([p for p, _ in built], x1, x2, z.n_steps, dt, substeps)
+        for k, (params, x2_init) in enumerate(built):
+            # a contiguous copy of the row scores exactly as a lone simulate's track
+            f = -math.inf if diverged[k] else fitness(
+                z, Trajectory(x1=out1[:, k].copy(), x2=out2[:, k], dt=dt), cfg.gamma)
+            invalid += not math.isfinite(f)
+            accepted = f > best.fitness
+            _trace_row(trace, round_idx, start + k, f, accepted)
+            if accepted:
+                best = Candidate(params, x2_init, f, (round_idx, start + k, "proposal"))
+                break
+        start += k + 1
+    return best, invalid
 
 
 def _trace_row(sink: Optional[IO[str]], round_idx: int, proposal: int, f: float,
@@ -244,21 +312,13 @@ def search_and_refine(
 
     for round_idx in range(1, search_cfg.max_rounds + 1):
         rounds_run = round_idx
-        round_start_fitness = best.fitness
-        any_valid = False
-        for j in range(search_cfg.proposals_per_round):
-            cand = propose(best, z, search_cfg, rng, dt=dt, substeps=substeps,
-                           scales=scales, bounds=vp_cfg.bounds)
-            if cand.valid:
-                any_valid = True
-            else:
-                invalid_candidates += 1
-            accepted = cand.fitness > best.fitness
-            _trace_row(trace, round_idx, j, cand.fitness, accepted)
-            if accepted:
-                best = replace(cand, provenance=(round_idx, j, "proposal"))
-                best_fit_result = None
-        if not any_valid:
+        round_start = best
+        best, invalid = _run_round(z, best, search_cfg, rng, scales, vp_cfg.bounds,
+                                   dt, substeps, round_idx, trace)
+        invalid_candidates += invalid
+        if best is not round_start:
+            best_fit_result = None
+        if invalid == search_cfg.proposals_per_round:
             all_invalid_rounds += 1
             if not halved_once:
                 scales = scales.halved()
@@ -272,7 +332,7 @@ def search_and_refine(
                 best = vp_candidate
                 best_fit_result = vp_result
         # -inf - -inf is nan (no improvement); finite - -inf is +inf (improvement)
-        if best.fitness - round_start_fitness > search_cfg.plateau_tol:
+        if best.fitness - round_start.fitness > search_cfg.plateau_tol:
             no_improve = 0
         else:
             no_improve += 1

@@ -135,6 +135,7 @@ MALFORMED_CONFIGS = [
     ("search.step_scales", {"search": {"step_scales": 5}}),
     ("search.max_rounds", {"search": {"max_rounds": 1.5}}),
     ("search.gamma", {"search": {"gamma": None}}),
+    ("search.plateau_tol", {"search": {"plateau_tol": -1.0}}),
     ("search.x2_bounds", {"search": {"x2_bounds": 5}}),
     ("dt", {"dt": "x"}),
     ("dt", {"dt": None}),

@@ -130,20 +130,37 @@ class TestSimulate:
             simulate(p1(1.0, 1.0), State(x1=[0.1], x2=[0.1]), 1, 0.1)
 
 
+# (batch, substeps, one parameter set per row)
+ROLLOUT_CASES = [(b, s, p) for p in (False, True) for b in (1, 2, 7, 50) for s in (1, 3)]
+
+
 class TestRollout:
-    @pytest.mark.parametrize("substeps", [1, 3])
-    @pytest.mark.parametrize("batch", [1, 2, 7, 50])
-    def test_each_row_equals_a_lone_simulate(self, rng, batch, substeps):
+    @pytest.mark.parametrize("batch, substeps, per_row", ROLLOUT_CASES,
+                             ids=[f"{b}-{s}" + "-per_row" * p for b, s, p in ROLLOUT_CASES])
+    def test_each_row_equals_a_lone_simulate(self, rng, batch, substeps, per_row):
         params = random_params(rng, 3)
         x1 = rng.normal(0, 0.5, (batch, 3))
         x2 = rng.normal(0, 0.5, (batch, 3))
-        out1, out2, diverged = rollout(params, x1, x2, 60, 0.1, substeps)
+        rows = [params] * batch
+        if per_row:
+            rows = [random_params(rng, 3) for _ in range(batch)]
+            if batch > 1:  # a row that leaves the guard box beside rows that do not
+                rows[1] = VdpParams(alpha=np.tile([40.0, 0.0], (3, 1)),
+                                    coupling=np.zeros((3, 3)))
+                x1[1] = 3.0
+        out1, out2, diverged = rollout(rows if per_row else params, x1, x2, 60, 0.1,
+                                       substeps)
         assert out1.shape == out2.shape == (60, batch, 3)
-        npt.assert_array_equal(diverged, np.zeros(batch))
+        npt.assert_array_equal(diverged > 0, [per_row and k == 1 for k in range(batch)])
         for k in range(batch):
-            want = simulate(params, State(x1=x1[k], x2=x2[k]), 60, 0.1, substeps)
-            npt.assert_array_equal(out1[:, k], want.x1)
-            npt.assert_array_equal(out2[:, k], want.x2)
+            lone1, lone2, lone_diverged = rollout(rows[k], x1[k], x2[k], 60, 0.1, substeps)
+            npt.assert_array_equal(out1[:, k], lone1)
+            npt.assert_array_equal(out2[:, k], lone2)
+            assert diverged[k] == lone_diverged
+            if not lone_diverged:
+                want = simulate(rows[k], State(x1=x1[k], x2=x2[k]), 60, 0.1, substeps)
+                npt.assert_array_equal(out1[:, k], want.x1)
+                npt.assert_array_equal(out2[:, k], want.x2)
 
     def test_rows_of_strided_starts_equal_lone_rollouts(self, rng):
         params = random_params(rng, 5)
@@ -187,6 +204,13 @@ class TestRollout:
             rollout(params, np.zeros(3), np.zeros(3), 5, 0.1)
         with pytest.raises(DimensionError):
             rollout(params, np.zeros((4, 2)), np.zeros((3, 2)), 5, 0.1)
+        with pytest.raises(DimensionError):  # one parameter set per row
+            rollout([params] * 3, np.zeros((4, 2)), np.zeros((4, 2)), 5, 0.1)
+        with pytest.raises(DimensionError):
+            rollout([params], np.zeros(2), np.zeros(2), 5, 0.1)
+        with pytest.raises(DimensionError):
+            rollout([params, random_params(rng, 3)], np.zeros((2, 2)), np.zeros((2, 2)),
+                    5, 0.1)
         with pytest.raises(ValueError):
             rollout(params, np.zeros(2), np.zeros(2), 0, 0.1)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -273,19 +274,106 @@ class TestSearchAndRefine:
     def test_proposals_stay_in_the_penalty_bounds(self, monkeypatch):
         _, _, z = coupled_pair()
         bounds = ParamBounds(alpha1=(0.5, 1.5), alpha2=(0.0, 1.5), coupling=(-0.1, 0.1))
-        proposals = []
+        built = []
+        # the round builds every candidate it scores through the one perturbation helper
+        perturb = search._perturb
 
-        def recording_propose(*args, **kwargs):
-            cand = propose(*args, **kwargs)
-            proposals.append(cand)
-            return cand
+        def recording_perturb(*args, **kwargs):
+            params, x2_init = perturb(*args, **kwargs)
+            built.append(params)
+            return params, x2_init
 
-        monkeypatch.setattr(search, "propose", recording_propose)
+        monkeypatch.setattr(search, "_perturb", recording_perturb)
         cfg = SearchConfig(max_rounds=1, proposals_per_round=20, seed=1,
                            step_scales=StepScales(5.0, 5.0, 5.0))
         vp_cfg = PenaltyConfig(bounds=bounds, lam_schedule=(10.0,), outer_max_iter=3,
                                inner_max_iter=20)
-        search_and_refine(z, cfg, vp_cfg, dt=0.1)
-        assert len(proposals) == 20
-        for cand in proposals:
-            assert bounds.contains(cand.params)
+        buf = io.StringIO()
+        search_and_refine(z, cfg, vp_cfg, dt=0.1, trace=buf)
+        rows = [json.loads(l) for l in buf.getvalue().splitlines()]
+        assert sum(r["proposal"] >= 0 for r in rows) == 20
+        assert len(built) >= 20
+        for params in built:
+            assert bounds.contains(params)
+
+
+def three_components(n=80, seed=3):
+    truth = VdpParams(
+        alpha=np.array([[1.5, 1.0], [1.2, 0.8], [1.8, 1.1]]),
+        coupling=np.array([[0.0, 0.2, -0.1], [-0.2, 0.0, 0.1], [0.1, -0.1, 0.0]]),
+    )
+    traj = simulate(truth, State(x1=[1.0, -0.8, 0.4], x2=[0.0, 0.2, -0.3]), n, 0.1)
+    rng = np.random.default_rng(seed)
+    return ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
+
+
+def one_component(n=80, seed=4):
+    truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.zeros((1, 1)))
+    traj = simulate(truth, State(x1=[1.0], x2=[0.0]), n, 0.1)
+    rng = np.random.default_rng(seed)
+    return ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
+
+
+def one_at_a_time_round(z, best, cfg, rng, scales, bounds, dt, substeps, round_idx, trace):
+    """Reference round: one `propose`, so one lone simulate, per proposal."""
+    invalid = 0
+    for j in range(cfg.proposals_per_round):
+        cand = propose(best, z, cfg, rng, dt=dt, substeps=substeps, scales=scales,
+                       bounds=bounds)
+        invalid += not cand.valid
+        accepted = cand.fitness > best.fitness
+        search._trace_row(trace, round_idx, j, cand.fitness, accepted)
+        if accepted:
+            best = dataclasses.replace(cand, provenance=(round_idx, j, "proposal"))
+    return best, invalid
+
+
+DIVERGING = dict(max_rounds=2, proposals_per_round=12, vp_every=5, seed=0,
+                 x2_bounds=(-1e6, 1e6), step_scales=StepScales(1e4, 1e4, 1e6))
+WIDE_BOUNDS = ParamBounds(alpha1=(0.0, 50.0), alpha2=(-50.0, 50.0), coupling=(-50.0, 50.0))
+
+# (observations, search config, penalty config, substeps); a refinement wins
+# "m1" and a proposal wins "m3", so both ways of building the result are compared
+ORACLE_CASES = {
+    "m1": (one_component, dict(max_rounds=3, proposals_per_round=15, vp_every=2, seed=9),
+           PenaltyConfig(outer_max_iter=4), 1),
+    "m3": (three_components, dict(max_rounds=2, proposals_per_round=25, vp_every=2, seed=1),
+           PenaltyConfig(outer_max_iter=2, lam_schedule=(10.0,)), 1),
+    "one_per_round": (lambda: coupled_pair()[2],
+                      dict(max_rounds=8, proposals_per_round=1, vp_every=8, seed=0),
+                      PenaltyConfig(outer_max_iter=4), 1),
+    "substeps3": (lambda: coupled_pair()[2],
+                  dict(max_rounds=2, proposals_per_round=20, vp_every=2, seed=7),
+                  PenaltyConfig(outer_max_iter=4), 3),
+    "diverging": (lambda: coupled_pair()[2], DIVERGING,
+                  PenaltyConfig(bounds=WIDE_BOUNDS, outer_max_iter=5), 1),
+}
+
+
+class TestBatchedRound:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_equals_a_one_at_a_time_loop_over_propose(self, monkeypatch, case):
+        make_z, search_kw, vp_cfg, substeps = ORACLE_CASES[case]
+        z = make_z()
+        cfg = SearchConfig(**search_kw)
+
+        def run():
+            buf = io.StringIO()
+            res = search_and_refine(z, cfg, vp_cfg, dt=0.1, substeps=substeps, trace=buf)
+            return res, buf.getvalue()
+
+        batched, batched_trace = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_run_round", one_at_a_time_round)
+            reference, reference_trace = run()
+        # json writes each fitness as its shortest round-trip repr: equal text, equal bits
+        assert batched_trace == reference_trace
+        assert (json.dumps(batched.to_json_dict(), sort_keys=True)
+                == json.dumps(reference.to_json_dict(), sort_keys=True))
+        rows = [json.loads(l) for l in batched_trace.splitlines()]
+        diag = batched.config_echo["search"]
+        if case == "diverging":
+            assert diag["invalid_candidates"] > 0 and diag["scales_halved"] is True
+            assert any(r["fitness"] is None for r in rows)
+        else:  # accepted proposals, so the round rebuilt and rescored its rest
+            assert any(r["accepted"] and r["proposal"] >= 0 for r in rows)
