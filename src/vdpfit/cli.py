@@ -5,7 +5,8 @@ oscillator parameters for one series), forecast (sliding-window benchmark),
 connectivity (project coupling matrices to pixel edges), export-sim
 (simulation corpus generation).
 
-Exit codes: 0 success, 1 data or runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 data or runtime failure, 2 usage or config error
+(a flag value outside its range included).
 A fit config's "penalty" and "search" objects take the fields of PenaltyConfig
 and SearchConfig, typed as there (search.seed comes from --seed); a malformed
 key or value exits 2 and names its dotted key, as does a malformed fit.json.
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -103,7 +105,10 @@ def _build(cls, doc, where: str, **fixed):
 _FIT_KEYS = {"dt", "substeps", "init_alpha", "init_coupling", "init_x2", "penalty", "search"}
 
 
-def _fit_configs(args) -> tuple[float, int, PenaltyConfig, SearchConfig, dict]:
+def _fitter(args):
+    """Read the fit config of --config (and --vp-only) once; return
+    fit(z, seed, trace=None), the one way `fit` and `forecast` fit a series.
+    A `trace` path receives the search trace once the init_* shapes check."""
     doc = _load_json(args.config)
     if "dt" not in doc:
         raise ConfigError("missing required config key 'dt'")
@@ -117,33 +122,47 @@ def _fit_configs(args) -> tuple[float, int, PenaltyConfig, SearchConfig, dict]:
     if substeps < 1:
         raise ConfigError("substeps must be an integer >= 1")
     p_cfg = _build(PenaltyConfig, doc.get("penalty", {}), "penalty.")
-    s_cfg = _build(SearchConfig, doc.get("search", {}), "search.", seed=args.seed)
+    s_cfg = _build(SearchConfig, doc.get("search", {}), "search.", seed=0)
     if args.vp_only:
         s_cfg = replace(s_cfg, max_rounds=0)
-    return dt, substeps, p_cfg, s_cfg, doc
+    init = {key: _array(v, key) for key, v in doc.items() if key.startswith("init_")}
+
+    def fit(z: ObservationSet, seed: int, trace: Optional[Path] = None) -> FitResult:
+        params, x2_init = _init_values(init, z.m)
+        with trace.open("w") if trace else nullcontext() as sink:
+            return search_and_refine(z, replace(s_cfg, seed=seed), p_cfg, dt=dt,
+                                     substeps=substeps, init=params, x2_init=x2_init,
+                                     trace=sink)
+
+    return fit
 
 
-def _array(doc: dict, key: str, default) -> np.ndarray:
+def _array(value, key: str) -> np.ndarray:
     """A top-level init_* value: a number or nested lists of numbers."""
-    leaves = np.array(doc.get(key, default), dtype=object)
+    leaves = np.array(value, dtype=object)
     for v in leaves.flat:
         _value(v, float, key)
     return leaves.astype(float)
 
 
-def _init_params(doc: dict, m: int) -> Optional[VdpParams]:
-    if "init_alpha" not in doc and "init_coupling" not in doc:
-        return None
-    alpha = _array(doc, "init_alpha", [1.0, 1.0])
+def _init_values(init: dict, m: int) -> tuple[Optional[VdpParams], Optional[np.ndarray]]:
+    """The initial (params, x2_init) for m components from the init_* arrays;
+    init_alpha may be one [a1, a2] row and init_coupling one number."""
+    alpha = init.get("init_alpha", np.ones(2))
     if alpha.shape == (2,):
         alpha = np.tile(alpha, (m, 1))
-    coupling = _array(doc, "init_coupling", 0.0)
+    coupling = init.get("init_coupling", np.zeros(()))
     if coupling.ndim == 0:
-        coupling = np.full((m, m), float(coupling))
-    try:
-        return VdpParams(alpha=alpha, coupling=coupling)
-    except (ValueError, DimensionError) as exc:
-        raise ConfigError(f"bad initial parameters: {exc}")
+        coupling = np.full((m, m), coupling)
+    x2_init = init.get("init_x2")
+    for key, value, shape in (("init_alpha", alpha, (m, 2)), ("init_coupling", coupling, (m, m)),
+                              ("init_x2", x2_init, (m,))):
+        if value is not None and value.shape != shape:
+            raise ConfigError(f"{key} must have shape {shape} for the data's {m} components, "
+                              f"got {value.shape}")
+    if "init_alpha" not in init and "init_coupling" not in init:
+        return None, x2_init
+    return VdpParams(alpha=alpha, coupling=coupling), x2_init
 
 
 def _load_series(path: str, layout: str) -> np.ndarray:
@@ -173,21 +192,10 @@ def cmd_svd(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dt, substeps, p_cfg, s_cfg, doc = _fit_configs(args)
-    z_values = _load_series(args.input, args.layout)
-    z = ObservationSet(z_values)
-    init = _init_params(doc, z.m)
-    x2_init = None
-    if "init_x2" in doc:
-        x2_init = _array(doc, "init_x2", None)
-        if x2_init.shape != (z.m,):
-            raise ConfigError(f"init_x2 must have length {z.m}")
+    fit = _fitter(args)
+    z = ObservationSet(_load_series(args.input, args.layout))
     out = _resolve_out(args)
-    with (out / "trace.ndjson").open("w") as trace:
-        result = search_and_refine(
-            z, s_cfg, p_cfg, dt=dt, substeps=substeps, init=init, x2_init=x2_init,
-            trace=trace,
-        )
+    result = fit(z, args.seed, out / "trace.ndjson")
     result.config_echo["seed"] = args.seed
     (out / "fit.json").write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
     print(f"fit: converged={result.converged} ({result.reason}); wrote {out / 'fit.json'}")
@@ -213,21 +221,11 @@ def cmd_forecast(args) -> int:
         else:
             if not args.config or args.seed is None:
                 raise ConfigError("the vdp method needs --config and --seed")
-            dt, substeps, p_cfg, s_cfg, doc = _fit_configs(args)
-            fits = []
-            for s_idx, seg in enumerate(split.segments):
-                z = ObservationSet(data[:, seg.train[0] : seg.train[1]].T)
-                fits.append(
-                    search_and_refine(
-                        z,
-                        replace(s_cfg, seed=args.seed + s_idx),
-                        p_cfg,
-                        dt=dt,
-                        substeps=substeps,
-                        init=_init_params(doc, z.m),
-                    )
-                )
-            methods.append(VdpMethod(fits))
+            fit = _fitter(args)
+            methods.append(VdpMethod([
+                fit(ObservationSet(data[:, seg.train[0] : seg.train[1]].T), args.seed + s_idx)
+                for s_idx, seg in enumerate(split.segments)
+            ]))
     report = evaluate(methods, split, data, horizon=args.horizon, protocol=args.protocol)
     report.metadata["cli"] = {
         "methods": names,
@@ -298,6 +296,21 @@ def cmd_export_sim(args) -> int:
     return 0
 
 
+def _at_least(lo, kind=int):
+    """argparse type: a finite `kind` value >= lo; anything else exits 2."""
+    def parse(text: str):
+        try:
+            v = kind(text)
+            if lo <= v <= sys.float_info.max:  # NaN and inf fail
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected {'an integer' if kind is int else 'a finite number'} >= {lo}, "
+            f"got {text!r}")
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vdpfit",
@@ -317,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svd", help="decompose a recording into temporal components")
     p.add_argument("input")
-    p.add_argument("-m", "--components", type=int, required=True)
+    p.add_argument("-m", "--components", type=_at_least(1), required=True)
     p.add_argument("--raw", action="store_true", help="skip variance normalization")
     add_common(p)
     p.set_defaults(func=cmd_svd)
@@ -333,12 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="sliding-window forecast benchmark")
     p.add_argument("input", help="series CSV or a components directory")
     p.add_argument("--methods", default="var,vdp")
-    p.add_argument("--train-len", type=int, required=True)
-    p.add_argument("--test-len", type=int, required=True)
-    p.add_argument("--segments", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=9)
+    p.add_argument("--train-len", type=_at_least(1), required=True)
+    p.add_argument("--test-len", type=_at_least(1), required=True)
+    p.add_argument("--segments", type=_at_least(1), required=True)
+    p.add_argument("--horizon", type=_at_least(1), default=9)
     p.add_argument("--protocol", choices=["short", "long"], default="short")
-    p.add_argument("--var-order", type=int, default=6)
+    p.add_argument("--var-order", type=_at_least(1), default=6)
     p.add_argument("--var-refit", action="store_true")
     p.add_argument("--config", help="fit config for the vdp method")
     p.add_argument("--seed", type=int)
@@ -349,15 +362,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connectivity", help="project coupling matrices to pixel edges")
     p.add_argument("components", help="components directory from `vdpfit svd`")
     p.add_argument("fits", nargs="+", help="fit.json files to sum")
-    p.add_argument("--top-k", type=int, default=200)
+    p.add_argument("--top-k", type=_at_least(1), default=200)
     add_common(p)
     p.set_defaults(func=cmd_connectivity)
 
     p = sub.add_parser("export-sim", help="generate a simulation corpus")
     p.add_argument("fits", nargs="+", help="fit.json files to draw from")
-    p.add_argument("--n-series", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--n-series", type=_at_least(0), required=True)
+    p.add_argument("--length", type=_at_least(2), required=True)
+    p.add_argument("--noise-sigma", type=_at_least(0, float), default=0.1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--real", help="optional real series (CSV or components dir)")
     add_common(p)

@@ -494,6 +494,8 @@ def export_simulations(
         raise ValueError("need at least one fit")
     if n_series < 0 or length < 2:
         raise ValueError("n_series must be >= 0 and length >= 2")
+    if not 0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     sds = [(f.states.x1.std(axis=0), f.states.x2.std(axis=0)) for f in fits]
     made: dict[int, tuple[np.ndarray, int]] = {}  # index -> (x1 series, round)

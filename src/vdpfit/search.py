@@ -13,6 +13,11 @@ entry); only strictly better fitness replaces the incumbent. Every `vp_every`
 rounds the incumbent seeds a variable-projection fit and the better of the two
 survives.
 
+One scorer, `_scored`, scores every candidate (the start, the proposals, each
+refinement) in one batched rollout, and a `Candidate` keeps the track it was
+scored on: refinements start from it and results report it, so no candidate
+is simulated twice.
+
 The draws never depend on the incumbent, so a round draws all its proposals
 up front and scores them in speculative batches: the rest of the round is
 built from the incumbent and integrated in one batched rollout, and its rows
@@ -24,8 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import IO, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -44,12 +49,9 @@ from .estimator import (
 from .model import (
     DimensionError,
     ObservationSet,
-    SimulationDiverged,
-    State,
     Trajectory,
     VdpParams,
     rollout,
-    simulate,
 )
 
 
@@ -100,12 +102,16 @@ class Candidate:
 
     `provenance` is (round, proposal index, accepted-from tag); fitness is
     -inf for invalid candidates (diverged simulation or degenerate tracks).
+    `track` is the simulation it was scored on (None if it diverged) and
+    `result` the refinement it came from, if any.
     """
 
     params: VdpParams
     x2_init: np.ndarray
     fitness: float
     provenance: tuple[int, int, str] = (0, 0, "init")
+    track: Optional[Trajectory] = None
+    result: Optional[FitResult] = None
 
     @property
     def valid(self) -> bool:
@@ -131,28 +137,25 @@ def fitness(z: ObservationSet, sim: Trajectory, gamma: float) -> float:
     return combine_scores(c, r2, gamma)
 
 
-def _simulate_candidate(
-    z: ObservationSet, params: VdpParams, x2_init: np.ndarray, dt: float, substeps: int
-) -> Optional[Trajectory]:
-    s0 = State(x1=z.values[0].copy(), x2=np.asarray(x2_init, dtype=float))
-    try:
-        return simulate(params, s0, z.n_steps, dt, substeps)
-    except SimulationDiverged:
-        return None
+def _scored(z: ObservationSet, pairs: list[tuple[VdpParams, np.ndarray]], gamma: float,
+            dt: float, substeps: int) -> Iterator[Candidate]:
+    """The one scorer: integrate the (params, x2_init) pairs from the first
+    observation in one rollout and yield their Candidates in order. Scoring is
+    lazy, so a caller that stops early scores no further rows."""
+    x2 = np.stack([x2_init for _, x2_init in pairs])
+    x1 = np.broadcast_to(z.values[0], x2.shape)
+    out1, out2, diverged = rollout([p for p, _ in pairs], x1, x2, z.n_steps, dt, substeps)
+    for k, (params, x2_init) in enumerate(pairs):
+        if diverged[k]:
+            yield Candidate(params, x2_init, -math.inf)
+        else:  # contiguous copies of the row equal a lone simulate's track bit for bit
+            track = Trajectory(x1=out1[:, k].copy(), x2=out2[:, k].copy(), dt=dt)
+            yield Candidate(params, x2_init, fitness(z, track, gamma), track=track)
 
 
-def score_candidate(
-    z: ObservationSet,
-    params: VdpParams,
-    x2_init: np.ndarray,
-    gamma: float,
-    dt: float,
-    substeps: int = 1,
-) -> float:
-    sim = _simulate_candidate(z, params, x2_init, dt, substeps)
-    if sim is None:
-        return -math.inf
-    return fitness(z, sim, gamma)
+def score_candidate(z: ObservationSet, params: VdpParams, x2_init: np.ndarray, gamma: float,
+                    dt: float, substeps: int = 1) -> float:
+    return next(_scored(z, [(params, x2_init)], gamma, dt, substeps)).fitness
 
 
 def _draw(m: int, sc: StepScales, rng: np.random.Generator) -> tuple[int, np.ndarray]:
@@ -210,9 +213,8 @@ def propose(
     round draws and perturbs through the same helpers, so a one-at-a-time
     loop over `propose` is its reference."""
     draw = _draw(current.params.m, scales or cfg.step_scales, rng)
-    params, x2_init = _perturb(current, draw, bounds, cfg.x2_bounds)
-    f = score_candidate(z, params, x2_init, cfg.gamma, dt, substeps)
-    return Candidate(params=params, x2_init=x2_init, fitness=f)
+    return next(_scored(z, [_perturb(current, draw, bounds, cfg.x2_bounds)],
+                        cfg.gamma, dt, substeps))
 
 
 def _run_round(
@@ -235,18 +237,12 @@ def _run_round(
     start = 0
     while start < len(draws):
         built = [_perturb(best, d, bounds, cfg.x2_bounds) for d in draws[start:]]
-        x2 = np.stack([x2_init for _, x2_init in built])
-        x1 = np.broadcast_to(z.values[0], x2.shape)
-        out1, out2, diverged = rollout([p for p, _ in built], x1, x2, z.n_steps, dt, substeps)
-        for k, (params, x2_init) in enumerate(built):
-            # a contiguous copy of the row scores exactly as a lone simulate's track
-            f = -math.inf if diverged[k] else fitness(
-                z, Trajectory(x1=out1[:, k].copy(), x2=out2[:, k], dt=dt), cfg.gamma)
-            invalid += not math.isfinite(f)
-            accepted = f > best.fitness
-            _trace_row(trace, round_idx, start + k, f, accepted)
+        for k, cand in enumerate(_scored(z, built, cfg.gamma, dt, substeps)):
+            invalid += not cand.valid
+            accepted = cand.fitness > best.fitness
+            _trace_row(trace, round_idx, start + k, cand.fitness, accepted)
             if accepted:
-                best = Candidate(params, x2_init, f, (round_idx, start + k, "proposal"))
+                best = replace(cand, provenance=(round_idx, start + k, "proposal"))
                 break
         start += k + 1
     return best, invalid
@@ -295,13 +291,7 @@ def search_and_refine(
         return fit(z, vp_cfg, init_params, dt=dt, substeps=substeps)
 
     init_x2 = np.clip(x2_init, *search_cfg.x2_bounds)
-    best = Candidate(
-        params=init_params,
-        x2_init=init_x2,
-        fitness=score_candidate(z, init_params, init_x2, gamma, dt, substeps),
-        provenance=(0, 0, "init"),
-    )
-    best_fit_result: Optional[FitResult] = None
+    best = next(_scored(z, [(init_params, init_x2)], gamma, dt, substeps))
     scales = search_cfg.step_scales
     halved_once = False
     all_invalid_rounds = 0
@@ -316,21 +306,18 @@ def search_and_refine(
         best, invalid = _run_round(z, best, search_cfg, rng, scales, vp_cfg.bounds,
                                    dt, substeps, round_idx, trace)
         invalid_candidates += invalid
-        if best is not round_start:
-            best_fit_result = None
         if invalid == search_cfg.proposals_per_round:
             all_invalid_rounds += 1
             if not halved_once:
                 scales = scales.halved()
                 halved_once = True
         if round_idx % search_cfg.vp_every == 0 or round_idx == search_cfg.max_rounds:
-            vp_candidate, vp_result = _run_vp(z, best, vp_cfg, gamma, dt, substeps, round_idx)
+            vp_candidate = _run_vp(z, best, vp_cfg, gamma, dt, substeps, round_idx)
             accepted = vp_candidate is not None and vp_candidate.fitness > best.fitness
             if vp_candidate is not None:
                 _trace_row(trace, round_idx, -1, vp_candidate.fitness, accepted)
             if accepted:
                 best = vp_candidate
-                best_fit_result = vp_result
         # -inf - -inf is nan (no improvement); finite - -inf is +inf (improvement)
         if best.fitness - round_start.fitness > search_cfg.plateau_tol:
             no_improve = 0
@@ -351,41 +338,32 @@ def search_and_refine(
         "scales_halved": halved_once,
     }
     echo = {**fit_echo(vp_cfg, dt, substeps), "search": search_echo}
-    if best_fit_result is not None:
-        best_fit_result.config_echo = echo
-        return best_fit_result
-    sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
-    if sim is None:
+    if best.result is not None:
+        best.result.config_echo = echo
+        return best.result
+    if best.track is None:
         raise FitError(
             "search found no candidate that simulates without divergence; "
             f"stop_reason={stop_reason}"
         )
     return FitResult(
         params=best.params,
-        states=sim,
+        states=best.track,
         objective_history=[],
-        per_component_stats=_component_stats(z.values, sim.x1),
+        per_component_stats=_component_stats(z.values, best.track.x1),
         converged=stop_reason == "fitness plateau",
         reason=f"search stopped: {stop_reason}",
         config_echo=echo,
     )
 
 
-def _run_vp(
-    z: ObservationSet,
-    best: Candidate,
-    vp_cfg: PenaltyConfig,
-    gamma: float,
-    dt: float,
-    substeps: int,
-    round_idx: int,
-) -> tuple[Optional[Candidate], Optional[FitResult]]:
+def _run_vp(z: ObservationSet, best: Candidate, vp_cfg: PenaltyConfig, gamma: float,
+            dt: float, substeps: int, round_idx: int) -> Optional[Candidate]:
+    """Refine `best` with a VP fit seeded from its track; None if the fit fails."""
     try:
-        sim = _simulate_candidate(z, best.params, best.x2_init, dt, substeps)
-        x_init = StackedState.from_trajectory(sim) if sim is not None else None
+        x_init = StackedState.from_trajectory(best.track) if best.track is not None else None
         result = fit(z, vp_cfg, best.params, x_init, dt=dt, substeps=substeps)
-    except (FitError, SimulationDiverged, ValueError, np.linalg.LinAlgError):
-        return None, None
-    x2_hat = result.states.x2[0]
-    f_vp = score_candidate(z, result.params, x2_hat, gamma, dt, substeps)
-    return Candidate(result.params, x2_hat, f_vp, provenance=(round_idx, -1, "vp")), result
+    except (FitError, ValueError, np.linalg.LinAlgError):
+        return None
+    cand = next(_scored(z, [(result.params, result.states.x2[0])], gamma, dt, substeps))
+    return replace(cand, provenance=(round_idx, -1, "vp"), result=result)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params
+from vdpfit import cli
 from vdpfit.cli import main
 from vdpfit.data import save_csv
 from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig
@@ -144,6 +145,15 @@ MALFORMED_CONFIGS = [
     ("search.x2_bounds", {"search": {"x2_bounds": [5, -5]}}),
     ("search.x2_bounds", {"search": {"x2_bounds": [1]}}),
     ("search.x2_bounds", {"search": {"x2_bounds": [1, 2, 3]}}),
+]
+
+
+# init_* values sized for 2 components; series_csv has 1
+WRONG_COMPONENT_COUNT = [
+    ("init_alpha", [[1.0, 1.0], [1.0, 1.0]]),
+    ("init_coupling", [[0.0, 0.1], [0.1, 0.0]]),
+    ("init_x2", [0.0, 0.0]),
+    ("init_x2", 0.0),
 ]
 
 
@@ -324,6 +334,18 @@ class TestFit:
             main(["fit", str(series_csv)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key, value", WRONG_COMPONENT_COUNT)
+    def test_init_for_another_component_count_names_the_key(self, workdir, series_csv,
+                                                             capsys, key, value):
+        cfg = workdir / "init.json"
+        cfg.write_text(json.dumps({"dt": 0.1, key: value}))
+        out = workdir / "x"
+        code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
+                     "-o", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "trace.ndjson").exists()
+
 
 class TestForecast:
     @pytest.fixture
@@ -361,6 +383,43 @@ class TestForecast:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["methods"]["vdp"]["n_windows"] == 1
+
+    def test_every_segment_fit_reads_the_init_keys(self, workdir, series_csv, fit_config,
+                                                   monkeypatch):
+        calls = []
+        real = cli.search_and_refine
+
+        def recording(z, s_cfg, p_cfg, **kwargs):
+            calls.append((s_cfg.seed, kwargs["x2_init"], kwargs["init"]))
+            return real(z, s_cfg, p_cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "search_and_refine", recording)
+        cfg = workdir / "init.json"
+        cfg.write_text(json.dumps({**json.loads(fit_config.read_text()),
+                                   "init_x2": [0.3], "init_alpha": [1.4, 0.9]}))
+        code = main(
+            ["forecast", str(series_csv), "--methods", "vdp", "--train-len", "20",
+             "--test-len", "10", "--segments", "2", "--horizon", "5",
+             "--config", str(cfg), "--seed", "7", "-o", str(workdir / "rep")]
+        )
+        assert code == 0
+        assert [seed for seed, _, _ in calls] == [7, 8]
+        for _, x2_init, init in calls:
+            assert x2_init.tolist() == [0.3]
+            assert init.alpha.tolist() == [[1.4, 0.9]]
+
+    @pytest.mark.parametrize("key, value", WRONG_COMPONENT_COUNT)
+    def test_init_for_another_component_count_names_the_key(self, workdir, series_csv,
+                                                             fit_config, capsys, key, value):
+        cfg = workdir / "init.json"
+        cfg.write_text(json.dumps({**json.loads(fit_config.read_text()), key: value}))
+        code = main(
+            ["forecast", str(series_csv), "--methods", "vdp", "--train-len", "40",
+             "--test-len", "10", "--segments", "1", "--horizon", "5",
+             "--config", str(cfg), "--seed", "2", "-o", str(workdir / "rep")]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_method_lists_valid_ones(self, workdir, wave_csv, capsys):
         code = main(
@@ -504,6 +563,50 @@ class TestExportSim:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["source_series"] for s in manifest["noisy_real"]["series"]] == [0, 0]
+
+
+# (argv with every required flag in range, flag, out-of-range value)
+BASE_ARGV = {
+    "svd": ["svd", "in.csv", "-m", "1"],
+    "forecast": ["forecast", "in.csv", "--train-len", "50", "--test-len", "15",
+                 "--segments", "2"],
+    "connectivity": ["connectivity", "comps", "fit.json"],
+    "export-sim": ["export-sim", "fit.json", "--n-series", "1", "--length", "10",
+                   "--seed", "1"],
+}
+OUT_OF_RANGE = [
+    ("svd", "-m", "0"),
+    ("forecast", "--horizon", "0"),
+    ("forecast", "--var-order", "0"),
+    ("forecast", "--train-len", "0"),
+    ("forecast", "--test-len", "0"),
+    ("forecast", "--segments", "0"),
+    ("forecast", "--segments", "two"),
+    ("connectivity", "--top-k", "0"),
+    ("export-sim", "--n-series", "-1"),
+    ("export-sim", "--length", "1"),
+    ("export-sim", "--noise-sigma", "nan"),
+    ("export-sim", "--noise-sigma", "inf"),
+    ("export-sim", "--noise-sigma", "-0.5"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE,
+                         ids=[" ".join(c) for c in OUT_OF_RANGE])
+def test_out_of_range_flag_is_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(BASE_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_flags_at_their_lower_bound_are_accepted(workdir):
+    fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
+    out = workdir / "c"
+    code = main(["export-sim", str(fit), "--n-series", "0", "--length", "2",
+                 "--noise-sigma", "0", "--seed", "1", "-o", str(out)])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["noise_sigma"] == 0.0
 
 
 def test_version_flag():

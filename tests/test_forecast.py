@@ -538,6 +538,11 @@ class TestExport:
         with pytest.raises(ValueError):
             export_simulations([fit], 1, 1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, rng, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            export_simulations([self._fit(rng)], 1, 10, noise_sigma=sigma)
+
     def test_write_corpus_layout(self, tmp_path, rng):
         fits = [self._fit(rng)]
         res = export_simulations(fits, 3, 20, noise_sigma=0.05, seed=11)

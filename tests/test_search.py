@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdpfit import search
+from vdpfit.constraints import StackedState
 from vdpfit.estimator import ParamBounds, PenaltyConfig, fit
 from vdpfit.metrics import pearson
 from vdpfit.model import (
@@ -377,3 +378,49 @@ class TestBatchedRound:
             assert any(r["fitness"] is None for r in rows)
         else:  # accepted proposals, so the round rebuilt and rescored its rest
             assert any(r["accepted"] and r["proposal"] >= 0 for r in rows)
+
+
+class TestCandidateTracks:
+    """A candidate keeps the track it was scored on; refinements and results use it."""
+
+    @pytest.mark.parametrize("case", ["proposal", "init"])
+    def test_result_states_equal_a_lone_simulate(self, case):
+        if case == "proposal":
+            z, cfg = three_components(), SearchConfig(max_rounds=2, proposals_per_round=25,
+                                                      vp_every=2, seed=1)
+            vp_cfg, init = PenaltyConfig(outer_max_iter=2, lam_schedule=(10.0,)), None
+        else:  # noise-free data from the start: nothing beats it, nothing is accepted
+            truth, traj, z = coupled_pair(noise=0.0)
+            cfg = SearchConfig(max_rounds=2, proposals_per_round=10, vp_every=2, seed=3)
+            vp_cfg, init = PenaltyConfig(outer_max_iter=2, lam_schedule=(10.0,)), truth
+        buf = io.StringIO()
+        res = search_and_refine(z, cfg, vp_cfg, dt=0.1, init=init,
+                                x2_init=None if init is None else traj.x2[0], trace=buf)
+        assert res.config_echo["search"]["best_provenance"][2] == case
+        if case == "init":
+            assert not any(json.loads(l)["accepted"] for l in buf.getvalue().splitlines())
+        lone = simulate(res.params, State(x1=z.values[0], x2=res.states.x2[0]),
+                        z.n_steps, 0.1)
+        assert np.array_equal(res.states.x1, lone.x1)
+        assert np.array_equal(res.states.x2, lone.x2)
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_refinement_starts_from_the_stored_track(self, monkeypatch, substeps):
+        z = three_components()
+        seeds = []
+        real_fit = search.fit
+
+        def recording_fit(z, cfg, init, x_init=None, **kwargs):
+            seeds.append((init, x_init))
+            return real_fit(z, cfg, init, x_init, **kwargs)
+
+        monkeypatch.setattr(search, "fit", recording_fit)
+        cfg = SearchConfig(max_rounds=2, proposals_per_round=10, vp_every=1, seed=2)
+        search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=2, lam_schedule=(10.0,)),
+                          dt=0.1, substeps=substeps)
+        assert len(seeds) == 2
+        for params, x_init in seeds:
+            x2_init = x_init.x2()[0]
+            lone = simulate(params, State(x1=z.values[0], x2=x2_init), z.n_steps, 0.1,
+                            substeps)
+            assert np.array_equal(x_init.flat, StackedState.from_trajectory(lone).flat)
