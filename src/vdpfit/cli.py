@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    CsvFormatError,
     load_components,
     load_csv,
     normalize_components,
@@ -40,7 +39,7 @@ from .data import (
 )
 from .estimator import FitError, FitResult, PenaltyConfig
 from .forecast import VarMethod, VdpMethod, evaluate, export_simulations, write_corpus
-from .model import DimensionError, ObservationSet, SimulationDiverged, VdpParams
+from .model import ObservationSet, SimulationDiverged, VdpParams
 from .search import SearchConfig, search_and_refine
 
 OUT_ENV = "VDPFIT_OUT"
@@ -386,10 +385,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvFormatError, FitError, SimulationDiverged, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (FitError, SimulationDiverged, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

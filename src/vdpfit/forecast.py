@@ -8,19 +8,23 @@ Two protocols over contiguous (train, test) segments:
          (the fitted oscillator only supports the short protocol, since its
          state estimate ends at the last training point).
 
-Per-horizon-step aggregates pool (segments x components x windows): RMSE is
-the cumulative root-mean-square error through step h per window, medianed over
-the whole pool; the correlation at step h is computed per component across the
-pooled (segment, window) forecasts and medianed over components, with sigma/
-sqrt(n) standard errors. Per-window cumulative correlations (undefined at
-h=1) are also recorded for the tidy CSV export.
+A window is skipped, and counted, only when it runs past its segment's test
+range or the data, or when its forecast diverges (`SimulationDiverged`).
+
+Each method's kept windows form two (windows, m, H) arrays, `true` and `pred`,
+in segment-then-window order, and every metric comes from them. RMSE is the
+cumulative root-mean-square error through step h per window and component,
+medianed over the whole (windows x components) pool; the correlation at step
+h is computed per component across the pooled windows and medianed over
+components, with sigma/sqrt(n) standard errors. Per-window cumulative
+correlations (undefined at h=1) are also recorded for the tidy CSV export.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -209,7 +213,8 @@ class VdpMethod(ForecastMethod):
 
 @dataclass
 class WindowForecast:
-    """One (segment, component, window) forecast with cumulative metrics."""
+    """One (segment, component, window) forecast with cumulative metrics; the
+    arrays are row views of its method's (windows, m, H) arrays."""
 
     method: str
     segment: int
@@ -236,19 +241,12 @@ class HorizonStats:
     window_corr_undefined: int
 
     def to_dict(self) -> dict:
-        def clean(vals):
-            return [None if not math.isfinite(v) else v for v in vals]
+        """The fields, with non-finite floats as None (JSON null)."""
+        def clean(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
 
-        return {
-            "corr_median": clean(self.corr_median),
-            "corr_se": clean(self.corr_se),
-            "corr_components": self.corr_components,
-            "rmse_median": clean(self.rmse_median),
-            "rmse_se": clean(self.rmse_se),
-            "n_windows": self.n_windows,
-            "skipped_windows": self.skipped_windows,
-            "window_corr_undefined": self.window_corr_undefined,
-        }
+        return {k: [clean(x) for x in v] if isinstance(v, list) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -278,32 +276,12 @@ class ForecastReport:
             writer = csv.writer(fh)
             writer.writerow(["method", "segment", "component", "window", "h", "corr", "rmse"])
             for rec in self.records:
-                for h in range(self.horizon):
-                    corr = rec.corr[h]
-                    writer.writerow(
-                        [
-                            rec.method,
-                            rec.segment,
-                            rec.component,
-                            rec.window,
-                            h + 1,
-                            "" if not math.isfinite(corr) else format(corr, ".17g"),
-                            format(rec.rmse[h], ".17g"),
-                        ]
-                    )
-
-
-def _window_metrics(true: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h_max = true.size
-    corr = np.full(h_max, math.nan)
-    rmse = np.empty(h_max)
-    err2 = (true - pred) ** 2
-    cum = np.cumsum(err2)
-    for h in range(1, h_max + 1):
-        rmse[h - 1] = math.sqrt(cum[h - 1] / h)
-        if h >= 2:
-            corr[h - 1] = metrics.pearson(true[:h], pred[:h])
-    return corr, rmse
+                for h, (corr, rmse) in enumerate(zip(rec.corr, rec.rmse), 1):
+                    writer.writerow([
+                        rec.method, rec.segment, rec.component, rec.window, h,
+                        "" if not math.isfinite(corr) else format(corr, ".17g"),
+                        format(rmse, ".17g"),
+                    ])
 
 
 def evaluate(
@@ -315,8 +293,10 @@ def evaluate(
 ) -> ForecastReport:
     """Run every method over the protocol's windows and aggregate per step.
 
-    Windows that would run past the available data are skipped and counted;
-    methods that cannot serve the long protocol are recorded as omitted.
+    A window is skipped, and counted, when it runs past its segment's test
+    range or the data, or when its forecast diverges; any other error from a
+    method propagates. Methods that cannot serve the long protocol are
+    recorded as omitted.
     """
     if protocol not in ("short", "long"):
         raise ValueError(f"protocol must be 'short' or 'long', got {protocol!r}")
@@ -336,98 +316,66 @@ def evaluate(
             continue
         method.prepare(data, split)
         skipped = 0
-        method_records: list[WindowForecast] = []
+        kept: list[tuple[int, int, int]] = []  # (segment, window, start)
+        trues, preds = [], []
         for s_idx, seg in enumerate(split.segments):
             t0, t1 = seg.test
-            if protocol == "short":
-                starts = [t0]
-            else:
-                starts = list(range(t0, t1 - horizon + 1))
+            starts = [t0] if protocol == "short" else range(t0, t1 - horizon + 1)
             for w_idx, start in enumerate(starts):
-                if start + horizon > t1 or start + horizon > t:
+                if start + horizon > min(t1, t):
                     skipped += 1
                     continue
                 try:
-                    pred = method.forecast(s_idx, start, horizon)
-                except (SimulationDiverged, ValueError):
+                    pred = np.asarray(method.forecast(s_idx, start, horizon), dtype=float)
+                except SimulationDiverged:
                     skipped += 1
                     continue
-                pred = np.asarray(pred, dtype=float)
                 if pred.shape != (m, horizon):
                     raise DimensionError(
                         f"{method.name} returned {pred.shape}, expected {(m, horizon)}"
                     )
-                true = data[:, start : start + horizon]
-                for c in range(m):
-                    corr, rmse = _window_metrics(true[c], pred[c])
-                    method_records.append(
-                        WindowForecast(
-                            method=method.name,
-                            segment=s_idx,
-                            component=c,
-                            window=w_idx,
-                            start=start,
-                            true=true[c].copy(),
-                            pred=pred[c].copy(),
-                            corr=corr,
-                            rmse=rmse,
-                        )
-                    )
-        records.extend(method_records)
-        stats[method.name] = _aggregate(method_records, m, horizon, skipped)
+                kept.append((s_idx, w_idx, start))
+                trues.append(data[:, start : start + horizon])
+                preds.append(pred)
+        true = np.array(trues, dtype=float).reshape(-1, m, horizon)
+        pred = np.array(preds, dtype=float).reshape(-1, m, horizon)
+        rmse = np.sqrt(np.cumsum((true - pred) ** 2, axis=2) / np.arange(1, horizon + 1))
+        corr = np.full(true.shape, math.nan)
+        for w, c in np.ndindex(true.shape[:2]):
+            for h in range(2, horizon + 1):
+                corr[w, c, h - 1] = metrics.pearson(true[w, c, :h], pred[w, c, :h])
+        records.extend(
+            WindowForecast(method.name, s_idx, c, w_idx, start,
+                           true[i, c], pred[i, c], corr[i, c], rmse[i, c])
+            for i, (s_idx, w_idx, start) in enumerate(kept)
+            for c in range(m)
+        )
+        stats[method.name] = _horizon_stats(true, pred, corr, rmse, skipped)
 
-    return ForecastReport(
-        horizon=horizon,
-        protocol=protocol,
-        stride=1,
-        methods=stats,
-        records=records,
-        metadata={
-            "n_segments": split.n_segments,
-            "omitted_methods": omitted,
-            "provenance": dict(split.provenance),
-        },
-    )
+    metadata = {"n_segments": split.n_segments, "omitted_methods": omitted,
+                "provenance": dict(split.provenance)}
+    return ForecastReport(horizon=horizon, protocol=protocol, stride=1, methods=stats,
+                          records=records, metadata=metadata)
 
 
-def _aggregate(
-    records: list[WindowForecast], m: int, horizon: int, skipped: int
-) -> HorizonStats:
-    corr_median = []
-    corr_se = []
-    corr_components = []
-    rmse_median = []
-    rmse_se = []
+def _horizon_stats(true: np.ndarray, pred: np.ndarray, corr: np.ndarray, rmse: np.ndarray,
+                   skipped: int) -> HorizonStats:
+    """Pool one method's (windows, m, H) arrays per horizon step."""
+    n, m, horizon = true.shape
+    rmse_stats, corr_stats, corr_components = [], [], []
     for h in range(horizon):
-        pooled_rmse = np.array([rec.rmse[h] for rec in records])
-        med, se = metrics.median_and_se(pooled_rmse)
-        rmse_median.append(med)
-        rmse_se.append(se)
-        comp_corrs = []
-        for c in range(m):
-            true_h = np.array([rec.true[h] for rec in records if rec.component == c])
-            pred_h = np.array([rec.pred[h] for rec in records if rec.component == c])
-            if true_h.size >= 2:
-                comp_corrs.append(metrics.pearson(true_h, pred_h))
-            else:
-                comp_corrs.append(math.nan)
-        comp_corrs = np.array(comp_corrs)
-        med, se = metrics.median_and_se(comp_corrs)
-        corr_median.append(med)
-        corr_se.append(se)
+        rmse_stats.append(metrics.median_and_se(rmse[:, :, h]))
+        comp_corrs = np.array([
+            metrics.pearson(true[:, c, h], pred[:, c, h]) if n >= 2 else math.nan
+            for c in range(m)
+        ])
+        corr_stats.append(metrics.median_and_se(comp_corrs))
         corr_components.append(int(np.sum(np.isfinite(comp_corrs))))
-    n_windows = len({(rec.segment, rec.window) for rec in records})
-    undefined = int(sum(np.sum(~np.isfinite(rec.corr[1:])) for rec in records))
-    return HorizonStats(
-        corr_median=corr_median,
-        corr_se=corr_se,
-        corr_components=corr_components,
-        rmse_median=rmse_median,
-        rmse_se=rmse_se,
-        n_windows=n_windows,
-        skipped_windows=skipped,
-        window_corr_undefined=undefined,
-    )
+    corr_median, corr_se = map(list, zip(*corr_stats))
+    rmse_median, rmse_se = map(list, zip(*rmse_stats))
+    undefined = int(np.sum(~np.isfinite(corr[:, :, 1:])))
+    return HorizonStats(corr_median, corr_se, corr_components, rmse_median, rmse_se,
+                        n, skipped, undefined)
 
 
 @dataclass
@@ -448,20 +396,16 @@ class ExportResult:
     length: int
 
     def manifest(self) -> dict:
+        def entry(corpus: Corpus) -> dict:
+            return {"count": len(corpus.series), "skipped": corpus.skipped,
+                    "series": corpus.sources}
+
         return {
             "seed": self.seed,
             "noise_sigma": self.noise_sigma,
             "length": self.length,
-            "simulated": {
-                "count": len(self.simulated.series),
-                "skipped": self.simulated.skipped,
-                "series": self.simulated.sources,
-            },
-            "noisy_real": {
-                "count": len(self.noisy_real.series),
-                "skipped": self.noisy_real.skipped,
-                "series": self.noisy_real.sources,
-            },
+            "simulated": entry(self.simulated),
+            "noisy_real": entry(self.noisy_real),
         }
 
 
@@ -544,10 +488,8 @@ def export_simulations(
 def write_corpus(result: ExportResult, out_dir: str | Path):
     """Persist both corpora as CSV series plus a manifest.json."""
     out = Path(out_dir)
-    (out / "vdp_sim").mkdir(parents=True, exist_ok=True)
-    (out / "noisy_real").mkdir(parents=True, exist_ok=True)
-    for i, series in enumerate(result.simulated.series):
-        save_csv(series, out / "vdp_sim" / f"series_{i:04d}.csv")
-    for i, series in enumerate(result.noisy_real.series):
-        save_csv(series, out / "noisy_real" / f"series_{i:04d}.csv")
+    for sub, corpus in (("vdp_sim", result.simulated), ("noisy_real", result.noisy_real)):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+        for i, series in enumerate(corpus.series):
+            save_csv(series, out / sub / f"series_{i:04d}.csv")
     (out / "manifest.json").write_text(json.dumps(result.manifest(), indent=2) + "\n")

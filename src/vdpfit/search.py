@@ -45,6 +45,7 @@ from .estimator import (
     check_interval,
     fit,
     fit_echo,
+    hidden_x2_estimate,
 )
 from .model import (
     DimensionError,
@@ -271,7 +272,10 @@ def search_and_refine(
 
     Stops on max_rounds or when the best fitness has improved by less than
     plateau_tol for `patience` consecutive rounds. With max_rounds=0 this is
-    exactly a single VP fit from the initial parameters. Candidate scoring and
+    exactly a single VP fit from the initial parameters; a given x2_init
+    (clipped to x2_bounds) then seeds its hidden track, shifted from the
+    `hidden_x2_estimate` heuristic so that it starts at x2_init, which makes
+    the fit's anchor the search's start state. Candidate scoring and
     the VP fits both integrate with `substeps` Euler substeps per sample.
     vp_cfg.bounds clips the initial candidate and every proposal.
     Raises FitError when no candidate survives to the end.
@@ -279,18 +283,22 @@ def search_and_refine(
     m = z.m
     if init is None:
         init = VdpParams(alpha=np.ones((m, 2)), coupling=np.zeros((m, m)))
-    x2_init = np.zeros(m) if x2_init is None else np.asarray(x2_init, dtype=float)
-    if init.m != m or x2_init.shape != (m,):
+    init_x2 = np.zeros(m) if x2_init is None else np.asarray(x2_init, dtype=float)
+    if init.m != m or init_x2.shape != (m,):
         raise DimensionError("init/x2_init dimensions must match observations")
 
     gamma = search_cfg.gamma
     rng = np.random.default_rng(search_cfg.seed)
     init_params = vp_cfg.bounds.clip_params(init)
+    init_x2 = np.clip(init_x2, *search_cfg.x2_bounds)
 
     if search_cfg.max_rounds == 0:
-        return fit(z, vp_cfg, init_params, dt=dt, substeps=substeps)
+        x_init = None
+        if x2_init is not None:
+            x2 = hidden_x2_estimate(z.values, dt)
+            x_init = StackedState.from_arrays(z.values, x2 - x2[0] + init_x2)
+        return fit(z, vp_cfg, init_params, x_init, dt=dt, substeps=substeps)
 
-    init_x2 = np.clip(x2_init, *search_cfg.x2_bounds)
     best = next(_scored(z, [(init_params, init_x2)], gamma, dt, substeps))
     scales = search_cfg.step_scales
     halved_once = False

@@ -384,6 +384,18 @@ class TestForecast:
         doc = json.loads((out / "report.json").read_text())
         assert doc["methods"]["vdp"]["n_windows"] == 1
 
+    def test_rerun_is_byte_identical(self, workdir, series_csv, fit_config):
+        outs = [workdir / "run1", workdir / "run2"]
+        for out in outs:
+            code = main(
+                ["forecast", str(series_csv), "--methods", "var,vdp", "--train-len", "20",
+                 "--test-len", "10", "--segments", "2", "--horizon", "5",
+                 "--config", str(fit_config), "--seed", "4", "--vp-only", "-o", str(out)]
+            )
+            assert code == 0
+        for name in ("report.json", "report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_every_segment_fit_reads_the_init_keys(self, workdir, series_csv, fit_config,
                                                    monkeypatch):
         calls = []

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +13,7 @@ from vdpfit.data import split_segments
 from vdpfit.estimator import FitResult
 from vdpfit.forecast import (
     ForecastMethod,
+    HorizonStats,
     VarMethod,
     VdpMethod,
     evaluate,
@@ -244,6 +245,58 @@ class BadShapeMethod(ForecastMethod):
         return np.zeros((self._m, steps - 1))
 
 
+class RaisingMethod(ForecastMethod):
+    name = "raising"
+
+    def prepare(self, data, split):
+        pass
+
+    def forecast(self, segment, start, steps):
+        raise DimensionError("raising method refuses every window")
+
+
+class OddDivergingVar(VarMethod):
+    """VAR forecasts whose odd-numbered starts report a diverged rollout."""
+
+    def __init__(self):
+        super().__init__(order=4)
+        self.name = "odd"
+
+    def forecast(self, segment, start, steps):
+        if start % 2:
+            raise SimulationDiverged(step=1, limit=1.0)
+        return super().forecast(segment, start, steps)
+
+
+def aggregate_oracle(records, m, horizon, skipped) -> HorizonStats:
+    """Per-step aggregates rebuilt record by record, the reference for `evaluate`."""
+    corr_median, corr_se, corr_components, rmse_median, rmse_se = [], [], [], [], []
+    for h in range(horizon):
+        med, se = metrics.median_and_se(np.array([rec.rmse[h] for rec in records]))
+        rmse_median.append(med)
+        rmse_se.append(se)
+        comp_corrs = []
+        for c in range(m):
+            true_h = np.array([rec.true[h] for rec in records if rec.component == c])
+            pred_h = np.array([rec.pred[h] for rec in records if rec.component == c])
+            comp_corrs.append(metrics.pearson(true_h, pred_h) if true_h.size >= 2 else math.nan)
+        comp_corrs = np.array(comp_corrs)
+        med, se = metrics.median_and_se(comp_corrs)
+        corr_median.append(med)
+        corr_se.append(se)
+        corr_components.append(int(np.sum(np.isfinite(comp_corrs))))
+    return HorizonStats(
+        corr_median=corr_median,
+        corr_se=corr_se,
+        corr_components=corr_components,
+        rmse_median=rmse_median,
+        rmse_se=rmse_se,
+        n_windows=len({(rec.segment, rec.window) for rec in records}),
+        skipped_windows=skipped,
+        window_corr_undefined=int(sum(np.sum(~np.isfinite(rec.corr[1:])) for rec in records)),
+    )
+
+
 @pytest.fixture()
 def wave_data(rng):
     t = np.arange(600) * 0.1
@@ -310,6 +363,34 @@ class TestEvaluate:
         stats = report.methods["oracle"]
         assert stats.n_windows == 1
         assert stats.skipped_windows == 1
+
+    def test_a_method_error_propagates(self, wave_data):
+        split = split_segments(600, 100, 20, 5)
+        with pytest.raises(DimensionError, match="raising method"):
+            evaluate([RaisingMethod()], split, wave_data, horizon=9)
+
+    def test_diverged_oscillator_window_is_skipped(self, rng, wave_data):
+        split = split_segments(600, 100, 20, 5)
+        s0 = State(x1=np.array([0.3, 0.3]), x2=np.array([0.1, 0.1]))
+        fits = [make_fit(random_params(rng, 2), s0, 100, 0.1) for _ in range(5)]
+        fits[2] = replace(fits[2], params=VdpParams(alpha=np.full((2, 2), 1e6),
+                                                    coupling=np.zeros((2, 2))))
+        report = evaluate([VdpMethod(fits)], split, wave_data, horizon=9)
+        stats = report.methods["vdp"]
+        assert (stats.n_windows, stats.skipped_windows) == (4, 1)
+        assert sorted({rec.segment for rec in report.records}) == [0, 1, 3, 4]
+
+    def test_aggregates_equal_the_record_by_record_oracle(self, wave_data):
+        # the data ends inside the last test range, so windows run past it too
+        split = split_segments(600, 100, 20, 5)
+        report = evaluate([VarMethod(order=6), OddDivergingVar()], split, wave_data[:, :592],
+                          horizon=9, protocol="long")
+        # 8 windows of the last segment pass the data's end; "odd" also loses
+        # the 30 odd starts, 4 of them among those 8
+        for name, skipped in (("var6", 8), ("odd", 30 + 4)):
+            recs = [rec for rec in report.records if rec.method == name]
+            want = aggregate_oracle(recs, 2, 9, skipped)
+            assert json.dumps(asdict(report.methods[name])) == json.dumps(asdict(want))
 
     def test_bad_prediction_shape_raises(self, wave_data):
         split = split_segments(600, 100, 20, 5)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vdpfit import search
 from vdpfit.constraints import StackedState
-from vdpfit.estimator import ParamBounds, PenaltyConfig, fit
+from vdpfit.estimator import ParamBounds, PenaltyConfig, fit, hidden_x2_estimate
 from vdpfit.metrics import pearson
 from vdpfit.model import (
     DimensionError, ObservationSet, State, Trajectory, VdpParams, simulate,
@@ -142,6 +142,27 @@ class TestSearchAndRefine:
         direct = fit(z, vp_cfg, init, dt=0.1)
         npt.assert_array_equal(via_search.params.alpha, direct.params.alpha)
         npt.assert_array_equal(via_search.params.coupling, direct.params.coupling)
+
+    def test_zero_rounds_start_the_fit_at_the_clipped_x2_init(self, monkeypatch):
+        _, _, z = coupled_pair()
+        seen = []
+        real = search.fit
+
+        def recording(z_, cfg, init, x_init=None, **kwargs):
+            seen.append(x_init)
+            return real(z_, cfg, init, x_init, **kwargs)
+
+        monkeypatch.setattr(search, "fit", recording)
+        cfg = SearchConfig(max_rounds=0, x2_bounds=(-1.0, 1.0))
+        vp_cfg = PenaltyConfig(outer_max_iter=2)
+        search_and_refine(z, cfg, vp_cfg, dt=0.1, x2_init=np.array([0.4, 3.0]))
+        search_and_refine(z, cfg, vp_cfg, dt=0.1)
+        x_init, default = seen
+        assert default is None  # without x2_init the fit keeps its own start
+        assert x_init.state(0).x2.tolist() == [0.4, 1.0]
+        npt.assert_array_equal(x_init.x1(), z.values)
+        shift = x_init.x2() - hidden_x2_estimate(z.values, 0.1)
+        npt.assert_allclose(shift, np.broadcast_to(shift[0], shift.shape), atol=1e-12)
 
     def test_trace_schema_and_greedy_acceptance(self):
         _, _, z = coupled_pair()
