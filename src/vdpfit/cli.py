@@ -22,7 +22,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,10 +68,6 @@ def _load_json(path: str | Path) -> dict:
 
 def _value(v, tp, key: str):
     """Check the JSON value of `key` against its type hint `tp`; tuples become float tuples."""
-    if get_origin(tp) is Union:  # Optional[X]
-        if v is None:
-            return None
-        tp = get_args(tp)[0]
     if is_dataclass(tp):
         return _build(tp, v, key + ".")
     if get_origin(tp) is tuple:
@@ -93,7 +89,7 @@ def _build(cls, doc, where: str, **fixed):
     types = {k: tp for k, tp in get_type_hints(cls).items() if k not in fixed}
     for key in doc:
         if key not in types:
-            raise ConfigError(f"unknown config key {where}{key!r}")
+            raise ConfigError(f"unknown config key {where + key!r}")
     kwargs = {k: _value(v, types[k], where + k) for k, v in doc.items()}
     try:
         return cls(**kwargs, **fixed)
@@ -120,7 +116,11 @@ def _fitter(args):
     substeps = _value(doc.get("substeps", 1), int, "substeps")
     if substeps < 1:
         raise ConfigError("substeps must be an integer >= 1")
-    p_cfg = _build(PenaltyConfig, doc.get("penalty", {}), "penalty.")
+    penalty = doc.get("penalty", {})
+    p_cfg = _build(PenaltyConfig, penalty, "penalty.")
+    for key in ("inner_tol_start", "inner_max_iter_start"):
+        if key in penalty and len(p_cfg.lam_schedule) == 1:
+            raise ConfigError(f"penalty.{key} has no effect with a one-stage lam_schedule")
     s_cfg = _build(SearchConfig, doc.get("search", {}), "search.", seed=0)
     if args.vp_only:
         s_cfg = replace(s_cfg, max_rounds=0)

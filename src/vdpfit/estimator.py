@@ -91,14 +91,15 @@ class ParamBounds:
 class PenaltyConfig:
     """Penalty weights, inner/outer solver tolerances, and parameter bounds.
 
-    When `lam_schedule` is set the fit sweeps it in order, warm-starting states
-    and params, while the inner tolerance tightens from `inner_tol_start` to
-    `inner_tol` and the Gauss-Newton cap grows from `inner_max_iter_start` to
-    `inner_max_iter`.
+    The fit sweeps the non-empty, strictly increasing `lam_schedule` in order,
+    warm-starting states and params, while the inner tolerance tightens
+    geometrically from `inner_tol_start` to `inner_tol` and the Gauss-Newton
+    cap grows linearly from `inner_max_iter_start` to `inner_max_iter`. A
+    one-element schedule is a fixed lam, solved to `inner_tol` within
+    `inner_max_iter` steps; the two `*_start` fields then have no effect.
     """
 
-    lam: float = 1000.0
-    lam_schedule: Optional[tuple[float, ...]] = (10.0, 100.0, 1000.0)
+    lam_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0)
     inner_tol: float = 1e-8
     inner_tol_start: float = 1e-4
     inner_max_iter: int = 200
@@ -111,15 +112,12 @@ class PenaltyConfig:
     bounds: ParamBounds = field(default_factory=ParamBounds)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.lam_schedule is not None:
-            sched = tuple(float(v) for v in self.lam_schedule)
-            if len(sched) == 0 or any(v <= 0 for v in sched):
-                raise ValueError("lam_schedule values must be positive")
-            if any(b <= a for a, b in zip(sched, sched[1:])):
-                raise ValueError("lam_schedule must be strictly increasing")
-            object.__setattr__(self, "lam_schedule", sched)
+        sched = tuple(float(v) for v in self.lam_schedule)
+        if len(sched) == 0 or any(not v > 0 for v in sched):
+            raise ValueError("lam_schedule must be a non-empty list of positive values")
+        if any(b <= a for a, b in zip(sched, sched[1:])):
+            raise ValueError("lam_schedule must be strictly increasing")
+        object.__setattr__(self, "lam_schedule", sched)
         for name in ("inner_tol", "inner_tol_start", "outer_step", "outer_ftol", "outer_gtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -128,14 +126,14 @@ class PenaltyConfig:
                 raise ValueError(f"{name} must be >= 1")
 
     def stages(self) -> list[tuple[float, float, int]]:
-        """Per-stage (lam, inner_tol, inner_max_iter) triples."""
-        lams = list(self.lam_schedule) if self.lam_schedule else [self.lam]
-        n = len(lams)
-        if n == 1:
-            return [(lams[0], self.inner_tol, self.inner_max_iter)]
+        """Per-stage (lam, inner_tol, inner_max_iter) triples; the last stage
+        takes `inner_tol` and `inner_max_iter`."""
+        n = len(self.lam_schedule)
         tols = np.geomspace(self.inner_tol_start, self.inner_tol, n)
         caps = np.linspace(self.inner_max_iter_start, self.inner_max_iter, n)
-        return [(lams[i], float(tols[i]), int(round(caps[i]))) for i in range(n)]
+        tols[-1], caps[-1] = self.inner_tol, self.inner_max_iter
+        return [(lam, float(t), int(round(c)))
+                for lam, t, c in zip(self.lam_schedule, tols, caps)]
 
 
 def fit_echo(cfg: PenaltyConfig, dt: float, substeps: int) -> dict:
@@ -281,18 +279,16 @@ def objective(
     params: VdpParams,
     anchor: InitAnchor,
     z: ObservationSet,
-    cfg: PenaltyConfig,
     *,
     dt: float = 1.0,
     substeps: int = 1,
-    lam: Optional[float] = None,
+    lam: float,
 ) -> float:
-    """Penalty objective f_lam(x, params); `lam` overrides cfg.lam (0 allowed
-    for diagnostics, reducing to the pure data misfit)."""
+    """Penalty objective f_lam(x, params); lam = 0 is allowed for diagnostics
+    and reduces it to the pure data misfit."""
     _check_shapes(z, x)
-    lam_eff = cfg.lam if lam is None else float(lam)
-    r = residual(x, params, anchor, dt, substeps) if lam_eff != 0.0 else np.zeros(0)
-    return _objective_parts(x.blocks(), z.values, r, lam_eff)
+    r = residual(x, params, anchor, dt, substeps) if lam != 0.0 else np.zeros(0)
+    return _objective_parts(x.blocks(), z.values, r, lam)
 
 
 def inner_solve(
@@ -304,16 +300,17 @@ def inner_solve(
     *,
     dt: float = 1.0,
     substeps: int = 1,
-    lam: Optional[float] = None,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
+    lam: float,
+    tol: float,
+    max_iter: int,
 ) -> InnerResult:
     """Gauss-Newton minimization of f_lam over the stacked state.
 
-    Stops when the gradient infinity-norm drops to `tol` or the iteration cap
-    is hit. Steps solve the block-tridiagonal normal equations exactly, then
-    halve under an Armijo test; a step that underflows returns the current
-    iterate flagged not-converged.
+    `lam`, `tol` and `max_iter` are one stage of `cfg.stages()`; `cfg` gives
+    only the Armijo constant. Stops when the gradient infinity-norm drops to
+    `tol` or after `max_iter` steps. Steps solve the block-tridiagonal normal
+    equations exactly, then halve under an Armijo test; a step that underflows
+    returns the current iterate flagged not-converged.
 
     It also stops, as converged, at the roundoff floor: when an accepted step
     lowers f by no more than 8 * eps * |f| (eps the float64 machine epsilon),
@@ -322,11 +319,8 @@ def inner_solve(
     until they no longer change f.
     """
     _check_shapes(z, x_init)
-    lam_eff = cfg.lam if lam is None else float(lam)
-    if lam_eff <= 0:
+    if lam <= 0:
         raise ValueError("inner solve requires lam > 0")
-    tol_eff = cfg.inner_tol if tol is None else float(tol)
-    cap = cfg.inner_max_iter if max_iter is None else int(max_iter)
     m, n = x_init.m, x_init.n_steps
     b = 2 * m
     eye = np.eye(b)
@@ -334,26 +328,26 @@ def inner_solve(
 
     cur = x_init
     r = residual(cur, params, anchor, dt, substeps)
-    f_cur = _objective_parts(cur.blocks(), z.values, r, lam_eff)
+    f_cur = _objective_parts(cur.blocks(), z.values, r, lam)
     converged = at_floor = False
     grad_inf = math.inf
     iterations = 0
-    for iterations in range(cap + 1):
+    for iterations in range(max_iter + 1):
         jac = residual_jacobian_x(cur, params, dt, substeps)
-        grad_blocks = lam_eff * jac.rmatvec(r).reshape(n, b)
+        grad_blocks = lam * jac.rmatvec(r).reshape(n, b)
         grad_blocks[:, 0::2] += cur.x1() - z.values
         grad_inf = float(np.max(np.abs(grad_blocks)))
-        if grad_inf <= tol_eff or at_floor:
+        if grad_inf <= tol or at_floor:
             converged = True
             break
-        if iterations == cap:
+        if iterations == max_iter:
             break
         sub = jac.sub
         diag = np.empty((n, b, b))
-        diag[:] = lam_eff * eye
+        diag[:] = lam * eye
         diag[:, x1_slots, x1_slots] += 1.0
-        diag[:-1] += lam_eff * np.einsum("kji,kjl->kil", sub, sub)
-        delta = solve_block_tridiagonal(diag, lam_eff * sub, -grad_blocks)
+        diag[:-1] += lam * np.einsum("kji,kjl->kil", sub, sub)
+        delta = solve_block_tridiagonal(diag, lam * sub, -grad_blocks)
         dirderiv = float(np.sum(grad_blocks * delta))
         t = 1.0
         accepted = False
@@ -364,7 +358,7 @@ def inner_solve(
                 t *= 0.5
                 continue
             r_trial = residual(trial, params, anchor, dt, substeps)
-            f_trial = _objective_parts(trial.blocks(), z.values, r_trial, lam_eff)
+            f_trial = _objective_parts(trial.blocks(), z.values, r_trial, lam)
             if math.isfinite(f_trial) and f_trial <= f_cur + cfg.armijo_c * t * dirderiv:
                 at_floor = f_cur - f_trial <= _ROUNDOFF_DECREASE * abs(f_cur)
                 cur, r, f_cur = trial, r_trial, f_trial
@@ -391,24 +385,24 @@ def value_gradient(
     *,
     dt: float = 1.0,
     substeps: int = 1,
-    lam: Optional[float] = None,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
+    lam: float,
+    tol: float,
+    max_iter: int,
 ) -> ValueGradient:
-    """f_tilde(params) = min_x f_lam and its gradient lam * G_params'(G - eta0).
+    """f_tilde(params) = min_x f_lam and its gradient lam * G_params'(G - eta0),
+    with the inner solve run at (`lam`, `tol`, `max_iter`).
 
     The gradient is exact at an exact inner minimizer; when the inner solve
     stops early the result is still returned with `low_accuracy` set.
     """
     if x_init is None:
         x_init = default_x_init(z, dt)
-    lam_eff = cfg.lam if lam is None else float(lam)
     inner = inner_solve(
         params, anchor, z, cfg, x_init,
-        dt=dt, substeps=substeps, lam=lam_eff, tol=tol, max_iter=max_iter,
+        dt=dt, substeps=substeps, lam=lam, tol=tol, max_iter=max_iter,
     )
     jp = residual_jacobian_params(inner.x, params, dt, substeps)
-    grad = lam_eff * (jp.T @ inner.residual)
+    grad = lam * (jp.T @ inner.residual)
     return ValueGradient(value=inner.objective, gradient=grad, x=inner.x, inner=inner)
 
 
@@ -439,10 +433,11 @@ def fit(
 ) -> FitResult:
     """Projected-gradient outer loop over (alpha, W) with inner state solves.
 
-    Sweeps the lam schedule with warm starts, takes Barzilai-Borwein trial
-    steps clipped to the bounds with Armijo backtracking on f_tilde, and stops
-    each stage on a parameter-space gradient norm below outer_gtol, a relative
-    objective change below outer_ftol, or outer_max_iter.
+    Sweeps the (lam, inner_tol, inner_max_iter) stages of `cfg.stages()` with
+    warm starts, takes Barzilai-Borwein trial steps clipped to the bounds with
+    Armijo backtracking on f_tilde, and stops each stage on a parameter-space
+    gradient norm below outer_gtol, a relative objective change below
+    outer_ftol, or outer_max_iter.
     """
     m = z.m
     if init.m != m:
@@ -454,10 +449,11 @@ def fit(
     if anchor is None:
         anchor = InitAnchor(x0=x_init.state(0))
     _check_shapes(z, x_init)
+    stages = cfg.stages()
 
     with np.errstate(over="ignore", invalid="ignore"):
         r0 = residual(x_init, init, anchor, dt, substeps)
-        f0 = _objective_parts(x_init.blocks(), z.values, r0, cfg.stages()[0][0])
+        f0 = _objective_parts(x_init.blocks(), z.values, r0, stages[0][0])
     if not math.isfinite(f0):
         comp = _name_bad_component(x_init, r0)
         raise FitError(
@@ -473,7 +469,7 @@ def fit(
     reason = "max outer iterations"
     converged = False
 
-    for lam_s, tol_s, cap_s in cfg.stages():
+    for lam_s, tol_s, cap_s in stages:
         vg = value_gradient(
             VdpParams.from_vector(p, m), anchor, z, cfg, x_cur,
             dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s,

@@ -129,7 +129,7 @@ def test_criterion_02_linear_case_matches_dense_oracle():
         anchor = InitAnchor(s0)
         x_init = StackedState(flat=rng.normal(0, 0.1, 2 * m * n), m=m, n_steps=n)
         res = inner_solve(
-            params, anchor, z, PenaltyConfig(lam=lam, lam_schedule=None), x_init, dt=dt
+            params, anchor, z, PenaltyConfig(), x_init, dt=dt, lam=lam, tol=1e-8, max_iter=200
         )
         dim = 2 * m * n
         zero = StackedState(flat=np.zeros(dim), m=m, n_steps=n)
@@ -158,15 +158,15 @@ def test_criterion_03_value_gradient_matches_finite_differences():
     traj = simulate(truth, s0, n, dt)
     z = ObservationSet(traj.x1 + rng.normal(0, 0.02, traj.x1.shape))
     anchor = InitAnchor(s0)
-    cfg = PenaltyConfig(lam=lam, lam_schedule=None)
+    cfg = PenaltyConfig()
     vec = truth.to_vector() + rng.normal(0, 0.1, 2 * m + m * m)
     params = VdpParams.from_vector(vec, m)
 
-    vg = value_gradient(params, anchor, z, cfg, dt=dt, tol=tol, max_iter=500)
+    vg = value_gradient(params, anchor, z, cfg, dt=dt, lam=lam, tol=tol, max_iter=500)
 
     def f_tilde(v):
         p = VdpParams.from_vector(v, m)
-        inner = value_gradient(p, anchor, z, cfg, dt=dt, tol=tol, max_iter=500)
+        inner = value_gradient(p, anchor, z, cfg, dt=dt, lam=lam, tol=tol, max_iter=500)
         return inner.value
 
     h = 1e-5

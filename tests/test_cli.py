@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +129,9 @@ MALFORMED_CONFIGS = [
     ("penalty.bounds", {"penalty": {"bounds": 5}}),
     ("penalty.lam", {"penalty": {"lam": "x"}}),
     ("penalty.lam_schedule", {"penalty": {"lam_schedule": 5}}),
+    ("penalty.lam_schedule", {"penalty": {"lam_schedule": None}}),
+    ("penalty.lam_schedule", {"penalty": {"lam_schedule": []}}),
+    ("penalty.lam_schedule", {"penalty": {"lam_schedule": [100, 10]}}),
     ("penalty.lam_schedule", {"penalty": {"lam_schedule": [10, "x"]}}),
     ("penalty.inner_max_iter", {"penalty": {"inner_max_iter": 2.5}}),
     ("penalty.outer_max_iter", {"penalty": {"outer_max_iter": True}}),
@@ -173,13 +177,12 @@ class TestFit:
 
     def test_every_config_field_reaches_the_echo(self, workdir, series_csv):
         penalty = {
-            "lam": 500,
             "lam_schedule": [10.0, 100.0],
             "inner_tol": 1e-7,
             "inner_tol_start": 1e-3,
             "inner_max_iter": 40,
             "inner_max_iter_start": 20,
-            "outer_step": 0.05,
+            "outer_step": 1,
             "outer_max_iter": 8,
             "outer_ftol": 1e-7,
             "outer_gtol": 1e-5,
@@ -215,7 +218,7 @@ class TestFit:
         assert {k: echo["search"][k] for k in search} == search
         assert (echo["dt"], echo["substeps"], echo["seed"], echo["search"]["seed"]) == (
             0.1, 2, 4, 4)
-        assert type(echo["lam"]) is int
+        assert type(echo["outer_step"]) is int
 
     def test_writes_fit_and_trace(self, workdir, series_csv, fit_config, capsys):
         out = workdir / "fit"
@@ -310,8 +313,32 @@ class TestFit:
         code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
                      "-o", str(workdir / "x")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "search." in err and "bogus" in err
+        assert "'search.bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("inner_tol_start", 1e-3),
+                                            ("inner_max_iter_start", 5)])
+    def test_start_key_with_one_stage_schedule_is_config_error(self, workdir, series_csv,
+                                                              capsys, key, value):
+        cfg = workdir / "one_stage.json"
+        cfg.write_text(json.dumps({"dt": 0.1, "penalty": {"lam_schedule": [100.0], key: value}}))
+        code = main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
+                     "-o", str(workdir / "x")])
+        assert code == 2
+        assert f"penalty.{key}" in capsys.readouterr().err
+
+    def test_readme_config_example_fits(self, workdir):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"The config is JSON.*?```json\n(.*?)```", readme, re.S).group(1)
+        cfg = workdir / "readme.json"
+        cfg.write_text(example)
+        # two components, as the example's init_x2 has two entries
+        params = VdpParams(alpha=np.array([[1.5, 1.0], [1.2, 0.8]]),
+                           coupling=np.array([[0.0, 0.2], [-0.2, 0.0]]))
+        traj = simulate(params, State(x1=np.array([0.6, -0.4]), x2=np.zeros(2)), 40, 0.1)
+        series = workdir / "two.csv"
+        save_csv(traj.x1, series)
+        assert main(["fit", str(series), "--config", str(cfg), "--seed", "1", "--vp-only",
+                     "-o", str(workdir / "readme")]) == 0
 
     def test_invalid_json_is_config_error(self, workdir, series_csv, capsys):
         cfg = workdir / "broken.json"

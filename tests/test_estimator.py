@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +23,9 @@ from vdpfit.model import ObservationSet, State, VdpParams, simulate
 
 from conftest import random_params, random_state
 
+# the inner tolerance and cap of PenaltyConfig()'s last stage
+FINAL_STAGE = {"tol": 1e-8, "max_iter": 200}
+
 
 def make_instance(rng, m=1, n=40, dt=0.05, noise=0.0, nonlinear=True):
     params = random_params(rng, m, nonlinear=nonlinear)
@@ -37,13 +41,13 @@ class TestObjective:
     def test_zero_on_consistent_instance(self, rng):
         params, s0, traj, z = make_instance(rng, m=2, n=12)
         x = StackedState.from_arrays(traj.x1, traj.x2)
-        val = objective(x, params, InitAnchor(s0), z, PenaltyConfig(), dt=0.05)
+        val = objective(x, params, InitAnchor(s0), z, dt=0.05, lam=1000.0)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_lam_zero_is_pure_misfit(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=10)
         x = StackedState.from_arrays(traj.x1 + 0.5, traj.x2)
-        val = objective(x, params, InitAnchor(s0), z, PenaltyConfig(), dt=0.05, lam=0.0)
+        val = objective(x, params, InitAnchor(s0), z, dt=0.05, lam=0.0)
         assert val == pytest.approx(0.5 * np.sum((traj.x1 + 0.5 - z.values) ** 2))
 
     def test_hand_value(self):
@@ -53,7 +57,7 @@ class TestObjective:
         x = StackedState(flat=np.zeros(4), m=1, n_steps=2)
         z = ObservationSet(np.array([[1.0], [1.0]]))
         anchor = InitAnchor(State(x1=[0.0], x2=[0.0]))
-        val = objective(x, params, anchor, z, PenaltyConfig(lam=2.0, lam_schedule=None))
+        val = objective(x, params, anchor, z, lam=2.0)
         assert val == pytest.approx(1.0)
 
 
@@ -81,19 +85,19 @@ class TestInnerSolve:
             params, s0, traj, z = make_instance(rng, m=2, n=10, noise=0.05,
                                                 nonlinear=False)
             anchor = InitAnchor(s0)
-            cfg = PenaltyConfig(lam=100.0, lam_schedule=None)
             x_init = StackedState(
                 flat=rng.normal(0, 0.1, 2 * 2 * 10), m=2, n_steps=10
             )
-            res = inner_solve(params, anchor, z, cfg, x_init, dt=0.05)
+            res = inner_solve(params, anchor, z, PenaltyConfig(), x_init, dt=0.05, lam=100.0,
+                              **FINAL_STAGE)
             oracle = dense_linear_solution(params, anchor, z, 100.0, 0.05)
             npt.assert_allclose(res.x.flat, oracle, rtol=0, atol=1e-8)
 
     def test_truth_init_returns_unchanged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
         x_true = StackedState.from_arrays(traj.x1, traj.x2)
-        res = inner_solve(params, InitAnchor(s0), z, PenaltyConfig(lam=1e3, lam_schedule=None),
-                          x_true, dt=0.05)
+        res = inner_solve(params, InitAnchor(s0), z, PenaltyConfig(), x_true, dt=0.05,
+                          lam=1e3, **FINAL_STAGE)
         assert res.converged
         assert res.iterations == 0
         npt.assert_array_equal(res.x.flat, x_true.flat)
@@ -106,15 +110,14 @@ class TestInnerSolve:
         z = ObservationSet(traj.x1)
         x_init = StackedState.from_arrays(traj.x1, np.zeros_like(traj.x2))
         res = inner_solve(params, InitAnchor(State(x1=traj.x1[0], x2=[0.0])), z,
-                          PenaltyConfig(lam=1e3, lam_schedule=None), x_init, dt=0.05)
+                          PenaltyConfig(), x_init, dt=0.05, lam=1e3, **FINAL_STAGE)
         assert pearson(res.x.x2()[:, 0], traj.x2[:, 0]) >= 0.95
 
     def test_iteration_cap_flags_not_converged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20, noise=0.1)
         x_init = StackedState(flat=rng.normal(0, 0.3, 40), m=1, n_steps=20)
-        res = inner_solve(params, InitAnchor(s0), z,
-                          PenaltyConfig(lam=1e3, lam_schedule=None),
-                          x_init, dt=0.05, max_iter=0)
+        res = inner_solve(params, InitAnchor(s0), z, PenaltyConfig(), x_init, dt=0.05,
+                          lam=1e3, tol=1e-8, max_iter=0)
         assert not res.converged
         assert res.iterations == 0
 
@@ -123,14 +126,14 @@ class TestInnerSolve:
         # only the stop on a roundoff-sized decrease of f ends this solve
         rng = np.random.default_rng(0)
         params, s0, traj, z = make_instance(rng, m=2, n=100, noise=0.05)
-        cfg = PenaltyConfig(lam=1e3, lam_schedule=None)
+        cfg = PenaltyConfig()
         res = inner_solve(params, InitAnchor(s0), z, cfg, default_x_init(z, 0.05),
-                          dt=0.05, tol=1e-13, max_iter=100)
+                          dt=0.05, lam=1e3, tol=1e-13, max_iter=100)
         assert res.converged
         assert res.iterations < 20
         assert res.grad_inf > 1e-13
-        tight = inner_solve(params, InitAnchor(s0), z, cfg, res.x, dt=0.05, tol=1e-13,
-                            max_iter=5)
+        tight = inner_solve(params, InitAnchor(s0), z, cfg, res.x, dt=0.05, lam=1e3,
+                            tol=1e-13, max_iter=5)
         assert res.objective - tight.objective <= 1e-14 * res.objective
 
 
@@ -139,12 +142,11 @@ class TestValueGradient:
         rng = np.random.default_rng(77)
         params, s0, traj, z = make_instance(rng, m=2, n=20, noise=0.02)
         anchor = InitAnchor(s0)
-        cfg = PenaltyConfig(lam=100.0, lam_schedule=None, inner_tol=1e-10,
-                            inner_max_iter=400)
+        cfg, stage = PenaltyConfig(), {"lam": 100.0, "tol": 1e-10, "max_iter": 400}
         probe = VdpParams(
             alpha=params.alpha * 0.9, coupling=params.coupling + 0.05
         )
-        vg = value_gradient(probe, anchor, z, cfg, dt=0.05)
+        vg = value_gradient(probe, anchor, z, cfg, dt=0.05, **stage)
         vec = probe.to_vector()
         h = 1e-4
         fd = np.empty_like(vec)
@@ -152,8 +154,10 @@ class TestValueGradient:
             hi, lo = vec.copy(), vec.copy()
             hi[j] += h
             lo[j] -= h
-            f_hi = value_gradient(VdpParams.from_vector(hi, 2), anchor, z, cfg, dt=0.05).value
-            f_lo = value_gradient(VdpParams.from_vector(lo, 2), anchor, z, cfg, dt=0.05).value
+            f_hi = value_gradient(VdpParams.from_vector(hi, 2), anchor, z, cfg, dt=0.05,
+                                  **stage).value
+            f_lo = value_gradient(VdpParams.from_vector(lo, 2), anchor, z, cfg, dt=0.05,
+                                  **stage).value
             fd[j] = (f_hi - f_lo) / (2 * h)
         scale = np.maximum(np.abs(fd), np.abs(vg.gradient))
         rel = np.abs(vg.gradient - fd) / np.maximum(scale, 1e-8)
@@ -162,18 +166,16 @@ class TestValueGradient:
     def test_zero_gradient_on_noise_free_fit(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
         x_true = StackedState.from_arrays(traj.x1, traj.x2)
-        vg = value_gradient(params, InitAnchor(s0), z,
-                            PenaltyConfig(lam=1e3, lam_schedule=None),
-                            x_init=x_true, dt=0.05)
+        vg = value_gradient(params, InitAnchor(s0), z, PenaltyConfig(), x_init=x_true,
+                            dt=0.05, lam=1e3, **FINAL_STAGE)
         npt.assert_array_equal(vg.gradient, np.zeros(3))
         assert vg.value == 0.0
 
     def test_low_accuracy_flag(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20, noise=0.1)
         x_init = StackedState(flat=rng.normal(0, 0.3, 40), m=1, n_steps=20)
-        vg = value_gradient(params, InitAnchor(s0), z,
-                            PenaltyConfig(lam=1e3, lam_schedule=None),
-                            x_init=x_init, dt=0.05, max_iter=0)
+        vg = value_gradient(params, InitAnchor(s0), z, PenaltyConfig(), x_init=x_init,
+                            dt=0.05, lam=1e3, tol=1e-8, max_iter=0)
         assert vg.low_accuracy
         assert np.all(np.isfinite(vg.gradient))
 
@@ -186,9 +188,8 @@ def test_misfit_stays_flat_across_lam_schedule_on_consistent_data(rng):
     misfits = []
     x = default_x_init(z, 0.05)
     for lam in (10.0, 100.0, 1000.0):
-        cfg = PenaltyConfig(lam=lam, lam_schedule=None, inner_tol=1e-12,
-                            inner_max_iter=300)
-        res = inner_solve(params, anchor, z, cfg, x, dt=0.05)
+        res = inner_solve(params, anchor, z, PenaltyConfig(), x, dt=0.05, lam=lam, tol=1e-12,
+                          max_iter=300)
         x = res.x  # warm start the next stage
         misfits.append(0.5 * np.sum((z.values - res.x.x1()) ** 2))
     assert all(m < 1e-9 for m in misfits)
@@ -317,3 +318,57 @@ def test_default_x_init_uses_observations(rng):
     x = default_x_init(z, 0.1)
     npt.assert_array_equal(x.x1(), z.values)
     npt.assert_allclose(x.x2().mean(axis=0), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cfg, want", [
+    (PenaltyConfig(lam_schedule=(7.0,), inner_tol=1e-6, inner_max_iter=30), [(7.0, 1e-6, 30)]),
+    (PenaltyConfig(), [(10.0, 1e-4, 50), (100.0, 1e-6, 125), (1000.0, 1e-8, 200)]),
+], ids=["one-stage", "default"])
+def test_stages(cfg, want):
+    assert cfg.stages() == want
+
+
+# a non-default value for every PenaltyConfig field, the bounds one by one
+NON_DEFAULT = {
+    "lam_schedule": (10.0, 100.0),
+    "inner_tol": 1e-3,
+    "inner_tol_start": 1e-2,
+    "inner_max_iter": 3,
+    "inner_max_iter_start": 1,
+    "outer_step": 1.0,
+    "outer_max_iter": 2,
+    "outer_ftol": 1e-2,
+    "outer_gtol": 1.0,
+    "armijo_c": 0.3,
+    "bounds.alpha1": (0.0, 1.2),
+    "bounds.alpha2": (-0.7, 0.7),
+    "bounds.coupling": (-0.1, 0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def small_fit():
+    """fit(cfg) on a fixed noisy m=1 series from an init away from the truth."""
+    truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.array([[0.2]]))
+    traj = simulate(truth, State(x1=[1.0], x2=[0.0]), 40, 0.1)
+    z = ObservationSet(traj.x1 + np.random.default_rng(3).normal(0, 0.02, traj.x1.shape))
+    init = VdpParams(alpha=np.array([[1.0, 0.5]]), coupling=np.array([[0.0]]))
+    default = fit(z, PenaltyConfig(), init, dt=0.1)
+    return lambda cfg: fit(z, cfg, init, dt=0.1), default
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PenaltyConfig) if f.name != "bounds"]
+                         + [f"bounds.{f.name}" for f in fields(ParamBounds)])
+def test_every_penalty_field_changes_the_fit(small_fit, name):
+    run, default = small_fit
+    value = NON_DEFAULT[name]
+    if name.startswith("bounds."):
+        cfg = PenaltyConfig(bounds=replace(ParamBounds(), **{name[len("bounds."):]: value}))
+    else:
+        cfg = PenaltyConfig(**{name: value})
+    res = run(cfg)
+    same = (np.array_equal(res.params.to_vector(), default.params.to_vector())
+            and np.array_equal(res.states.x1, default.states.x1)
+            and np.array_equal(res.states.x2, default.states.x2)
+            and res.objective_history == default.objective_history)
+    assert not same
