@@ -18,7 +18,7 @@ from .model import (
     step,
     vector_field,
 )
-from .constraints import InitAnchor, StackedState, residual
+from .constraints import StackedState, residual
 from .estimator import (
     FitError,
     FitResult,

@@ -206,6 +206,8 @@ _KNOWN_METHODS = ("var", "vdp")
 
 def cmd_forecast(args) -> int:
     names = [n.strip() for n in args.methods.split(",") if n.strip()]
+    if not names:
+        raise ConfigError(f"no methods in --methods; valid methods: {', '.join(_KNOWN_METHODS)}")
     for n in names:
         if n not in _KNOWN_METHODS:
             raise ConfigError(
@@ -337,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit oscillator parameters to one series")
     p.add_argument("input", help="series CSV or a components directory")
     p.add_argument("--config", required=True, help="JSON config (requires 'dt')")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--vp-only", action="store_true", help="skip the stochastic search")
     add_common(p)
     p.set_defaults(func=cmd_fit, layout="rows=time")
@@ -353,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var-order", type=_at_least(1), default=6)
     p.add_argument("--var-refit", action="store_true")
     p.add_argument("--config", help="fit config for the vdp method")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--vp-only", action="store_true", help="skip the stochastic search")
     add_common(p)
     p.set_defaults(func=cmd_forecast, layout="rows=time")
@@ -370,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-series", type=_at_least(0), required=True)
     p.add_argument("--length", type=_at_least(2), required=True)
     p.add_argument("--noise-sigma", type=_at_least(0, float), default=0.1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--real", help="optional real series (CSV or components dir)")
     add_common(p)
     p.set_defaults(func=cmd_export_sim, layout="rows=time")

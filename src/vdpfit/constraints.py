@@ -96,33 +96,22 @@ class StackedState:
         return StackedState(flat=flat, m=self.m, n_steps=self.n_steps)
 
 
-@dataclass(frozen=True)
-class InitAnchor:
-    """Initial-state anchor x^0; the constraint target is eta0 = [anchor, 0, ..., 0]."""
-
-    x0: State
-
-    @property
-    def m(self) -> int:
-        return self.x0.m
-
-
 def residual(
     x: StackedState,
     params: VdpParams,
-    anchor: InitAnchor,
+    anchor: State,
     dt: float,
     substeps: int = 1,
 ) -> np.ndarray:
-    """G(x) - eta0 as a flat (2*m*N,) vector."""
+    """G(x) - eta0 as a flat (2*m*N,) vector, with eta0 = [anchor, 0, ..., 0]."""
     if x.m != params.m or anchor.m != params.m:
         raise DimensionError("component count mismatch between state, params, anchor")
     x1 = x.x1()
     x2 = x.x2()
     g1, g2 = euler_map(params, x1[:-1], x2[:-1], dt, substeps)
     out = np.empty((x.n_steps, 2 * x.m))
-    out[0, 0::2] = x1[0] - anchor.x0.x1
-    out[0, 1::2] = x2[0] - anchor.x0.x2
+    out[0, 0::2] = x1[0] - anchor.x1
+    out[0, 1::2] = x2[0] - anchor.x2
     out[1:, 0::2] = x1[1:] - g1
     out[1:, 1::2] = x2[1:] - g2
     return out.ravel()
@@ -131,8 +120,8 @@ def residual(
 class BlockBidiagonal:
     """dG/dx: identity diagonal blocks plus subdiagonal blocks sub[k] at (k+1, k).
 
-    Never materializes the dense matrix unless the side length stays under a
-    guard threshold; matvec/rmatvec work blockwise.
+    Never materializes the dense matrix past DENSE_GUARD on a side; rmatvec
+    works blockwise.
     """
 
     def __init__(self, sub: np.ndarray, m: int, n_steps: int):
@@ -150,23 +139,17 @@ class BlockBidiagonal:
         side = 2 * self.m * self.n_steps
         return (side, side)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).reshape(self.n_steps, 2 * self.m)
-        out = v.copy()
-        out[1:] += np.einsum("kij,kj->ki", self.sub, v[:-1])
-        return out.ravel()
-
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float).reshape(self.n_steps, 2 * self.m)
         out = v.copy()
         out[:-1] += np.einsum("kji,kj->ki", self.sub, v[1:])
         return out.ravel()
 
-    def to_dense(self, guard: int = DENSE_GUARD) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         side = self.shape[0]
-        if side > guard:
+        if side > DENSE_GUARD:
             raise ValueError(
-                f"refusing to densify a {side}x{side} block operator (guard={guard})"
+                f"refusing to densify a {side}x{side} block operator (guard={DENSE_GUARD})"
             )
         b = 2 * self.m
         dense = np.eye(side)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -52,7 +53,6 @@ class SvdComponents:
     temporal: np.ndarray
     spatial: np.ndarray
     singular_values: np.ndarray
-    mean_removed: bool = True
     norm_scale: float = 1.0
 
     def __post_init__(self):
@@ -195,9 +195,7 @@ def svd_components(data: DataMatrix, m: int) -> SvdComponents:
             u[i] = -u[i]
             vt[i] = -vt[i]
     temporal = sigma[:, None] * vt
-    return SvdComponents(
-        temporal=temporal, spatial=u, singular_values=sigma, mean_removed=True
-    )
+    return SvdComponents(temporal=temporal, spatial=u, singular_values=sigma)
 
 
 def normalize_components(comps: SvdComponents) -> SvdComponents:
@@ -215,7 +213,6 @@ def normalize_components(comps: SvdComponents) -> SvdComponents:
         temporal=comps.temporal / scale,
         spatial=comps.spatial,
         singular_values=comps.singular_values,
-        mean_removed=comps.mean_removed,
         norm_scale=comps.norm_scale * scale,
     )
 
@@ -341,7 +338,6 @@ def save_components(comps: SvdComponents, out_dir: str | Path, extra_meta: Optio
         "m": comps.m,
         "n_samples": comps.n_samples,
         "n_locations": comps.spatial.shape[1],
-        "mean_removed": comps.mean_removed,
         "norm_scale": comps.norm_scale,
     }
     if extra_meta:
@@ -350,15 +346,23 @@ def save_components(comps: SvdComponents, out_dir: str | Path, extra_meta: Optio
 
 
 def load_components(in_dir: str | Path) -> SvdComponents:
+    """Read a `save_components` directory; meta.json must be a JSON object whose
+    optional norm_scale (default 1.0) is a finite positive number."""
     src = Path(in_dir)
     temporal = load_csv(src / "temporal.csv").values
     spatial = load_csv(src / "spatial.csv").values
     sigma = load_csv(src / "sigma.csv").values.ravel()
-    meta = json.loads((src / "meta.json").read_text())
+    meta_path = src / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:  # also undecodable bytes
+        raise ValueError(f"{meta_path}: not valid JSON ({exc})")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: top level must be a JSON object")
+    scale = meta.get("norm_scale", 1.0)
+    if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
+        raise ValueError(f"{meta_path}: norm_scale must be a finite positive number, "
+                         f"got {scale!r}")
     return SvdComponents(
-        temporal=temporal,
-        spatial=spatial,
-        singular_values=sigma,
-        mean_removed=bool(meta.get("mean_removed", True)),
-        norm_scale=float(meta.get("norm_scale", 1.0)),
+        temporal=temporal, spatial=spatial, singular_values=sigma, norm_scale=float(scale)
     )

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import metrics
 from .constraints import (
-    InitAnchor,
     StackedState,
     residual,
     residual_jacobian_params,
@@ -58,22 +57,15 @@ class ParamBounds:
             check_interval(name, getattr(self, name))
 
     def lower(self, m: int) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.full(m, self.alpha1[0]),
-                np.full(m, self.alpha2[0]),
-                np.full(m * m, self.coupling[0]),
-            ]
-        )
+        return self._corner(m, 0)
 
     def upper(self, m: int) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.full(m, self.alpha1[1]),
-                np.full(m, self.alpha2[1]),
-                np.full(m * m, self.coupling[1]),
-            ]
-        )
+        return self._corner(m, 1)
+
+    def _corner(self, m: int, end: int) -> np.ndarray:
+        """The box's lower (end 0) or upper (end 1) corner as a `VdpParams.to_vector`."""
+        alpha = np.tile([self.alpha1[end], self.alpha2[end]], (m, 1))
+        return VdpParams(alpha=alpha, coupling=np.full((m, m), self.coupling[end])).to_vector()
 
     def clip_params(self, params: VdpParams) -> VdpParams:
         vec = np.clip(params.to_vector(), self.lower(params.m), self.upper(params.m))
@@ -277,15 +269,15 @@ def _objective_parts(x_blocks, z_values, r, lam):
 def objective(
     x: StackedState,
     params: VdpParams,
-    anchor: InitAnchor,
+    anchor: State,
     z: ObservationSet,
     *,
     dt: float = 1.0,
     substeps: int = 1,
     lam: float,
 ) -> float:
-    """Penalty objective f_lam(x, params); lam = 0 is allowed for diagnostics
-    and reduces it to the pure data misfit."""
+    """Penalty objective f_lam(x, params) with eta0 = [anchor, 0, ..., 0];
+    lam = 0 is allowed for diagnostics and reduces it to the pure data misfit."""
     _check_shapes(z, x)
     r = residual(x, params, anchor, dt, substeps) if lam != 0.0 else np.zeros(0)
     return _objective_parts(x.blocks(), z.values, r, lam)
@@ -293,7 +285,7 @@ def objective(
 
 def inner_solve(
     params: VdpParams,
-    anchor: InitAnchor,
+    anchor: State,
     z: ObservationSet,
     cfg: PenaltyConfig,
     x_init: StackedState,
@@ -304,7 +296,8 @@ def inner_solve(
     tol: float,
     max_iter: int,
 ) -> InnerResult:
-    """Gauss-Newton minimization of f_lam over the stacked state.
+    """Gauss-Newton minimization of f_lam over the stacked state, with the
+    constraint anchored at the State `anchor` (eta0 = [anchor, 0, ..., 0]).
 
     `lam`, `tol` and `max_iter` are one stage of `cfg.stages()`; `cfg` gives
     only the Armijo constant. Stops when the gradient infinity-norm drops to
@@ -366,10 +359,8 @@ def inner_solve(
                 break
             t *= 0.5
         if not accepted:
-            return InnerResult(
-                x=cur, residual=r, converged=False, iterations=iterations + 1,
-                grad_inf=grad_inf, objective=f_cur,
-            )
+            iterations += 1
+            break
     return InnerResult(
         x=cur, residual=r, converged=converged, iterations=iterations,
         grad_inf=grad_inf, objective=f_cur,
@@ -378,7 +369,7 @@ def inner_solve(
 
 def value_gradient(
     params: VdpParams,
-    anchor: InitAnchor,
+    anchor: State,
     z: ObservationSet,
     cfg: PenaltyConfig,
     x_init: Optional[StackedState] = None,
@@ -390,7 +381,8 @@ def value_gradient(
     max_iter: int,
 ) -> ValueGradient:
     """f_tilde(params) = min_x f_lam and its gradient lam * G_params'(G - eta0),
-    with the inner solve run at (`lam`, `tol`, `max_iter`).
+    with the inner solve run at (`lam`, `tol`, `max_iter`) and eta0 =
+    [anchor, 0, ..., 0] for the State `anchor`.
 
     The gradient is exact at an exact inner minimizer; when the inner solve
     stops early the result is still returned with `low_accuracy` set.
@@ -429,7 +421,6 @@ def fit(
     *,
     dt: float = 1.0,
     substeps: int = 1,
-    anchor: Optional[InitAnchor] = None,
 ) -> FitResult:
     """Projected-gradient outer loop over (alpha, W) with inner state solves.
 
@@ -437,7 +428,8 @@ def fit(
     warm starts, takes Barzilai-Borwein trial steps clipped to the bounds with
     Armijo backtracking on f_tilde, and stops each stage on a parameter-space
     gradient norm below outer_gtol, a relative objective change below
-    outer_ftol, or outer_max_iter.
+    outer_ftol, or outer_max_iter. The constraint is anchored at x_init's
+    first state.
     """
     m = z.m
     if init.m != m:
@@ -446,8 +438,7 @@ def fit(
         raise FitError("init violates parameter bounds")
     if x_init is None:
         x_init = default_x_init(z, dt)
-    if anchor is None:
-        anchor = InitAnchor(x0=x_init.state(0))
+    anchor = x_init.state(0)
     _check_shapes(z, x_init)
     stages = cfg.stages()
 

@@ -16,7 +16,6 @@ import pytest
 from conftest import random_params, random_state
 from vdpfit.cli import main
 from vdpfit.constraints import (
-    InitAnchor,
     StackedState,
     residual,
     residual_jacobian_params,
@@ -105,7 +104,7 @@ def test_criterion_01_jacobians_match_finite_differences():
         traj = simulate(params, s, n, dt)
         x = StackedState.from_arrays(traj.x1, traj.x2)
         x = x.replace_flat(x.flat + rng.normal(0, 0.05, x.flat.size))
-        anchor = InitAnchor(s)
+        anchor = s
         gx = residual_jacobian_x(x, params, dt).to_dense()
         gp = residual_jacobian_params(x, params, dt)
         fd_gx, fd_gp = _fd_residual_jacobians(x, params, anchor, dt)
@@ -126,7 +125,7 @@ def test_criterion_02_linear_case_matches_dense_oracle():
         s0 = random_state(rng, m, 0.6)
         traj = simulate(params, s0, n, dt)
         z = ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
-        anchor = InitAnchor(s0)
+        anchor = s0
         x_init = StackedState(flat=rng.normal(0, 0.1, 2 * m * n), m=m, n_steps=n)
         res = inner_solve(
             params, anchor, z, PenaltyConfig(), x_init, dt=dt, lam=lam, tol=1e-8, max_iter=200
@@ -157,7 +156,7 @@ def test_criterion_03_value_gradient_matches_finite_differences():
     s0 = random_state(rng, m, 0.6)
     traj = simulate(truth, s0, n, dt)
     z = ObservationSet(traj.x1 + rng.normal(0, 0.02, traj.x1.shape))
-    anchor = InitAnchor(s0)
+    anchor = s0
     cfg = PenaltyConfig()
     vec = truth.to_vector() + rng.normal(0, 0.1, 2 * m + m * m)
     params = VdpParams.from_vector(vec, m)

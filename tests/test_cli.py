@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import re
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_params
 from vdpfit import cli
 from vdpfit.cli import main
-from vdpfit.data import save_csv
+from vdpfit.data import DataMatrix, save_components, save_csv, svd_components
 from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig
 from vdpfit.model import State, VdpParams, simulate
 from vdpfit.search import SearchConfig, StepScales
@@ -469,6 +474,17 @@ class TestForecast:
         err = capsys.readouterr().err
         assert "arima" in err and "var" in err and "vdp" in err
 
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_method_list_is_config_error(self, workdir, wave_csv, capsys, methods):
+        out = workdir / "x"
+        code = main(
+            ["forecast", str(wave_csv), "--methods", methods, "--train-len", "50",
+             "--test-len", "15", "--segments", "2", "-o", str(out)]
+        )
+        assert code == 2
+        assert "no methods" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vdp_without_config_is_config_error(self, workdir, wave_csv, capsys):
         code = main(
             ["forecast", str(wave_csv), "--methods", "vdp", "--train-len", "50",
@@ -522,6 +538,63 @@ class TestConnectivity:
         )
         assert code == 2
         assert "not a fit result" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# (meta.json document, what the error must name)
+_BAD_META = (
+    _JSON.filter(lambda v: not isinstance(v, dict)).map(lambda v: (v, "meta.json"))
+    | _JSON.filter(lambda v: type(v) not in (int, float) or not 0 < v <= sys.float_info.max)
+    .map(lambda v: ({"m": 2, "norm_scale": v}, "norm_scale"))
+)
+
+
+@pytest.fixture(scope="module")
+def meta_case(tmp_path_factory):
+    """A components directory, a matching fit.json and a fit config."""
+    root = tmp_path_factory.mktemp("meta")
+    values = np.random.default_rng(3).normal(size=(6, 40))
+    save_components(svd_components(DataMatrix(values=values), 2), root / "comps")
+    fit_json = write_fit_json(root / "fa.json", m=2)
+    config = root / "config.json"
+    config.write_text(json.dumps({"dt": 0.1}))
+    return root, fit_json, config
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_BAD_META)
+@example(case=([], "meta.json"))
+@example(case=(1, "meta.json"))
+@example(case=({"norm_scale": {}}, "norm_scale"))
+@example(case=({"norm_scale": None}, "norm_scale"))
+def test_malformed_components_meta_is_data_error(meta_case, case):
+    root, fit_json, config = meta_case
+    doc, named = case
+    comps = root / "comps"
+    (comps / "meta.json").write_text(json.dumps(doc))
+    for argv in (["connectivity", str(comps), str(fit_json)],
+                 ["fit", str(comps), "--config", str(config), "--seed", "1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["-o", str(root / "out")])
+        assert code == 1, argv[0]
+        assert "Traceback" not in err.getvalue()
+        assert "meta.json" in err.getvalue() and named in err.getvalue()
+    assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["{", "", "{\"norm_scale\": 1,}"])
+def test_components_meta_that_is_not_json_is_data_error(meta_case, capsys, text):
+    root, fit_json, _ = meta_case
+    (root / "comps" / "meta.json").write_text(text)
+    assert main(["connectivity", str(root / "comps"), str(fit_json),
+                 "-o", str(root / "out")]) == 1
+    assert "meta.json: not valid JSON" in capsys.readouterr().err
 
 
 class TestExportSim:
@@ -637,6 +710,24 @@ def test_out_of_range_flag_is_usage_error(capsys, command, flag, value):
         main(BASE_ARGV[command] + [flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "forecast", "export-sim"])
+def test_negative_seed_is_usage_error_before_any_output(workdir, series_csv, fit_config,
+                                                         capsys, command):
+    fit = write_fit_json(workdir / "fa.json", m=1)
+    argv = {
+        "fit": ["fit", str(series_csv), "--config", str(fit_config)],
+        "forecast": ["forecast", str(series_csv), "--methods", "vdp", "--train-len", "20",
+                     "--test-len", "10", "--segments", "1", "--config", str(fit_config)],
+        "export-sim": ["export-sim", str(fit), "--n-series", "1", "--length", "10"],
+    }[command]
+    out = workdir / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flags_at_their_lower_bound_are_accepted(workdir):

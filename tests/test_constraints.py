@@ -4,8 +4,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from vdpfit.constraints import (
+    DENSE_GUARD,
     BlockBidiagonal,
-    InitAnchor,
     StackedState,
     residual,
     residual_jacobian_params,
@@ -25,7 +25,7 @@ def test_simulated_trajectory_has_zero_residual(rng):
     params = random_params(rng, 2)
     s0 = random_state(rng, 2, 0.4)
     traj = simulate(params, s0, 15, 0.05)
-    r = residual(stacked_from(traj), params, InitAnchor(s0), 0.05)
+    r = residual(stacked_from(traj), params, s0, 0.05)
     npt.assert_allclose(r, 0.0, atol=1e-14)
 
 
@@ -37,7 +37,7 @@ def test_residual_is_exactly_zero_on_a_simulated_trajectory(rng, m, substeps):
     params = random_params(rng, m)
     s0 = random_state(rng, m, 0.3)
     traj = simulate(params, s0, 25, 0.05, substeps)
-    r = residual(stacked_from(traj), params, InitAnchor(s0), 0.05, substeps)
+    r = residual(stacked_from(traj), params, s0, 0.05, substeps)
     npt.assert_array_equal(r, 0.0)
 
 
@@ -49,7 +49,7 @@ def test_perturbation_is_banded(rng):
     k = 4
     flat = x.flat.copy()
     flat[2 * 2 * k] += 0.1  # x1 of component 0 at time k
-    r = residual(x.replace_flat(flat), params, InitAnchor(s0), 0.05)
+    r = residual(x.replace_flat(flat), params, s0, 0.05)
     blocks = r.reshape(10, 4)
     nonzero = np.where(np.any(blocks != 0.0, axis=1))[0]
     npt.assert_array_equal(nonzero, [k, k + 1])
@@ -59,7 +59,7 @@ def test_hand_residual_linear_map():
     # alpha=0, W=0, dt=1: g((1,0)) = (1,-1); anchor cancels the first block
     params = VdpParams(alpha=np.zeros((1, 2)), coupling=np.zeros((1, 1)))
     x = StackedState.from_arrays(np.array([[1.0], [1.0]]), np.array([[0.0], [-1.0]]))
-    anchor = InitAnchor(State(x1=[0.0], x2=[0.0]))
+    anchor = State(x1=[0.0], x2=[0.0])
     r = residual(x, params, anchor, 1.0)
     npt.assert_array_equal(r, [1.0, 0.0, 0.0, 0.0])
 
@@ -127,7 +127,7 @@ def test_jacobians_match_finite_differences(trial, substeps):
     x = stacked_from(traj).replace_flat(
         stacked_from(traj).flat + rng.normal(0, 0.05, 5 * 2 * m)
     )
-    anchor = InitAnchor(s0)
+    anchor = s0
     # G uses the same substepped map as simulate, so it vanishes on its trajectory
     npt.assert_allclose(residual(stacked_from(traj), params, anchor, 0.07, substeps),
                         0.0, atol=1e-14)
@@ -151,15 +151,20 @@ def test_alpha1_column_hand_value():
 
 
 class TestBlockBidiagonal:
-    def test_matvec_rmatvec_match_dense(self, rng):
+    def test_rmatvec_matches_dense(self, rng):
         n, m = 6, 2
         b = 2 * m
         sub = rng.normal(size=(n - 1, b, b))
         op = BlockBidiagonal(sub, m, n)
         dense = op.to_dense()
         v = rng.normal(size=n * b)
-        npt.assert_allclose(op.matvec(v), dense @ v, rtol=1e-12)
         npt.assert_allclose(op.rmatvec(v), dense.T @ v, rtol=1e-12)
+
+    def test_to_dense_refuses_past_the_guard(self):
+        n = DENSE_GUARD // 2 + 1  # m = 1: side 2n = DENSE_GUARD + 2
+        op = BlockBidiagonal(np.zeros((n - 1, 2, 2)), 1, n)
+        with pytest.raises(ValueError, match="refusing to densify"):
+            op.to_dense()
 
 
 def _block_cholesky_reference(diag, sub, rhs):

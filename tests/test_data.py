@@ -365,4 +365,3 @@ class TestComponentsIo:
         npt.assert_array_equal(back.spatial, comps.spatial)
         npt.assert_array_equal(back.singular_values, comps.singular_values)
         assert back.norm_scale == comps.norm_scale
-        assert back.mean_removed == comps.mean_removed

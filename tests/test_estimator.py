@@ -5,7 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vdpfit.constraints import InitAnchor, StackedState, residual, residual_jacobian_x
+from vdpfit import estimator
+from vdpfit.constraints import StackedState, residual, residual_jacobian_x
 from vdpfit.estimator import (
     FitError,
     FitResult,
@@ -41,13 +42,13 @@ class TestObjective:
     def test_zero_on_consistent_instance(self, rng):
         params, s0, traj, z = make_instance(rng, m=2, n=12)
         x = StackedState.from_arrays(traj.x1, traj.x2)
-        val = objective(x, params, InitAnchor(s0), z, dt=0.05, lam=1000.0)
+        val = objective(x, params, s0, z, dt=0.05, lam=1000.0)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_lam_zero_is_pure_misfit(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=10)
         x = StackedState.from_arrays(traj.x1 + 0.5, traj.x2)
-        val = objective(x, params, InitAnchor(s0), z, dt=0.05, lam=0.0)
+        val = objective(x, params, s0, z, dt=0.05, lam=0.0)
         assert val == pytest.approx(0.5 * np.sum((traj.x1 + 0.5 - z.values) ** 2))
 
     def test_hand_value(self):
@@ -56,7 +57,7 @@ class TestObjective:
         params = VdpParams(alpha=np.zeros((1, 2)), coupling=np.zeros((1, 1)))
         x = StackedState(flat=np.zeros(4), m=1, n_steps=2)
         z = ObservationSet(np.array([[1.0], [1.0]]))
-        anchor = InitAnchor(State(x1=[0.0], x2=[0.0]))
+        anchor = State(x1=[0.0], x2=[0.0])
         val = objective(x, params, anchor, z, lam=2.0)
         assert val == pytest.approx(1.0)
 
@@ -84,7 +85,7 @@ class TestInnerSolve:
             rng = np.random.default_rng(500 + trial)
             params, s0, traj, z = make_instance(rng, m=2, n=10, noise=0.05,
                                                 nonlinear=False)
-            anchor = InitAnchor(s0)
+            anchor = s0
             x_init = StackedState(
                 flat=rng.normal(0, 0.1, 2 * 2 * 10), m=2, n_steps=10
             )
@@ -96,7 +97,7 @@ class TestInnerSolve:
     def test_truth_init_returns_unchanged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
         x_true = StackedState.from_arrays(traj.x1, traj.x2)
-        res = inner_solve(params, InitAnchor(s0), z, PenaltyConfig(), x_true, dt=0.05,
+        res = inner_solve(params, s0, z, PenaltyConfig(), x_true, dt=0.05,
                           lam=1e3, **FINAL_STAGE)
         assert res.converged
         assert res.iterations == 0
@@ -109,14 +110,14 @@ class TestInnerSolve:
         traj = simulate(params, s0, 100, 0.05)
         z = ObservationSet(traj.x1)
         x_init = StackedState.from_arrays(traj.x1, np.zeros_like(traj.x2))
-        res = inner_solve(params, InitAnchor(State(x1=traj.x1[0], x2=[0.0])), z,
+        res = inner_solve(params, State(x1=traj.x1[0], x2=[0.0]), z,
                           PenaltyConfig(), x_init, dt=0.05, lam=1e3, **FINAL_STAGE)
         assert pearson(res.x.x2()[:, 0], traj.x2[:, 0]) >= 0.95
 
     def test_iteration_cap_flags_not_converged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20, noise=0.1)
         x_init = StackedState(flat=rng.normal(0, 0.3, 40), m=1, n_steps=20)
-        res = inner_solve(params, InitAnchor(s0), z, PenaltyConfig(), x_init, dt=0.05,
+        res = inner_solve(params, s0, z, PenaltyConfig(), x_init, dt=0.05,
                           lam=1e3, tol=1e-8, max_iter=0)
         assert not res.converged
         assert res.iterations == 0
@@ -127,21 +128,34 @@ class TestInnerSolve:
         rng = np.random.default_rng(0)
         params, s0, traj, z = make_instance(rng, m=2, n=100, noise=0.05)
         cfg = PenaltyConfig()
-        res = inner_solve(params, InitAnchor(s0), z, cfg, default_x_init(z, 0.05),
+        res = inner_solve(params, s0, z, cfg, default_x_init(z, 0.05),
                           dt=0.05, lam=1e3, tol=1e-13, max_iter=100)
         assert res.converged
         assert res.iterations < 20
         assert res.grad_inf > 1e-13
-        tight = inner_solve(params, InitAnchor(s0), z, cfg, res.x, dt=0.05, lam=1e3,
+        tight = inner_solve(params, s0, z, cfg, res.x, dt=0.05, lam=1e3,
                             tol=1e-13, max_iter=5)
         assert res.objective - tight.objective <= 1e-14 * res.objective
+
+
+    def test_stalled_line_search_counts_the_step_and_keeps_the_iterate(self, rng,
+                                                                       monkeypatch):
+        params, s0, traj, z = make_instance(rng, m=1, n=30, noise=0.05)
+        x_init = default_x_init(z, 0.05)
+        monkeypatch.setattr(estimator, "_MAX_HALVINGS", 0)  # no trial step is ever accepted
+        res = inner_solve(params, s0, z, PenaltyConfig(), x_init, dt=0.05, lam=100.0,
+                          **FINAL_STAGE)
+        assert not res.converged and res.iterations == 1 and res.grad_inf > 0
+        npt.assert_array_equal(res.x.flat, x_init.flat)
+        npt.assert_array_equal(res.residual, residual(x_init, params, s0, 0.05))
+        assert res.objective == objective(x_init, params, s0, z, dt=0.05, lam=100.0)
 
 
 class TestValueGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         params, s0, traj, z = make_instance(rng, m=2, n=20, noise=0.02)
-        anchor = InitAnchor(s0)
+        anchor = s0
         cfg, stage = PenaltyConfig(), {"lam": 100.0, "tol": 1e-10, "max_iter": 400}
         probe = VdpParams(
             alpha=params.alpha * 0.9, coupling=params.coupling + 0.05
@@ -166,7 +180,7 @@ class TestValueGradient:
     def test_zero_gradient_on_noise_free_fit(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
         x_true = StackedState.from_arrays(traj.x1, traj.x2)
-        vg = value_gradient(params, InitAnchor(s0), z, PenaltyConfig(), x_init=x_true,
+        vg = value_gradient(params, s0, z, PenaltyConfig(), x_init=x_true,
                             dt=0.05, lam=1e3, **FINAL_STAGE)
         npt.assert_array_equal(vg.gradient, np.zeros(3))
         assert vg.value == 0.0
@@ -174,7 +188,7 @@ class TestValueGradient:
     def test_low_accuracy_flag(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20, noise=0.1)
         x_init = StackedState(flat=rng.normal(0, 0.3, 40), m=1, n_steps=20)
-        vg = value_gradient(params, InitAnchor(s0), z, PenaltyConfig(), x_init=x_init,
+        vg = value_gradient(params, s0, z, PenaltyConfig(), x_init=x_init,
                             dt=0.05, lam=1e3, tol=1e-8, max_iter=0)
         assert vg.low_accuracy
         assert np.all(np.isfinite(vg.gradient))
@@ -184,7 +198,7 @@ def test_misfit_stays_flat_across_lam_schedule_on_consistent_data(rng):
     # noise-free linear instances are exactly representable, so the data
     # misfit term sits at ~0 for every penalty weight instead of trading off
     params, s0, traj, z = make_instance(rng, m=2, n=15, nonlinear=False)
-    anchor = InitAnchor(s0)
+    anchor = s0
     misfits = []
     x = default_x_init(z, 0.05)
     for lam in (10.0, 100.0, 1000.0):
@@ -298,6 +312,40 @@ class TestFit:
         npt.assert_allclose(back.params.alpha, res.params.alpha)
         npt.assert_allclose(back.states.x1, res.states.x1)
         assert back.states.dt == res.states.dt
+
+
+class TestParamBounds:
+    BOUNDS = ParamBounds(alpha1=(0.5, 4), alpha2=(-3, 2), coupling=(-1, 1.5))
+    # (lower, upper) in the [a1_1..a1_m, a2_1..a2_m, W row-major] layout, by hand
+    CORNERS = {
+        1: ([0.5, -3, -1], [4, 2, 1.5]),
+        2: ([0.5, 0.5, -3, -3, -1, -1, -1, -1], [4, 4, 2, 2, 1.5, 1.5, 1.5, 1.5]),
+        3: ([0.5, 0.5, 0.5, -3, -3, -3, -1, -1, -1, -1, -1, -1, -1, -1, -1],
+            [4, 4, 4, 2, 2, 2, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5]),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lower_and_upper_follow_the_vector_layout(self, m):
+        lo, hi = self.CORNERS[m]
+        assert self.BOUNDS.lower(m).dtype == float and self.BOUNDS.upper(m).dtype == float
+        npt.assert_array_equal(self.BOUNDS.lower(m), lo)
+        npt.assert_array_equal(self.BOUNDS.upper(m), hi)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_clip_maps_out_of_box_params_onto_the_corners(self, m):
+        lo, hi = self.CORNERS[m]
+        for fill, corner in ((-10.0, lo), (10.0, hi)):
+            params = VdpParams(alpha=np.full((m, 2), fill), coupling=np.full((m, m), fill))
+            assert not self.BOUNDS.contains(params)
+            npt.assert_array_equal(self.BOUNDS.clip_params(params).to_vector(), corner)
+
+    def test_clip_moves_only_the_out_of_box_entries(self):
+        params = VdpParams(alpha=np.array([[10.0, 1.0], [0.7, -9.0]]),
+                           coupling=np.array([[-5.0, 0.25], [1.0, 9.0]]))
+        clipped = self.BOUNDS.clip_params(params)
+        npt.assert_array_equal(clipped.alpha, [[4.0, 1.0], [0.7, -3.0]])
+        npt.assert_array_equal(clipped.coupling, [[-1.0, 0.25], [1.0, 1.5]])
+        assert self.BOUNDS.contains(clipped)
 
 
 def test_json_needs_dt_and_defaults_substeps(rng):
