@@ -31,7 +31,6 @@ from .estimator import (
 )
 from .search import Candidate, SearchConfig, fitness, propose, search_and_refine
 from .data import (
-    DataMatrix,
     SegmentSplit,
     SvdComponents,
     connectivity_projection,

@@ -169,12 +169,12 @@ def _load_series(path: str, layout: str) -> np.ndarray:
     p = Path(path)
     if p.is_dir():
         return load_components(p).temporal.T
-    return load_csv(p, layout=layout).values.T
+    return load_csv(p, layout=layout).T
 
 
 def cmd_svd(args) -> int:
     data = load_csv(args.input, layout=args.layout)
-    limit = min(data.values.shape)
+    limit = min(data.shape)
     if args.components > limit:
         raise ConfigError(
             f"m={args.components} exceeds min(locations, samples)={limit}"
@@ -185,7 +185,7 @@ def cmd_svd(args) -> int:
     out = _resolve_out(args)
     extra = {"normalized": not args.raw, "layout": args.layout}
     save_components(comps, out, extra_meta=extra)
-    print(f"wrote {args.components} components ({data.values.shape[0]} locations, "
+    print(f"wrote {args.components} components ({data.shape[0]} locations, "
           f"{comps.n_samples} samples) to {out}")
     return 0
 
@@ -208,11 +208,16 @@ def cmd_forecast(args) -> int:
     names = [n.strip() for n in args.methods.split(",") if n.strip()]
     if not names:
         raise ConfigError(f"no methods in --methods; valid methods: {', '.join(_KNOWN_METHODS)}")
-    for n in names:
+    for i, n in enumerate(names):
         if n not in _KNOWN_METHODS:
             raise ConfigError(
                 f"unknown method {n!r}; valid methods: {', '.join(_KNOWN_METHODS)}"
             )
+        if n in names[:i]:
+            raise ConfigError(f"method {n!r} appears twice in --methods")
+    if args.horizon > args.test_len:
+        raise ConfigError(f"--horizon {args.horizon} exceeds --test-len {args.test_len}: "
+                          "no forecast window fits in a test range")
     data = _load_series(args.input, args.layout).T  # (m, T)
     split = split_segments(data.shape[1], args.train_len, args.test_len, args.segments)
     methods = []
@@ -223,7 +228,9 @@ def cmd_forecast(args) -> int:
             if not args.config or args.seed is None:
                 raise ConfigError("the vdp method needs --config and --seed")
             fit = _fitter(args)
-            methods.append(VdpMethod([
+            # the oscillator serves only the short protocol; `evaluate` records
+            # it as omitted on long runs, so its segments are not fitted there
+            methods.append(VdpMethod([] if args.protocol == "long" else [
                 fit(ObservationSet(data[:, seg.train[0] : seg.train[1]].T), args.seed + s_idx)
                 for s_idx, seg in enumerate(split.segments)
             ]))

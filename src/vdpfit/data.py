@@ -28,20 +28,6 @@ class CsvFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class DataMatrix:
-    """P x T recording: rows are spatial locations (pixels/cells), columns time."""
-
-    values: np.ndarray
-    names: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("data matrix contains non-finite entries")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class SvdComponents:
     """Truncated SVD of the row-centered data.
 
@@ -113,78 +99,75 @@ def _parse_float(token: str, row: int, col: int) -> float:
         ) from None
 
 
-def load_csv(path: str | Path, layout: str = "rows=space") -> DataMatrix:
-    """Read a comma-separated matrix; `layout` says what the file's rows mean.
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
-    layout="rows=space" stores the file as-is (P x T); layout="rows=time"
-    transposes so rows of the result are again spatial locations. A first row
-    with any non-numeric token is treated as a header of names. Blank lines
-    are skipped; ragged or non-numeric rows raise CsvFormatError with the
-    offending location (1-based, counting data rows).
+
+def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
+    """Read a comma-separated matrix as a finite (P, T) array; `layout` says
+    what the file's rows mean.
+
+    layout="rows=space" keeps the file as-is; layout="rows=time" transposes so
+    rows of the result are again spatial locations. A first row none of whose
+    tokens parses as a number is a header and is skipped; a first row with both
+    kinds of token is data, so its first non-numeric token is an error. Blank
+    lines are skipped and tokens are stripped of surrounding whitespace. A
+    ragged row raises CsvFormatError naming its file line; a non-numeric or
+    non-finite value (nan, inf, 1e400) raises CsvFormatError naming its row and
+    column (1-based, counting data rows, in the file's own orientation).
     """
     if layout not in ("rows=space", "rows=time"):
         raise ValueError(f"layout must be 'rows=space' or 'rows=time', got {layout!r}")
     path = Path(path)
     rows: list[list[float]] = []
-    names: Optional[tuple[str, ...]] = None
     width = None
-    data_row = 0
     with path.open(newline="") as fh:
         for line_no, record in enumerate(csv.reader(fh), start=1):
-            if not record or all(tok.strip() == "" for tok in record):
-                continue
             tokens = [tok.strip() for tok in record]
-            if data_row == 0 and names is None:
-                numeric = True
-                for tok in tokens:
-                    try:
-                        float(tok)
-                    except ValueError:
-                        numeric = False
-                        break
-                if not numeric:
-                    names = tuple(tokens)
-                    width = len(tokens)
-                    continue
-            data_row += 1
+            if not any(tokens):
+                continue
             if width is None:
                 width = len(tokens)
+                if not any(map(_is_number, tokens)):
+                    continue  # a header row
             elif len(tokens) != width:
                 raise CsvFormatError(
                     f"line {line_no}: expected {width} fields, got {len(tokens)}"
                 )
-            rows.append(
-                [_parse_float(tok, data_row, c + 1) for c, tok in enumerate(tokens)]
-            )
+            row = len(rows) + 1
+            rows.append([_parse_float(tok, row, c + 1) for c, tok in enumerate(tokens)])
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     values = np.array(rows, dtype=float)
-    if layout == "rows=time":
-        values = values.T
-    return DataMatrix(values=values, names=names)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise CsvFormatError(f"non-finite value {values[r, c]} at row {r + 1}, column {c + 1}")
+    return values.T if layout == "rows=time" else values
 
 
-def save_csv(values: np.ndarray, path: str | Path, names: Optional[Sequence[str]] = None):
+def save_csv(values: np.ndarray, path: str | Path):
     """Write a matrix with 17-significant-digit floats (round-trip exact)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if names is not None:
-            fh.write(",".join(str(n) for n in names) + "\n")
+    with Path(path).open("w", newline="") as fh:
         row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
         fh.writelines(row_format % tuple(row) for row in values.tolist())
 
 
-def svd_components(data: DataMatrix, m: int) -> SvdComponents:
-    """Rank-m truncated SVD of the row-centered matrix.
+def svd_components(values: np.ndarray, m: int) -> SvdComponents:
+    """Rank-m truncated SVD of the row-centered (P, T) matrix.
 
     Temporal rows carry sigma_i * v_i; each spatial component is flipped (with
     its temporal partner) so its largest-magnitude entry is positive.
     """
-    p, t = data.values.shape
+    p, t = values.shape
     if not 1 <= m <= min(p, t):
         raise ValueError(f"m must be in [1, {min(p, t)}] for a {p}x{t} matrix, got {m}")
-    centered = data.values - data.values.mean(axis=1, keepdims=True)
+    centered = values - values.mean(axis=1, keepdims=True)
     u, sigma, vt = np.linalg.svd(centered, full_matrices=False)
     u = u[:, :m].T  # (m, P)
     sigma = sigma[:m]
@@ -303,11 +286,9 @@ def save_edges(edges: Sequence[Edge], path: str | Path):
             writer.writerow([e.source, e.target, format(e.weight, ".17g"), e.polarity])
 
 
-def split_segments(
-    comps: SvdComponents | int, train_len: int, test_len: int, n_segments: int
-) -> SegmentSplit:
-    """Contiguous non-overlapping (train, test) pairs laid end to end from t=0."""
-    t = comps if isinstance(comps, int) else comps.n_samples
+def split_segments(t: int, train_len: int, test_len: int, n_segments: int) -> SegmentSplit:
+    """Contiguous non-overlapping (train, test) pairs laid end to end from t=0
+    over t samples."""
     if train_len < 1 or test_len < 1 or n_segments < 1:
         raise ValueError("train_len, test_len, n_segments must all be >= 1")
     needed = n_segments * (train_len + test_len)
@@ -349,9 +330,9 @@ def load_components(in_dir: str | Path) -> SvdComponents:
     """Read a `save_components` directory; meta.json must be a JSON object whose
     optional norm_scale (default 1.0) is a finite positive number."""
     src = Path(in_dir)
-    temporal = load_csv(src / "temporal.csv").values
-    spatial = load_csv(src / "spatial.csv").values
-    sigma = load_csv(src / "sigma.csv").values.ravel()
+    temporal = load_csv(src / "temporal.csv")
+    spatial = load_csv(src / "spatial.csv")
+    sigma = load_csv(src / "sigma.csv").ravel()
     meta_path = src / "meta.json"
     try:
         meta = json.loads(meta_path.read_text())

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .data import SegmentSplit, SvdComponents, save_csv
+from .data import SegmentSplit, save_csv
 from .estimator import FitResult
 from .model import DimensionError, SimulationDiverged, rollout, simulate
 
@@ -287,11 +287,12 @@ class ForecastReport:
 def evaluate(
     methods: Sequence[ForecastMethod],
     split: SegmentSplit,
-    comps: SvdComponents | np.ndarray,
+    data: np.ndarray,
     horizon: int = 9,
     protocol: str = "short",
 ) -> ForecastReport:
-    """Run every method over the protocol's windows and aggregate per step.
+    """Run every method over the protocol's windows of the (m, T) `data` and
+    aggregate per step.
 
     A window is skipped, and counted, when it runs past its segment's test
     range or the data, or when its forecast diverges; any other error from a
@@ -302,9 +303,7 @@ def evaluate(
         raise ValueError(f"protocol must be 'short' or 'long', got {protocol!r}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    data = comps.temporal if isinstance(comps, SvdComponents) else np.atleast_2d(
-        np.asarray(comps, dtype=float)
-    )
+    data = np.atleast_2d(np.asarray(data, dtype=float))
     m, t = data.shape
     records: list[WindowForecast] = []
     stats: dict[str, HorizonStats] = {}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import random_params
 from vdpfit import cli
 from vdpfit.cli import main
-from vdpfit.data import DataMatrix, save_components, save_csv, svd_components
+from vdpfit.data import save_components, save_csv, svd_components
 from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig
 from vdpfit.model import State, VdpParams, simulate
 from vdpfit.search import SearchConfig, StepScales
@@ -118,6 +118,14 @@ class TestSvd:
         bad.write_text("1,2\n3,oops\n")
         assert main(["svd", str(bad), "-m", "1", "-o", str(workdir / "x")]) == 1
         assert "row 2" in capsys.readouterr().err
+
+    def test_non_finite_value_is_data_error_with_its_location(self, workdir, capsys):
+        bad = workdir / "bad.csv"
+        bad.write_text("1,2,3\n4,inf,6\n")
+        out = workdir / "x"
+        assert main(["svd", str(bad), "-m", "1", "-o", str(out)]) == 1
+        assert "non-finite value inf at row 2, column 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_env_var_supplies_default(self, workdir, recording_csv, monkeypatch):
         target = workdir / "from_env"
@@ -485,6 +493,70 @@ class TestForecast:
         assert "no methods" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods", ["var,var", "vdp,var,vdp", "var, var"])
+    def test_duplicate_method_is_config_error(self, workdir, wave_csv, fit_config, capsys,
+                                              methods):
+        out = workdir / "x"
+        code = main(
+            ["forecast", str(wave_csv), "--methods", methods, "--train-len", "50",
+             "--test-len", "15", "--segments", "2", "--config", str(fit_config),
+             "--seed", "1", "-o", str(out)]
+        )
+        assert code == 2
+        dup = methods.split(",")[-1].strip()
+        assert f"method {dup!r} appears twice in --methods" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol", ["short", "long"])
+    def test_horizon_above_test_len_is_config_error(self, workdir, wave_csv, capsys,
+                                                    protocol):
+        out = workdir / "x"
+        code = main(
+            ["forecast", str(wave_csv), "--methods", "var", "--train-len", "40",
+             "--test-len", "20", "--segments", "2", "--horizon", "30",
+             "--protocol", protocol, "-o", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--horizon 30" in err and "--test-len 20" in err
+        assert not out.exists()
+
+    def test_long_protocol_fits_no_vdp_segment(self, workdir, wave_csv, fit_config,
+                                               monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a vdp segment was fitted on the long protocol")
+
+        monkeypatch.setattr(cli, "search_and_refine", no_fit)
+        outs = {}
+        for methods in ("var", "var,vdp"):
+            outs[methods] = workdir / methods
+            code = main(
+                ["forecast", str(wave_csv), "--methods", methods, "--train-len", "50",
+                 "--test-len", "15", "--segments", "2", "--horizon", "5",
+                 "--protocol", "long", "--config", str(fit_config), "--seed", "3",
+                 "--vp-only", "-o", str(outs[methods])]
+            )
+            assert code == 0
+        var, both = (outs[m] for m in ("var", "var,vdp"))
+        assert (both / "report.csv").read_bytes() == (var / "report.csv").read_bytes()
+        want = json.loads((var / "report.json").read_text())
+        want["metadata"]["omitted_methods"] = ["vdp"]
+        want["metadata"]["cli"]["methods"] = ["var", "vdp"]
+        assert json.loads((both / "report.json").read_text()) == want
+
+    @pytest.mark.parametrize("config", [None, {"dt": "x"}])
+    def test_long_protocol_still_checks_the_vdp_config(self, workdir, wave_csv, capsys,
+                                                       config):
+        argv = ["forecast", str(wave_csv), "--methods", "var,vdp", "--train-len", "50",
+                "--test-len", "15", "--segments", "2", "--protocol", "long", "--seed", "3",
+                "-o", str(workdir / "x")]
+        if config is not None:
+            path = workdir / "bad.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert ("--config" if config is None else "dt") in capsys.readouterr().err
+
     def test_vdp_without_config_is_config_error(self, workdir, wave_csv, capsys):
         code = main(
             ["forecast", str(wave_csv), "--methods", "vdp", "--train-len", "50",
@@ -559,7 +631,7 @@ def meta_case(tmp_path_factory):
     """A components directory, a matching fit.json and a fit config."""
     root = tmp_path_factory.mktemp("meta")
     values = np.random.default_rng(3).normal(size=(6, 40))
-    save_components(svd_components(DataMatrix(values=values), 2), root / "comps")
+    save_components(svd_components(values, 2), root / "comps")
     fit_json = write_fit_json(root / "fa.json", m=2)
     config = root / "config.json"
     config.write_text(json.dumps({"dt": 0.1}))

@@ -1,13 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_text, finite_matrices
 from vdpfit import data
 from vdpfit.data import (
     CsvFormatError,
-    DataMatrix,
     Edge,
     SvdComponents,
     connectivity_projection,
@@ -26,9 +26,9 @@ class TestLoadCsv:
     def test_well_formed(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2,3,4\n5,6,7,8\n9,10,11,12\n")
-        dm = load_csv(p)
-        assert dm.values.shape == (3, 4)
-        npt.assert_array_equal(dm.values[1], [5, 6, 7, 8])
+        values = load_csv(p)
+        assert values.shape == (3, 4)
+        npt.assert_array_equal(values[1], [5, 6, 7, 8])
 
     def test_non_numeric_cites_coordinates(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -45,41 +45,107 @@ class TestLoadCsv:
     def test_header_and_blank_lines(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("cell_a,cell_b\n\n1,2\n3,4\n\n")
-        dm = load_csv(p)
-        assert dm.names == ("cell_a", "cell_b")
-        assert dm.values.shape == (2, 2)
+        values = load_csv(p)
+        npt.assert_array_equal(values, [[1, 2], [3, 4]])
+
+    def test_mixed_first_row_is_data_not_a_header(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("1,2,oops\n4,5,6\n7,8,9\n")
+        with pytest.raises(CsvFormatError, match=r"'oops' at row 1, column 3$"):
+            load_csv(p)
+
+    def test_non_finite_value_cites_coordinates(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("t,u\n1,2\n3,nan\n")
+        with pytest.raises(CsvFormatError, match=r"^non-finite value nan at row 2, column 2$"):
+            load_csv(p)
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("cell_a,cell_b\n\n")
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(p)
 
     def test_rows_as_time_transposes(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2\n3,4\n5,6\n")
-        dm = load_csv(p, layout="rows=time")
-        assert dm.values.shape == (2, 3)
-        npt.assert_array_equal(dm.values[0], [1, 3, 5])
+        values = load_csv(p, layout="rows=time")
+        assert values.shape == (2, 3)
+        npt.assert_array_equal(values[0], [1, 3, 5])
 
     def test_round_trip_full_precision(self, tmp_path, rng):
         values = rng.normal(size=(4, 7)) * np.pi
         p = tmp_path / "rt.csv"
         save_csv(values, p)
         back = load_csv(p)
-        npt.assert_array_equal(back.values, values)
+        npt.assert_array_equal(back, values)
 
     def test_save_bytes_match_per_value_format(self, tmp_path, rng):
         specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300,
                     1.7976931348623157e308, np.inf, -np.inf, 0.1, 1e16, 123456789.0]
         values = np.vstack([np.reshape(specials, (4, 3)), rng.normal(size=(6, 3)) * 1e3])
         p = tmp_path / "fmt.csv"
-        save_csv(values, p, names=["a", "b", "c"])
-        want = "a,b,c\n" + "".join(
+        save_csv(values, p)
+        want = "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in values
         )
         assert p.read_bytes() == want.encode()
+
+
+NON_NUMERIC = ["oops", "1.2.3", "0x10", "1e", "--1", "1 2"]
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"]
+
+
+class TestCsvContract:
+    """load_csv over generated documents: exact round trips, located errors."""
+
+    @given(x=finite_matrices(), doc=st.data())
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path_factory, x, doc):
+        p = tmp_path_factory.mktemp("csv") / "x.csv"
+        save_csv(x, p)
+        assert load_csv(p).tobytes() == x.tobytes()
+        rows = [line.split(",") for line in p.read_text().splitlines()]
+        text, _ = doc.draw(csv_text(rows))
+        p.write_text(text)
+        back = load_csv(p)
+        assert back.dtype == np.float64 and back.shape == x.shape
+        assert back.tobytes() == x.tobytes()
+        assert load_csv(p, layout="rows=time").tobytes() == x.T.tobytes()
+
+    @given(x=finite_matrices(), fault=st.sampled_from(["ragged", "non-numeric", "non-finite"]),
+           header=st.booleans(), layout=st.sampled_from(["rows=space", "rows=time"]),
+           doc=st.data())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_faults_name_their_location(self, tmp_path_factory, x, fault, header, layout, doc):
+        rows = [[format(v, ".17g") for v in row] for row in x]
+        n, w = x.shape
+        if fault == "ragged":
+            assume(header or n > 1)  # without a header the first row sets the width
+            i = doc.draw(st.integers(0 if header else 1, n - 1))
+            rows[i] = rows[i][:-1] if w > 1 and doc.draw(st.booleans()) else rows[i] + ["0"]
+        else:
+            i, j = doc.draw(st.integers(0, n - 1)), doc.draw(st.integers(0, w - 1))
+            tokens = NON_FINITE if fault == "non-finite" else NON_NUMERIC + [""] * (w > 1)
+            rows[i][j] = doc.draw(st.sampled_from(tokens))
+            # a lone non-numeric first row would be a header, not an error
+            assume(fault == "non-finite" or header or i > 0 or w > 1)
+        text, lines = doc.draw(csv_text(rows, header=header, width=w))
+        p = tmp_path_factory.mktemp("csv") / "x.csv"
+        p.write_text(text)
+        if fault == "ragged":
+            where = rf"^line {lines[i]}: expected {w} fields, got {len(rows[i])}$"
+        else:
+            where = rf"^{fault} value .* at row {i + 1}, column {j + 1}$"
+        with pytest.raises(CsvFormatError, match=where):
+            load_csv(p, layout=layout)
 
 
 class TestSvdComponents:
     def test_rank_one_recovery(self, rng):
         u = rng.normal(size=8)
         v = rng.normal(size=30)
-        data = DataMatrix(values=np.outer(u, v))
+        data = np.outer(u, v)
         comps = svd_components(data, 1)
         # correlation with v is exact up to sign on the centered matrix
         vc = v - v.mean()
@@ -87,7 +153,7 @@ class TestSvdComponents:
         assert abs(abs(c) - 1.0) < 1e-10
 
     def test_temporal_rows_carry_singular_scale(self, rng):
-        data = DataMatrix(values=rng.normal(size=(10, 40)))
+        data = rng.normal(size=(10, 40))
         comps = svd_components(data, 3)
         for i in range(3):
             npt.assert_allclose(
@@ -95,7 +161,7 @@ class TestSvdComponents:
             )
 
     def test_temporal_orthogonality(self, rng):
-        data = DataMatrix(values=rng.normal(size=(12, 50)))
+        data = rng.normal(size=(12, 50))
         comps = svd_components(data, 4)
         gram = comps.temporal @ comps.temporal.T
         off = gram - np.diag(np.diag(gram))
@@ -103,7 +169,7 @@ class TestSvdComponents:
 
     def test_reconstruction_matches_dense_oracle(self, rng):
         values = rng.normal(size=(20, 30))
-        comps = svd_components(DataMatrix(values=values), 5)
+        comps = svd_components(values, 5)
         centered = values - values.mean(axis=1, keepdims=True)
         approx = comps.spatial.T @ comps.temporal
         u, s, vt = np.linalg.svd(centered, full_matrices=False)
@@ -114,18 +180,18 @@ class TestSvdComponents:
 
     def test_full_rank_reconstructs_exactly(self, rng):
         values = rng.normal(size=(6, 9))
-        comps = svd_components(DataMatrix(values=values), 6)
+        comps = svd_components(values, 6)
         centered = values - values.mean(axis=1, keepdims=True)
         npt.assert_allclose(comps.spatial.T @ comps.temporal, centered, atol=1e-8)
 
     def test_sign_convention(self, rng):
-        data = DataMatrix(values=rng.normal(size=(9, 25)))
+        data = rng.normal(size=(9, 25))
         comps = svd_components(data, 4)
         for row in comps.spatial:
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_m_too_large(self, rng):
-        data = DataMatrix(values=rng.normal(size=(4, 25)))
+        data = rng.normal(size=(4, 25))
         with pytest.raises(ValueError, match="4"):
             svd_components(data, 5)
 
@@ -351,14 +417,14 @@ class TestSplitSegments:
         comps = SvdComponents(temporal=rng.normal(size=(2, 130)),
                               spatial=np.eye(2, 4),
                               singular_values=np.array([2.0, 1.0]))
-        split = split_segments(comps, 50, 10, 2)
+        split = split_segments(comps.n_samples, 50, 10, 2)
         assert split.n_segments == 2
 
 
 class TestComponentsIo:
     def test_directory_round_trip(self, tmp_path, rng):
         values = rng.normal(size=(10, 60))
-        comps = normalize_components(svd_components(DataMatrix(values=values), 3))
+        comps = normalize_components(svd_components(values, 3))
         save_components(comps, tmp_path / "comps", extra_meta={"note": "x"})
         back = load_components(tmp_path / "comps")
         npt.assert_array_equal(back.temporal, comps.temporal)
