@@ -7,6 +7,13 @@ energy; a single scalar (the mean of the component standard deviations)
 normalizes all temporal rows at once. Fitted coupling matrices project back to
 pixel space through outer products of the spatial components scaled by
 sqrt(sigma_i * sigma_j).
+
+Recordings are parsed by np.loadtxt after the header; any file it rejects is
+parsed again token by token, so malformed input keeps its located
+CsvFormatError. The top m singular triplets come from the m largest
+eigenpairs of the smaller-side Gram matrix, with the full SVD as the fallback
+when m is more than half of min(P, T) or sigma_m / sigma_1 <= 1e-4 (the Gram
+matrix squares the condition number).
 """
 from __future__ import annotations
 
@@ -14,11 +21,13 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .model import DimensionError
 
@@ -107,6 +116,10 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _is_header(tokens: list[str]) -> bool:
+    return not any(map(_is_number, tokens))
+
+
 def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     """Read a comma-separated matrix as a finite (P, T) array; `layout` says
     what the file's rows mean.
@@ -116,33 +129,17 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     tokens parses as a number is a header and is skipped; a first row with both
     kinds of token is data, so its first non-numeric token is an error. Blank
     lines are skipped and tokens are stripped of surrounding whitespace. A
-    ragged row raises CsvFormatError naming its file line; a non-numeric or
-    non-finite value (nan, inf, 1e400) raises CsvFormatError naming its row and
-    column (1-based, counting data rows, in the file's own orientation).
+    ragged row raises CsvFormatError naming its file line and data row; a
+    non-numeric or non-finite value (nan, inf, 1e400) raises CsvFormatError
+    naming its row and column (1-based, counting data rows, in the file's own
+    orientation).
     """
     if layout not in ("rows=space", "rows=time"):
         raise ValueError(f"layout must be 'rows=space' or 'rows=time', got {layout!r}")
     path = Path(path)
-    rows: list[list[float]] = []
-    width = None
-    with path.open(newline="") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            tokens = [tok.strip() for tok in record]
-            if not any(tokens):
-                continue
-            if width is None:
-                width = len(tokens)
-                if not any(map(_is_number, tokens)):
-                    continue  # a header row
-            elif len(tokens) != width:
-                raise CsvFormatError(
-                    f"line {line_no}: expected {width} fields, got {len(tokens)}"
-                )
-            row = len(rows) + 1
-            rows.append([_parse_float(tok, row, c + 1) for c, tok in enumerate(tokens)])
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    values = np.array(rows, dtype=float)
+    values = _loadtxt(path)
+    if values is None:
+        values = _parse_exact(path)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         r, c = bad[0]
@@ -150,12 +147,81 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     return values.T if layout == "rows=time" else values
 
 
+def _loadtxt(path: Path) -> Optional[np.ndarray]:
+    """The data rows parsed by np.loadtxt, or None when it rejects the file
+    (quotes, `1_000`, a ragged row, whitespace-only lines, no data rows...)."""
+    skip, width = 0, None
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        for record in reader:
+            tokens = [tok.strip() for tok in record]
+            if not any(tokens):
+                skip = reader.line_num
+                continue
+            if _is_header(tokens):
+                skip, width = reader.line_num, len(tokens)
+            break
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
+                                ndmin=2, skiprows=skip)
+    except (ValueError, UserWarning):
+        return None
+    return values if width in (None, values.shape[1]) else None
+
+
+def _parse_exact(path: Path) -> np.ndarray:
+    """Parse token by token, raising CsvFormatError at the first fault."""
+    rows: list[list[float]] = []
+    width = None
+    with path.open(newline="") as fh:
+        for line_no, record in enumerate(csv.reader(fh), start=1):
+            tokens = [tok.strip() for tok in record]
+            if not any(tokens):
+                continue
+            row = len(rows) + 1
+            if width is None:
+                width = len(tokens)
+                if _is_header(tokens):
+                    continue
+            elif len(tokens) != width:
+                raise CsvFormatError(
+                    f"line {line_no} (row {row}): expected {width} fields, got {len(tokens)}"
+                )
+            rows.append([_parse_float(tok, row, c + 1) for c, tok in enumerate(tokens)])
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
 def save_csv(values: np.ndarray, path: str | Path):
     """Write a matrix with 17-significant-digit floats (round-trip exact)."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    with Path(path).open("w", newline="") as fh:
-        row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
-        fh.writelines(row_format % tuple(row) for row in values.tolist())
+    rows, cols = values.shape
+    row_format = ",".join(["%.17g"] * cols) + "\n"
+    Path(path).write_text((row_format * rows) % tuple(values.ravel().tolist()), newline="")
+
+
+# The Gram route squares the condition number: sigma_m's relative error is
+# about eps * (sigma_1 / sigma_m)^2, so below this ratio take the full SVD.
+_GRAM_MIN_RATIO = 1e-4
+
+
+def _top_singular_triplets(centered: np.ndarray, m: int):
+    """(u (m, P), sigma (m,), vt (m, T)) of the m largest singular values."""
+    p, t = centered.shape
+    k = min(p, t)
+    if 2 * m <= k:
+        tall = centered if p >= t else centered.T  # (max(P, T), k)
+        w, v = scipy.linalg.eigh(tall.T @ tall, subset_by_index=[k - m, k - 1])
+        sigma = np.sqrt(np.maximum(w[::-1], 0.0))
+        if sigma[-1] > _GRAM_MIN_RATIO * sigma[0]:
+            v = v[:, ::-1].T  # (m, k)
+            u = (v @ tall.T) / sigma[:, None]
+            return (u, sigma, v) if p >= t else (v, sigma, u)
+    u, sigma, vt = np.linalg.svd(centered, full_matrices=False)
+    return u[:, :m].T, sigma[:m], vt[:m]
 
 
 def svd_components(values: np.ndarray, m: int) -> SvdComponents:
@@ -168,17 +234,11 @@ def svd_components(values: np.ndarray, m: int) -> SvdComponents:
     if not 1 <= m <= min(p, t):
         raise ValueError(f"m must be in [1, {min(p, t)}] for a {p}x{t} matrix, got {m}")
     centered = values - values.mean(axis=1, keepdims=True)
-    u, sigma, vt = np.linalg.svd(centered, full_matrices=False)
-    u = u[:, :m].T  # (m, P)
-    sigma = sigma[:m]
-    vt = vt[:m]  # (m, T)
-    for i in range(m):
-        j = int(np.argmax(np.abs(u[i])))
-        if u[i, j] < 0:
-            u[i] = -u[i]
-            vt[i] = -vt[i]
-    temporal = sigma[:, None] * vt
-    return SvdComponents(temporal=temporal, spatial=u, singular_values=sigma)
+    u, sigma, vt = _top_singular_triplets(centered, m)
+    largest = u[np.arange(m), np.argmax(np.abs(u), axis=1)]
+    sign = np.where(largest < 0, -1.0, 1.0)[:, None]
+    return SvdComponents(temporal=sigma[:, None] * (sign * vt), spatial=sign * u,
+                         singular_values=sigma)
 
 
 def normalize_components(comps: SvdComponents) -> SvdComponents:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -52,22 +54,42 @@ _PADS = st.sampled_from(["", " ", "  ", "\t", " \t"])
 _BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t  "]), max_size=2)
 
 
+# Tokens csv_text(variants=True) may put in place of a number.
+NON_FINITE_TOKENS = ("nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999")
+_DRESSINGS = st.sampled_from(["quoted", "underscored", "non-finite"])
+
+
 @st.composite
-def csv_text(draw, rows, header=None, width=None):
+def csv_text(draw, rows, header=None, width=None, variants=False):
     """CSV text of `rows` (lists of tokens) dressed as load_csv accepts it: an
     optional header of `width` (default len(rows[0])) non-numeric names,
     forced or forbidden by `header`; blank or whitespace-only lines anywhere;
     and whitespace around every token. Returns (text, lines), lines[i] being
-    the 1-based file line that holds rows[i]."""
+    the 1-based file line that holds rows[i].
+
+    With `variants`, lines may end in CRLF and up to three data tokens are
+    dressed: quoted (with their padding inside the quotes), given a `1_000`
+    style underscore between two digits, or replaced by a non-finite token."""
     if header is None:
         header = draw(st.booleans())
-    records = list(rows)
+    eol = draw(st.sampled_from(["\n", "\r\n"])) if variants else "\n"
+    cells = [(i, j) for i, row in enumerate(rows) for j in range(len(row))]
+    chosen = draw(st.lists(st.sampled_from(cells), max_size=3, unique=True)) if variants else []
+    dress = {cell: draw(_DRESSINGS) for cell in chosen}
+    records = [list(row) for row in rows]
+    for (i, j), kind in dress.items():
+        if kind == "underscored":
+            records[i][j] = re.sub(r"(\d)(\d)", r"\1_\2", records[i][j], count=1)
+        elif kind == "non-finite":
+            records[i][j] = draw(st.sampled_from(NON_FINITE_TOKENS))
     if header:
         records.insert(0, [draw(_NAMES) for _ in range(width or len(rows[0]))])
     out, lines = [], []
-    for record in records:
+    for i, record in enumerate(records, start=-1 if header else 0):
         out += draw(_BLANK_LINES)
-        out.append(",".join(draw(_PADS) + tok + draw(_PADS) for tok in record))
+        padded = [draw(_PADS) + tok + draw(_PADS) for tok in record]
+        out.append(",".join(f'"{tok}"' if dress.get((i, j)) == "quoted" else tok
+                            for j, tok in enumerate(padded)))
         lines.append(len(out))
     out += draw(_BLANK_LINES)
-    return "\n".join(out) + "\n", lines[1:] if header else lines
+    return eol.join(out) + eol, lines[1:] if header else lines

@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_text, finite_matrices
+from conftest import NON_FINITE_TOKENS, csv_text, finite_matrices
 from vdpfit import data
 from vdpfit.data import (
     CsvFormatError,
@@ -39,7 +41,7 @@ class TestLoadCsv:
     def test_ragged_row_cites_line(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2,3\n4,5\n")
-        with pytest.raises(CsvFormatError, match="expected 3"):
+        with pytest.raises(CsvFormatError, match=r"^line 2 \(row 2\): expected 3 fields, got 2$"):
             load_csv(p)
 
     def test_header_and_blank_lines(self, tmp_path):
@@ -93,7 +95,6 @@ class TestLoadCsv:
 
 
 NON_NUMERIC = ["oops", "1.2.3", "0x10", "1e", "--1", "1 2"]
-NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e999"]
 
 
 class TestCsvContract:
@@ -126,7 +127,7 @@ class TestCsvContract:
             rows[i] = rows[i][:-1] if w > 1 and doc.draw(st.booleans()) else rows[i] + ["0"]
         else:
             i, j = doc.draw(st.integers(0, n - 1)), doc.draw(st.integers(0, w - 1))
-            tokens = NON_FINITE if fault == "non-finite" else NON_NUMERIC + [""] * (w > 1)
+            tokens = NON_FINITE_TOKENS if fault == "non-finite" else NON_NUMERIC + [""] * (w > 1)
             rows[i][j] = doc.draw(st.sampled_from(tokens))
             # a lone non-numeric first row would be a header, not an error
             assume(fault == "non-finite" or header or i > 0 or w > 1)
@@ -134,11 +135,66 @@ class TestCsvContract:
         p = tmp_path_factory.mktemp("csv") / "x.csv"
         p.write_text(text)
         if fault == "ragged":
-            where = rf"^line {lines[i]}: expected {w} fields, got {len(rows[i])}$"
+            where = rf"^line {lines[i]} \(row {i + 1}\): expected {w} fields, got {len(rows[i])}$"
         else:
             where = rf"^{fault} value .* at row {i + 1}, column {j + 1}$"
         with pytest.raises(CsvFormatError, match=where):
             load_csv(p, layout=layout)
+
+
+def _load_outcome(path, layout):
+    """load_csv's array (dtype, shape, bytes) or its CsvFormatError text."""
+    try:
+        values = load_csv(path, layout=layout)
+    except CsvFormatError as exc:
+        return str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+class TestFastParser:
+    """np.loadtxt must read exactly what the token-by-token parser reads."""
+
+    @given(x=finite_matrices(), header=st.booleans(),
+           layout=st.sampled_from(["rows=space", "rows=time"]), doc=st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_matches_the_exact_parser(self, tmp_path_factory, x, header, layout, doc):
+        rows = [[format(v, ".17g") for v in row] for row in x]
+        n, w = x.shape
+        if doc.draw(st.booleans()):  # a ragged row
+            i = doc.draw(st.integers(0, n - 1))
+            rows[i] = rows[i][:-1] if w > 1 and doc.draw(st.booleans()) else rows[i] + ["0"]
+        width = doc.draw(st.sampled_from([w, w + 1]))  # a header may disagree with the data
+        text, _ = doc.draw(csv_text(rows, header=header, width=width, variants=True))
+        p = tmp_path_factory.mktemp("csv") / "x.csv"
+        p.write_bytes(text.encode())
+        fast = _load_outcome(p, layout)
+        with mock.patch.object(data, "_loadtxt", return_value=None):
+            assert _load_outcome(p, layout) == fast
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n",
+        "a,b\r\n1,2\r\n3,4\r\n",
+        "\n\n a , b \n\n1, 2\n\n3 ,4\n\n",
+        "nan,1e400\n3,4\n",
+    ])
+    def test_plain_files_take_the_fast_path(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        assert data._loadtxt(p) is not None
+
+    @pytest.mark.parametrize("text", [
+        '"1",2\n3,4\n',  # quotes
+        "1_000,2\n3,4\n",  # underscores
+        "1,2\n3\n",  # a ragged row
+        "a,b,c\n1,2\n3,4\n",  # a header wider than the data
+        "1,2\n \n3,4\n",  # a whitespace-only line
+        "a,b\n\n",  # no data rows
+        "",
+    ])
+    def test_other_files_fall_back(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        assert data._loadtxt(p) is None
 
 
 class TestSvdComponents:
@@ -194,6 +250,61 @@ class TestSvdComponents:
         data = rng.normal(size=(4, 25))
         with pytest.raises(ValueError, match="4"):
             svd_components(data, 5)
+
+
+def _row_centered(rng, sigma, p, t):
+    """A (p, t) matrix with zero row means and singular values `sigma`."""
+    k = len(sigma)
+    u, _ = np.linalg.qr(rng.normal(size=(p, k)))
+    g = rng.normal(size=(t, k))
+    v, _ = np.linalg.qr(g - g.mean(axis=0))
+    return (u * sigma) @ v.T
+
+
+class TestSvdRoutes:
+    """The Gram eigensolve against np.linalg.svd, and when it hands over."""
+
+    def _check_against_full_svd(self, values, comps):
+        m = comps.m
+        centered = values - values.mean(axis=1, keepdims=True)
+        u, s, vt = np.linalg.svd(centered, full_matrices=False)
+        sign = np.sign(u[np.argmax(np.abs(u[:, :m]), axis=0), np.arange(m)])
+        npt.assert_allclose(comps.singular_values, s[:m], rtol=1e-12)
+        npt.assert_allclose(comps.spatial, sign[:, None] * u[:, :m].T, atol=1e-10)
+        npt.assert_allclose(comps.temporal, (sign * s[:m])[:, None] * vt[:m],
+                            atol=1e-10 * s[0])
+        npt.assert_allclose(comps.spatial.T @ comps.temporal, (u[:, :m] * s[:m]) @ vt[:m],
+                            atol=1e-12 * s[0])
+        for row in comps.spatial:
+            assert row[np.argmax(np.abs(row))] > 0
+
+    @pytest.mark.parametrize("shape", [(60, 25), (25, 60)], ids=["tall", "wide"])
+    def test_gram_route_matches_full_svd(self, rng, shape):
+        values = rng.normal(size=shape) + 3.0
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as full:
+            comps = svd_components(values, 5)
+        full.assert_not_called()
+        self._check_against_full_svd(values, comps)
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_ill_conditioned_spectrum_takes_the_full_svd(self, rng, shape):
+        sigma = np.array([1.0, 3e-5, 1e-5, 1e-6])  # sigma_2 / sigma_1 < 1e-4
+        values = _row_centered(rng, sigma, *shape)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as full:
+            comps = svd_components(values, 3)
+        full.assert_called_once()
+        self._check_against_full_svd(values, comps)
+
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
+    def test_m_equal_to_min_dimension_takes_the_full_svd(self, rng, shape):
+        values = rng.normal(size=shape)
+        m = min(shape)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as full:
+            comps = svd_components(values, m)
+        full.assert_called_once()
+        centered = values - values.mean(axis=1, keepdims=True)
+        npt.assert_allclose(comps.spatial.T @ comps.temporal, centered, atol=1e-12)
+        npt.assert_allclose(comps.spatial @ comps.spatial.T, np.eye(m), atol=1e-12)
 
 
 class TestNormalize:
