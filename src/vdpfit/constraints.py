@@ -8,10 +8,12 @@ For a trajectory x^0..x^{N-1} the stacked constraint is
 so G vanishes exactly on simulated trajectories whose first sample matches the
 anchor: the batched map rounds every transition as `simulate` rounds it alone,
 for any strides of the stacked state (see `model._field_arrays`). The state
-Jacobian dG/dx is block lower-bidiagonal with identity diagonal blocks, which
-keeps Gauss-Newton normal systems block-tridiagonal: with b = 2m they are
-banded with half-bandwidth 2b - 1 and are solved in O(N) by one LAPACK banded
-Cholesky (`scipy.linalg.solveh_banded`).
+Jacobian dG/dx is block lower-bidiagonal with identity diagonal blocks, so
+`residual_jacobian_x` returns only its (N-1, 2m, 2m) subdiagonal blocks. The
+structure keeps Gauss-Newton normal systems block-tridiagonal: with b = 2m
+they are banded with half-bandwidth 2b - 1 and are solved in O(N) by one
+LAPACK banded Cholesky (`pbsv`, fetched once through
+`scipy.linalg.get_lapack_funcs`).
 
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
 batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from .model import (
     DimensionError,
@@ -34,7 +36,7 @@ from .model import (
     euler_map,
 )
 
-DENSE_GUARD = 4096  # refuse to densify block operators past this side length
+_pbsv = get_lapack_funcs("pbsv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -117,57 +119,19 @@ def residual(
     return out.ravel()
 
 
-class BlockBidiagonal:
-    """dG/dx: identity diagonal blocks plus subdiagonal blocks sub[k] at (k+1, k).
-
-    Never materializes the dense matrix past DENSE_GUARD on a side; rmatvec
-    works blockwise.
-    """
-
-    def __init__(self, sub: np.ndarray, m: int, n_steps: int):
-        sub = np.asarray(sub, dtype=float)
-        if sub.shape != (n_steps - 1, 2 * m, 2 * m):
-            raise DimensionError(
-                f"sub blocks must be ({n_steps - 1}, {2 * m}, {2 * m}), got {sub.shape}"
-            )
-        self.sub = sub
-        self.m = m
-        self.n_steps = n_steps
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        side = 2 * self.m * self.n_steps
-        return (side, side)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).reshape(self.n_steps, 2 * self.m)
-        out = v.copy()
-        out[:-1] += np.einsum("kji,kj->ki", self.sub, v[1:])
-        return out.ravel()
-
-    def to_dense(self) -> np.ndarray:
-        side = self.shape[0]
-        if side > DENSE_GUARD:
-            raise ValueError(
-                f"refusing to densify a {side}x{side} block operator (guard={DENSE_GUARD})"
-            )
-        b = 2 * self.m
-        dense = np.eye(side)
-        for k in range(self.n_steps - 1):
-            dense[(k + 1) * b : (k + 2) * b, k * b : (k + 1) * b] = self.sub[k]
-        return dense
-
-
 def residual_jacobian_x(
     x: StackedState, params: VdpParams, dt: float, substeps: int = 1
-) -> BlockBidiagonal:
-    """dG/dx at x; subdiagonal block k is -dg/dstate evaluated at x^k."""
+) -> np.ndarray:
+    """The (N-1, 2m, 2m) subdiagonal blocks of dG/dx at x.
+
+    dG/dx is block lower-bidiagonal: every diagonal block is the identity, and
+    block k, at block position (k+1, k), is -dg/dstate evaluated at x^k.
+    """
     if x.m != params.m:
         raise DimensionError("component count mismatch between state and params")
     x1 = x.x1()
     x2 = x.x2()
-    sub = -batch_state_jacobians(params, x1[:-1], x2[:-1], dt, substeps)
-    return BlockBidiagonal(sub=sub, m=x.m, n_steps=x.n_steps)
+    return -batch_state_jacobians(params, x1[:-1], x2[:-1], dt, substeps)
 
 
 def residual_jacobian_params(
@@ -195,22 +159,25 @@ def solve_block_tridiagonal(
 
     diag: (N, b, b) diagonal blocks; sub: (N-1, b, b) blocks at (k+1, k); the
     (k, k+1) blocks are their transposes. rhs: (N, b). The upper triangles of
-    the diagonal blocks and the transposed sub blocks are scattered into LAPACK
-    upper-banded storage with half-bandwidth u = 2b - 1, and the system is
-    solved by one banded Cholesky (`solveh_banded`, LAPACK pbsv). Non-finite
-    input raises ValueError; a matrix that is not positive definite raises
-    np.linalg.LinAlgError.
+    the diagonal blocks and the whole transposed sub blocks are scattered
+    straight into a (2b, N*b) LAPACK upper band (half-bandwidth u = 2b - 1),
+    and one LAPACK pbsv call factors it by banded Cholesky and solves.
+    Non-finite input raises ValueError; a matrix that is not positive
+    definite raises np.linalg.LinAlgError.
     """
-    # the banded storage holds only the upper triangles, so check whole blocks here
+    # the band holds only the upper triangles, so check whole blocks here
     diag = np.asarray_chkfinite(diag, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    sub = np.asarray_chkfinite(sub, dtype=float)
+    rhs = np.asarray_chkfinite(rhs, dtype=float)
     n, b = rhs.shape
-    # block column k, rows (k-1)b .. (k+1)b-1: [sub[k-1]^T; diag[k]]
-    cols = np.zeros((n, 2 * b, b))
-    cols[1:, :b] = np.swapaxes(sub, 1, 2)
-    cols[:, b:] = diag
-    # block-column entry (r, j) goes to band row b-1+r-j; r <= b+j is the upper triangle
-    r, j = np.nonzero(np.arange(2 * b)[:, None] <= b + np.arange(b))
+    # entry (r, c) of block column k (rows (k-1)b .. (k+1)b-1, c < b) goes to
+    # band row b-1+r-c: sub[k-1]^T fills r < b, diag[k]'s upper triangle r >= b
     banded = np.zeros((2 * b, n, b))
-    banded[b - 1 + r - j, :, j] = cols[:, r, j].T
-    return solveh_banded(banded.reshape(2 * b, n * b), rhs.ravel()).reshape(n, b)
+    r, c = np.arange(b)[:, None], np.arange(b)
+    banded[b - 1 + r - c, 1:, c] = sub.transpose(2, 1, 0)
+    i, j = np.triu_indices(b)
+    banded[2 * b - 1 + i - j, :, j] = diag[:, i, j].T
+    _, x, info = _pbsv(banded.reshape(2 * b, n * b), rhs.ravel())
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    return x.reshape(n, b)

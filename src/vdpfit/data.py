@@ -12,8 +12,8 @@ Recordings are parsed by np.loadtxt after the header; any file it rejects is
 parsed again token by token, so malformed input keeps its located
 CsvFormatError. The top m singular triplets come from the m largest
 eigenpairs of the smaller-side Gram matrix, with the full SVD as the fallback
-when m is more than half of min(P, T) or sigma_m / sigma_1 <= 1e-4 (the Gram
-matrix squares the condition number).
+when m is more than half of min(P, T), sigma_m / sigma_1 <= 1e-4 (the Gram
+matrix squares the condition number) or the Gram matrix overflows.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -132,7 +132,8 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     ragged row raises CsvFormatError naming its file line and data row; a
     non-numeric or non-finite value (nan, inf, 1e400) raises CsvFormatError
     naming its row and column (1-based, counting data rows, in the file's own
-    orientation).
+    orientation). A token longer than csv.field_size_limit() characters raises
+    CsvFormatError naming its file line.
     """
     if layout not in ("rows=space", "rows=time"):
         raise ValueError(f"layout must be 'rows=space' or 'rows=time', got {layout!r}")
@@ -147,19 +148,28 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     return values.T if layout == "rows=time" else values
 
 
+def _records(fh) -> Iterator[tuple[int, list[str]]]:
+    """(file line, stripped tokens) of each CSV record. csv's own errors (a
+    field past csv.field_size_limit()) become a CsvFormatError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        for record in reader:
+            yield reader.line_num, [tok.strip() for tok in record]
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def _loadtxt(path: Path) -> Optional[np.ndarray]:
     """The data rows parsed by np.loadtxt, or None when it rejects the file
     (quotes, `1_000`, a ragged row, whitespace-only lines, no data rows...)."""
     skip, width = 0, None
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for record in reader:
-            tokens = [tok.strip() for tok in record]
+        for line_no, tokens in _records(fh):
             if not any(tokens):
-                skip = reader.line_num
+                skip = line_no
                 continue
             if _is_header(tokens):
-                skip, width = reader.line_num, len(tokens)
+                skip, width = line_no, len(tokens)
             break
     try:
         with warnings.catch_warnings():
@@ -176,8 +186,7 @@ def _parse_exact(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     with path.open(newline="") as fh:
-        for line_no, record in enumerate(csv.reader(fh), start=1):
-            tokens = [tok.strip() for tok in record]
+        for line_no, tokens in _records(fh):
             if not any(tokens):
                 continue
             row = len(rows) + 1
@@ -214,12 +223,16 @@ def _top_singular_triplets(centered: np.ndarray, m: int):
     k = min(p, t)
     if 2 * m <= k:
         tall = centered if p >= t else centered.T  # (max(P, T), k)
-        w, v = scipy.linalg.eigh(tall.T @ tall, subset_by_index=[k - m, k - 1])
-        sigma = np.sqrt(np.maximum(w[::-1], 0.0))
-        if sigma[-1] > _GRAM_MIN_RATIO * sigma[0]:
-            v = v[:, ::-1].T  # (m, k)
-            u = (v @ tall.T) / sigma[:, None]
-            return (u, sigma, v) if p >= t else (v, sigma, u)
+        # entries past ~1e154 overflow the Gram matrix; the full SVD takes those
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = tall.T @ tall
+        if np.isfinite(gram).all():
+            w, v = scipy.linalg.eigh(gram, subset_by_index=[k - m, k - 1])
+            sigma = np.sqrt(np.maximum(w[::-1], 0.0))
+            if sigma[-1] > _GRAM_MIN_RATIO * sigma[0]:
+                v = v[:, ::-1].T  # (m, k)
+                u = (v @ tall.T) / sigma[:, None]
+                return (u, sigma, v) if p >= t else (v, sigma, u)
     u, sigma, vt = np.linalg.svd(centered, full_matrices=False)
     return u[:, :m].T, sigma[:m], vt[:m]
 
@@ -228,13 +241,21 @@ def svd_components(values: np.ndarray, m: int) -> SvdComponents:
     """Rank-m truncated SVD of the row-centered (P, T) matrix.
 
     Temporal rows carry sigma_i * v_i; each spatial component is flipped (with
-    its temporal partner) so its largest-magnitude entry is positive.
+    its temporal partner) so its largest-magnitude entry is positive. Values
+    whose centering or largest singular value overflows raise ValueError.
     """
     p, t = values.shape
     if not 1 <= m <= min(p, t):
         raise ValueError(f"m must be in [1, {min(p, t)}] for a {p}x{t} matrix, got {m}")
-    centered = values - values.mean(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = values - values.mean(axis=1, keepdims=True)
+    overflowed = ~np.isfinite(centered).all(axis=1)
+    if overflowed.any():
+        raise ValueError(f"values too large to decompose: centering location "
+                         f"{np.argmax(overflowed) + 1} overflows")
     u, sigma, vt = _top_singular_triplets(centered, m)
+    if not math.isfinite(sigma[0]):
+        raise ValueError("values too large to decompose: the largest singular value overflows")
     largest = u[np.arange(m), np.argmax(np.abs(u), axis=1)]
     sign = np.where(largest < 0, -1.0, 1.0)[:, None]
     return SvdComponents(temporal=sigma[:, None] * (sign * vt), spatial=sign * u,
@@ -248,10 +269,10 @@ def normalize_components(comps: SvdComponents) -> SvdComponents:
     restored; renormalizing an already normalized result is a no-op up to
     floating point.
     """
-    stds = comps.temporal.std(axis=1)
-    scale = float(stds.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scale = float(comps.temporal.std(axis=1).mean())
     if scale == 0.0 or not math.isfinite(scale):
-        raise ValueError("mean of component standard deviations is zero; cannot normalize")
+        raise ValueError(f"mean of component standard deviations is {scale}; cannot normalize")
     return SvdComponents(
         temporal=comps.temporal / scale,
         spatial=comps.spatial,

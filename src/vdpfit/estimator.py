@@ -326,8 +326,12 @@ def inner_solve(
     grad_inf = math.inf
     iterations = 0
     for iterations in range(max_iter + 1):
-        jac = residual_jacobian_x(cur, params, dt, substeps)
-        grad_blocks = lam * jac.rmatvec(r).reshape(n, b)
+        sub = residual_jacobian_x(cur, params, dt, substeps)
+        # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
+        r_blocks = r.reshape(n, b)
+        grad_blocks = r_blocks.copy()
+        grad_blocks[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
+        grad_blocks *= lam
         grad_blocks[:, 0::2] += cur.x1() - z.values
         grad_inf = float(np.max(np.abs(grad_blocks)))
         if grad_inf <= tol or at_floor:
@@ -335,7 +339,6 @@ def inner_solve(
             break
         if iterations == max_iter:
             break
-        sub = jac.sub
         diag = np.empty((n, b, b))
         diag[:] = lam * eye
         diag[:, x1_slots, x1_slots] += 1.0

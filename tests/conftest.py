@@ -2,10 +2,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vdpfit.model import ObservationSet, State, VdpParams, simulate
+
+# Every property test draws the same examples on every run and writes no
+# example database; a test's own @settings still sets its max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -22,6 +28,16 @@ def random_params(rng, m, nonlinear=True):
 
 def random_state(rng, m, scale=1.0):
     return State(x1=rng.normal(0, scale, m), x2=rng.normal(0, scale, m))
+
+
+def dense_state_jacobian(sub):
+    """dG/dx as a dense matrix, from the (N-1, b, b) subdiagonal blocks that
+    residual_jacobian_x returns; every diagonal block is the identity."""
+    n, b = sub.shape[0] + 1, sub.shape[1]
+    dense = np.eye(n * b)
+    for k in range(n - 1):
+        dense[(k + 1) * b : (k + 2) * b, k * b : (k + 1) * b] = sub[k]
+    return dense
 
 
 def simulated_obs(params, s0, n, dt, noise=0.0, seed=0):

@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_params, random_state
+from conftest import dense_state_jacobian, random_params, random_state
 from vdpfit.cli import main
 from vdpfit.constraints import (
     StackedState,
@@ -105,7 +105,7 @@ def test_criterion_01_jacobians_match_finite_differences():
         x = StackedState.from_arrays(traj.x1, traj.x2)
         x = x.replace_flat(x.flat + rng.normal(0, 0.05, x.flat.size))
         anchor = s
-        gx = residual_jacobian_x(x, params, dt).to_dense()
+        gx = dense_state_jacobian(residual_jacobian_x(x, params, dt))
         gp = residual_jacobian_params(x, params, dt)
         fd_gx, fd_gp = _fd_residual_jacobians(x, params, anchor, dt)
         worst = max(worst, _rel_err(gx, fd_gx), _rel_err(gp, fd_gp))
@@ -132,7 +132,7 @@ def test_criterion_02_linear_case_matches_dense_oracle():
         )
         dim = 2 * m * n
         zero = StackedState(flat=np.zeros(dim), m=m, n_steps=n)
-        jac = residual_jacobian_x(zero, params, dt).to_dense()
+        jac = dense_state_jacobian(residual_jacobian_x(zero, params, dt))
         offset = residual(zero, params, anchor, dt)
         h_mask = np.zeros(dim)
         h_mask[0::2] = 1.0

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params
+from conftest import csv_text, finite_matrices, random_params
 from vdpfit import cli
 from vdpfit.cli import main
-from vdpfit.data import save_components, save_csv, svd_components
+from vdpfit.data import CsvFormatError, load_csv, save_components, save_csv, svd_components
 from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig
 from vdpfit.model import State, VdpParams, simulate
 from vdpfit.search import SearchConfig, StepScales
@@ -132,6 +132,53 @@ class TestSvd:
         monkeypatch.setenv("VDPFIT_OUT", str(target))
         assert main(["svd", str(recording_csv), "-m", "1"]) == 0
         assert (target / "temporal.csv").exists()
+
+    # each token is longer than csv's default field limit (131072 characters)
+    @pytest.mark.parametrize("text, line", [
+        ("1" * 200_000 + ",2\n3,4\n5,6\n", 1),  # row 1: read by the header scan
+        ('1,2\n"' + "0" * 199_999 + '1",3\n5,6\n', 2),  # quoted: the exact parser
+        ("1,2\n3,4\n5," + "x" * 200_000 + "\n", 3),  # non-numeric: the exact parser
+    ], ids=["first-row", "quoted", "non-numeric"])
+    def test_over_long_token_is_data_error_naming_its_line(self, workdir, capsys, text, line):
+        bad = workdir / "long.csv"
+        bad.write_text(text)
+        out = workdir / "x"
+        assert main(["svd", str(bad), "-m", "1", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: line {line}: field larger than field limit" in err
+        assert not out.exists()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(x=finite_matrices(), layout=st.sampled_from(["rows=space", "rows=time"]),
+       raw=st.booleans(), doc=st.data())
+def test_svd_on_generated_csv_exits_0_or_1(tmp_path_factory, x, layout, raw, doc):
+    rows = [[format(v, ".17g") for v in row] for row in x]
+    if doc.draw(st.booleans()):  # a ragged row
+        i = doc.draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if len(rows[i]) > 1 and doc.draw(st.booleans()) else rows[i] + ["0"]
+    text, _ = doc.draw(csv_text(rows, variants=True))
+    root = tmp_path_factory.mktemp("svd")
+    path, out = root / "x.csv", root / "out"
+    path.write_bytes(text.encode())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["svd", str(path), "-m", "1", "--layout", layout, "-o", str(out)]
+                    + ["--raw"] * raw)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert not out.exists()
+        try:
+            load_csv(path, layout)
+        except CsvFormatError as exc:  # a malformed file: its located error
+            assert re.search(r"\b(row|line) \d+", str(exc))
+            assert err.getvalue() == f"error: {exc}\n"
+        else:  # a well-formed file whose whole matrix cannot be decomposed
+            assert re.fullmatch(r"error: (values too large to decompose: .*"
+                                r"|mean of component standard deviations is \S+; "
+                                r"cannot normalize)\n", err.getvalue())
 
 
 # (dotted key the error must name, config fragment merged over {"dt": 0.1})

@@ -4,8 +4,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from vdpfit.constraints import (
-    DENSE_GUARD,
-    BlockBidiagonal,
     StackedState,
     residual,
     residual_jacobian_params,
@@ -14,7 +12,7 @@ from vdpfit.constraints import (
 )
 from vdpfit.model import State, VdpParams, simulate
 
-from conftest import random_params, random_state
+from conftest import dense_state_jacobian, random_params, random_state
 
 
 def stacked_from(traj):
@@ -67,9 +65,7 @@ def test_hand_residual_linear_map():
 def test_jacobian_x_structure(rng):
     params = random_params(rng, 2)
     traj = simulate(params, random_state(rng, 2, 0.3), 6, 0.05)
-    jac = residual_jacobian_x(stacked_from(traj), params, 0.05)
-    assert isinstance(jac, BlockBidiagonal)
-    dense = jac.to_dense()
+    dense = dense_state_jacobian(residual_jacobian_x(stacked_from(traj), params, 0.05))
     n, m = 6, 2
     for k in range(n):
         npt.assert_array_equal(
@@ -80,15 +76,24 @@ def test_jacobian_x_structure(rng):
     npt.assert_array_equal(upper, np.zeros_like(upper))
 
 
+@pytest.mark.parametrize("m, n, substeps", [(1, 2, 1), (2, 6, 3), (3, 9, 2)])
+def test_jacobian_x_is_its_subdiagonal_blocks(rng, m, n, substeps):
+    params = random_params(rng, m)
+    traj = simulate(params, random_state(rng, m, 0.3), n, 0.05, substeps)
+    sub = residual_jacobian_x(stacked_from(traj), params, 0.05, substeps)
+    assert type(sub) is np.ndarray and sub.dtype == np.float64
+    assert sub.shape == (n - 1, 2 * m, 2 * m)
+
+
 def test_linear_case_constant_subdiagonal(rng):
     params = VdpParams(
         alpha=np.array([[0.0, 1.0], [0.0, -0.3]]),
         coupling=rng.uniform(-0.4, 0.4, (2, 2)),
     )
     traj = simulate(params, random_state(rng, 2, 0.3), 8, 0.05)
-    jac = residual_jacobian_x(stacked_from(traj), params, 0.05)
-    for k in range(1, jac.sub.shape[0]):
-        npt.assert_allclose(jac.sub[k], jac.sub[0], rtol=1e-13)
+    sub = residual_jacobian_x(stacked_from(traj), params, 0.05)
+    for k in range(1, sub.shape[0]):
+        npt.assert_allclose(sub[k], sub[0], rtol=1e-13)
 
 
 def _fd_residual_jacobian(x, params, anchor, dt, wrt, substeps=1, h=1e-6):
@@ -131,7 +136,7 @@ def test_jacobians_match_finite_differences(trial, substeps):
     # G uses the same substepped map as simulate, so it vanishes on its trajectory
     npt.assert_allclose(residual(stacked_from(traj), params, anchor, 0.07, substeps),
                         0.0, atol=1e-14)
-    jx = residual_jacobian_x(x, params, 0.07, substeps).to_dense()
+    jx = dense_state_jacobian(residual_jacobian_x(x, params, 0.07, substeps))
     jp = residual_jacobian_params(x, params, 0.07, substeps)
     npt.assert_allclose(jx, _fd_residual_jacobian(x, params, anchor, 0.07, "x", substeps),
                         rtol=1e-6, atol=1e-8)
@@ -148,23 +153,6 @@ def test_alpha1_column_hand_value():
     npt.assert_allclose(jp[3, 0], 0.0)
     # the first time block never depends on parameters
     npt.assert_array_equal(jp[:2], np.zeros((2, 3)))
-
-
-class TestBlockBidiagonal:
-    def test_rmatvec_matches_dense(self, rng):
-        n, m = 6, 2
-        b = 2 * m
-        sub = rng.normal(size=(n - 1, b, b))
-        op = BlockBidiagonal(sub, m, n)
-        dense = op.to_dense()
-        v = rng.normal(size=n * b)
-        npt.assert_allclose(op.rmatvec(v), dense.T @ v, rtol=1e-12)
-
-    def test_to_dense_refuses_past_the_guard(self):
-        n = DENSE_GUARD // 2 + 1  # m = 1: side 2n = DENSE_GUARD + 2
-        op = BlockBidiagonal(np.zeros((n - 1, 2, 2)), 1, n)
-        with pytest.raises(ValueError, match="refusing to densify"):
-            op.to_dense()
 
 
 def _block_cholesky_reference(diag, sub, rhs):

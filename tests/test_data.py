@@ -307,7 +307,36 @@ class TestSvdRoutes:
         npt.assert_allclose(comps.spatial @ comps.spatial.T, np.eye(m), atol=1e-12)
 
 
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_overflowing_gram_matrix_takes_the_full_svd(self, rng, shape):
+        values = 1e200 * rng.normal(size=shape)  # Gram entries near 1e402
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as full:
+            comps = svd_components(values, 3)
+        full.assert_called_once()
+        self._check_against_full_svd(values, comps)
+
+    def test_centering_overflow_names_the_location(self):
+        big = np.finfo(float).max
+        values = np.array([[1.0, 2.0, 3.0], [big, -big, -big]])  # big - mean overflows
+        with pytest.raises(ValueError, match="^values too large to decompose: "
+                                             "centering location 2 overflows$"):
+            svd_components(values, 1)
+
+    def test_overflowing_singular_value_is_an_error(self):
+        big = np.finfo(float).max
+        values = np.array([[big, -big, 0.0], [0.0, 1.0, 2.0]])  # sigma_1 >= big * sqrt(2)
+        with pytest.raises(ValueError, match="largest singular value overflows"):
+            svd_components(values, 1)
+
+
 class TestNormalize:
+    @pytest.mark.parametrize("scale, shown", [(0.0, "0.0"), (1e200, "inf")])
+    def test_degenerate_scale_is_an_error_that_shows_it(self, scale, shown):
+        comps = SvdComponents(temporal=scale * np.array([[1.0, -1.0, 1.0, -1.0]]),
+                              spatial=[[1.0]], singular_values=[2 * scale])
+        with pytest.raises(ValueError, match=f"deviations is {shown}; cannot normalize"):
+            normalize_components(comps)
+
     def test_hand_arithmetic(self):
         # stds 2 and 4 -> divide by 3 -> mean of stds becomes 1
         rng = np.random.default_rng(0)

@@ -22,7 +22,7 @@ from vdpfit.estimator import (
 from vdpfit.metrics import pearson
 from vdpfit.model import ObservationSet, State, VdpParams, simulate
 
-from conftest import random_params, random_state
+from conftest import dense_state_jacobian, random_params, random_state
 
 # the inner tolerance and cap of PenaltyConfig()'s last stage
 FINAL_STAGE = {"tol": 1e-8, "max_iter": 200}
@@ -67,7 +67,7 @@ def dense_linear_solution(params, anchor, z, lam, dt):
     m, n = z.m, z.n_steps
     dim = 2 * m * n
     zero = StackedState(flat=np.zeros(dim), m=m, n_steps=n)
-    jac = residual_jacobian_x(zero, params, dt).to_dense()
+    jac = dense_state_jacobian(residual_jacobian_x(zero, params, dt))
     offset = residual(zero, params, anchor, dt)  # residual(x) = J x + offset
     h_mask = np.zeros(dim)
     h_mask[0::2] = 1.0
@@ -93,6 +93,20 @@ class TestInnerSolve:
                               **FINAL_STAGE)
             oracle = dense_linear_solution(params, anchor, z, 100.0, 0.05)
             npt.assert_allclose(res.x.flat, oracle, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("m, substeps", [(1, 1), (2, 3), (3, 2)])
+    def test_gradient_matches_the_dense_gradient(self, rng, m, substeps):
+        # grad f_lam = H'(Hx - z) + lam J'r, with J = dG/dx formed densely
+        params, s0, _, z = make_instance(rng, m=m, n=12, noise=0.1)
+        x = StackedState(flat=rng.normal(0, 0.5, 2 * m * 12), m=m, n_steps=12)
+        lam = 300.0
+        res = inner_solve(params, s0, z, PenaltyConfig(), x, dt=0.05, substeps=substeps,
+                          lam=lam, tol=1e-8, max_iter=0)
+        jac = dense_state_jacobian(residual_jacobian_x(x, params, 0.05, substeps))
+        grad = lam * jac.T @ residual(x, params, s0, 0.05, substeps)
+        grad[0::2] += (x.x1() - z.values).ravel()
+        assert res.iterations == 0 and not res.converged
+        assert res.grad_inf == pytest.approx(np.max(np.abs(grad)), rel=1e-12)
 
     def test_truth_init_returns_unchanged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
