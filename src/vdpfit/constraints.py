@@ -21,6 +21,7 @@ batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,32 +153,46 @@ def residual_jacobian_params(
     return out.reshape(n * 2 * m, p)
 
 
+@functools.lru_cache(maxsize=None)
+def _band_indices(b: int) -> tuple[np.ndarray, ...]:
+    """Index arrays that scatter b x b blocks into LAPACK upper band storage.
+
+    Entry (r, c) of block column k (rows (k-1)b .. (k+1)b-1, c < b) goes to
+    band row b-1+r-c: the transposed sub block fills r < b, and the diagonal
+    block's upper triangle (i, j), i <= j, fills band row 2b-1+i-j.
+    """
+    r, c = np.arange(b)[:, None], np.arange(b)
+    i, j = np.triu_indices(b)
+    out = (b - 1 + r - c, c, 2 * b - 1 + i - j, i, j)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def solve_block_tridiagonal(
     diag: np.ndarray, sub: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve a symmetric positive-definite block-tridiagonal system in O(N).
 
     diag: (N, b, b) diagonal blocks; sub: (N-1, b, b) blocks at (k+1, k); the
-    (k, k+1) blocks are their transposes. rhs: (N, b). The upper triangles of
-    the diagonal blocks and the whole transposed sub blocks are scattered
-    straight into a (2b, N*b) LAPACK upper band (half-bandwidth u = 2b - 1),
-    and one LAPACK pbsv call factors it by banded Cholesky and solves.
-    Non-finite input raises ValueError; a matrix that is not positive
-    definite raises np.linalg.LinAlgError.
+    (k, k+1) blocks are their transposes. rhs: (N, b), or (N, b, k) for k
+    right-hand sides at once; the solution has rhs's shape. The upper
+    triangles of the diagonal blocks and the whole transposed sub blocks are
+    scattered straight into a (2b, N*b) LAPACK upper band (half-bandwidth
+    u = 2b - 1), and one LAPACK pbsv call factors it by banded Cholesky and
+    solves for every column. Non-finite input raises ValueError; a matrix
+    that is not positive definite raises np.linalg.LinAlgError.
     """
     # the band holds only the upper triangles, so check whole blocks here
     diag = np.asarray_chkfinite(diag, dtype=float)
     sub = np.asarray_chkfinite(sub, dtype=float)
     rhs = np.asarray_chkfinite(rhs, dtype=float)
-    n, b = rhs.shape
-    # entry (r, c) of block column k (rows (k-1)b .. (k+1)b-1, c < b) goes to
-    # band row b-1+r-c: sub[k-1]^T fills r < b, diag[k]'s upper triangle r >= b
+    n, b = rhs.shape[:2]
+    sub_row, sub_col, diag_row, i, j = _band_indices(b)
     banded = np.zeros((2 * b, n, b))
-    r, c = np.arange(b)[:, None], np.arange(b)
-    banded[b - 1 + r - c, 1:, c] = sub.transpose(2, 1, 0)
-    i, j = np.triu_indices(b)
-    banded[2 * b - 1 + i - j, :, j] = diag[:, i, j].T
-    _, x, info = _pbsv(banded.reshape(2 * b, n * b), rhs.ravel())
+    banded[sub_row, 1:, sub_col] = sub.transpose(2, 1, 0)
+    banded[diag_row, :, j] = diag[:, i, j].T
+    _, x, info = _pbsv(banded.reshape(2 * b, n * b), rhs.reshape(n * b, -1))
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
-    return x.reshape(n, b)
+    return x.reshape(rhs.shape)

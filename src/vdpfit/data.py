@@ -161,7 +161,14 @@ def _records(fh) -> Iterator[tuple[int, list[str]]]:
 
 def _loadtxt(path: Path) -> Optional[np.ndarray]:
     """The data rows parsed by np.loadtxt, or None when it rejects the file
-    (quotes, `1_000`, a ragged row, whitespace-only lines, no data rows...)."""
+    (quotes, `1_000`, a ragged row, whitespace-only lines, no data rows...)
+    or holds a token longer than csv.field_size_limit(), which np.loadtxt
+    would accept."""
+    limit = csv.field_size_limit()
+    with path.open("rb") as fh:  # bytes >= characters, so this never misses one
+        if any(len(line) > limit and max(map(len, line.rstrip(b"\r\n").split(b","))) > limit
+               for line in fh):
+            return None
     skip, width = 0, None
     with path.open(newline="") as fh:
         for line_no, tokens in _records(fh):
@@ -269,8 +276,12 @@ def normalize_components(comps: SvdComponents) -> SvdComponents:
     restored; renormalizing an already normalized result is a no-op up to
     floating point.
     """
+    # each row's std taken on the row divided by a power of two near its peak,
+    # so squaring cannot overflow, then scaled back; power-of-two scaling is exact
+    _, exp = np.frexp(np.max(np.abs(comps.temporal), axis=1))
+    stds = np.ldexp(np.ldexp(comps.temporal, -exp[:, None]).std(axis=1), exp)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        scale = float(comps.temporal.std(axis=1).mean())
+        scale = float(stds.mean())
     if scale == 0.0 or not math.isfinite(scale):
         raise ValueError(f"mean of component standard deviations is {scale}; cannot normalize")
     return SvdComponents(

@@ -6,9 +6,16 @@ The penalty objective over a stacked trajectory x is
 
 where H masks out everything but the observed x1 coordinates. The inner solve
 minimizes over x with Gauss-Newton steps on the block-tridiagonal normal
-equations (H'H + lam G_x'G_x) d = -grad; the outer loop is projected gradient
-over (alpha, W) using the value-function gradient lam * G_params' (G - eta0),
-which is exact at an exact inner minimizer.
+equations A d = -grad, A = H'H + lam G_x'G_x. The outer loop minimizes the
+value function f_tilde(p) = min_x f_lam(x, p) over p = (alpha, W) with
+projected Levenberg-Marquardt steps on the reduced residual
+
+    r(p) = [z - Hx*(p); sqrt(lam) (G(x*(p), p) - eta0)],   f_tilde = 1/2 ||r||^2,
+
+whose Jacobian J = [-H dx*/dp; sqrt(lam) (G_x dx*/dp + G_p)] takes the
+Gauss-Newton sensitivity dx*/dp = -A^-1 lam G_x'G_p from one banded solve
+with p right-hand sides (Golub & Pereyra 2003; Kaufman 1975). Its gradient
+J'r equals lam G_p'(G - eta0), which is exact at an exact inner minimizer.
 """
 from __future__ import annotations
 
@@ -17,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from . import metrics
 from .constraints import (
@@ -89,6 +97,12 @@ class PenaltyConfig:
     cap grows linearly from `inner_max_iter_start` to `inner_max_iter`. A
     one-element schedule is a fixed lam, solved to `inner_tol` within
     `inner_max_iter` steps; the two `*_start` fields then have no effect.
+
+    Each stage takes at most `outer_max_iter` Levenberg-Marquardt trial steps
+    and stops early when the projected gradient falls below `outer_gtol` or
+    a step's max |dp| / (1 + max |p|) falls below `outer_ftol`. `armijo_c` is
+    both the gain ratio a trial step must beat and the inner line search's
+    Armijo constant.
     """
 
     lam_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0)
@@ -96,9 +110,8 @@ class PenaltyConfig:
     inner_tol_start: float = 1e-4
     inner_max_iter: int = 200
     inner_max_iter_start: int = 50
-    outer_step: float = 0.1
     outer_max_iter: int = 100
-    outer_ftol: float = 1e-8
+    outer_ftol: float = 1e-6
     outer_gtol: float = 1e-6
     armijo_c: float = 1e-4
     bounds: ParamBounds = field(default_factory=ParamBounds)
@@ -110,7 +123,7 @@ class PenaltyConfig:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("lam_schedule must be strictly increasing")
         object.__setattr__(self, "lam_schedule", sched)
-        for name in ("inner_tol", "inner_tol_start", "outer_step", "outer_ftol", "outer_gtol"):
+        for name in ("inner_tol", "inner_tol_start", "outer_ftol", "outer_gtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("inner_max_iter", "inner_max_iter_start", "outer_max_iter"):
@@ -136,10 +149,12 @@ def fit_echo(cfg: PenaltyConfig, dt: float, substeps: int) -> dict:
 @dataclass(frozen=True)
 class InnerResult:
     """Inner Gauss-Newton outcome: the state estimate, its residual
-    G(x) - eta0, and convergence info."""
+    G(x) - eta0 and the subdiagonal blocks of dG/dx there, and convergence
+    info."""
 
     x: StackedState
     residual: np.ndarray
+    jac_x: np.ndarray
     converged: bool
     iterations: int
     grad_inf: float
@@ -148,12 +163,14 @@ class InnerResult:
 
 @dataclass(frozen=True)
 class ValueGradient:
-    """Value function f_tilde and its (alpha, W) gradient at fixed params."""
+    """Value function f_tilde and its (alpha, W) gradient at fixed params,
+    with dG/dparams at the inner minimizer."""
 
     value: float
     gradient: np.ndarray
     x: StackedState
     inner: InnerResult
+    jac_params: np.ndarray
 
     @property
     def low_accuracy(self) -> bool:
@@ -283,6 +300,18 @@ def objective(
     return _objective_parts(x.blocks(), z.values, r, lam)
 
 
+def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
+    """Diagonal blocks of the inner normal matrix A = H'H + lam G_x'G_x, from
+    the (N-1, b, b) subdiagonal blocks of G_x; A's subdiagonal is lam * sub."""
+    n, b = len(sub) + 1, sub.shape[1]
+    diag = np.empty((n, b, b))
+    diag[:] = lam * np.eye(b)
+    x1_slots = np.arange(0, b, 2)
+    diag[:, x1_slots, x1_slots] += 1.0
+    diag[:-1] += lam * np.einsum("kji,kjl->kil", sub, sub)
+    return diag
+
+
 def inner_solve(
     params: VdpParams,
     anchor: State,
@@ -314,10 +343,7 @@ def inner_solve(
     _check_shapes(z, x_init)
     if lam <= 0:
         raise ValueError("inner solve requires lam > 0")
-    m, n = x_init.m, x_init.n_steps
-    b = 2 * m
-    eye = np.eye(b)
-    x1_slots = np.arange(0, b, 2)
+    n, b = x_init.n_steps, 2 * x_init.m
 
     cur = x_init
     r = residual(cur, params, anchor, dt, substeps)
@@ -339,11 +365,7 @@ def inner_solve(
             break
         if iterations == max_iter:
             break
-        diag = np.empty((n, b, b))
-        diag[:] = lam * eye
-        diag[:, x1_slots, x1_slots] += 1.0
-        diag[:-1] += lam * np.einsum("kji,kjl->kil", sub, sub)
-        delta = solve_block_tridiagonal(diag, lam * sub, -grad_blocks)
+        delta = solve_block_tridiagonal(_normal_diag(sub, lam), lam * sub, -grad_blocks)
         dirderiv = float(np.sum(grad_blocks * delta))
         t = 1.0
         accepted = False
@@ -365,7 +387,7 @@ def inner_solve(
             iterations += 1
             break
     return InnerResult(
-        x=cur, residual=r, converged=converged, iterations=iterations,
+        x=cur, residual=r, jac_x=sub, converged=converged, iterations=iterations,
         grad_inf=grad_inf, objective=f_cur,
     )
 
@@ -398,7 +420,31 @@ def value_gradient(
     )
     jp = residual_jacobian_params(inner.x, params, dt, substeps)
     grad = lam * (jp.T @ inner.residual)
-    return ValueGradient(value=inner.objective, gradient=grad, x=inner.x, inner=inner)
+    return ValueGradient(
+        value=inner.objective, gradient=grad, x=inner.x, inner=inner, jac_params=jp
+    )
+
+
+def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """J of the reduced residual r(p) = [z - Hx*; sqrt(lam) (G(x*, p) - eta0)]
+    at vg's inner minimizer x*, and the sensitivity dx*/dp it is built from.
+
+    dx*/dp = -A^-1 lam G_x'G_p, with A the inner normal matrix at x*, costs one
+    banded solve with p = 2m + m^2 right-hand sides. J is (N*m + 2*m*N, p):
+    the N x1-misfit rows (time-major, component-minor) above the 2*m*N
+    constraint rows; dx*/dp is (N, 2m, p) in stacked-state block layout.
+    """
+    sub = vg.inner.jac_x
+    n, b = vg.x.n_steps, 2 * vg.x.m
+    gp = vg.jac_params.reshape(n, b, -1)
+    gx_t_gp = gp.copy()  # G_x' G_p: identity diagonal, sub' above
+    gx_t_gp[:-1] += np.einsum("kji,kjc->kic", sub, gp[1:])
+    dx_dp = solve_block_tridiagonal(_normal_diag(sub, lam), lam * sub, -lam * gx_t_gp)
+    dg_dp = dx_dp + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
+    dg_dp[1:] += np.einsum("kij,kjc->kic", sub, dx_dp[:-1])
+    jac = np.concatenate([-dx_dp[:, 0::2].reshape(n * b // 2, -1),
+                          math.sqrt(lam) * dg_dp.reshape(n * b, -1)])
+    return jac, dx_dp
 
 
 def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
@@ -425,14 +471,18 @@ def fit(
     dt: float = 1.0,
     substeps: int = 1,
 ) -> FitResult:
-    """Projected-gradient outer loop over (alpha, W) with inner state solves.
+    """Projected Levenberg-Marquardt outer loop over (alpha, W) with inner
+    state solves.
 
     Sweeps the (lam, inner_tol, inner_max_iter) stages of `cfg.stages()` with
-    warm starts, takes Barzilai-Borwein trial steps clipped to the bounds with
-    Armijo backtracking on f_tilde, and stops each stage on a parameter-space
-    gradient norm below outer_gtol, a relative objective change below
-    outer_ftol, or outer_max_iter. The constraint is anchored at x_init's
-    first state.
+    warm starts. Each stage damps the Gauss-Newton matrix J'J of
+    `reduced_jacobian` with Marquardt's diagonal scaling, mu starting at
+    1e-3 * max diag(J'J), clips each trial step to the bounds, and accepts it
+    when its gain ratio (actual over predicted decrease of f_tilde) exceeds
+    `cfg.armijo_c`; mu then shrinks by Nielsen's rule, and a rejection
+    quadruples it. A stage stops on a projected gradient below outer_gtol, a
+    step with max |dp| / (1 + max |p|) below outer_ftol, or outer_max_iter
+    trial steps. The constraint is anchored at x_init's first state.
     """
     m = z.m
     if init.m != m:
@@ -464,65 +514,51 @@ def fit(
     converged = False
 
     for lam_s, tol_s, cap_s in stages:
-        vg = value_gradient(
-            VdpParams.from_vector(p, m), anchor, z, cfg, x_cur,
-            dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s,
-        )
+        stage = dict(dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s)
+        vg = value_gradient(VdpParams.from_vector(p, m), anchor, z, cfg, x_cur, **stage)
         if not math.isfinite(vg.value):
             comp = _name_bad_component(vg.x, vg.inner.residual)
             raise FitError(
                 f"non-finite objective at initial evaluation (component {comp})"
             )
-        f, g, x_cur = vg.value, vg.gradient, vg.x
-        history.append((outer_count, lam_s, f))
+        history.append((outer_count, lam_s, vg.value))
         outer_count += 1
         reason = "max outer iterations"
         converged = False
-        t_bb: Optional[float] = None
+        jtj = mu = None
         for _ in range(cfg.outer_max_iter):
-            proj_grad = p - np.clip(p - g, lo, hi)
-            if float(np.max(np.abs(proj_grad))) < cfg.outer_gtol:
+            g = vg.gradient
+            if float(np.max(np.abs(p - np.clip(p - g, lo, hi)))) < cfg.outer_gtol:
                 reason = "projected gradient below tolerance"
                 converged = True
                 break
-            t = t_bb if t_bb is not None else cfg.outer_step / max(
-                float(np.max(np.abs(g))), 1e-12
-            )
-            accepted = False
-            vg_new = None
-            for _ in range(_MAX_HALVINGS):
-                p_new = np.clip(p - t * g, lo, hi)
-                move = p_new - p
-                if not np.any(move):
-                    break
-                vg_new = value_gradient(
-                    VdpParams.from_vector(p_new, m), anchor, z, cfg, x_cur,
-                    dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s,
-                )
-                if math.isfinite(vg_new.value) and vg_new.value <= f + cfg.armijo_c * float(
-                    g @ move
-                ):
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                reason = "line search stalled"
-                converged = False
-                break
-            s_vec = p_new - p
-            y_vec = vg_new.gradient - g
-            sy = float(s_vec @ y_vec)
-            t_bb = float(s_vec @ s_vec) / sy if sy > 1e-18 else None
-            if t_bb is not None:
-                t_bb = min(max(t_bb, 1e-12), 1e6)
-            df = f - vg_new.value
-            p, f, g, x_cur = p_new, vg_new.value, vg_new.gradient, vg_new.x
-            history.append((outer_count, lam_s, f))
-            outer_count += 1
-            if abs(df) < cfg.outer_ftol * (1.0 + abs(f)):
-                reason = "objective change below tolerance"
+            if jtj is None:
+                jac, _ = reduced_jacobian(vg, lam_s)
+                jtj = jac.T @ jac
+                scale = np.diag(jtj).copy()
+                scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
+                if mu is None:
+                    mu = 1e-3 * float(np.max(scale))
+            damped = jtj + np.diag(mu * scale)
+            p_new = np.clip(p - cho_solve(cho_factor(damped), g), lo, hi)
+            move = p_new - p
+            if float(np.max(np.abs(move))) < cfg.outer_ftol * (1.0 + float(np.max(np.abs(p)))):
+                reason = "step below tolerance"
                 converged = True
                 break
+            predicted = -float(g @ move) - 0.5 * float(move @ jtj @ move)
+            vg_new = value_gradient(
+                VdpParams.from_vector(p_new, m), anchor, z, cfg, vg.x, **stage
+            )
+            rho = (vg.value - vg_new.value) / predicted if predicted > 0 else -math.inf
+            if not rho > cfg.armijo_c:  # also rejects a non-finite value
+                mu *= 4.0
+                continue
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            p, vg, jtj = p_new, vg_new, None
+            history.append((outer_count, lam_s, vg.value))
+            outer_count += 1
+        x_cur = vg.x
 
     params_hat = VdpParams.from_vector(p, m)
     states = x_cur.to_trajectory(dt)

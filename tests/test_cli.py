@@ -137,8 +137,9 @@ class TestSvd:
     @pytest.mark.parametrize("text, line", [
         ("1" * 200_000 + ",2\n3,4\n5,6\n", 1),  # row 1: read by the header scan
         ('1,2\n"' + "0" * 199_999 + '1",3\n5,6\n', 2),  # quoted: the exact parser
+        ("1,2\n" + "0" * 199_999 + "1,3\n5,6\n", 2),  # numeric: np.loadtxt would take it
         ("1,2\n3,4\n5," + "x" * 200_000 + "\n", 3),  # non-numeric: the exact parser
-    ], ids=["first-row", "quoted", "non-numeric"])
+    ], ids=["first-row", "quoted", "unquoted", "non-numeric"])
     def test_over_long_token_is_data_error_naming_its_line(self, workdir, capsys, text, line):
         bad = workdir / "long.csv"
         bad.write_text(text)
@@ -188,6 +189,7 @@ MALFORMED_CONFIGS = [
     ("penalty.bounds.coupling", {"penalty": {"bounds": {"coupling": [1]}}}),
     ("penalty.bounds", {"penalty": {"bounds": 5}}),
     ("penalty.lam", {"penalty": {"lam": "x"}}),
+    ("penalty.outer_step", {"penalty": {"outer_step": 0.1}}),  # deleted with the BB step
     ("penalty.lam_schedule", {"penalty": {"lam_schedule": 5}}),
     ("penalty.lam_schedule", {"penalty": {"lam_schedule": None}}),
     ("penalty.lam_schedule", {"penalty": {"lam_schedule": []}}),
@@ -242,10 +244,9 @@ class TestFit:
             "inner_tol_start": 1e-3,
             "inner_max_iter": 40,
             "inner_max_iter_start": 20,
-            "outer_step": 1,
             "outer_max_iter": 8,
             "outer_ftol": 1e-7,
-            "outer_gtol": 1e-5,
+            "outer_gtol": 1,
             "armijo_c": 1e-3,
             "bounds": {"alpha1": [0.0, 4.0], "alpha2": [-4.0, 4.0], "coupling": [-1.0, 1.0]},
         }
@@ -278,7 +279,7 @@ class TestFit:
         assert {k: echo["search"][k] for k in search} == search
         assert (echo["dt"], echo["substeps"], echo["seed"], echo["search"]["seed"]) == (
             0.1, 2, 4, 4)
-        assert type(echo["outer_step"]) is int
+        assert type(echo["outer_gtol"]) is int
 
     def test_writes_fit_and_trace(self, workdir, series_csv, fit_config, capsys):
         out = workdir / "fit"

@@ -207,6 +207,20 @@ class TestBlockTridiagonalSolve:
         for want in (dense, _block_cholesky_reference(diag, sub, rhs).ravel()):
             assert np.linalg.norm(got.ravel() - want) <= 1e-9 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_k_columns_equal_one_column_solves_and_dense(self, m):
+        # k = 2m + m^2 columns, as for the reduced Jacobian's dx*/dp
+        n, b, k = 30, 2 * m, 2 * m + m * m
+        rng = np.random.default_rng(m)
+        diag, sub, _ = _normal_system(rng, n, b, 100.0)
+        rhs = rng.normal(size=(n, b, k))
+        got = solve_block_tridiagonal(diag, sub, rhs)
+        assert got.shape == (n, b, k)
+        for c in range(k):
+            npt.assert_array_equal(got[:, :, c], solve_block_tridiagonal(diag, sub, rhs[:, :, c]))
+        dense = np.linalg.solve(_dense_block_tridiagonal(diag, sub), rhs.reshape(n * b, k))
+        assert np.linalg.norm(got.reshape(n * b, k) - dense) <= 1e-9 * np.linalg.norm(dense)
+
     def test_not_positive_definite_raises(self, rng):
         diag, sub, rhs = _normal_system(rng, 5, 4, 10.0)
         diag[3] -= 100.0 * np.eye(4)

@@ -330,12 +330,24 @@ class TestSvdRoutes:
 
 
 class TestNormalize:
-    @pytest.mark.parametrize("scale, shown", [(0.0, "0.0"), (1e200, "inf")])
+    # at the float maximum each row's std is finite, but their sum overflows
+    @pytest.mark.parametrize("scale, shown", [(0.0, "0.0"), (np.finfo(float).max, "inf")])
     def test_degenerate_scale_is_an_error_that_shows_it(self, scale, shown):
-        comps = SvdComponents(temporal=scale * np.array([[1.0, -1.0, 1.0, -1.0]]),
-                              spatial=[[1.0]], singular_values=[2 * scale])
+        comps = SvdComponents(temporal=scale * np.array([[1.0, -1.0, 1.0, -1.0]] * 2),
+                              spatial=np.eye(2), singular_values=[1.0, 1.0])
         with pytest.raises(ValueError, match=f"deviations is {shown}; cannot normalize"):
             normalize_components(comps)
+
+    def test_rows_past_the_square_root_of_the_float_range_normalize(self, rng):
+        # squaring 1e155 overflows, so the std must not square the raw values
+        t = rng.normal(size=(3, 60))
+        comps = SvdComponents(temporal=1e155 * t, spatial=np.eye(3, 6),
+                              singular_values=np.array([3.0, 2.0, 1.0]))
+        normed = normalize_components(comps)
+        small = normalize_components(SvdComponents(temporal=t, spatial=np.eye(3, 6),
+                                                   singular_values=np.array([3.0, 2.0, 1.0])))
+        npt.assert_allclose(normed.temporal, small.temporal, rtol=1e-14)
+        npt.assert_allclose(normed.norm_scale, 1e155 * small.norm_scale, rtol=1e-14)
 
     def test_hand_arithmetic(self):
         # stds 2 and 4 -> divide by 3 -> mean of stds becomes 1

@@ -17,8 +17,10 @@ from vdpfit.estimator import (
     hidden_x2_estimate,
     inner_solve,
     objective,
+    reduced_jacobian,
     value_gradient,
 )
+from vdpfit.data import split_segments
 from vdpfit.metrics import pearson
 from vdpfit.model import ObservationSet, State, VdpParams, simulate
 
@@ -208,6 +210,57 @@ class TestValueGradient:
         assert np.all(np.isfinite(vg.gradient))
 
 
+def _reduced_residual(vg, z, lam):
+    return np.concatenate([(z.values - vg.x.x1()).ravel(), math.sqrt(lam) * vg.inner.residual])
+
+
+class TestReducedJacobian:
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_central_differences_of_the_inner_minimizer(self, m, substeps):
+        # on noise-free data at the truth G - eta0 vanishes, so the Gauss-Newton
+        # sensitivity dx*/dp is the exact derivative of the inner minimizer
+        rng = np.random.default_rng(10 * m + substeps)
+        params = random_params(rng, m)
+        s0 = random_state(rng, m, 0.4)
+        traj = simulate(params, s0, 30, 0.1, substeps=substeps)
+        z = ObservationSet(traj.x1)
+        stage = {"dt": 0.1, "substeps": substeps, "lam": 50.0, "tol": 1e-12, "max_iter": 200}
+        cfg = PenaltyConfig()
+        vg = value_gradient(params, s0, z, cfg, StackedState.from_trajectory(traj), **stage)
+        jac, dx_dp = reduced_jacobian(vg, stage["lam"])
+        vec, h = params.to_vector(), 1e-6
+        fd_x = np.empty((vg.x.flat.size, vec.size))
+        fd_r = np.empty(jac.shape)
+        for j in range(vec.size):
+            ends = []
+            for sign in (1.0, -1.0):
+                p = vec.copy()
+                p[j] += sign * h
+                inner = inner_solve(VdpParams.from_vector(p, m), s0, z, cfg, vg.x, **stage)
+                assert inner.converged
+                r = np.concatenate([(z.values - inner.x.x1()).ravel(),
+                                    math.sqrt(stage["lam"]) * inner.residual])
+                ends.append((inner.x.flat, r))
+            fd_x[:, j] = (ends[0][0] - ends[1][0]) / (2 * h)
+            fd_r[:, j] = (ends[0][1] - ends[1][1]) / (2 * h)
+        assert dx_dp.shape == (30, 2 * m, vec.size)
+        npt.assert_allclose(dx_dp.reshape(-1, vec.size), fd_x, atol=1e-6 * np.max(np.abs(fd_x)))
+        jtj_fd = fd_r.T @ fd_r
+        npt.assert_allclose(jac.T @ jac, jtj_fd, atol=1e-6 * np.max(np.abs(jtj_fd)))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_j_transpose_r_is_the_value_gradient(self, m):
+        rng = np.random.default_rng(m)
+        params, s0, traj, z = make_instance(rng, m=m, n=30, noise=0.05)
+        probe = VdpParams(alpha=params.alpha * 0.9, coupling=params.coupling + 0.05)
+        vg = value_gradient(probe, s0, z, PenaltyConfig(), dt=0.05, lam=100.0, tol=1e-11,
+                            max_iter=200)
+        jac, _ = reduced_jacobian(vg, 100.0)
+        npt.assert_allclose(jac.T @ _reduced_residual(vg, z, 100.0), vg.gradient,
+                            atol=1e-8 * np.max(np.abs(vg.gradient)))
+
+
 def test_misfit_stays_flat_across_lam_schedule_on_consistent_data(rng):
     # noise-free linear instances are exactly representable, so the data
     # misfit term sits at ~0 for every penalty weight instead of trading off
@@ -290,6 +343,22 @@ class TestFit:
         init = bounds.clip_params(params)
         res = fit(z, cfg, init, dt=0.05)
         assert bounds.contains(res.params)
+
+    def test_criterion_6_segments_stop_for_a_tolerance_reason(self):
+        # acceptance criterion 6's data and fits, without its forecast
+        dt = 0.15
+        truth = VdpParams(alpha=np.array([[2.2, 1.0], [1.9, 0.9]]),
+                          coupling=np.array([[0.0, 0.25], [-0.2, 0.0]]))
+        traj = simulate(truth, State(x1=np.array([1.0, -0.8]), x2=np.array([0.0, 0.2])),
+                        600, dt)
+        rng = np.random.default_rng(600)
+        data = traj.x1 + rng.normal(0, 0.005, traj.x1.shape)
+        init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
+        for seg in split_segments(600, 100, 20, 5).segments:
+            z = ObservationSet(data[seg.train[0]:seg.train[1]])
+            res = fit(z, PenaltyConfig(outer_max_iter=40), init, dt=dt)
+            assert res.converged
+            assert res.reason in ("projected gradient below tolerance", "step below tolerance")
 
     def test_init_outside_bounds_rejected(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20)
@@ -397,7 +466,6 @@ NON_DEFAULT = {
     "inner_tol_start": 1e-2,
     "inner_max_iter": 3,
     "inner_max_iter_start": 1,
-    "outer_step": 1.0,
     "outer_max_iter": 2,
     "outer_ftol": 1e-2,
     "outer_gtol": 1.0,
