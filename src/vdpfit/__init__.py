@@ -16,7 +16,6 @@ from .model import (
     jacobians,
     simulate,
     step,
-    vector_field,
 )
 from .constraints import StackedState, residual
 from .estimator import (
@@ -26,7 +25,6 @@ from .estimator import (
     PenaltyConfig,
     fit,
     inner_solve,
-    objective,
     value_gradient,
 )
 from .search import Candidate, SearchConfig, fitness, propose, search_and_refine

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -237,6 +237,8 @@ class FitResult:
             x2=_numeric(doc["states"]["x2"], "states.x2"),
             dt=float(dt),
         )
+        if states.m != params.m:
+            raise ValueError(f"states have {states.m} components, alpha has {params.m}")
         return cls(
             params=params,
             states=states,
@@ -281,23 +283,6 @@ def _objective_parts(x_blocks, z_values, r, lam):
     """1/2 ||z - Hx||^2 + lam/2 ||r||^2 from the residual r = G(x) - eta0."""
     misfit = x_blocks[:, 0::2] - z_values
     return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
-
-
-def objective(
-    x: StackedState,
-    params: VdpParams,
-    anchor: State,
-    z: ObservationSet,
-    *,
-    dt: float = 1.0,
-    substeps: int = 1,
-    lam: float,
-) -> float:
-    """Penalty objective f_lam(x, params) with eta0 = [anchor, 0, ..., 0];
-    lam = 0 is allowed for diagnostics and reduces it to the pure data misfit."""
-    _check_shapes(z, x)
-    r = residual(x, params, anchor, dt, substeps) if lam != 0.0 else np.zeros(0)
-    return _objective_parts(x.blocks(), z.values, r, lam)
 
 
 def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:

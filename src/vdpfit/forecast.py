@@ -132,26 +132,14 @@ def vdp_predict(fit: FitResult, steps: int) -> np.ndarray:
     return traj.x1[1:].T
 
 
-class ForecastMethod:
-    """Protocol-facing forecaster: fit per segment, then serve H-step windows."""
-
-    name: str = "method"
-    supports_long: bool = True
-
-    def prepare(self, data: np.ndarray, split: SegmentSplit) -> None:
-        raise NotImplementedError
-
-    def forecast(self, segment: int, start: int, steps: int) -> np.ndarray:
-        """Predict data[:, start : start + steps] for the given segment."""
-        raise NotImplementedError
-
-
-class VarMethod(ForecastMethod):
+class VarMethod:
     """VAR(k) baseline: fit on each training range, slide the k-point history.
 
     With refit_per_window=True the coefficients are refit on everything from
     the segment's train start up to each window instead of being reused.
     """
+
+    supports_long = True
 
     def __init__(self, order: int = 6, refit_per_window: bool = False):
         self.name = f"var{order}"
@@ -180,13 +168,13 @@ class VarMethod(ForecastMethod):
         return var_predict(model, history, steps)
 
 
-class VdpMethod(ForecastMethod):
+class VdpMethod:
     """Fitted-oscillator forecasts, one FitResult per segment (short protocol only)."""
 
+    name = "vdp"
     supports_long = False
 
-    def __init__(self, fits: Sequence[FitResult], name: str = "vdp"):
-        self.name = name
+    def __init__(self, fits: Sequence[FitResult]):
         self.fits = list(fits)
         self._split: Optional[SegmentSplit] = None
 
@@ -285,19 +273,21 @@ class ForecastReport:
 
 
 def evaluate(
-    methods: Sequence[ForecastMethod],
+    methods: Sequence,
     split: SegmentSplit,
     data: np.ndarray,
     horizon: int = 9,
     protocol: str = "short",
 ) -> ForecastReport:
     """Run every method over the protocol's windows of the (m, T) `data` and
-    aggregate per step.
+    aggregate per step. A method has a `name`, `prepare(data, split)`,
+    `forecast(segment, start, steps)` giving the (m, steps) prediction of
+    data[:, start : start + steps], and `supports_long`; one that cannot serve
+    the long protocol is recorded as omitted there.
 
     A window is skipped, and counted, when it runs past its segment's test
     range or the data, or when its forecast diverges; any other error from a
-    method propagates. Methods that cannot serve the long protocol are
-    recorded as omitted.
+    method propagates.
     """
     if protocol not in ("short", "long"):
         raise ValueError(f"protocol must be 'short' or 'long', got {protocol!r}")

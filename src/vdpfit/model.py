@@ -293,12 +293,6 @@ def _chained_jacobians(
     return jx, jp
 
 
-def vector_field(params: VdpParams, s: State) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivative (dx1, dx2) at state `s`."""
-    _check_components(params, s)
-    return _field_arrays(params.alpha, params.coupling, s.x1, s.x2)
-
-
 def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
     """One explicit Euler sample: s + dt * f(s), optionally split into substeps."""
     _check_components(params, s)

@@ -154,11 +154,6 @@ def _scored(z: ObservationSet, pairs: list[tuple[VdpParams, np.ndarray]], gamma:
             yield Candidate(params, x2_init, fitness(z, track, gamma), track=track)
 
 
-def score_candidate(z: ObservationSet, params: VdpParams, x2_init: np.ndarray, gamma: float,
-                    dt: float, substeps: int = 1) -> float:
-    return next(_scored(z, [(params, x2_init)], gamma, dt, substeps)).fitness
-
-
 def _draw(m: int, sc: StepScales, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """The one consumer of the proposal RNG: a uniformly chosen group and its
     Gaussian noise. Groups are m alpha rows, m^2 coupling entries and m x2

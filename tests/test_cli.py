@@ -620,6 +620,22 @@ class TestForecast:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("protocol, same", [("short", True), ("long", False)])
+    def test_var_refit(self, workdir, wave_csv, protocol, same):
+        # a short-protocol window starts where training ends, so its refit
+        # sees the training range again; long-protocol windows see more
+        reports = []
+        for extra in ([], ["--var-refit"]):
+            out = workdir / f"rep{len(extra)}"
+            code = main(
+                ["forecast", str(wave_csv), "--methods", "var", "--train-len", "50",
+                 "--test-len", "15", "--segments", "2", "--horizon", "5",
+                 "--var-order", "3", "--protocol", protocol, "-o", str(out)] + extra
+            )
+            assert code == 0
+            reports.append((out / "report.json").read_bytes())
+        assert (reports[0] == reports[1]) is same
+
 
 class TestConnectivity:
     @pytest.fixture
@@ -658,6 +674,21 @@ class TestConnectivity:
         )
         assert code == 2
         assert "not a fit result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_states_must_match_alpha_components(self, workdir, comps_dir, capsys, cols):
+        fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
+        doc = json.loads(fit.read_text())
+        for key in ("x1", "x2"):
+            doc["states"][key] = [row[:1] * cols for row in doc["states"][key]]
+        fit.write_text(json.dumps(doc))
+        for argv in (["connectivity", str(comps_dir), str(fit)],
+                     ["export-sim", str(fit), "--n-series", "1", "--length", "10",
+                      "--seed", "1"]):
+            assert main(argv + ["-o", str(workdir / "x")]) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "not a fit result" in err and "states" in err
+        assert not (workdir / "x").exists()
 
 
 _JSON = st.recursive(

@@ -16,7 +16,6 @@ from vdpfit.estimator import (
     fit,
     hidden_x2_estimate,
     inner_solve,
-    objective,
     reduced_jacobian,
     value_gradient,
 )
@@ -38,6 +37,12 @@ def make_instance(rng, m=1, n=40, dt=0.05, noise=0.0, nonlinear=True):
     if noise:
         x1 = x1 + rng.normal(0, noise, x1.shape)
     return params, s0, traj, ObservationSet(x1)
+
+
+def objective(x, params, anchor, z, *, dt=1.0, lam):
+    """f_lam(x, params) from the parts `inner_solve` evaluates it with."""
+    r = residual(x, params, anchor, dt)
+    return estimator._objective_parts(x.blocks(), z.values, r, lam)
 
 
 class TestObjective:

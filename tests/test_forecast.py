@@ -12,7 +12,6 @@ from vdpfit import metrics
 from vdpfit.data import split_segments
 from vdpfit.estimator import FitResult
 from vdpfit.forecast import (
-    ForecastMethod,
     HorizonStats,
     VarMethod,
     VdpMethod,
@@ -213,10 +212,11 @@ class TestVdpPredict:
         npt.assert_array_equal(vdp_predict(a, 6), vdp_predict(b, 6))
 
 
-class OracleMethod(ForecastMethod):
+class OracleMethod:
     """Returns the true window; the upper bound every metric should hit."""
 
     name = "oracle"
+    supports_long = True
 
     def prepare(self, data, split):
         self._data = data
@@ -225,8 +225,9 @@ class OracleMethod(ForecastMethod):
         return self._data[:, start : start + steps]
 
 
-class ZeroMethod(ForecastMethod):
+class ZeroMethod:
     name = "zero"
+    supports_long = True
 
     def prepare(self, data, split):
         self._m = data.shape[0]
@@ -235,8 +236,9 @@ class ZeroMethod(ForecastMethod):
         return np.zeros((self._m, steps))
 
 
-class BadShapeMethod(ForecastMethod):
+class BadShapeMethod:
     name = "badshape"
+    supports_long = True
 
     def prepare(self, data, split):
         self._m = data.shape[0]
@@ -245,8 +247,9 @@ class BadShapeMethod(ForecastMethod):
         return np.zeros((self._m, steps - 1))
 
 
-class RaisingMethod(ForecastMethod):
+class RaisingMethod:
     name = "raising"
+    supports_long = True
 
     def prepare(self, data, split):
         pass

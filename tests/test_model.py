@@ -16,7 +16,7 @@ from vdpfit.model import (
     rollout,
     simulate,
     step,
-    vector_field,
+    _field_arrays,
 )
 
 from conftest import random_params, random_state
@@ -24,6 +24,10 @@ from conftest import random_params, random_state
 
 def p1(a1, a2, w=0.0):
     return VdpParams(alpha=np.array([[a1, a2]]), coupling=np.array([[w]]))
+
+
+def vector_field(params, s):
+    return _field_arrays(params.alpha, params.coupling, s.x1, s.x2)
 
 
 class TestVectorField:
@@ -48,7 +52,7 @@ class TestVectorField:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            vector_field(p1(1.0, 1.0), State(x1=[1.0, 2.0], x2=[0.0, 0.0]))
+            step(p1(1.0, 1.0), State(x1=[1.0, 2.0], x2=[0.0, 0.0]), 0.1)
 
 
 class TestStep:

@@ -23,7 +23,6 @@ from vdpfit.search import (
     combine_scores,
     fitness,
     propose,
-    score_candidate,
     search_and_refine,
 )
 
@@ -37,6 +36,10 @@ def coupled_pair(noise=0.05, n=100, seed=21):
     rng = np.random.default_rng(seed)
     z = ObservationSet(traj.x1 + rng.normal(0, noise, traj.x1.shape))
     return truth, traj, z
+
+
+def score_candidate(z, params, x2_init, gamma, dt, substeps=1):
+    return next(search._scored(z, [(params, x2_init)], gamma, dt, substeps)).fitness
 
 
 class TestFitness:
