@@ -15,7 +15,8 @@ projected Levenberg-Marquardt steps on the reduced residual
 whose Jacobian J = [-H dx*/dp; sqrt(lam) (G_x dx*/dp + G_p)] takes the
 Gauss-Newton sensitivity dx*/dp = -A^-1 lam G_x'G_p from one banded solve
 with p right-hand sides (Golub & Pereyra 2003; Kaufman 1975). Its gradient
-J'r equals lam G_p'(G - eta0), which is exact at an exact inner minimizer.
+J'r equals lam G_p'(G - eta0), which is exact at an exact inner minimizer,
+and each outer trial's inner solve starts from x* + dx*/dp dp.
 """
 from __future__ import annotations
 
@@ -293,7 +294,7 @@ def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
     diag[:] = lam * np.eye(b)
     x1_slots = np.arange(0, b, 2)
     diag[:, x1_slots, x1_slots] += 1.0
-    diag[:-1] += lam * np.einsum("kji,kjl->kil", sub, sub)
+    diag[:-1] += lam * (sub.transpose(0, 2, 1) @ sub)
     return diag
 
 
@@ -423,10 +424,10 @@ def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndar
     n, b = vg.x.n_steps, 2 * vg.x.m
     gp = vg.jac_params.reshape(n, b, -1)
     gx_t_gp = gp.copy()  # G_x' G_p: identity diagonal, sub' above
-    gx_t_gp[:-1] += np.einsum("kji,kjc->kic", sub, gp[1:])
+    gx_t_gp[:-1] += sub.transpose(0, 2, 1) @ gp[1:]
     dx_dp = solve_block_tridiagonal(_normal_diag(sub, lam), lam * sub, -lam * gx_t_gp)
     dg_dp = dx_dp + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
-    dg_dp[1:] += np.einsum("kij,kjc->kic", sub, dx_dp[:-1])
+    dg_dp[1:] += sub @ dx_dp[:-1]
     jac = np.concatenate([-dx_dp[:, 0::2].reshape(n * b // 2, -1),
                           math.sqrt(lam) * dg_dp.reshape(n * b, -1)])
     return jac, dx_dp
@@ -465,9 +466,13 @@ def fit(
     1e-3 * max diag(J'J), clips each trial step to the bounds, and accepts it
     when its gain ratio (actual over predicted decrease of f_tilde) exceeds
     `cfg.armijo_c`; mu then shrinks by Nielsen's rule, and a rejection
-    quadruples it. A stage stops on a projected gradient below outer_gtol, a
-    step with max |dp| / (1 + max |p|) below outer_ftol, or outer_max_iter
-    trial steps. The constraint is anchored at x_init's first state.
+    quadruples it. A damped matrix whose Cholesky factorization fails (mu
+    below the roundoff of J'J) also counts as a rejection. Each trial's inner
+    solve starts from the first-order prediction x* + (dx*/dp) dp of its
+    minimizer, or from x* when that is not finite. A stage stops on a
+    projected gradient below outer_gtol, a step with max |dp| / (1 + max |p|)
+    below outer_ftol, or outer_max_iter trial steps. The constraint is
+    anchored at x_init's first state.
     """
     m = z.m
     if init.m != m:
@@ -518,22 +523,30 @@ def fit(
                 converged = True
                 break
             if jtj is None:
-                jac, _ = reduced_jacobian(vg, lam_s)
+                jac, dx_dp = reduced_jacobian(vg, lam_s)
                 jtj = jac.T @ jac
                 scale = np.diag(jtj).copy()
                 scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
                 if mu is None:
                     mu = 1e-3 * float(np.max(scale))
-            damped = jtj + np.diag(mu * scale)
-            p_new = np.clip(p - cho_solve(cho_factor(damped), g), lo, hi)
+            try:
+                step = cho_solve(cho_factor(jtj + np.diag(mu * scale)), g)
+            except np.linalg.LinAlgError:  # mu * scale fell below J'J's roundoff
+                mu *= 4.0
+                continue
+            p_new = np.clip(p - step, lo, hi)
             move = p_new - p
             if float(np.max(np.abs(move))) < cfg.outer_ftol * (1.0 + float(np.max(np.abs(p)))):
                 reason = "step below tolerance"
                 converged = True
                 break
             predicted = -float(g @ move) - 0.5 * float(move @ jtj @ move)
+            try:  # first-order prediction x* + dx*/dp move of the new minimizer
+                x_start = vg.x.replace_flat(vg.x.flat + dx_dp.reshape(-1, p.size) @ move)
+            except ValueError:  # not finite
+                x_start = vg.x
             vg_new = value_gradient(
-                VdpParams.from_vector(p_new, m), anchor, z, cfg, vg.x, **stage
+                VdpParams.from_vector(p_new, m), anchor, z, cfg, x_start, **stage
             )
             rho = (vg.value - vg_new.value) / predicted if predicted > 0 else -math.inf
             if not rho > cfg.armijo_c:  # also rejects a non-finite value

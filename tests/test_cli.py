@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -416,6 +418,43 @@ class TestFit:
                      "-o", str(workdir / "x")])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_rank_deficient_fit_exits_0(self, workdir, capsys):
+        # three samples of two components cannot identify eight parameters; the
+        # LM damping then shrinks below the roundoff of J'J, and the damped
+        # Cholesky fails
+        series = workdir / "short.csv"
+        series.write_text("1.0,0.5\n0.9,0.4\n0.8,0.3\n")
+        cfg = workdir / "dt.json"
+        cfg.write_text('{"dt": 0.1}')
+        out = workdir / "short"
+        assert main(["fit", str(series), "--config", str(cfg), "--seed", "0", "--vp-only",
+                     "-o", str(out)]) == 0
+        assert "fit: converged=True" in capsys.readouterr().out
+        assert json.loads((out / "fit.json").read_text())["converged"]["flag"] is True
+
+    def test_fit_json_is_the_same_under_one_and_two_blas_threads(self, workdir):
+        params = VdpParams(alpha=np.array([[1.5, 1.0], [1.2, 0.8], [1.8, 0.6]]),
+                           coupling=np.array([[0.0, 0.2, -0.1], [-0.2, 0.0, 0.1],
+                                              [0.1, -0.1, 0.0]]))
+        traj = simulate(params, State(x1=np.array([0.6, -0.4, 0.2]), x2=np.zeros(3)), 60, 0.1)
+        series = workdir / "three.csv"
+        save_csv(traj.x1 + np.random.default_rng(8).normal(0, 0.02, traj.x1.shape), series)
+        cfg = workdir / "three.json"
+        cfg.write_text(json.dumps({"dt": 0.1, "penalty": {"outer_max_iter": 8}}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        docs = []
+        for threads in ("1", "2"):
+            out = workdir / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from vdpfit.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "fit", str(series), "--config", str(cfg),
+                 "--seed", "1", "--vp-only", "-o", str(out)],
+                env=env, check=True, capture_output=True, timeout=120)
+            docs.append((out / "fit.json").read_bytes())
+        assert docs[0] == docs[1]
 
     def test_missing_required_flag_is_usage_error(self, series_csv):
         with pytest.raises(SystemExit) as exc:

@@ -86,6 +86,34 @@ def dense_linear_solution(params, anchor, z, lam, dt):
     return np.linalg.solve(lhs, rhs)
 
 
+def dense_normal_matrix(x, params, lam, dt, substeps=1):
+    """The inner normal matrix H'H + lam G_x'G_x, formed densely."""
+    jac = dense_state_jacobian(residual_jacobian_x(x, params, dt, substeps))
+    normal = lam * jac.T @ jac
+    x1_rows = np.arange(0, x.flat.size, 2)
+    normal[x1_rows, x1_rows] += 1.0
+    return normal
+
+
+class TestNormalDiag:
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_the_dense_normal_matrix(self, rng, m, substeps):
+        n, b, lam, dt = 12, 2 * m, 70.0, 0.1
+        params = random_params(rng, m)
+        x = StackedState(flat=rng.normal(0, 0.8, b * n), m=m, n_steps=n)
+        sub = residual_jacobian_x(x, params, dt, substeps)
+        dense = dense_normal_matrix(x, params, lam, dt, substeps)
+        diag = estimator._normal_diag(sub, lam)
+        assert diag.shape == (n, b, b)
+        for k in range(n):
+            block = dense[k * b:(k + 1) * b, k * b:(k + 1) * b]
+            npt.assert_allclose(diag[k], block, rtol=1e-13, atol=1e-13 * np.max(np.abs(dense)))
+        for k in range(n - 1):  # and the subdiagonal really is lam * sub
+            npt.assert_allclose(dense[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b], lam * sub[k],
+                                rtol=1e-13)
+
+
 class TestInnerSolve:
     def test_linear_case_matches_dense_oracle(self):
         for trial in range(20):
@@ -170,6 +198,23 @@ class TestInnerSolve:
         npt.assert_array_equal(res.x.flat, x_init.flat)
         npt.assert_array_equal(res.residual, residual(x_init, params, s0, 0.05))
         assert res.objective == objective(x_init, params, s0, z, dt=0.05, lam=100.0)
+
+    def test_armijo_c_near_one_halves_a_step_that_passes_at_1e_4(self, rng):
+        # on a near-quadratic f the Gauss-Newton step t * delta lowers f by about
+        # t (1 - t/2) |grad' delta|, which passes the Armijo test at c = 1e-4 for
+        # t = 1 but at c = 0.99 only once t <= 0.02, so after six halvings
+        params, s0, traj, z = make_instance(rng, m=2, n=20, noise=0.05)
+        x0 = default_x_init(z, 0.05)
+        lam = 100.0
+        one_step = {"dt": 0.05, "lam": lam, "tol": 1e-12, "max_iter": 1}
+        whole = inner_solve(params, s0, z, PenaltyConfig(armijo_c=1e-4), x0, **one_step)
+        halved = inner_solve(params, s0, z, PenaltyConfig(armijo_c=0.99), x0, **one_step)
+        grad = lam * dense_state_jacobian(residual_jacobian_x(x0, params, 0.05)).T @ residual(
+            x0, params, s0, 0.05)
+        grad[0::2] += (x0.x1() - z.values).ravel()
+        delta = -np.linalg.solve(dense_normal_matrix(x0, params, lam, 0.05), grad)
+        npt.assert_allclose(whole.x.flat - x0.flat, delta, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(halved.x.flat - x0.flat, 2.0 ** -6 * delta, rtol=1e-9, atol=1e-12)
 
 
 class TestValueGradient:
@@ -299,6 +344,16 @@ class TestHiddenInit:
         assert pearson(est[50:, 0], traj.x2[50:, 0]) > 0.8
 
 
+def criterion_6_segments():
+    """Acceptance criterion 6's five N=100 training segments (m=2, dt=0.15)."""
+    truth = VdpParams(alpha=np.array([[2.2, 1.0], [1.9, 0.9]]),
+                      coupling=np.array([[0.0, 0.25], [-0.2, 0.0]]))
+    traj = simulate(truth, State(x1=np.array([1.0, -0.8]), x2=np.array([0.0, 0.2])), 600, 0.15)
+    data = traj.x1 + np.random.default_rng(600).normal(0, 0.005, traj.x1.shape)
+    return [ObservationSet(data[seg.train[0]:seg.train[1]])
+            for seg in split_segments(600, 100, 20, 5).segments]
+
+
 class TestFit:
     def test_truth_init_noise_free_converges_immediately(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=50)
@@ -350,20 +405,40 @@ class TestFit:
         assert bounds.contains(res.params)
 
     def test_criterion_6_segments_stop_for_a_tolerance_reason(self):
-        # acceptance criterion 6's data and fits, without its forecast
-        dt = 0.15
-        truth = VdpParams(alpha=np.array([[2.2, 1.0], [1.9, 0.9]]),
-                          coupling=np.array([[0.0, 0.25], [-0.2, 0.0]]))
-        traj = simulate(truth, State(x1=np.array([1.0, -0.8]), x2=np.array([0.0, 0.2])),
-                        600, dt)
-        rng = np.random.default_rng(600)
-        data = traj.x1 + rng.normal(0, 0.005, traj.x1.shape)
         init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
-        for seg in split_segments(600, 100, 20, 5).segments:
-            z = ObservationSet(data[seg.train[0]:seg.train[1]])
-            res = fit(z, PenaltyConfig(outer_max_iter=40), init, dt=dt)
+        for z in criterion_6_segments():
+            res = fit(z, PenaltyConfig(outer_max_iter=40), init, dt=0.15)
             assert res.converged
             assert res.reason in ("projected gradient below tolerance", "step below tolerance")
+
+    @pytest.mark.parametrize("stage", PenaltyConfig().stages(), ids=["lam10", "lam100", "lam1000"])
+    def test_warm_started_trial_solve_reaches_the_cold_minimizer(self, stage):
+        # fit's first LM trial on criterion 6's segment 0, solved from x* and
+        # from the first-order prediction x* + dx*/dp move
+        lam, tol, cap = stage
+        z, dt, cfg = criterion_6_segments()[0], 0.15, PenaltyConfig()
+        init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
+        x0 = default_x_init(z, dt)
+        kw = {"dt": dt, "lam": lam, "tol": tol, "max_iter": cap}
+        vg = value_gradient(init, x0.state(0), z, cfg, x0, **kw)
+        jac, dx_dp = reduced_jacobian(vg, lam)
+        jtj = jac.T @ jac
+        scale = np.diag(jtj)
+        p = init.to_vector()
+        move = np.clip(p - np.linalg.solve(jtj + np.diag(1e-3 * np.max(scale) * scale),
+                                           vg.gradient), cfg.bounds.lower(2),
+                       cfg.bounds.upper(2)) - p
+        trial = VdpParams.from_vector(p + move, 2)
+        cold = inner_solve(trial, x0.state(0), z, cfg, vg.x, **kw)
+        warm = inner_solve(trial, x0.state(0), z, cfg,
+                           vg.x.replace_flat(vg.x.flat + dx_dp.reshape(-1, p.size) @ move), **kw)
+        assert cold.converged and warm.converged
+        assert warm.iterations <= cold.iterations
+        # two points whose gradients are within tol of zero lie within
+        # ||A^-1|| (|grad_warm| + |grad_cold|) of each other
+        a_inv = np.linalg.inv(dense_normal_matrix(cold.x, trial, lam, dt))
+        bound = np.max(np.sum(np.abs(a_inv), axis=1)) * (warm.grad_inf + cold.grad_inf)
+        assert np.max(np.abs(warm.x.flat - cold.x.flat)) <= bound
 
     def test_init_outside_bounds_rejected(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20)
@@ -481,13 +556,18 @@ NON_DEFAULT = {
 }
 
 
-@pytest.fixture(scope="module")
-def small_fit():
-    """fit(cfg) on a fixed noisy m=1 series from an init away from the truth."""
+def small_series():
+    """A fixed noisy m=1 series (dt=0.1) and an init away from its truth."""
     truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.array([[0.2]]))
     traj = simulate(truth, State(x1=[1.0], x2=[0.0]), 40, 0.1)
     z = ObservationSet(traj.x1 + np.random.default_rng(3).normal(0, 0.02, traj.x1.shape))
-    init = VdpParams(alpha=np.array([[1.0, 0.5]]), coupling=np.array([[0.0]]))
+    return z, VdpParams(alpha=np.array([[1.0, 0.5]]), coupling=np.array([[0.0]]))
+
+
+@pytest.fixture(scope="module")
+def small_fit():
+    """fit(cfg) on `small_series`."""
+    z, init = small_series()
     default = fit(z, PenaltyConfig(), init, dt=0.1)
     return lambda cfg: fit(z, cfg, init, dt=0.1), default
 
@@ -507,3 +587,31 @@ def test_every_penalty_field_changes_the_fit(small_fit, name):
             and np.array_equal(res.states.x2, default.states.x2)
             and res.objective_history == default.objective_history)
     assert not same
+
+
+def test_lm_trial_is_accepted_only_when_its_gain_ratio_beats_armijo_c(monkeypatch):
+    # the first trial step on small_series at lam = 1000 has a gain ratio near
+    # 0.38 under either armijo_c below, though each also sets the inner Armijo test
+    z, init = small_series()
+    lam = 1000.0
+    seen = []
+
+    def spy(params, *args, **kwargs):
+        seen.append((params.to_vector(), value_gradient(params, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(estimator, "value_gradient", spy)
+    runs = {}
+    for c in (0.2, 0.45):
+        seen.clear()
+        res = fit(z, PenaltyConfig(lam_schedule=(lam,), outer_max_iter=1, armijo_c=c), init,
+                  dt=0.1)
+        (p0, vg0), (p1, vg1) = seen
+        jac, _ = reduced_jacobian(vg0, lam)
+        move = p1 - p0
+        predicted = -vg0.gradient @ move - 0.5 * move @ jac.T @ jac @ move
+        runs[c] = (vg0.value - vg1.value) / predicted, vg1.value, res.objective_history
+    (rho_lo, f_trial, accepted), (rho_hi, _, rejected) = runs[0.2], runs[0.45]
+    assert 0.2 < rho_lo < 0.45 and 0.2 < rho_hi < 0.45
+    assert [f for _, _, f in accepted][1:] == [f_trial]
+    assert len(rejected) == 1
