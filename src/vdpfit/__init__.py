@@ -8,7 +8,6 @@ VDP/VAR forecasting benchmarks, and corpus export for downstream learners.
 
 from .model import (
     DimensionError,
-    ObservationSet,
     SimulationDiverged,
     State,
     Trajectory,
@@ -17,7 +16,7 @@ from .model import (
     simulate,
     step,
 )
-from .constraints import StackedState, residual
+from .constraints import residual, stack_states
 from .estimator import (
     FitError,
     FitResult,

@@ -37,9 +37,9 @@ from .data import (
     split_segments,
     svd_components,
 )
-from .estimator import FitError, FitResult, PenaltyConfig
+from .estimator import FitError, FitResult, PenaltyConfig, check_observations
 from .forecast import VarMethod, VdpMethod, evaluate, export_simulations, write_corpus
-from .model import ObservationSet, SimulationDiverged, VdpParams
+from .model import SimulationDiverged, VdpParams
 from .search import SearchConfig, search_and_refine
 
 OUT_ENV = "VDPFIT_OUT"
@@ -126,8 +126,8 @@ def _fitter(args):
         s_cfg = replace(s_cfg, max_rounds=0)
     init = {key: _array(v, key) for key, v in doc.items() if key.startswith("init_")}
 
-    def fit(z: ObservationSet, seed: int, trace: Optional[Path] = None) -> FitResult:
-        params, x2_init = _init_values(init, z.m)
+    def fit(z: np.ndarray, seed: int, trace: Optional[Path] = None) -> FitResult:
+        params, x2_init = _init_values(init, z.shape[1])
         with trace.open("w") if trace else nullcontext() as sink:
             return search_and_refine(z, replace(s_cfg, seed=seed), p_cfg, dt=dt,
                                      substeps=substeps, init=params, x2_init=x2_init,
@@ -192,7 +192,7 @@ def cmd_svd(args) -> int:
 
 def cmd_fit(args) -> int:
     fit = _fitter(args)
-    z = ObservationSet(_load_series(args.input, args.layout))
+    z = check_observations(_load_series(args.input, args.layout))
     out = _resolve_out(args)
     result = fit(z, args.seed, out / "trace.ndjson")
     result.config_echo["seed"] = args.seed
@@ -231,7 +231,7 @@ def cmd_forecast(args) -> int:
             # the oscillator serves only the short protocol; `evaluate` records
             # it as omitted on long runs, so its segments are not fitted there
             methods.append(VdpMethod([] if args.protocol == "long" else [
-                fit(ObservationSet(data[:, seg.train[0] : seg.train[1]].T), args.seed + s_idx)
+                fit(data[:, seg.train[0] : seg.train[1]].T, args.seed + s_idx)
                 for s_idx, seg in enumerate(split.segments)
             ]))
     report = evaluate(methods, split, data, horizon=args.horizon, protocol=args.protocol)

@@ -1,6 +1,8 @@
 """Stacked single-step constraints linking a whole trajectory to the Euler map.
 
-For a trajectory x^0..x^{N-1} the stacked constraint is
+A trajectory x^0..x^{N-1} is passed as one plain (N, 2m) stacked state whose
+row k is x^k in the single-sample layout (`stack_states` builds it). Its
+stacked constraint is
 
     G(x)[0]  = x^0 - anchor
     G(x)[k]  = x^k - g(x^{k-1})        k = 1..N-1
@@ -22,7 +24,6 @@ batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -30,7 +31,6 @@ from scipy.linalg import get_lapack_funcs
 from .model import (
     DimensionError,
     State,
-    Trajectory,
     VdpParams,
     batch_param_jacobians,
     batch_state_jacobians,
@@ -40,79 +40,38 @@ from .model import (
 _pbsv = get_lapack_funcs("pbsv", dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class StackedState:
-    """All N samples of a trajectory as one flat vector of length 2*m*N.
+def stack_states(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The (N, 2m) stacked state of (N, m) tracks: each row is one time sample,
+    with component i at columns (2i, 2i+1) = (x1_i, x2_i) as in `State.to_flat`."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape or x1.ndim != 2:
+        raise DimensionError(f"x1/x2 must be equal (N, m) arrays, got {x1.shape} and {x2.shape}")
+    x = np.empty((x1.shape[0], 2 * x1.shape[1]))
+    x[:, 0::2] = x1
+    x[:, 1::2] = x2
+    return x
 
-    Time blocks are contiguous; within a block component i occupies
-    (2i, 2i+1) = (x1_i, x2_i), matching the single-sample layout.
-    """
 
-    flat: np.ndarray
-    m: int
-    n_steps: int
-
-    def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=float)
-        if flat.shape != (2 * self.m * self.n_steps,):
-            raise DimensionError(
-                f"flat must have length {2 * self.m * self.n_steps}, got {flat.shape}"
-            )
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("stacked state must be finite")
-        object.__setattr__(self, "flat", flat)
-
-    @classmethod
-    def from_arrays(cls, x1: np.ndarray, x2: np.ndarray) -> "StackedState":
-        x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-        if x1.shape != x2.shape:
-            raise DimensionError(f"x1/x2 shape mismatch: {x1.shape} vs {x2.shape}")
-        n, m = x1.shape
-        blocks = np.empty((n, 2 * m))
-        blocks[:, 0::2] = x1
-        blocks[:, 1::2] = x2
-        return cls(flat=blocks.ravel(), m=m, n_steps=n)
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "StackedState":
-        return cls.from_arrays(traj.x1, traj.x2)
-
-    def blocks(self) -> np.ndarray:
-        """View as (N, 2m) time blocks."""
-        return self.flat.reshape(self.n_steps, 2 * self.m)
-
-    def x1(self) -> np.ndarray:
-        return self.blocks()[:, 0::2]
-
-    def x2(self) -> np.ndarray:
-        return self.blocks()[:, 1::2]
-
-    def state(self, k: int) -> State:
-        block = self.blocks()[k]
-        return State(x1=block[0::2].copy(), x2=block[1::2].copy())
-
-    def to_trajectory(self, dt: float) -> Trajectory:
-        return Trajectory(x1=self.x1().copy(), x2=self.x2().copy(), dt=dt)
-
-    def replace_flat(self, flat: np.ndarray) -> "StackedState":
-        return StackedState(flat=flat, m=self.m, n_steps=self.n_steps)
+def _check_components(x: np.ndarray, params: VdpParams) -> None:
+    if x.ndim != 2 or x.shape[1] != 2 * params.m:
+        raise DimensionError(f"state must be (N, {2 * params.m}) for params, got {x.shape}")
 
 
 def residual(
-    x: StackedState,
+    x: np.ndarray,
     params: VdpParams,
     anchor: State,
     dt: float,
     substeps: int = 1,
 ) -> np.ndarray:
-    """G(x) - eta0 as a flat (2*m*N,) vector, with eta0 = [anchor, 0, ..., 0]."""
-    if x.m != params.m or anchor.m != params.m:
-        raise DimensionError("component count mismatch between state, params, anchor")
-    x1 = x.x1()
-    x2 = x.x2()
+    """G(x) - eta0 as a flat (2*m*N,) vector for the (N, 2m) stacked state x,
+    with eta0 = [anchor, 0, ..., 0]."""
+    _check_components(x, params)
+    if anchor.m != params.m:
+        raise DimensionError("component count mismatch between anchor and params")
+    x1, x2 = x[:, 0::2], x[:, 1::2]
     g1, g2 = euler_map(params, x1[:-1], x2[:-1], dt, substeps)
-    out = np.empty((x.n_steps, 2 * x.m))
+    out = np.empty(x.shape)
     out[0, 0::2] = x1[0] - anchor.x1
     out[0, 1::2] = x2[0] - anchor.x2
     out[1:, 0::2] = x1[1:] - g1
@@ -121,36 +80,30 @@ def residual(
 
 
 def residual_jacobian_x(
-    x: StackedState, params: VdpParams, dt: float, substeps: int = 1
+    x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
 ) -> np.ndarray:
     """The (N-1, 2m, 2m) subdiagonal blocks of dG/dx at x.
 
     dG/dx is block lower-bidiagonal: every diagonal block is the identity, and
     block k, at block position (k+1, k), is -dg/dstate evaluated at x^k.
     """
-    if x.m != params.m:
-        raise DimensionError("component count mismatch between state and params")
-    x1 = x.x1()
-    x2 = x.x2()
-    return -batch_state_jacobians(params, x1[:-1], x2[:-1], dt, substeps)
+    _check_components(x, params)
+    return -batch_state_jacobians(params, x[:-1, 0::2], x[:-1, 1::2], dt, substeps)
 
 
 def residual_jacobian_params(
-    x: StackedState, params: VdpParams, dt: float, substeps: int = 1
+    x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
 ) -> np.ndarray:
     """dG/dparams at x, dense (2*m*N, 2m + m^2); the anchor block rows are zero.
 
     Columns follow VdpParams.to_vector: [a1 all, a2 all, W row-major].
     """
-    if x.m != params.m:
-        raise DimensionError("component count mismatch between state and params")
-    x1 = x.x1()
-    x2 = x.x2()
-    n, m = x1.shape
-    p = 2 * m + m * m
-    out = np.zeros((n, 2 * m, p))
-    out[1:] = -batch_param_jacobians(params, x1[:-1], x2[:-1], dt, substeps)
-    return out.reshape(n * 2 * m, p)
+    _check_components(x, params)
+    n, b = x.shape
+    p = b + params.m ** 2
+    out = np.zeros((n, b, p))
+    out[1:] = -batch_param_jacobians(params, x[:-1, 0::2], x[:-1, 1::2], dt, substeps)
+    return out.reshape(n * b, p)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Variable-projection estimation of oscillator parameters and hidden states.
 
-The penalty objective over a stacked trajectory x is
+Over (N, m) observed x1 tracks z and an (N, 2m) stacked state x (see
+`constraints.stack_states`), both plain arrays, the penalty objective is
 
     f_lam(x, params) = 1/2 ||z - Hx||^2 + lam/2 ||G(x, params) - eta0||^2
 
@@ -29,13 +30,13 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import metrics
 from .constraints import (
-    StackedState,
     residual,
     residual_jacobian_params,
     residual_jacobian_x,
     solve_block_tridiagonal,
+    stack_states,
 )
-from .model import DimensionError, ObservationSet, State, Trajectory, VdpParams
+from .model import DimensionError, State, Trajectory, VdpParams
 
 _MAX_HALVINGS = 48
 # an accepted step that lowers f by no more than this times |f| is roundoff
@@ -100,10 +101,11 @@ class PenaltyConfig:
     `inner_max_iter` steps; the two `*_start` fields then have no effect.
 
     Each stage takes at most `outer_max_iter` Levenberg-Marquardt trial steps
-    and stops early when the projected gradient falls below `outer_gtol` or
-    a step's max |dp| / (1 + max |p|) falls below `outer_ftol`. `armijo_c` is
-    both the gain ratio a trial step must beat and the inner line search's
-    Armijo constant.
+    and stops early when the projected gradient falls below the larger of
+    `outer_gtol` and the stage's inner tolerance (the value function is
+    resolved no finer than that), or a step's max |dp| / (1 + max |p|) falls
+    below `outer_ftol`. `armijo_c` is both the gain ratio a trial step must
+    beat and the inner line search's Armijo constant.
     """
 
     lam_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0)
@@ -153,7 +155,7 @@ class InnerResult:
     G(x) - eta0 and the subdiagonal blocks of dG/dx there, and convergence
     info."""
 
-    x: StackedState
+    x: np.ndarray
     residual: np.ndarray
     jac_x: np.ndarray
     converged: bool
@@ -169,7 +171,7 @@ class ValueGradient:
 
     value: float
     gradient: np.ndarray
-    x: StackedState
+    x: np.ndarray
     inner: InnerResult
     jac_params: np.ndarray
 
@@ -259,7 +261,6 @@ def hidden_x2_estimate(z_values: np.ndarray, dt: float) -> np.ndarray:
     if the estimate is not finite.
     """
     z_values = np.atleast_2d(np.asarray(z_values, dtype=float))
-    n = z_values.shape[0]
     x2 = np.zeros_like(z_values)
     x2[1:] = -dt * np.cumsum(z_values[:-1], axis=0)
     x2 -= x2.mean(axis=0, keepdims=True)
@@ -268,21 +269,35 @@ def hidden_x2_estimate(z_values: np.ndarray, dt: float) -> np.ndarray:
     return x2
 
 
-def default_x_init(z: ObservationSet, dt: float) -> StackedState:
+def default_x_init(z: np.ndarray, dt: float) -> np.ndarray:
     """Stacked init: observed x1 track plus the hidden-state heuristic for x2."""
-    return StackedState.from_arrays(z.values, hidden_x2_estimate(z.values, dt))
+    return stack_states(z, hidden_x2_estimate(z, dt))
 
 
-def _check_shapes(z: ObservationSet, x: StackedState) -> None:
-    if z.n_steps != x.n_steps or z.m != x.m:
-        raise DimensionError(
-            f"observations are {z.n_steps}x{z.m}, state is {x.n_steps}x{x.m}"
-        )
+def check_observations(z) -> np.ndarray:
+    """z as a float array; raises unless it is a finite (N, m) array of the
+    observed x1 tracks, one column per component, with N >= 2."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2:
+        raise DimensionError(f"observations must be an (N, m) array, got shape {z.shape}")
+    if z.shape[0] < 2:
+        raise ValueError(f"observations need at least 2 samples, got {z.shape[0]}")
+    if not np.isfinite(z).all():
+        raise ValueError("observations contain non-finite entries")
+    return z
 
 
-def _objective_parts(x_blocks, z_values, r, lam):
+def _check_shapes(z: np.ndarray, x: np.ndarray) -> None:
+    """Raise unless x is a finite (N, 2m) stacked state for the (N, m) z."""
+    if x.shape != (len(z), 2 * z.shape[1]):
+        raise DimensionError(f"stacked state must be {(len(z), 2 * z.shape[1])}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("stacked state must be finite")
+
+
+def _objective_parts(x, z, r, lam):
     """1/2 ||z - Hx||^2 + lam/2 ||r||^2 from the residual r = G(x) - eta0."""
-    misfit = x_blocks[:, 0::2] - z_values
+    misfit = x[:, 0::2] - z
     return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
 
 
@@ -301,9 +316,9 @@ def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
 def inner_solve(
     params: VdpParams,
     anchor: State,
-    z: ObservationSet,
+    z: np.ndarray,
     cfg: PenaltyConfig,
-    x_init: StackedState,
+    x_init: np.ndarray,
     *,
     dt: float = 1.0,
     substeps: int = 1,
@@ -311,8 +326,8 @@ def inner_solve(
     tol: float,
     max_iter: int,
 ) -> InnerResult:
-    """Gauss-Newton minimization of f_lam over the stacked state, with the
-    constraint anchored at the State `anchor` (eta0 = [anchor, 0, ..., 0]).
+    """Gauss-Newton minimization of f_lam over the (N, 2m) stacked state from
+    x_init, with the constraint anchored at `anchor` (eta0 = [anchor, 0, ..., 0]).
 
     `lam`, `tol` and `max_iter` are one stage of `cfg.stages()`; `cfg` gives
     only the Armijo constant. Stops when the gradient infinity-norm drops to
@@ -326,14 +341,15 @@ def inner_solve(
     out above `tol` from roundoff alone, and further steps would only halve
     until they no longer change f.
     """
+    z = check_observations(z)
     _check_shapes(z, x_init)
     if lam <= 0:
         raise ValueError("inner solve requires lam > 0")
-    n, b = x_init.n_steps, 2 * x_init.m
+    n, b = x_init.shape
 
     cur = x_init
     r = residual(cur, params, anchor, dt, substeps)
-    f_cur = _objective_parts(cur.blocks(), z.values, r, lam)
+    f_cur = _objective_parts(cur, z, r, lam)
     converged = at_floor = False
     grad_inf = math.inf
     iterations = 0
@@ -344,7 +360,7 @@ def inner_solve(
         grad_blocks = r_blocks.copy()
         grad_blocks[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
         grad_blocks *= lam
-        grad_blocks[:, 0::2] += cur.x1() - z.values
+        grad_blocks[:, 0::2] += cur[:, 0::2] - z
         grad_inf = float(np.max(np.abs(grad_blocks)))
         if grad_inf <= tol or at_floor:
             converged = True
@@ -356,13 +372,12 @@ def inner_solve(
         t = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            try:
-                trial = cur.replace_flat((cur.blocks() + t * delta).ravel())
-            except ValueError:  # overflowed to non-finite: reject and halve
+            trial = cur + t * delta
+            if not np.isfinite(trial).all():  # overflowed: reject and halve
                 t *= 0.5
                 continue
             r_trial = residual(trial, params, anchor, dt, substeps)
-            f_trial = _objective_parts(trial.blocks(), z.values, r_trial, lam)
+            f_trial = _objective_parts(trial, z, r_trial, lam)
             if math.isfinite(f_trial) and f_trial <= f_cur + cfg.armijo_c * t * dirderiv:
                 at_floor = f_cur - f_trial <= _ROUNDOFF_DECREASE * abs(f_cur)
                 cur, r, f_cur = trial, r_trial, f_trial
@@ -381,9 +396,9 @@ def inner_solve(
 def value_gradient(
     params: VdpParams,
     anchor: State,
-    z: ObservationSet,
+    z: np.ndarray,
     cfg: PenaltyConfig,
-    x_init: Optional[StackedState] = None,
+    x_init: Optional[np.ndarray] = None,
     *,
     dt: float = 1.0,
     substeps: int = 1,
@@ -398,6 +413,7 @@ def value_gradient(
     The gradient is exact at an exact inner minimizer; when the inner solve
     stops early the result is still returned with `low_accuracy` set.
     """
+    z = check_observations(z)
     if x_init is None:
         x_init = default_x_init(z, dt)
     inner = inner_solve(
@@ -421,7 +437,7 @@ def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndar
     constraint rows; dx*/dp is (N, 2m, p) in stacked-state block layout.
     """
     sub = vg.inner.jac_x
-    n, b = vg.x.n_steps, 2 * vg.x.m
+    n, b = vg.x.shape
     gp = vg.jac_params.reshape(n, b, -1)
     gx_t_gp = gp.copy()  # G_x' G_p: identity diagonal, sub' above
     gx_t_gp[:-1] += sub.transpose(0, 2, 1) @ gp[1:]
@@ -441,18 +457,20 @@ def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
     ]
 
 
-def _name_bad_component(x: StackedState, r: np.ndarray) -> int:
-    bad = ~np.isfinite(x.blocks()) | ~np.isfinite(r.reshape(x.n_steps, 2 * x.m))
-    per_comp = bad.reshape(x.n_steps, x.m, 2).any(axis=(0, 2))
-    idx = np.nonzero(per_comp)[0]
-    return int(idx[0]) if idx.size else 0
+def _nonfinite_start(x: np.ndarray, r: np.ndarray) -> FitError:
+    """The error for a non-finite objective at a stage's first evaluation; it
+    names the first component with a non-finite state or residual entry."""
+    bad = ~np.isfinite(x) | ~np.isfinite(r.reshape(x.shape))
+    idx = np.nonzero(bad.reshape(len(x), -1, 2).any(axis=(0, 2)))[0]
+    comp = int(idx[0]) if idx.size else 0
+    return FitError(f"non-finite objective at initial evaluation (component {comp})")
 
 
 def fit(
-    z: ObservationSet,
+    z: np.ndarray,
     cfg: PenaltyConfig,
     init: VdpParams,
-    x_init: Optional[StackedState] = None,
+    x_init: Optional[np.ndarray] = None,
     *,
     dt: float = 1.0,
     substeps: int = 1,
@@ -470,29 +488,28 @@ def fit(
     below the roundoff of J'J) also counts as a rejection. Each trial's inner
     solve starts from the first-order prediction x* + (dx*/dp) dp of its
     minimizer, or from x* when that is not finite. A stage stops on a
-    projected gradient below outer_gtol, a step with max |dp| / (1 + max |p|)
-    below outer_ftol, or outer_max_iter trial steps. The constraint is
-    anchored at x_init's first state.
+    projected gradient below max(outer_gtol, the stage's inner tolerance), a
+    step with max |dp| / (1 + max |p|) below outer_ftol, or outer_max_iter
+    trial steps. The (N, 2m) x_init, by default `default_x_init(z, dt)`,
+    starts the solve, and its first state anchors the constraint.
     """
-    m = z.m
+    z = check_observations(z)
+    m = z.shape[1]
     if init.m != m:
         raise DimensionError(f"init has {init.m} components, observations have {m}")
     if not cfg.bounds.contains(init, atol=1e-12):
         raise FitError("init violates parameter bounds")
     if x_init is None:
         x_init = default_x_init(z, dt)
-    anchor = x_init.state(0)
     _check_shapes(z, x_init)
+    anchor = State(x1=x_init[0, 0::2], x2=x_init[0, 1::2])
     stages = cfg.stages()
 
     with np.errstate(over="ignore", invalid="ignore"):
         r0 = residual(x_init, init, anchor, dt, substeps)
-        f0 = _objective_parts(x_init.blocks(), z.values, r0, stages[0][0])
+        f0 = _objective_parts(x_init, z, r0, stages[0][0])
     if not math.isfinite(f0):
-        comp = _name_bad_component(x_init, r0)
-        raise FitError(
-            f"non-finite objective at initial evaluation (component {comp})"
-        )
+        raise _nonfinite_start(x_init, r0)
 
     lo = cfg.bounds.lower(m)
     hi = cfg.bounds.upper(m)
@@ -507,18 +524,16 @@ def fit(
         stage = dict(dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s)
         vg = value_gradient(VdpParams.from_vector(p, m), anchor, z, cfg, x_cur, **stage)
         if not math.isfinite(vg.value):
-            comp = _name_bad_component(vg.x, vg.inner.residual)
-            raise FitError(
-                f"non-finite objective at initial evaluation (component {comp})"
-            )
+            raise _nonfinite_start(vg.x, vg.inner.residual)
         history.append((outer_count, lam_s, vg.value))
         outer_count += 1
         reason = "max outer iterations"
         converged = False
         jtj = mu = None
+        gtol = max(cfg.outer_gtol, tol_s)  # f_tilde is resolved only to tol_s
         for _ in range(cfg.outer_max_iter):
             g = vg.gradient
-            if float(np.max(np.abs(p - np.clip(p - g, lo, hi)))) < cfg.outer_gtol:
+            if float(np.max(np.abs(p - np.clip(p - g, lo, hi)))) < gtol:
                 reason = "projected gradient below tolerance"
                 converged = True
                 break
@@ -541,9 +556,9 @@ def fit(
                 converged = True
                 break
             predicted = -float(g @ move) - 0.5 * float(move @ jtj @ move)
-            try:  # first-order prediction x* + dx*/dp move of the new minimizer
-                x_start = vg.x.replace_flat(vg.x.flat + dx_dp.reshape(-1, p.size) @ move)
-            except ValueError:  # not finite
+            # first-order prediction x* + dx*/dp move of the new minimizer
+            x_start = vg.x + (dx_dp.reshape(-1, p.size) @ move).reshape(vg.x.shape)
+            if not np.isfinite(x_start).all():
                 x_start = vg.x
             vg_new = value_gradient(
                 VdpParams.from_vector(p_new, m), anchor, z, cfg, x_start, **stage
@@ -559,12 +574,12 @@ def fit(
         x_cur = vg.x
 
     params_hat = VdpParams.from_vector(p, m)
-    states = x_cur.to_trajectory(dt)
+    states = Trajectory(x1=x_cur[:, 0::2].copy(), x2=x_cur[:, 1::2].copy(), dt=dt)
     return FitResult(
         params=params_hat,
         states=states,
         objective_history=history,
-        per_component_stats=_component_stats(z.values, states.x1),
+        per_component_stats=_component_stats(z, states.x1),
         converged=converged,
         reason=reason,
         config_echo=fit_echo(cfg, dt, substeps),

@@ -158,31 +158,6 @@ class Trajectory:
         return State(x1=self.x1[k].copy(), x2=self.x2[k].copy())
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """Observed activity tracks: `values` is (N, m), one column per component.
-
-    Only x1 is ever observed; x2 must be inferred.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.ndim != 2:
-            raise DimensionError(f"values must be (N, m), got {values.shape}")
-        _check_finite(values, "observations")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-
 def _check_components(params: VdpParams, s: State) -> None:
     if s.m != params.m:
         raise DimensionError(f"state has {s.m} components, params have {params.m}")

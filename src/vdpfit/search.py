@@ -35,7 +35,7 @@ from typing import IO, Iterator, Optional
 import numpy as np
 
 from . import metrics
-from .constraints import StackedState
+from .constraints import stack_states
 from .estimator import (
     FitError,
     FitResult,
@@ -43,13 +43,13 @@ from .estimator import (
     PenaltyConfig,
     _component_stats,
     check_interval,
+    check_observations,
     fit,
     fit_echo,
     hidden_x2_estimate,
 )
 from .model import (
     DimensionError,
-    ObservationSet,
     Trajectory,
     VdpParams,
     rollout,
@@ -127,25 +127,25 @@ def combine_scores(c: np.ndarray, r2: np.ndarray, gamma: float) -> float:
     return float(np.min(vals))
 
 
-def fitness(z: ObservationSet, sim: Trajectory, gamma: float) -> float:
+def fitness(z: np.ndarray, sim: Trajectory, gamma: float) -> float:
     """Fitness of a simulated trajectory against observations.
 
     A zero-variance track on either side leaves that component's correlation
     undefined and the whole candidate scores -inf. Tracks of different shapes
     raise DimensionError.
     """
-    c, r2 = metrics.component_scores(z.values, sim.x1)
+    c, r2 = metrics.component_scores(z, sim.x1)
     return combine_scores(c, r2, gamma)
 
 
-def _scored(z: ObservationSet, pairs: list[tuple[VdpParams, np.ndarray]], gamma: float,
+def _scored(z: np.ndarray, pairs: list[tuple[VdpParams, np.ndarray]], gamma: float,
             dt: float, substeps: int) -> Iterator[Candidate]:
     """The one scorer: integrate the (params, x2_init) pairs from the first
     observation in one rollout and yield their Candidates in order. Scoring is
     lazy, so a caller that stops early scores no further rows."""
     x2 = np.stack([x2_init for _, x2_init in pairs])
-    x1 = np.broadcast_to(z.values[0], x2.shape)
-    out1, out2, diverged = rollout([p for p, _ in pairs], x1, x2, z.n_steps, dt, substeps)
+    x1 = np.broadcast_to(z[0], x2.shape)
+    out1, out2, diverged = rollout([p for p, _ in pairs], x1, x2, len(z), dt, substeps)
     for k, (params, x2_init) in enumerate(pairs):
         if diverged[k]:
             yield Candidate(params, x2_init, -math.inf)
@@ -195,7 +195,7 @@ def _perturb(
 
 def propose(
     current: Candidate,
-    z: ObservationSet,
+    z: np.ndarray,
     cfg: SearchConfig,
     rng: np.random.Generator,
     *,
@@ -214,7 +214,7 @@ def propose(
 
 
 def _run_round(
-    z: ObservationSet,
+    z: np.ndarray,
     best: Candidate,
     cfg: SearchConfig,
     rng: np.random.Generator,
@@ -228,7 +228,7 @@ def _run_round(
     """One greedy round of cfg.proposals_per_round proposals in speculative
     batches (see the module docstring); returns the round's best and its
     invalid count. A one-at-a-time loop over `propose` gives the same bits."""
-    draws = [_draw(z.m, scales, rng) for _ in range(cfg.proposals_per_round)]
+    draws = [_draw(z.shape[1], scales, rng) for _ in range(cfg.proposals_per_round)]
     invalid = 0
     start = 0
     while start < len(draws):
@@ -253,7 +253,7 @@ def _trace_row(sink: Optional[IO[str]], round_idx: int, proposal: int, f: float,
 
 
 def search_and_refine(
-    z: ObservationSet,
+    z: np.ndarray,
     search_cfg: SearchConfig,
     vp_cfg: PenaltyConfig,
     *,
@@ -263,7 +263,7 @@ def search_and_refine(
     x2_init: Optional[np.ndarray] = None,
     trace: Optional[IO[str]] = None,
 ) -> FitResult:
-    """Alternate greedy random-walk rounds with VP refinement.
+    """Alternate greedy random-walk rounds with VP refinement on (N, m) z.
 
     Stops on max_rounds or when the best fitness has improved by less than
     plateau_tol for `patience` consecutive rounds. With max_rounds=0 this is
@@ -275,7 +275,8 @@ def search_and_refine(
     vp_cfg.bounds clips the initial candidate and every proposal.
     Raises FitError when no candidate survives to the end.
     """
-    m = z.m
+    z = check_observations(z)
+    m = z.shape[1]
     if init is None:
         init = VdpParams(alpha=np.ones((m, 2)), coupling=np.zeros((m, m)))
     init_x2 = np.zeros(m) if x2_init is None else np.asarray(x2_init, dtype=float)
@@ -290,8 +291,8 @@ def search_and_refine(
     if search_cfg.max_rounds == 0:
         x_init = None
         if x2_init is not None:
-            x2 = hidden_x2_estimate(z.values, dt)
-            x_init = StackedState.from_arrays(z.values, x2 - x2[0] + init_x2)
+            x2 = hidden_x2_estimate(z, dt)
+            x_init = stack_states(z, x2 - x2[0] + init_x2)
         return fit(z, vp_cfg, init_params, x_init, dt=dt, substeps=substeps)
 
     best = next(_scored(z, [(init_params, init_x2)], gamma, dt, substeps))
@@ -353,18 +354,18 @@ def search_and_refine(
         params=best.params,
         states=best.track,
         objective_history=[],
-        per_component_stats=_component_stats(z.values, best.track.x1),
+        per_component_stats=_component_stats(z, best.track.x1),
         converged=stop_reason == "fitness plateau",
         reason=f"search stopped: {stop_reason}",
         config_echo=echo,
     )
 
 
-def _run_vp(z: ObservationSet, best: Candidate, vp_cfg: PenaltyConfig, gamma: float,
+def _run_vp(z: np.ndarray, best: Candidate, vp_cfg: PenaltyConfig, gamma: float,
             dt: float, substeps: int, round_idx: int) -> Optional[Candidate]:
     """Refine `best` with a VP fit seeded from its track; None if the fit fails."""
     try:
-        x_init = StackedState.from_trajectory(best.track) if best.track is not None else None
+        x_init = None if best.track is None else stack_states(best.track.x1, best.track.x2)
         result = fit(z, vp_cfg, best.params, x_init, dt=dt, substeps=substeps)
     except (FitError, ValueError, np.linalg.LinAlgError):
         return None

@@ -6,7 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vdpfit.model import ObservationSet, State, VdpParams, simulate
+from vdpfit.model import State, VdpParams, simulate
 
 # Every property test draws the same examples on every run and writes no
 # example database; a test's own @settings still sets its max_examples.
@@ -46,7 +46,7 @@ def simulated_obs(params, s0, n, dt, noise=0.0, seed=0):
     x1 = traj.x1
     if noise:
         x1 = x1 + np.random.default_rng(seed).normal(0.0, noise, x1.shape)
-    return traj, ObservationSet(x1)
+    return traj, x1
 
 
 # Finite doubles at the edges of the range: signed zeros, the smallest

@@ -16,16 +16,16 @@ import pytest
 from conftest import dense_state_jacobian, random_params, random_state
 from vdpfit.cli import main
 from vdpfit.constraints import (
-    StackedState,
     residual,
     residual_jacobian_params,
     residual_jacobian_x,
+    stack_states,
 )
 from vdpfit.data import Edge, connectivity_projection, save_csv, split_segments
 from vdpfit.estimator import PenaltyConfig, inner_solve, value_gradient
 from vdpfit.forecast import VarMethod, VdpMethod, evaluate, var_fit
 from vdpfit.metrics import pearson
-from vdpfit.model import ObservationSet, State, VdpParams, jacobians, simulate, step
+from vdpfit.model import State, VdpParams, jacobians, simulate, step
 from vdpfit.search import SearchConfig, search_and_refine
 
 
@@ -62,15 +62,15 @@ def _fd_step_jacobians(params, s, dt, substeps, h=1e-5):
 
 
 def _fd_residual_jacobians(x, params, anchor, dt, h=1e-5):
-    base_x = x.flat
+    base_x = x.ravel()
     jx = np.empty((base_x.size, base_x.size))
     for j in range(base_x.size):
         hi, lo = base_x.copy(), base_x.copy()
         hi[j] += h
         lo[j] -= h
         jx[:, j] = (
-            residual(x.replace_flat(hi), params, anchor, dt)
-            - residual(x.replace_flat(lo), params, anchor, dt)
+            residual(hi.reshape(x.shape), params, anchor, dt)
+            - residual(lo.reshape(x.shape), params, anchor, dt)
         ) / (2 * h)
     vec = params.to_vector()
     jp = np.empty((base_x.size, vec.size))
@@ -102,8 +102,8 @@ def test_criterion_01_jacobians_match_finite_differences():
         worst = max(worst, _rel_err(jx, fd_x), _rel_err(np.hstack([ja, jw]), fd_p))
 
         traj = simulate(params, s, n, dt)
-        x = StackedState.from_arrays(traj.x1, traj.x2)
-        x = x.replace_flat(x.flat + rng.normal(0, 0.05, x.flat.size))
+        x = stack_states(traj.x1, traj.x2)
+        x = (x.ravel() + rng.normal(0, 0.05, x.ravel().size)).reshape(x.shape)
         anchor = s
         gx = dense_state_jacobian(residual_jacobian_x(x, params, dt))
         gp = residual_jacobian_params(x, params, dt)
@@ -124,24 +124,24 @@ def test_criterion_02_linear_case_matches_dense_oracle():
         params = random_params(rng, m, nonlinear=False)
         s0 = random_state(rng, m, 0.6)
         traj = simulate(params, s0, n, dt)
-        z = ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
+        z = traj.x1 + rng.normal(0, 0.05, traj.x1.shape)
         anchor = s0
-        x_init = StackedState(flat=rng.normal(0, 0.1, 2 * m * n), m=m, n_steps=n)
+        x_init = rng.normal(0, 0.1, 2 * m * n).reshape(n, 2 * m)
         res = inner_solve(
             params, anchor, z, PenaltyConfig(), x_init, dt=dt, lam=lam, tol=1e-8, max_iter=200
         )
         dim = 2 * m * n
-        zero = StackedState(flat=np.zeros(dim), m=m, n_steps=n)
+        zero = np.zeros(dim).reshape(n, 2 * m)
         jac = dense_state_jacobian(residual_jacobian_x(zero, params, dt))
         offset = residual(zero, params, anchor, dt)
         h_mask = np.zeros(dim)
         h_mask[0::2] = 1.0
         z_embed = np.zeros(dim)
-        z_embed[0::2] = z.values.ravel()
+        z_embed[0::2] = z.ravel()
         oracle = np.linalg.solve(
             np.diag(h_mask) + lam * jac.T @ jac, h_mask * z_embed - lam * jac.T @ offset
         )
-        worst = max(worst, float(np.max(np.abs(res.x.flat - oracle))))
+        worst = max(worst, float(np.max(np.abs(res.x.ravel() - oracle))))
     elapsed = time.monotonic() - t0
     assert worst < 1e-8
     assert elapsed < 5.0
@@ -155,7 +155,7 @@ def test_criterion_03_value_gradient_matches_finite_differences():
     truth = random_params(rng, m)
     s0 = random_state(rng, m, 0.6)
     traj = simulate(truth, s0, n, dt)
-    z = ObservationSet(traj.x1 + rng.normal(0, 0.02, traj.x1.shape))
+    z = traj.x1 + rng.normal(0, 0.02, traj.x1.shape)
     anchor = s0
     cfg = PenaltyConfig()
     vec = truth.to_vector() + rng.normal(0, 0.1, 2 * m + m * m)
@@ -187,7 +187,7 @@ def test_criterion_04_single_component_recovery():
     truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.zeros((1, 1)))
     traj = simulate(truth, State(x1=np.array([1.0]), x2=np.array([0.0])), 100, 0.1)
     rng = np.random.default_rng(400)
-    z = ObservationSet(traj.x1 + rng.normal(0, 0.02, traj.x1.shape))
+    z = traj.x1 + rng.normal(0, 0.02, traj.x1.shape)
     cfg = SearchConfig(max_rounds=4, proposals_per_round=25, vp_every=2, seed=4)
     res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=40), dt=0.1)
     corr_x1 = pearson(res.states.x1[:, 0], traj.x1[:, 0])
@@ -209,7 +209,7 @@ def test_criterion_05_coupled_recovery_signs_and_fitness():
     traj = simulate(truth, State(x1=np.array([1.0, -0.8]), x2=np.array([0.0, 0.2])),
                     100, 0.1)
     rng = np.random.default_rng(500)
-    z = ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
+    z = traj.x1 + rng.normal(0, 0.05, traj.x1.shape)
     trace = io.StringIO()
     cfg = SearchConfig(max_rounds=4, proposals_per_round=25, vp_every=2, seed=6)
     res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=40), dt=0.1,
@@ -253,7 +253,7 @@ def test_criterion_06_vdp_beats_var6_at_every_horizon():
 
     fits = []
     for s_idx, seg in enumerate(split.segments):
-        z = ObservationSet(data[:, seg.train[0] : seg.train[1]].T)
+        z = data[:, seg.train[0] : seg.train[1]].T
         cfg = SearchConfig(max_rounds=0, seed=600 + s_idx)
         fits.append(search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=40), dt=dt))
 

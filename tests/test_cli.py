@@ -433,6 +433,20 @@ class TestFit:
         assert "fit: converged=True" in capsys.readouterr().out
         assert json.loads((out / "fit.json").read_text())["converged"]["flag"] is True
 
+    @pytest.mark.parametrize("vp_only", [True, False], ids=["vp-only", "search"])
+    def test_one_sample_series_is_data_error_before_any_output(self, workdir, capsys,
+                                                                vp_only):
+        series = workdir / "one.csv"
+        series.write_text("1.0,0.5\n")
+        cfg = workdir / "dt.json"
+        cfg.write_text('{"dt": 0.1}')
+        out = workdir / "o1"
+        argv = ["fit", str(series), "--config", str(cfg), "--seed", "0", "-o", str(out)]
+        assert main(argv + ["--vp-only"] * vp_only) == 1
+        err = capsys.readouterr().err
+        assert "at least 2 samples, got 1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_fit_json_is_the_same_under_one_and_two_blas_threads(self, workdir):
         params = VdpParams(alpha=np.array([[1.5, 1.0], [1.2, 0.8], [1.8, 0.6]]),
                            coupling=np.array([[0.0, 0.2, -0.1], [-0.2, 0.0, 0.1],

@@ -4,19 +4,19 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from vdpfit.constraints import (
-    StackedState,
     residual,
     residual_jacobian_params,
     residual_jacobian_x,
     solve_block_tridiagonal,
+    stack_states,
 )
-from vdpfit.model import State, VdpParams, simulate
+from vdpfit.model import DimensionError, State, VdpParams, simulate
 
 from conftest import dense_state_jacobian, random_params, random_state
 
 
 def stacked_from(traj):
-    return StackedState.from_arrays(traj.x1, traj.x2)
+    return stack_states(traj.x1, traj.x2)
 
 
 def test_simulated_trajectory_has_zero_residual(rng):
@@ -45,9 +45,9 @@ def test_perturbation_is_banded(rng):
     traj = simulate(params, s0, 10, 0.05)
     x = stacked_from(traj)
     k = 4
-    flat = x.flat.copy()
+    flat = x.ravel().copy()
     flat[2 * 2 * k] += 0.1  # x1 of component 0 at time k
-    r = residual(x.replace_flat(flat), params, s0, 0.05)
+    r = residual(flat.reshape(x.shape), params, s0, 0.05)
     blocks = r.reshape(10, 4)
     nonzero = np.where(np.any(blocks != 0.0, axis=1))[0]
     npt.assert_array_equal(nonzero, [k, k + 1])
@@ -56,7 +56,7 @@ def test_perturbation_is_banded(rng):
 def test_hand_residual_linear_map():
     # alpha=0, W=0, dt=1: g((1,0)) = (1,-1); anchor cancels the first block
     params = VdpParams(alpha=np.zeros((1, 2)), coupling=np.zeros((1, 1)))
-    x = StackedState.from_arrays(np.array([[1.0], [1.0]]), np.array([[0.0], [-1.0]]))
+    x = stack_states(np.array([[1.0], [1.0]]), np.array([[0.0], [-1.0]]))
     anchor = State(x1=[0.0], x2=[0.0])
     r = residual(x, params, anchor, 1.0)
     npt.assert_array_equal(r, [1.0, 0.0, 0.0, 0.0])
@@ -98,19 +98,19 @@ def test_linear_case_constant_subdiagonal(rng):
 
 def _fd_residual_jacobian(x, params, anchor, dt, wrt, substeps=1, h=1e-6):
     if wrt == "x":
-        base = x.flat
+        base = x.ravel()
         cols = base.size
     else:
         base = params.to_vector()
         cols = base.size
-    out = np.empty((x.flat.size, cols))
+    out = np.empty((x.size, cols))
     for j in range(cols):
         hi, lo = base.copy(), base.copy()
         hi[j] += h
         lo[j] -= h
         if wrt == "x":
-            r_hi = residual(x.replace_flat(hi), params, anchor, dt, substeps)
-            r_lo = residual(x.replace_flat(lo), params, anchor, dt, substeps)
+            r_hi = residual(hi.reshape(x.shape), params, anchor, dt, substeps)
+            r_lo = residual(lo.reshape(x.shape), params, anchor, dt, substeps)
         else:
             r_hi = residual(x, VdpParams.from_vector(hi, params.m), anchor, dt, substeps)
             r_lo = residual(x, VdpParams.from_vector(lo, params.m), anchor, dt, substeps)
@@ -129,9 +129,7 @@ def test_jacobians_match_finite_differences(trial, substeps):
     params = random_params(rng, m)
     s0 = random_state(rng, m, 0.5)
     traj = simulate(params, s0, 5, 0.07, substeps)
-    x = stacked_from(traj).replace_flat(
-        stacked_from(traj).flat + rng.normal(0, 0.05, 5 * 2 * m)
-    )
+    x = stacked_from(traj) + rng.normal(0, 0.05, (5, 2 * m))
     anchor = s0
     # G uses the same substepped map as simulate, so it vanishes on its trajectory
     npt.assert_allclose(residual(stacked_from(traj), params, anchor, 0.07, substeps),
@@ -147,7 +145,7 @@ def test_jacobians_match_finite_differences(trial, substeps):
 def test_alpha1_column_hand_value():
     # block k=1 rows differentiate -g(x^0); d(g_1)/d(alpha1) = -dt * x1 (1 - x1^2)
     params = VdpParams(alpha=np.array([[1.0, 0.0]]), coupling=np.zeros((1, 1)))
-    x = StackedState.from_arrays(np.array([[0.5], [0.0]]), np.array([[0.0], [0.0]]))
+    x = stack_states(np.array([[0.5], [0.0]]), np.array([[0.0], [0.0]]))
     jp = residual_jacobian_params(x, params, 0.1)
     npt.assert_allclose(jp[2, 0], -0.1 * 0.375)
     npt.assert_allclose(jp[3, 0], 0.0)
@@ -270,22 +268,33 @@ class TestBlockTridiagonalSolve:
         )
 
 
-class TestStackedState:
+class TestStackStates:
     def test_round_trip(self, rng):
         x1 = rng.normal(size=(5, 3))
         x2 = rng.normal(size=(5, 3))
-        x = StackedState.from_arrays(x1, x2)
-        assert x.flat.size == 5 * 2 * 3
-        npt.assert_array_equal(x.x1(), x1)
-        npt.assert_array_equal(x.x2(), x2)
-        s = x.state(2)
-        npt.assert_array_equal(s.x1, x1[2])
-        npt.assert_array_equal(s.x2, x2[2])
+        x = stack_states(x1, x2)
+        assert x.shape == (5, 2 * 3) and x.dtype == np.float64
+        npt.assert_array_equal(x[:, 0::2], x1)
+        npt.assert_array_equal(x[:, 1::2], x2)
 
     def test_component_major_layout(self):
-        x = StackedState.from_arrays(np.array([[1.0, 3.0]]), np.array([[2.0, 4.0]]))
-        npt.assert_array_equal(x.flat, [1.0, 2.0, 3.0, 4.0])
+        # component i sits at columns (2i, 2i+1), as in State.to_flat
+        x = stack_states(np.array([[1.0, 3.0], [5.0, 7.0]]), np.array([[2.0, 4.0], [6.0, 8.0]]))
+        npt.assert_array_equal(x, [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+        npt.assert_array_equal(x[1], State(x1=[5.0, 7.0], x2=[6.0, 8.0]).to_flat())
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            StackedState(flat=np.array([1.0, np.inf, 0.0, 0.0]), m=1, n_steps=2)
+    @pytest.mark.parametrize("x1, x2", [
+        (np.zeros((4, 2)), np.zeros((4, 3))),
+        (np.zeros((4, 2)), np.zeros((5, 2))),
+        (np.zeros(4), np.zeros(4)),
+    ], ids=["components", "samples", "1-D"])
+    def test_rejects_mismatched_or_1d_tracks(self, x1, x2):
+        with pytest.raises(DimensionError):
+            stack_states(x1, x2)
+
+    def test_residual_rejects_a_state_of_the_wrong_width(self, rng):
+        params = random_params(rng, 2)
+        with pytest.raises(DimensionError):
+            residual(np.zeros((5, 3)), params, random_state(rng, 2, 0.1), 0.05)
+        with pytest.raises(DimensionError):
+            residual_jacobian_x(np.zeros(20), params, 0.05)

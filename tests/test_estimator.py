@@ -6,12 +6,13 @@ import numpy.testing as npt
 import pytest
 
 from vdpfit import estimator
-from vdpfit.constraints import StackedState, residual, residual_jacobian_x
+from vdpfit.constraints import residual, residual_jacobian_x, stack_states
 from vdpfit.estimator import (
     FitError,
     FitResult,
     ParamBounds,
     PenaltyConfig,
+    check_observations,
     default_x_init,
     fit,
     hidden_x2_estimate,
@@ -21,7 +22,7 @@ from vdpfit.estimator import (
 )
 from vdpfit.data import split_segments
 from vdpfit.metrics import pearson
-from vdpfit.model import ObservationSet, State, VdpParams, simulate
+from vdpfit.model import DimensionError, State, VdpParams, simulate
 
 from conftest import dense_state_jacobian, random_params, random_state
 
@@ -36,34 +37,34 @@ def make_instance(rng, m=1, n=40, dt=0.05, noise=0.0, nonlinear=True):
     x1 = traj.x1
     if noise:
         x1 = x1 + rng.normal(0, noise, x1.shape)
-    return params, s0, traj, ObservationSet(x1)
+    return params, s0, traj, x1
 
 
 def objective(x, params, anchor, z, *, dt=1.0, lam):
     """f_lam(x, params) from the parts `inner_solve` evaluates it with."""
     r = residual(x, params, anchor, dt)
-    return estimator._objective_parts(x.blocks(), z.values, r, lam)
+    return estimator._objective_parts(x, z, r, lam)
 
 
 class TestObjective:
     def test_zero_on_consistent_instance(self, rng):
         params, s0, traj, z = make_instance(rng, m=2, n=12)
-        x = StackedState.from_arrays(traj.x1, traj.x2)
+        x = stack_states(traj.x1, traj.x2)
         val = objective(x, params, s0, z, dt=0.05, lam=1000.0)
         assert val == pytest.approx(0.0, abs=1e-18)
 
     def test_lam_zero_is_pure_misfit(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=10)
-        x = StackedState.from_arrays(traj.x1 + 0.5, traj.x2)
+        x = stack_states(traj.x1 + 0.5, traj.x2)
         val = objective(x, params, s0, z, dt=0.05, lam=0.0)
-        assert val == pytest.approx(0.5 * np.sum((traj.x1 + 0.5 - z.values) ** 2))
+        assert val == pytest.approx(0.5 * np.sum((traj.x1 + 0.5 - z) ** 2))
 
     def test_hand_value(self):
         # all-zero states satisfy the zero dynamics exactly, so only the data
         # term survives: 1/2 * (1^2 + 1^2) = 1.0
         params = VdpParams(alpha=np.zeros((1, 2)), coupling=np.zeros((1, 1)))
-        x = StackedState(flat=np.zeros(4), m=1, n_steps=2)
-        z = ObservationSet(np.array([[1.0], [1.0]]))
+        x = np.zeros((2, 2))
+        z = np.array([[1.0], [1.0]])
         anchor = State(x1=[0.0], x2=[0.0])
         val = objective(x, params, anchor, z, lam=2.0)
         assert val == pytest.approx(1.0)
@@ -71,16 +72,16 @@ class TestObjective:
 
 def dense_linear_solution(params, anchor, z, lam, dt):
     """Normal-equations oracle for alpha1 = 0 instances (linear dynamics)."""
-    m, n = z.m, z.n_steps
+    m, n = z.shape[1], len(z)
     dim = 2 * m * n
-    zero = StackedState(flat=np.zeros(dim), m=m, n_steps=n)
+    zero = np.zeros((n, 2 * m))
     jac = dense_state_jacobian(residual_jacobian_x(zero, params, dt))
     offset = residual(zero, params, anchor, dt)  # residual(x) = J x + offset
     h_mask = np.zeros(dim)
     h_mask[0::2] = 1.0
     h_diag = np.diag(h_mask)
     z_embed = np.zeros(dim)
-    z_embed[0::2] = z.values.ravel()
+    z_embed[0::2] = z.ravel()
     lhs = h_diag + lam * jac.T @ jac
     rhs = h_mask * z_embed - lam * jac.T @ offset
     return np.linalg.solve(lhs, rhs)
@@ -90,7 +91,7 @@ def dense_normal_matrix(x, params, lam, dt, substeps=1):
     """The inner normal matrix H'H + lam G_x'G_x, formed densely."""
     jac = dense_state_jacobian(residual_jacobian_x(x, params, dt, substeps))
     normal = lam * jac.T @ jac
-    x1_rows = np.arange(0, x.flat.size, 2)
+    x1_rows = np.arange(0, x.size, 2)
     normal[x1_rows, x1_rows] += 1.0
     return normal
 
@@ -101,7 +102,7 @@ class TestNormalDiag:
     def test_matches_the_dense_normal_matrix(self, rng, m, substeps):
         n, b, lam, dt = 12, 2 * m, 70.0, 0.1
         params = random_params(rng, m)
-        x = StackedState(flat=rng.normal(0, 0.8, b * n), m=m, n_steps=n)
+        x = rng.normal(0, 0.8, (n, b))
         sub = residual_jacobian_x(x, params, dt, substeps)
         dense = dense_normal_matrix(x, params, lam, dt, substeps)
         diag = estimator._normal_diag(sub, lam)
@@ -121,51 +122,49 @@ class TestInnerSolve:
             params, s0, traj, z = make_instance(rng, m=2, n=10, noise=0.05,
                                                 nonlinear=False)
             anchor = s0
-            x_init = StackedState(
-                flat=rng.normal(0, 0.1, 2 * 2 * 10), m=2, n_steps=10
-            )
+            x_init = rng.normal(0, 0.1, (10, 4))
             res = inner_solve(params, anchor, z, PenaltyConfig(), x_init, dt=0.05, lam=100.0,
                               **FINAL_STAGE)
             oracle = dense_linear_solution(params, anchor, z, 100.0, 0.05)
-            npt.assert_allclose(res.x.flat, oracle, rtol=0, atol=1e-8)
+            npt.assert_allclose(res.x.ravel(), oracle, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("m, substeps", [(1, 1), (2, 3), (3, 2)])
     def test_gradient_matches_the_dense_gradient(self, rng, m, substeps):
         # grad f_lam = H'(Hx - z) + lam J'r, with J = dG/dx formed densely
         params, s0, _, z = make_instance(rng, m=m, n=12, noise=0.1)
-        x = StackedState(flat=rng.normal(0, 0.5, 2 * m * 12), m=m, n_steps=12)
+        x = rng.normal(0, 0.5, (12, 2 * m))
         lam = 300.0
         res = inner_solve(params, s0, z, PenaltyConfig(), x, dt=0.05, substeps=substeps,
                           lam=lam, tol=1e-8, max_iter=0)
         jac = dense_state_jacobian(residual_jacobian_x(x, params, 0.05, substeps))
         grad = lam * jac.T @ residual(x, params, s0, 0.05, substeps)
-        grad[0::2] += (x.x1() - z.values).ravel()
+        grad[0::2] += (x[:, 0::2] - z).ravel()
         assert res.iterations == 0 and not res.converged
         assert res.grad_inf == pytest.approx(np.max(np.abs(grad)), rel=1e-12)
 
     def test_truth_init_returns_unchanged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
-        x_true = StackedState.from_arrays(traj.x1, traj.x2)
+        x_true = stack_states(traj.x1, traj.x2)
         res = inner_solve(params, s0, z, PenaltyConfig(), x_true, dt=0.05,
                           lam=1e3, **FINAL_STAGE)
         assert res.converged
         assert res.iterations == 0
-        npt.assert_array_equal(res.x.flat, x_true.flat)
+        npt.assert_array_equal(res.x, x_true)
 
     def test_recovers_hidden_x2_track(self):
         rng = np.random.default_rng(9)
         params = VdpParams(alpha=np.array([[2.0, 1.0]]), coupling=np.array([[0.0]]))
         s0 = State(x1=[1.0], x2=[0.5])
         traj = simulate(params, s0, 100, 0.05)
-        z = ObservationSet(traj.x1)
-        x_init = StackedState.from_arrays(traj.x1, np.zeros_like(traj.x2))
+        z = traj.x1
+        x_init = stack_states(traj.x1, np.zeros_like(traj.x2))
         res = inner_solve(params, State(x1=traj.x1[0], x2=[0.0]), z,
                           PenaltyConfig(), x_init, dt=0.05, lam=1e3, **FINAL_STAGE)
-        assert pearson(res.x.x2()[:, 0], traj.x2[:, 0]) >= 0.95
+        assert pearson(res.x[:, 1], traj.x2[:, 0]) >= 0.95
 
     def test_iteration_cap_flags_not_converged(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20, noise=0.1)
-        x_init = StackedState(flat=rng.normal(0, 0.3, 40), m=1, n_steps=20)
+        x_init = rng.normal(0, 0.3, (20, 2))
         res = inner_solve(params, s0, z, PenaltyConfig(), x_init, dt=0.05,
                           lam=1e3, tol=1e-8, max_iter=0)
         assert not res.converged
@@ -195,7 +194,7 @@ class TestInnerSolve:
         res = inner_solve(params, s0, z, PenaltyConfig(), x_init, dt=0.05, lam=100.0,
                           **FINAL_STAGE)
         assert not res.converged and res.iterations == 1 and res.grad_inf > 0
-        npt.assert_array_equal(res.x.flat, x_init.flat)
+        npt.assert_array_equal(res.x, x_init)
         npt.assert_array_equal(res.residual, residual(x_init, params, s0, 0.05))
         assert res.objective == objective(x_init, params, s0, z, dt=0.05, lam=100.0)
 
@@ -211,10 +210,10 @@ class TestInnerSolve:
         halved = inner_solve(params, s0, z, PenaltyConfig(armijo_c=0.99), x0, **one_step)
         grad = lam * dense_state_jacobian(residual_jacobian_x(x0, params, 0.05)).T @ residual(
             x0, params, s0, 0.05)
-        grad[0::2] += (x0.x1() - z.values).ravel()
+        grad[0::2] += (x0[:, 0::2] - z).ravel()
         delta = -np.linalg.solve(dense_normal_matrix(x0, params, lam, 0.05), grad)
-        npt.assert_allclose(whole.x.flat - x0.flat, delta, rtol=1e-9, atol=1e-12)
-        npt.assert_allclose(halved.x.flat - x0.flat, 2.0 ** -6 * delta, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(whole.x.ravel() - x0.ravel(), delta, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(halved.x.ravel() - x0.ravel(), 2.0 ** -6 * delta, rtol=1e-9, atol=1e-12)
 
 
 class TestValueGradient:
@@ -245,7 +244,7 @@ class TestValueGradient:
 
     def test_zero_gradient_on_noise_free_fit(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=30)
-        x_true = StackedState.from_arrays(traj.x1, traj.x2)
+        x_true = stack_states(traj.x1, traj.x2)
         vg = value_gradient(params, s0, z, PenaltyConfig(), x_init=x_true,
                             dt=0.05, lam=1e3, **FINAL_STAGE)
         npt.assert_array_equal(vg.gradient, np.zeros(3))
@@ -253,7 +252,7 @@ class TestValueGradient:
 
     def test_low_accuracy_flag(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20, noise=0.1)
-        x_init = StackedState(flat=rng.normal(0, 0.3, 40), m=1, n_steps=20)
+        x_init = rng.normal(0, 0.3, (20, 2))
         vg = value_gradient(params, s0, z, PenaltyConfig(), x_init=x_init,
                             dt=0.05, lam=1e3, tol=1e-8, max_iter=0)
         assert vg.low_accuracy
@@ -261,7 +260,7 @@ class TestValueGradient:
 
 
 def _reduced_residual(vg, z, lam):
-    return np.concatenate([(z.values - vg.x.x1()).ravel(), math.sqrt(lam) * vg.inner.residual])
+    return np.concatenate([(z - vg.x[:, 0::2]).ravel(), math.sqrt(lam) * vg.inner.residual])
 
 
 class TestReducedJacobian:
@@ -274,13 +273,13 @@ class TestReducedJacobian:
         params = random_params(rng, m)
         s0 = random_state(rng, m, 0.4)
         traj = simulate(params, s0, 30, 0.1, substeps=substeps)
-        z = ObservationSet(traj.x1)
+        z = traj.x1
         stage = {"dt": 0.1, "substeps": substeps, "lam": 50.0, "tol": 1e-12, "max_iter": 200}
         cfg = PenaltyConfig()
-        vg = value_gradient(params, s0, z, cfg, StackedState.from_trajectory(traj), **stage)
+        vg = value_gradient(params, s0, z, cfg, stack_states(traj.x1, traj.x2), **stage)
         jac, dx_dp = reduced_jacobian(vg, stage["lam"])
         vec, h = params.to_vector(), 1e-6
-        fd_x = np.empty((vg.x.flat.size, vec.size))
+        fd_x = np.empty((vg.x.size, vec.size))
         fd_r = np.empty(jac.shape)
         for j in range(vec.size):
             ends = []
@@ -289,9 +288,9 @@ class TestReducedJacobian:
                 p[j] += sign * h
                 inner = inner_solve(VdpParams.from_vector(p, m), s0, z, cfg, vg.x, **stage)
                 assert inner.converged
-                r = np.concatenate([(z.values - inner.x.x1()).ravel(),
+                r = np.concatenate([(z - inner.x[:, 0::2]).ravel(),
                                     math.sqrt(stage["lam"]) * inner.residual])
-                ends.append((inner.x.flat, r))
+                ends.append((inner.x.ravel(), r))
             fd_x[:, j] = (ends[0][0] - ends[1][0]) / (2 * h)
             fd_r[:, j] = (ends[0][1] - ends[1][1]) / (2 * h)
         assert dx_dp.shape == (30, 2 * m, vec.size)
@@ -322,7 +321,7 @@ def test_misfit_stays_flat_across_lam_schedule_on_consistent_data(rng):
         res = inner_solve(params, anchor, z, PenaltyConfig(), x, dt=0.05, lam=lam, tol=1e-12,
                           max_iter=300)
         x = res.x  # warm start the next stage
-        misfits.append(0.5 * np.sum((z.values - res.x.x1()) ** 2))
+        misfits.append(0.5 * np.sum((z - res.x[:, 0::2]) ** 2))
     assert all(m < 1e-9 for m in misfits)
     for a, b in zip(misfits, misfits[1:]):
         assert b <= a + 1e-9
@@ -330,8 +329,8 @@ def test_misfit_stays_flat_across_lam_schedule_on_consistent_data(rng):
 
 class TestHiddenInit:
     def test_cumsum_estimate_shape_and_mean(self, rng):
-        z = ObservationSet(rng.normal(size=(50, 3)))
-        est = hidden_x2_estimate(z.values, 0.1)
+        z = rng.normal(size=(50, 3))
+        est = hidden_x2_estimate(z, 0.1)
         assert est.shape == (50, 3)
         npt.assert_allclose(est.mean(axis=0), 0.0, atol=1e-12)
 
@@ -339,8 +338,8 @@ class TestHiddenInit:
         # for a zero-mean oscillation the estimate correlates with true x2
         params = VdpParams(alpha=np.array([[2.0, 1.0]]), coupling=np.array([[0.0]]))
         traj = simulate(params, State(x1=[1.0], x2=[0.0]), 200, 0.05)
-        z = ObservationSet(traj.x1)
-        est = hidden_x2_estimate(z.values, 0.05)
+        z = traj.x1
+        est = hidden_x2_estimate(z, 0.05)
         assert pearson(est[50:, 0], traj.x2[50:, 0]) > 0.8
 
 
@@ -350,14 +349,14 @@ def criterion_6_segments():
                       coupling=np.array([[0.0, 0.25], [-0.2, 0.0]]))
     traj = simulate(truth, State(x1=np.array([1.0, -0.8]), x2=np.array([0.0, 0.2])), 600, 0.15)
     data = traj.x1 + np.random.default_rng(600).normal(0, 0.005, traj.x1.shape)
-    return [ObservationSet(data[seg.train[0]:seg.train[1]])
+    return [data[seg.train[0]:seg.train[1]]
             for seg in split_segments(600, 100, 20, 5).segments]
 
 
 class TestFit:
     def test_truth_init_noise_free_converges_immediately(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=50)
-        x_true = StackedState.from_arrays(traj.x1, traj.x2)
+        x_true = stack_states(traj.x1, traj.x2)
         cfg = PenaltyConfig()
         res = fit(z, cfg, params, x_init=x_true, dt=0.05)
         n_stages = len(cfg.lam_schedule)
@@ -371,7 +370,7 @@ class TestFit:
         rng = np.random.default_rng(7)
         truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.array([[0.0]]))
         traj = simulate(truth, State(x1=[1.0], x2=[0.0]), 100, 0.1)
-        z = ObservationSet(traj.x1 + rng.normal(0, 0.02, traj.x1.shape))
+        z = traj.x1 + rng.normal(0, 0.02, traj.x1.shape)
         init = VdpParams(alpha=np.array([[1.0, 0.5]]), coupling=np.array([[0.0]]))
         res = fit(z, PenaltyConfig(), init, dt=0.1)
         assert pearson(res.states.x1[:, 0], traj.x1[:, 0]) >= 0.95
@@ -420,7 +419,8 @@ class TestFit:
         init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
         x0 = default_x_init(z, dt)
         kw = {"dt": dt, "lam": lam, "tol": tol, "max_iter": cap}
-        vg = value_gradient(init, x0.state(0), z, cfg, x0, **kw)
+        anchor = State(x1=x0[0, 0::2], x2=x0[0, 1::2])
+        vg = value_gradient(init, anchor, z, cfg, x0, **kw)
         jac, dx_dp = reduced_jacobian(vg, lam)
         jtj = jac.T @ jac
         scale = np.diag(jtj)
@@ -429,16 +429,16 @@ class TestFit:
                                            vg.gradient), cfg.bounds.lower(2),
                        cfg.bounds.upper(2)) - p
         trial = VdpParams.from_vector(p + move, 2)
-        cold = inner_solve(trial, x0.state(0), z, cfg, vg.x, **kw)
-        warm = inner_solve(trial, x0.state(0), z, cfg,
-                           vg.x.replace_flat(vg.x.flat + dx_dp.reshape(-1, p.size) @ move), **kw)
+        cold = inner_solve(trial, anchor, z, cfg, vg.x, **kw)
+        warm = inner_solve(trial, anchor, z, cfg,
+                           vg.x + (dx_dp.reshape(-1, p.size) @ move).reshape(vg.x.shape), **kw)
         assert cold.converged and warm.converged
         assert warm.iterations <= cold.iterations
         # two points whose gradients are within tol of zero lie within
         # ||A^-1|| (|grad_warm| + |grad_cold|) of each other
         a_inv = np.linalg.inv(dense_normal_matrix(cold.x, trial, lam, dt))
         bound = np.max(np.sum(np.abs(a_inv), axis=1)) * (warm.grad_inf + cold.grad_inf)
-        assert np.max(np.abs(warm.x.flat - cold.x.flat)) <= bound
+        assert np.max(np.abs(warm.x - cold.x)) <= bound
 
     def test_init_outside_bounds_rejected(self, rng):
         params, s0, traj, z = make_instance(rng, m=1, n=20)
@@ -449,7 +449,7 @@ class TestFit:
 
     def test_nonfinite_at_init_names_component(self, rng):
         params, s0, traj, z = make_instance(rng, m=2, n=10)
-        huge = StackedState(flat=np.full(40, 1e160), m=2, n_steps=10)
+        huge = np.full((10, 4), 1e160)
         with pytest.raises(FitError, match="component"):
             fit(z, PenaltyConfig(), params, x_init=huge, dt=0.05)
 
@@ -524,11 +524,60 @@ def test_json_needs_dt_and_defaults_substeps(rng):
         FitResult.from_json_dict(doc)
 
 
+class TestInputChecks:
+    """Observations are a finite (N, m) array with N >= 2, and a stacked state a
+    finite (N, 2m) array; every estimator entry point checks both."""
+
+    ENTRY_POINTS = {
+        "fit": lambda z, x, p: fit(z, PenaltyConfig(), p, x, dt=0.05),
+        "value_gradient": lambda z, x, p: value_gradient(
+            p, State(x1=[0.0], x2=[0.0]), z, PenaltyConfig(), x, dt=0.05, lam=10.0,
+            **FINAL_STAGE),
+        "inner_solve": lambda z, x, p: inner_solve(
+            p, State(x1=[0.0], x2=[0.0]), z, PenaltyConfig(),
+            np.zeros((len(z), 2)) if x is None else x, dt=0.05, lam=10.0, **FINAL_STAGE),
+    }
+
+    @pytest.mark.parametrize("z, error, match", [
+        (np.array([0.1, 0.2, 0.3]), DimensionError, r"\(N, m\)"),
+        (np.array([[0.1], [np.nan], [0.3]]), ValueError, "non-finite"),
+        (np.array([[0.1], [np.inf], [0.3]]), ValueError, "non-finite"),
+        (np.array([[0.1]]), ValueError, "at least 2 samples, got 1"),
+    ], ids=["1-D", "nan", "inf", "one-sample"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_bad_observations(self, rng, entry, z, error, match):
+        params = random_params(rng, 1)
+        with pytest.raises(error, match=match):
+            check_observations(z)
+        with pytest.raises(error, match=match):
+            self.ENTRY_POINTS[entry](z, None, params)
+
+    @pytest.mark.parametrize("shape", [(10, 1), (9, 2), (10, 4), (20,)])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_a_misshaped_x_init(self, rng, entry, shape):
+        params, _, _, z = make_instance(rng, m=1, n=10)
+        with pytest.raises(DimensionError, match=r"\(10, 2\)"):
+            self.ENTRY_POINTS[entry](z, np.zeros(shape), params)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_a_non_finite_x_init(self, rng, entry, value):
+        params, _, traj, z = make_instance(rng, m=1, n=10)
+        x = stack_states(traj.x1, traj.x2)
+        x[4, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            self.ENTRY_POINTS[entry](z, x, params)
+
+    def test_accepts_a_list_of_rows(self):
+        z = check_observations([[1, 2], [3, 4], [5, 6]])
+        assert z.dtype == np.float64 and z.shape == (3, 2)
+
+
 def test_default_x_init_uses_observations(rng):
-    z = ObservationSet(rng.normal(size=(30, 2)))
+    z = rng.normal(size=(30, 2))
     x = default_x_init(z, 0.1)
-    npt.assert_array_equal(x.x1(), z.values)
-    npt.assert_allclose(x.x2().mean(axis=0), 0.0, atol=1e-12)
+    npt.assert_array_equal(x[:, 0::2], z)
+    npt.assert_allclose(x[:, 1::2].mean(axis=0), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg, want", [
@@ -560,7 +609,7 @@ def small_series():
     """A fixed noisy m=1 series (dt=0.1) and an init away from its truth."""
     truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.array([[0.2]]))
     traj = simulate(truth, State(x1=[1.0], x2=[0.0]), 40, 0.1)
-    z = ObservationSet(traj.x1 + np.random.default_rng(3).normal(0, 0.02, traj.x1.shape))
+    z = traj.x1 + np.random.default_rng(3).normal(0, 0.02, traj.x1.shape)
     return z, VdpParams(alpha=np.array([[1.0, 0.5]]), coupling=np.array([[0.0]]))
 
 
@@ -615,3 +664,21 @@ def test_lm_trial_is_accepted_only_when_its_gain_ratio_beats_armijo_c(monkeypatc
     assert 0.2 < rho_lo < 0.45 and 0.2 < rho_hi < 0.45
     assert [f for _, _, f in accepted][1:] == [f_trial]
     assert len(rejected) == 1
+
+
+def test_an_early_stage_stops_at_its_inner_tolerance(monkeypatch):
+    # the first stage resolves f_tilde only to its inner tolerance (1e-4 at
+    # lam = 10), so its projected gradient stops it at max(outer_gtol, 1e-4):
+    # 8 value gradients there, where the absolute outer_gtol (1e-6) took 16,
+    # with the same history and parameters
+    z, init = small_series()
+    lams = []
+
+    def counting(*args, **kwargs):
+        lams.append(kwargs["lam"])
+        return value_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "value_gradient", counting)
+    res = fit(z, PenaltyConfig(), init, dt=0.1)
+    assert [lams.count(lam) for lam in (10.0, 100.0, 1000.0)] == [8, 8, 8]
+    assert [lam for _, lam, _ in res.objective_history].count(10.0) == 8

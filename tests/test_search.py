@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdpfit import search
-from vdpfit.constraints import StackedState
+from vdpfit.constraints import stack_states
 from vdpfit.estimator import ParamBounds, PenaltyConfig, fit, hidden_x2_estimate
 from vdpfit.metrics import pearson
 from vdpfit.model import (
-    DimensionError, ObservationSet, State, Trajectory, VdpParams, simulate,
+    DimensionError, State, Trajectory, VdpParams, simulate,
 )
 from vdpfit.search import (
     Candidate,
@@ -34,7 +34,7 @@ def coupled_pair(noise=0.05, n=100, seed=21):
     )
     traj = simulate(truth, State(x1=[1.0, -0.8], x2=[0.0, 0.2]), n, 0.1)
     rng = np.random.default_rng(seed)
-    z = ObservationSet(traj.x1 + rng.normal(0, noise, traj.x1.shape))
+    z = traj.x1 + rng.normal(0, noise, traj.x1.shape)
     return truth, traj, z
 
 
@@ -45,7 +45,7 @@ def score_candidate(z, params, x2_init, gamma, dt, substeps=1):
 class TestFitness:
     def test_exact_match_scores_two(self):
         _, traj, _ = coupled_pair(noise=0.0)
-        z = ObservationSet(traj.x1)
+        z = traj.x1
         assert fitness(z, traj, gamma=1.0) == pytest.approx(2.0)
 
     def test_hand_combination(self):
@@ -77,9 +77,9 @@ class TestFitness:
         obs = rng.normal(size=(30, m))
         sim = obs + rng.normal(0, 0.3, size=(30, m))
         perm = rng.permutation(m)
-        f = fitness(ObservationSet(obs), Trajectory(x1=sim, x2=np.zeros_like(sim), dt=0.1), 1.0)
+        f = fitness(obs, Trajectory(x1=sim, x2=np.zeros_like(sim), dt=0.1), 1.0)
         f_p = fitness(
-            ObservationSet(obs[:, perm]),
+            obs[:, perm],
             Trajectory(x1=sim[:, perm], x2=np.zeros_like(sim), dt=0.1),
             1.0,
         )
@@ -135,6 +135,17 @@ class TestPropose:
 
 
 class TestSearchAndRefine:
+    @pytest.mark.parametrize("z, error", [
+        (np.linspace(0.0, 1.0, 20), DimensionError),
+        (np.array([[0.5, 0.1]]), ValueError),
+        (np.array([[0.5, 0.1], [np.nan, 0.2], [0.4, 0.3]]), ValueError),
+    ], ids=["1-D", "one-sample", "nan"])
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_rejects_bad_observations_before_any_work(self, monkeypatch, z, error, rounds):
+        monkeypatch.setattr(search, "rollout", None)  # the search never starts
+        with pytest.raises(error):
+            search_and_refine(z, SearchConfig(max_rounds=rounds), PenaltyConfig(), dt=0.1)
+
     def test_zero_rounds_equals_vp_fit(self):
         _, _, z = coupled_pair()
         vp_cfg = PenaltyConfig(outer_max_iter=15)
@@ -162,9 +173,9 @@ class TestSearchAndRefine:
         search_and_refine(z, cfg, vp_cfg, dt=0.1)
         x_init, default = seen
         assert default is None  # without x2_init the fit keeps its own start
-        assert x_init.state(0).x2.tolist() == [0.4, 1.0]
-        npt.assert_array_equal(x_init.x1(), z.values)
-        shift = x_init.x2() - hidden_x2_estimate(z.values, 0.1)
+        assert x_init[0, 1::2].tolist() == [0.4, 1.0]
+        npt.assert_array_equal(x_init[:, 0::2], z)
+        shift = x_init[:, 1::2] - hidden_x2_estimate(z, 0.1)
         npt.assert_allclose(shift, np.broadcast_to(shift[0], shift.shape), atol=1e-12)
 
     def test_trace_schema_and_greedy_acceptance(self):
@@ -241,7 +252,7 @@ class TestSearchAndRefine:
     def test_first_valid_candidate_after_invalid_start_counts_as_improvement(self):
         truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.zeros((1, 1)))
         traj = simulate(truth, State(x1=[1.0], x2=[0.0]), 80, 0.1)
-        z = ObservationSet(traj.x1)
+        z = traj.x1
         flat = VdpParams(alpha=np.zeros((1, 2)), coupling=np.zeros((1, 1)))
         assert score_candidate(z, flat, np.zeros(1), 1.0, 0.1) == -math.inf
         buf = io.StringIO()
@@ -329,14 +340,14 @@ def three_components(n=80, seed=3):
     )
     traj = simulate(truth, State(x1=[1.0, -0.8, 0.4], x2=[0.0, 0.2, -0.3]), n, 0.1)
     rng = np.random.default_rng(seed)
-    return ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
+    return traj.x1 + rng.normal(0, 0.05, traj.x1.shape)
 
 
 def one_component(n=80, seed=4):
     truth = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.zeros((1, 1)))
     traj = simulate(truth, State(x1=[1.0], x2=[0.0]), n, 0.1)
     rng = np.random.default_rng(seed)
-    return ObservationSet(traj.x1 + rng.normal(0, 0.05, traj.x1.shape))
+    return traj.x1 + rng.normal(0, 0.05, traj.x1.shape)
 
 
 def one_at_a_time_round(z, best, cfg, rng, scales, bounds, dt, substeps, round_idx, trace):
@@ -423,8 +434,8 @@ class TestCandidateTracks:
         assert res.config_echo["search"]["best_provenance"][2] == case
         if case == "init":
             assert not any(json.loads(l)["accepted"] for l in buf.getvalue().splitlines())
-        lone = simulate(res.params, State(x1=z.values[0], x2=res.states.x2[0]),
-                        z.n_steps, 0.1)
+        lone = simulate(res.params, State(x1=z[0], x2=res.states.x2[0]),
+                        len(z), 0.1)
         assert np.array_equal(res.states.x1, lone.x1)
         assert np.array_equal(res.states.x2, lone.x2)
 
@@ -444,7 +455,7 @@ class TestCandidateTracks:
                           dt=0.1, substeps=substeps)
         assert len(seeds) == 2
         for params, x_init in seeds:
-            x2_init = x_init.x2()[0]
-            lone = simulate(params, State(x1=z.values[0], x2=x2_init), z.n_steps, 0.1,
+            x2_init = x_init[0, 1::2]
+            lone = simulate(params, State(x1=z[0], x2=x2_init), len(z), 0.1,
                             substeps)
-            assert np.array_equal(x_init.flat, StackedState.from_trajectory(lone).flat)
+            assert np.array_equal(x_init, stack_states(lone.x1, lone.x2))
