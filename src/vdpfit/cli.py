@@ -37,10 +37,10 @@ from .data import (
     split_segments,
     svd_components,
 )
-from .estimator import FitError, FitResult, PenaltyConfig, check_observations
+from .estimator import FitError, FitResult, PenaltyConfig, check_observations, fit_lockstep
 from .forecast import VarMethod, VdpMethod, evaluate, export_simulations, write_corpus
 from .model import SimulationDiverged, VdpParams
-from .search import SearchConfig, search_and_refine
+from .search import SearchConfig, search_and_refine, vp_start
 
 OUT_ENV = "VDPFIT_OUT"
 
@@ -101,9 +101,10 @@ _FIT_KEYS = {"dt", "substeps", "init_alpha", "init_coupling", "init_x2", "penalt
 
 
 def _fitter(args):
-    """Read the fit config of --config (and --vp-only) once; return
-    fit(z, seed, trace=None), the one way `fit` and `forecast` fit a series.
-    A `trace` path receives the search trace once the init_* shapes check."""
+    """Read the fit config of --config (and --vp-only) once; return fit(z, seed,
+    trace=False), the one way a series is fitted, and fit_all(zs, seed), seeds
+    seed + k, in lockstep under --vp-only. With `trace` the output directory is
+    made once the init_* shapes check, and receives the search trace."""
     doc = _load_json(args.config)
     if "dt" not in doc:
         raise ConfigError("missing required config key 'dt'")
@@ -126,14 +127,22 @@ def _fitter(args):
         s_cfg = replace(s_cfg, max_rounds=0)
     init = {key: _array(v, key) for key, v in doc.items() if key.startswith("init_")}
 
-    def fit(z: np.ndarray, seed: int, trace: Optional[Path] = None) -> FitResult:
+    def fit(z: np.ndarray, seed: int, trace: bool = False) -> FitResult:
         params, x2_init = _init_values(init, z.shape[1])
-        with trace.open("w") if trace else nullcontext() as sink:
+        with (_resolve_out(args) / "trace.ndjson").open("w") if trace else nullcontext() as sink:
             return search_and_refine(z, replace(s_cfg, seed=seed), p_cfg, dt=dt,
                                      substeps=substeps, init=params, x2_init=x2_init,
                                      trace=sink)
 
-    return fit
+    def fit_all(zs: list[np.ndarray], seed: int) -> list[FitResult]:
+        if not args.vp_only:
+            return [fit(z, seed + k) for k, z in enumerate(zs)]
+        starts = [vp_start(check_observations(z), s_cfg, p_cfg,
+                           *_init_values(init, z.shape[1]), dt) for z in zs]
+        return fit_lockstep(np.stack(zs), p_cfg, [s[0] for s in starts],
+                            [s[2] for s in starts], dt=dt, substeps=substeps)
+
+    return fit, fit_all
 
 
 def _array(value, key: str) -> np.ndarray:
@@ -191,10 +200,10 @@ def cmd_svd(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    fit = _fitter(args)
+    fit, _ = _fitter(args)
     z = check_observations(_load_series(args.input, args.layout))
+    result = fit(z, args.seed, trace=True)
     out = _resolve_out(args)
-    result = fit(z, args.seed, out / "trace.ndjson")
     result.config_echo["seed"] = args.seed
     (out / "fit.json").write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
     print(f"fit: converged={result.converged} ({result.reason}); wrote {out / 'fit.json'}")
@@ -227,13 +236,11 @@ def cmd_forecast(args) -> int:
         else:
             if not args.config or args.seed is None:
                 raise ConfigError("the vdp method needs --config and --seed")
-            fit = _fitter(args)
+            _, fit_all = _fitter(args)
             # the oscillator serves only the short protocol; `evaluate` records
             # it as omitted on long runs, so its segments are not fitted there
-            methods.append(VdpMethod([] if args.protocol == "long" else [
-                fit(data[:, seg.train[0] : seg.train[1]].T, args.seed + s_idx)
-                for s_idx, seg in enumerate(split.segments)
-            ]))
+            methods.append(VdpMethod([] if args.protocol == "long" else fit_all(
+                [data[:, seg.train[0] : seg.train[1]].T for seg in split.segments], args.seed)))
     report = evaluate(methods, split, data, horizon=args.horizon, protocol=args.protocol)
     report.metadata["cli"] = {
         "methods": names,

@@ -19,17 +19,21 @@ LAPACK banded Cholesky (`pbsv`, fetched once through
 
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
 batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
-`batch_param_jacobians`), for any substep count.
+`batch_param_jacobians`), for any substep count. Each also takes S problems as
+an (S, N, 2m) stack with S VdpParams (and anchors): its result's S slices are
+bit-identical to the problems' own calls.
 """
 from __future__ import annotations
 
 import functools
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .model import (
     DimensionError,
+    Params,
     State,
     VdpParams,
     batch_param_jacobians,
@@ -52,58 +56,62 @@ def stack_states(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_components(x: np.ndarray, params: VdpParams) -> None:
-    if x.ndim != 2 or x.shape[1] != 2 * params.m:
-        raise DimensionError(f"state must be (N, {2 * params.m}) for params, got {x.shape}")
+def _check_components(x: np.ndarray, params: Params) -> int:
+    """m; raises unless x is (N, 2m) for one VdpParams or (S, N, 2m) for S."""
+    one = isinstance(params, VdpParams)
+    m = (params if one else params[0]).m
+    if x.ndim != (2 if one else 3) or x.shape[-1] != 2 * m:
+        raise DimensionError(f"state of shape {x.shape} does not match params with m={m}")
+    return m
 
 
 def residual(
     x: np.ndarray,
-    params: VdpParams,
-    anchor: State,
+    params: Params,
+    anchor: Union[State, Sequence[State]],
     dt: float,
     substeps: int = 1,
 ) -> np.ndarray:
     """G(x) - eta0 as a flat (2*m*N,) vector for the (N, 2m) stacked state x,
-    with eta0 = [anchor, 0, ..., 0]."""
-    _check_components(x, params)
-    if anchor.m != params.m:
+    with eta0 = [anchor, 0, ..., 0]; (S, 2*m*N) for S problems."""
+    m = _check_components(x, params)
+    anchors = [anchor] if isinstance(anchor, State) else anchor
+    eta0 = np.array([a.to_flat() for a in anchors]) if len(anchors) > 1 else anchors[0].to_flat()
+    if eta0.shape[-1] != 2 * m:
         raise DimensionError("component count mismatch between anchor and params")
-    x1, x2 = x[:, 0::2], x[:, 1::2]
-    g1, g2 = euler_map(params, x1[:-1], x2[:-1], dt, substeps)
+    x1, x2 = x[..., 0::2], x[..., 1::2]
+    g1, g2 = euler_map(params, x1[..., :-1, :], x2[..., :-1, :], dt, substeps)
     out = np.empty(x.shape)
-    out[0, 0::2] = x1[0] - anchor.x1
-    out[0, 1::2] = x2[0] - anchor.x2
-    out[1:, 0::2] = x1[1:] - g1
-    out[1:, 1::2] = x2[1:] - g2
-    return out.ravel()
+    out[..., 0, :] = x[..., 0, :] - eta0
+    out[..., 1:, 0::2] = x1[..., 1:, :] - g1
+    out[..., 1:, 1::2] = x2[..., 1:, :] - g2
+    return out.reshape(x.shape[:-2] + (-1,))
 
 
-def residual_jacobian_x(
-    x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
-) -> np.ndarray:
-    """The (N-1, 2m, 2m) subdiagonal blocks of dG/dx at x.
+def residual_jacobian_x(x: np.ndarray, params: Params, dt: float, substeps: int = 1
+                        ) -> np.ndarray:
+    """The (N-1, 2m, 2m) subdiagonal blocks of dG/dx at x; (S, N-1, 2m, 2m) for S problems.
 
     dG/dx is block lower-bidiagonal: every diagonal block is the identity, and
     block k, at block position (k+1, k), is -dg/dstate evaluated at x^k.
     """
     _check_components(x, params)
-    return -batch_state_jacobians(params, x[:-1, 0::2], x[:-1, 1::2], dt, substeps)
+    return -batch_state_jacobians(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
 
 
-def residual_jacobian_params(
-    x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
-) -> np.ndarray:
-    """dG/dparams at x, dense (2*m*N, 2m + m^2); the anchor block rows are zero.
+def residual_jacobian_params(x: np.ndarray, params: Params, dt: float, substeps: int = 1
+                             ) -> np.ndarray:
+    """dG/dparams at x, dense (2*m*N, 2m + m^2), or (S, 2*m*N, 2m + m^2) for S
+    problems; the anchor block rows are zero.
 
     Columns follow VdpParams.to_vector: [a1 all, a2 all, W row-major].
     """
-    _check_components(x, params)
-    n, b = x.shape
-    p = b + params.m ** 2
-    out = np.zeros((n, b, p))
-    out[1:] = -batch_param_jacobians(params, x[:-1, 0::2], x[:-1, 1::2], dt, substeps)
-    return out.reshape(n * b, p)
+    m = _check_components(x, params)
+    n, b = x.shape[-2:]
+    out = np.zeros(x.shape + (b + m * m,))
+    jp = batch_param_jacobians(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
+    out[..., 1:, :, :] = -jp
+    return out.reshape(x.shape[:-2] + (n * b, -1))
 
 
 @functools.lru_cache(maxsize=None)

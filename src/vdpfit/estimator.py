@@ -18,12 +18,15 @@ Gauss-Newton sensitivity dx*/dp = -A^-1 lam G_x'G_p from one banded solve
 with p right-hand sides (Golub & Pereyra 2003; Kaufman 1975). Its gradient
 J'r equals lam G_p'(G - eta0), which is exact at an exact inner minimizer,
 and each outer trial's inner solve starts from x* + dx*/dp dp.
+
+`fit_lockstep` runs both loops over S problems ((S, N, m) z, (S, N, 2m) states)
+with batched kernels; `fit`, `value_gradient` and `inner_solve` are S = 1.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -104,8 +107,8 @@ class PenaltyConfig:
     and stops early when the projected gradient falls below the larger of
     `outer_gtol` and the stage's inner tolerance (the value function is
     resolved no finer than that), or a step's max |dp| / (1 + max |p|) falls
-    below `outer_ftol`. `armijo_c` is both the gain ratio a trial step must
-    beat and the inner line search's Armijo constant.
+    below `outer_ftol`. `armijo_c`, in (0, 1), is both the gain ratio a trial
+    step must beat and the inner line search's Armijo constant.
     """
 
     lam_schedule: tuple[float, ...] = (10.0, 100.0, 1000.0)
@@ -132,6 +135,8 @@ class PenaltyConfig:
         for name in ("inner_max_iter", "inner_max_iter_start", "outer_max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0 < self.armijo_c < 1:  # at 1 or above no step passes; at 0 or below f may rise
+            raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c!r}")
 
     def stages(self) -> list[tuple[float, float, int]]:
         """Per-stage (lam, inner_tol, inner_max_iter) triples; the last stage
@@ -301,16 +306,94 @@ def _objective_parts(x, z, r, lam):
     return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
 
 
+def _join(items: Sequence):
+    """Problems' arrays, VdpParams or anchors as a kernel takes them: one problem's
+    own (no stack axis to pay for), or several problems' (S, ...) stack or list."""
+    if len(items) == 1:
+        return items[0]
+    return np.array(items) if isinstance(items[0], np.ndarray) else list(items)
+
+
+def _split(batch: np.ndarray, count: int) -> list:
+    """Per-problem results of a kernel called on `count` problems' `_join`."""
+    return [batch] if count == 1 else list(batch)
+
+
 def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
     """Diagonal blocks of the inner normal matrix A = H'H + lam G_x'G_x, from
-    the (N-1, b, b) subdiagonal blocks of G_x; A's subdiagonal is lam * sub."""
-    n, b = len(sub) + 1, sub.shape[1]
-    diag = np.empty((n, b, b))
+    the (..., N-1, b, b) subdiagonal blocks of G_x of one problem or a stack of
+    them; A's subdiagonal is lam * sub."""
+    n, b = sub.shape[-3] + 1, sub.shape[-1]
+    diag = np.empty(sub.shape[:-3] + (n, b, b))
     diag[:] = lam * np.eye(b)
     x1_slots = np.arange(0, b, 2)
-    diag[:, x1_slots, x1_slots] += 1.0
-    diag[:-1] += lam * (sub.transpose(0, 2, 1) @ sub)
+    diag[..., x1_slots, x1_slots] += 1.0
+    flat = sub.reshape(-1, b, b)  # one 3-D matmul stack: a 4-D one is slower
+    diag[..., :-1, :, :] += lam * (flat.transpose(0, 2, 1) @ flat).reshape(sub.shape)
     return diag
+
+
+def _inner_solves(params, anchors, z, cfg: PenaltyConfig, x, *, dt, substeps, lam, tol,
+                  max_iter) -> list[InnerResult]:
+    """`inner_solve` of S problems in lockstep, from S (N, m) z and (N, 2m) x: each
+    keeps its own stopping and step length, and each step's residual, Jacobian
+    and normal-matrix blocks are one kernel call for all problems left."""
+    def resid(idx, xs):  # G - eta0 of problems idx at their states xs
+        return _split(residual(_join(xs), _join([params[i] for i in idx]),
+                               _join([anchors[i] for i in idx]), dt, substeps), len(xs))
+
+    S, (n, b) = len(x), x[0].shape
+    cur = list(x)  # each problem's iterate, rebound as its steps are accepted
+    r = resid(range(S), cur)
+    f = [_objective_parts(xi, zi, ri, lam) for xi, zi, ri in zip(cur, z, r)]
+    converged, at_floor, grad_inf, iterations, jac_x = (
+        [v] * S for v in (False, False, math.inf, 0, None))
+    active = list(range(S))
+    for it in range(max_iter + 1):
+        subs = _split(residual_jacobian_x(_join([cur[i] for i in active]),
+                                          _join([params[i] for i in active]), dt, substeps),
+                      len(active))
+        stepping = []
+        for i, sub in zip(active, subs):
+            # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
+            r_blocks = r[i].reshape(n, b)
+            grad = r_blocks.copy()
+            grad[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
+            grad *= lam
+            grad[:, 0::2] += cur[i][:, 0::2] - z[i]
+            jac_x[i], grad_inf[i], iterations[i] = sub, float(np.max(np.abs(grad))), it
+            converged[i] = grad_inf[i] <= tol or at_floor[i]
+            if not converged[i] and it < max_iter:
+                stepping.append((sub, grad))
+        active = [i for i in active if not converged[i]] if stepping else []
+        if not active:
+            break
+        diags = _split(_normal_diag(_join([sub for sub, _ in stepping]), lam), len(active))
+        delta = [solve_block_tridiagonal(d, lam * sub, -grad)
+                 for d, (sub, grad) in zip(diags, stepping)]
+        dirderiv = [float(np.sum(grad * d)) for (_, grad), d in zip(stepping, delta)]
+        t, left = [1.0] * len(active), list(range(len(active)))
+        for _ in range(_MAX_HALVINGS):  # each step halves until its Armijo test passes
+            trial = {k: cur[active[k]] + t[k] * delta[k] for k in left}
+            tried = [k for k in left if np.isfinite(trial[k]).all()]  # overflowed: rejected
+            own = [active[k] for k in tried]
+            for k, i, r_k in zip(tried, own, resid(own, [trial[k] for k in tried]) if own else ()):
+                f_trial = _objective_parts(trial[k], z[i], r_k, lam)
+                if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t[k] * dirderiv[k]:
+                    at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
+                    cur[i], r[i], f[i] = trial[k], r_k, f_trial
+                    left.remove(k)
+            if not left:
+                break
+            t = [tk * 0.5 for tk in t]
+        for k in left:  # the step underflowed: stop at the current iterate
+            iterations[active[k]] = it + 1
+        active = [i for k, i in enumerate(active) if k not in left]
+        if not active:
+            break
+    return [InnerResult(x=cur[i], residual=r[i], jac_x=jac_x[i], converged=converged[i],
+                        iterations=iterations[i], grad_inf=grad_inf[i], objective=f[i])
+            for i in range(S)]
 
 
 def inner_solve(
@@ -345,52 +428,16 @@ def inner_solve(
     _check_shapes(z, x_init)
     if lam <= 0:
         raise ValueError("inner solve requires lam > 0")
-    n, b = x_init.shape
+    return _inner_solves([params], [anchor], [z], cfg, [x_init], dt=dt, substeps=substeps,
+                         lam=lam, tol=tol, max_iter=max_iter)[0]
 
-    cur = x_init
-    r = residual(cur, params, anchor, dt, substeps)
-    f_cur = _objective_parts(cur, z, r, lam)
-    converged = at_floor = False
-    grad_inf = math.inf
-    iterations = 0
-    for iterations in range(max_iter + 1):
-        sub = residual_jacobian_x(cur, params, dt, substeps)
-        # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
-        r_blocks = r.reshape(n, b)
-        grad_blocks = r_blocks.copy()
-        grad_blocks[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
-        grad_blocks *= lam
-        grad_blocks[:, 0::2] += cur[:, 0::2] - z
-        grad_inf = float(np.max(np.abs(grad_blocks)))
-        if grad_inf <= tol or at_floor:
-            converged = True
-            break
-        if iterations == max_iter:
-            break
-        delta = solve_block_tridiagonal(_normal_diag(sub, lam), lam * sub, -grad_blocks)
-        dirderiv = float(np.sum(grad_blocks * delta))
-        t = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            trial = cur + t * delta
-            if not np.isfinite(trial).all():  # overflowed: reject and halve
-                t *= 0.5
-                continue
-            r_trial = residual(trial, params, anchor, dt, substeps)
-            f_trial = _objective_parts(trial, z, r_trial, lam)
-            if math.isfinite(f_trial) and f_trial <= f_cur + cfg.armijo_c * t * dirderiv:
-                at_floor = f_cur - f_trial <= _ROUNDOFF_DECREASE * abs(f_cur)
-                cur, r, f_cur = trial, r_trial, f_trial
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            iterations += 1
-            break
-    return InnerResult(
-        x=cur, residual=r, jac_x=sub, converged=converged, iterations=iterations,
-        grad_inf=grad_inf, objective=f_cur,
-    )
+
+def _with_gradients(params, inners, lam, dt, substeps) -> list[ValueGradient]:
+    """The value gradient at each inner minimizer, from one batched dG/dparams."""
+    jps = _split(residual_jacobian_params(_join([v.x for v in inners]), _join(params), dt,
+                                          substeps), len(inners))
+    return [ValueGradient(value=v.objective, gradient=lam * (jp.T @ v.residual), x=v.x,
+                          inner=v, jac_params=jp) for v, jp in zip(inners, jps)]
 
 
 def value_gradient(
@@ -420,11 +467,7 @@ def value_gradient(
         params, anchor, z, cfg, x_init,
         dt=dt, substeps=substeps, lam=lam, tol=tol, max_iter=max_iter,
     )
-    jp = residual_jacobian_params(inner.x, params, dt, substeps)
-    grad = lam * (jp.T @ inner.residual)
-    return ValueGradient(
-        value=inner.objective, gradient=grad, x=inner.x, inner=inner, jac_params=jp
-    )
+    return _with_gradients([params], [inner], lam, dt, substeps)[0]
 
 
 def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -436,17 +479,28 @@ def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndar
     the N x1-misfit rows (time-major, component-minor) above the 2*m*N
     constraint rows; dx*/dp is (N, 2m, p) in stacked-state block layout.
     """
-    sub = vg.inner.jac_x
-    n, b = vg.x.shape
-    gp = vg.jac_params.reshape(n, b, -1)
+    return _reduced_jacobians([vg], lam)[0]
+
+
+def _reduced_jacobians(vgs: Sequence[ValueGradient], lam: float) -> list[tuple]:
+    """`reduced_jacobian` of equal-shape problems: block products as one 3-D
+    matmul stack, banded solves one per problem; each dx*/dp keeps its solve's
+    memory layout, which the products with it round by."""
+    sub = _join([vg.inner.jac_x for vg in vgs])  # (..., N-1, b, b)
+    n, b = vgs[0].x.shape
+    gp = _join([vg.jac_params for vg in vgs]).reshape(sub.shape[:-3] + (n, b, -1))
+    flat, blocks, shifted = sub.reshape(-1, b, b), (-1, b, gp.shape[-1]), sub.shape[:-1] + (-1,)
     gx_t_gp = gp.copy()  # G_x' G_p: identity diagonal, sub' above
-    gx_t_gp[:-1] += sub.transpose(0, 2, 1) @ gp[1:]
-    dx_dp = solve_block_tridiagonal(_normal_diag(sub, lam), lam * sub, -lam * gx_t_gp)
-    dg_dp = dx_dp + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
-    dg_dp[1:] += sub @ dx_dp[:-1]
-    jac = np.concatenate([-dx_dp[:, 0::2].reshape(n * b // 2, -1),
-                          math.sqrt(lam) * dg_dp.reshape(n * b, -1)])
-    return jac, dx_dp
+    gx_t_gp[..., :-1, :, :] += (flat.transpose(0, 2, 1)
+                                @ gp[..., 1:, :, :].reshape(blocks)).reshape(shifted)
+    dx_dp = [solve_block_tridiagonal(d, lam * s, -lam * g) for d, s, g in
+             zip(*(_split(a, len(vgs)) for a in (_normal_diag(sub, lam), sub, gx_t_gp)))]
+    dx_stack = _join(dx_dp)
+    dg_dp = dx_stack + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
+    dg_dp[..., 1:, :, :] += (flat @ dx_stack[..., :-1, :, :].reshape(blocks)).reshape(shifted)
+    return [(np.concatenate([-d[:, 0::2].reshape(n * b // 2, -1),
+                             math.sqrt(lam) * g.reshape(n * b, -1)]), d)
+            for d, g in zip(dx_dp, _split(dg_dp, len(vgs)))]
 
 
 def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
@@ -493,94 +547,127 @@ def fit(
     trial steps. The (N, 2m) x_init, by default `default_x_init(z, dt)`,
     starts the solve, and its first state anchors the constraint.
     """
-    z = check_observations(z)
-    m = z.shape[1]
-    if init.m != m:
-        raise DimensionError(f"init has {init.m} components, observations have {m}")
-    if not cfg.bounds.contains(init, atol=1e-12):
-        raise FitError("init violates parameter bounds")
-    if x_init is None:
-        x_init = default_x_init(z, dt)
-    _check_shapes(z, x_init)
-    anchor = State(x1=x_init[0, 0::2], x2=x_init[0, 1::2])
+    return _fits([z], cfg, [init], [x_init], dt, substeps, lockstep=False)[0]
+
+
+def fit_lockstep(z: np.ndarray, cfg: PenaltyConfig, inits: Sequence[VdpParams],
+                 x_init: Optional[Sequence[Optional[np.ndarray]]] = None, *, dt: float = 1.0,
+                 substeps: int = 1) -> list[FitResult]:
+    """`fit` of S equal-shape problems in lockstep, from (S, N, m) z and per
+    problem an init and an (N, 2m) x_init or None; each result equals its lone
+    `fit` bit for bit. Of failing problems the lowest-index one's FitError is
+    raised, as a loop of `fit` calls raises it."""
+    x_init = [None] * len(z) if x_init is None else x_init
+    if not len(z) == len(inits) == len(x_init):
+        raise DimensionError(f"{len(z)} series, {len(inits)} inits and {len(x_init)} x_inits")
+    return _fits(z, cfg, inits, x_init, dt, substeps, lockstep=True)
+
+
+def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float,
+          substeps: int, lockstep: bool) -> list[FitResult]:
+    """`fit`'s outer loop over S problems, one iteration for all at a time; with
+    `lockstep` an iteration's trials go to one `_inner_solves`. A problem fails
+    on an init outside the bounds or a non-finite objective at a stage start;
+    it and every later one then stop, and the lowest-index failure is raised."""
+    z = [check_observations(zi) for zi in zs]
+    x_init = [default_x_init(zi, dt) if x is None else x for zi, x in zip(z, x_inits)]
+    for zi, init, x in zip(z, inits, x_init):
+        if init.m != zi.shape[1]:
+            raise DimensionError(f"init has {init.m} components, observations have {zi.shape[1]}")
+        _check_shapes(zi, x)
+    S, m = len(z), z[0].shape[1]
+    anchors = [State(x1=x[0, 0::2], x2=x[0, 1::2]) for x in x_init]
     stages = cfg.stages()
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        r0 = residual(x_init, init, anchor, dt, substeps)
-        f0 = _objective_parts(x_init, z, r0, stages[0][0])
-    if not math.isfinite(f0):
-        raise _nonfinite_start(x_init, r0)
+    def evaluate(idx, ps, xs, stage):
+        params = [VdpParams.from_vector(q, m) for q in ps]
+        if not lockstep:
+            return [value_gradient(q, anchors[i], z[i], cfg, x, **stage)
+                    for i, q, x in zip(idx, params, xs)]
+        inners = _inner_solves(params, [anchors[i] for i in idx], [z[i] for i in idx], cfg, xs,
+                               **stage)
+        return _with_gradients(params, inners, stage["lam"], dt, substeps)
 
-    lo = cfg.bounds.lower(m)
-    hi = cfg.bounds.upper(m)
-    p = np.clip(init.to_vector(), lo, hi)
-    x_cur = x_init
-    history: list[tuple[int, float, float]] = []
-    outer_count = 0
-    reason = "max outer iterations"
-    converged = False
+    errors: dict[int, FitError] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        r0 = _split(residual(_join(x_init), _join(inits), _join(anchors), dt, substeps), S)
+        f0 = [_objective_parts(x, zi, r, stages[0][0]) for x, zi, r in zip(x_init, z, r0)]
+    for i in range(S):
+        if not cfg.bounds.contains(inits[i], atol=1e-12):
+            errors[i] = FitError("init violates parameter bounds")
+        elif not math.isfinite(f0[i]):
+            errors[i] = _nonfinite_start(x_init[i], r0[i])
+
+    lo, hi = cfg.bounds.lower(m), cfg.bounds.upper(m)
+    p = [np.clip(init.to_vector(), lo, hi) for init in inits]
+    history: list[list[tuple[int, float, float]]] = [[] for _ in range(S)]
+    vg, mu, lin, reason, converged = ([v] * S for v in (None, None, None, "", False))
+    live = list(range(min(errors, default=S)))
 
     for lam_s, tol_s, cap_s in stages:
         stage = dict(dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s)
-        vg = value_gradient(VdpParams.from_vector(p, m), anchor, z, cfg, x_cur, **stage)
-        if not math.isfinite(vg.value):
-            raise _nonfinite_start(vg.x, vg.inner.residual)
-        history.append((outer_count, lam_s, vg.value))
-        outer_count += 1
-        reason = "max outer iterations"
-        converged = False
-        jtj = mu = None
+        starts = [x_init[i] if vg[i] is None else vg[i].x for i in live]
+        for i, v in zip(live, evaluate(live, [p[i] for i in live], starts, stage)):
+            vg[i] = v
+            if not math.isfinite(v.value):
+                errors[i] = _nonfinite_start(v.x, v.inner.residual)
+        live = [i for i in live if i < min(errors, default=S)]
+        for i in live:
+            history[i].append((len(history[i]), lam_s, vg[i].value))
+            reason[i], converged[i], lin[i], mu[i] = "max outer iterations", False, None, None
         gtol = max(cfg.outer_gtol, tol_s)  # f_tilde is resolved only to tol_s
+        active = list(live)
         for _ in range(cfg.outer_max_iter):
-            g = vg.gradient
-            if float(np.max(np.abs(p - np.clip(p - g, lo, hi)))) < gtol:
-                reason = "projected gradient below tolerance"
-                converged = True
-                break
-            if jtj is None:
-                jac, dx_dp = reduced_jacobian(vg, lam_s)
+            for i in list(active):
+                if float(np.max(np.abs(p[i] - np.clip(p[i] - vg[i].gradient, lo, hi)))) < gtol:
+                    reason[i], converged[i] = "projected gradient below tolerance", True
+                    active.remove(i)
+            fresh = [i for i in active if lin[i] is None]
+            for i, (jac, dx_dp) in zip(fresh, _reduced_jacobians([vg[i] for i in fresh], lam_s)
+                                       if fresh else ()):
                 jtj = jac.T @ jac
                 scale = np.diag(jtj).copy()
                 scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
-                if mu is None:
-                    mu = 1e-3 * float(np.max(scale))
-            try:
-                step = cho_solve(cho_factor(jtj + np.diag(mu * scale)), g)
-            except np.linalg.LinAlgError:  # mu * scale fell below J'J's roundoff
-                mu *= 4.0
-                continue
-            p_new = np.clip(p - step, lo, hi)
-            move = p_new - p
-            if float(np.max(np.abs(move))) < cfg.outer_ftol * (1.0 + float(np.max(np.abs(p)))):
-                reason = "step below tolerance"
-                converged = True
+                lin[i] = jtj, scale, dx_dp
+                if mu[i] is None:
+                    mu[i] = 1e-3 * float(np.max(scale))
+            trials, predicted = [], {}
+            for i in list(active):
+                (jtj, scale, dx_dp), g, x_opt = lin[i], vg[i].gradient, vg[i].x
+                try:
+                    step = cho_solve(cho_factor(jtj + np.diag(mu[i] * scale)), g)
+                except np.linalg.LinAlgError:  # mu * scale fell below J'J's roundoff
+                    mu[i] *= 4.0
+                    continue
+                p_new = np.clip(p[i] - step, lo, hi)
+                move = p_new - p[i]
+                if np.max(np.abs(move)) < cfg.outer_ftol * (1.0 + np.max(np.abs(p[i]))):
+                    reason[i], converged[i] = "step below tolerance", True
+                    active.remove(i)
+                    continue
+                predicted[i] = -float(g @ move) - 0.5 * float(move @ jtj @ move)
+                # first-order prediction x* + dx*/dp move of the new minimizer
+                x_start = x_opt + (dx_dp.reshape(-1, move.size) @ move).reshape(x_opt.shape)
+                trials.append((i, p_new, x_start if np.isfinite(x_start).all() else x_opt))
+            new = evaluate(*zip(*trials), stage) if trials else ()
+            for (i, p_new, _), v in zip(trials, new):
+                rho = (vg[i].value - v.value) / predicted[i] if predicted[i] > 0 else -math.inf
+                if not rho > cfg.armijo_c:  # also rejects a non-finite value
+                    mu[i] *= 4.0
+                    continue
+                mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                p[i], vg[i], lin[i] = p_new, v, None
+                history[i].append((len(history[i]), lam_s, v.value))
+            if not active:
                 break
-            predicted = -float(g @ move) - 0.5 * float(move @ jtj @ move)
-            # first-order prediction x* + dx*/dp move of the new minimizer
-            x_start = vg.x + (dx_dp.reshape(-1, p.size) @ move).reshape(vg.x.shape)
-            if not np.isfinite(x_start).all():
-                x_start = vg.x
-            vg_new = value_gradient(
-                VdpParams.from_vector(p_new, m), anchor, z, cfg, x_start, **stage
-            )
-            rho = (vg.value - vg_new.value) / predicted if predicted > 0 else -math.inf
-            if not rho > cfg.armijo_c:  # also rejects a non-finite value
-                mu *= 4.0
-                continue
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            p, vg, jtj = p_new, vg_new, None
-            history.append((outer_count, lam_s, vg.value))
-            outer_count += 1
-        x_cur = vg.x
 
-    params_hat = VdpParams.from_vector(p, m)
-    states = Trajectory(x1=x_cur[:, 0::2].copy(), x2=x_cur[:, 1::2].copy(), dt=dt)
-    return FitResult(
-        params=params_hat,
-        states=states,
-        objective_history=history,
-        per_component_stats=_component_stats(z, states.x1),
-        converged=converged,
-        reason=reason,
-        config_echo=fit_echo(cfg, dt, substeps),
-    )
+    if errors:
+        raise errors[min(errors)]
+    results = []
+    for i, v in enumerate(vg):
+        states = Trajectory(x1=v.x[:, 0::2].copy(), x2=v.x[:, 1::2].copy(), dt=dt)
+        results.append(FitResult(
+            params=VdpParams.from_vector(p[i], m), states=states, objective_history=history[i],
+            per_component_stats=_component_stats(z[i], states.x1), converged=converged[i],
+            reason=reason[i], config_echo=fit_echo(cfg, dt, substeps)))
+    return results

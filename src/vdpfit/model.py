@@ -14,8 +14,9 @@ field, one Euler substep (`euler_map`), the one-substep state and parameter
 Jacobians, and one loop chaining them through the substeps. `step`, the
 batched `rollout` behind `simulate`, the batch Jacobians and the single-state
 `jacobians` call it, as do the stacked constraints in `constraints.py`. The
-field and its Euler substeps also take one parameter set per trajectory, so
-one `rollout` can integrate K candidates with K different parameters.
+field, its Euler substeps and the step Jacobians also take one parameter set
+per trajectory (or per problem of (S, K, m) states), so one `rollout` can
+integrate K candidates with K different parameters.
 
 Flat state vectors interleave the two variables per component: component i of
 a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
@@ -90,6 +91,9 @@ class VdpParams:
         alpha = np.stack([vec[:m], vec[m : 2 * m]], axis=1)
         coupling = vec[2 * m :].reshape(m, m)
         return cls(alpha=alpha, coupling=coupling)
+
+
+Params = Union[VdpParams, Sequence[VdpParams]]
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,18 @@ def _field_arrays(
     return dx1, -x1
 
 
+def _param_arrays(params: Params, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, coupling) of one VdpParams shared by all the (..., m) states x1,
+    or of one VdpParams per leading row of x1, stacked to broadcast against it."""
+    if isinstance(params, VdpParams):
+        return params.alpha, params.coupling
+    if x1.ndim < 2 or len(params) != x1.shape[0] or len({p.m for p in params}) != 1:
+        raise DimensionError(f"{len(params)} per-row params (of one size) for states {x1.shape}")
+    lead = (len(params),) + (1,) * (x1.ndim - 2)
+    return (np.array([p.alpha for p in params]).reshape(lead + params[0].alpha.shape),
+            np.array([p.coupling for p in params]).reshape(lead + params[0].coupling.shape))
+
+
 def _euler_arrays(
     alpha: np.ndarray,
     coupling: np.ndarray,
@@ -202,45 +218,47 @@ def _euler_arrays(
 
 
 def euler_map(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: Params, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sample map g on raw arrays: `substeps` Euler substeps s + h * f(s)
-    with h = dt / substeps. x1/x2 may be (m,) or batched (K, m)."""
+    with h = dt / substeps. x1/x2 may be (m,) or batched (K, m), or (S, K, m)
+    with a sequence of S VdpParams."""
     h = _substep_size(dt, substeps)
-    return _euler_arrays(params.alpha, params.coupling, x1, x2, h, substeps)
+    return _euler_arrays(*_param_arrays(params, x1), x1, x2, h, substeps)
 
 
-def _substep_state_jacobian(params: VdpParams, x1: np.ndarray, h: float) -> np.ndarray:
-    """d/dstate of one substep s + h * f(s) at K states: (K, 2m, 2m)."""
-    K, m = x1.shape
+def _substep_state_jacobian(alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray,
+                            h: float) -> np.ndarray:
+    """d/dstate of one substep s + h * f(s) at (..., K, m) states: (..., K, 2m, 2m)."""
+    m = x1.shape[-1]
     r1 = 2 * np.arange(m)  # x1 rows
     r2 = r1 + 1  # x2 rows
-    out = np.zeros((K, 2 * m, 2 * m))
+    out = np.zeros(x1.shape[:-1] + (2 * m, 2 * m))
     # dx1_i rows: coupling row, self term, excitability term
-    out[:, r1[:, None], r1[None, :]] = h * params.coupling
-    out[:, r1, r1] += 1.0 + h * params.alpha[:, 0] * (1.0 - 3.0 * x1 * x1)
-    out[:, r1, r2] = h * params.alpha[:, 1]
+    out[..., r1[:, None], r1[None, :]] = h * coupling
+    out[..., r1, r1] += 1.0 + h * alpha[..., 0] * (1.0 - 3.0 * x1 * x1)
+    out[..., r1, r2] = h * alpha[..., 1]
     # dx2_i rows
-    out[:, r2, r1] = -h
-    out[:, r2, r2] = 1.0
+    out[..., r2, r1] = -h
+    out[..., r2, r2] = 1.0
     return out
 
 
 def _substep_param_jacobian(x1: np.ndarray, x2: np.ndarray, h: float) -> np.ndarray:
-    """d/dparams of one substep at K states: (K, 2m, 2m + m^2)."""
-    K, m = x1.shape
+    """d/dparams of one substep at (..., K, m) states: (..., K, 2m, 2m + m^2)."""
+    m = x1.shape[-1]
     r1 = 2 * np.arange(m)
     cols = np.arange(m)
-    out = np.zeros((K, 2 * m, 2 * m + m * m))
-    out[:, r1, cols] = h * x1 * (1.0 - x1 * x1)
-    out[:, r1, m + cols] = h * x2
+    out = np.zeros(x1.shape[:-1] + (2 * m, 2 * m + m * m))
+    out[..., r1, cols] = h * x1 * (1.0 - x1 * x1)
+    out[..., r1, m + cols] = h * x2
     # row x1_i carries h * x1 under the W[i, :] columns
-    out[:, r1[:, None], 2 * m + m * cols[:, None] + cols] = (h * x1)[:, None, :]
+    out[..., r1[:, None], 2 * m + m * cols[:, None] + cols] = (h * x1)[..., None, :]
     return out
 
 
 def _chained_jacobians(
-    params: VdpParams,
+    params: Params,
     x1: np.ndarray,
     x2: np.ndarray,
     dt: float,
@@ -248,19 +266,21 @@ def _chained_jacobians(
     want_state: bool,
     want_params: bool,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """dg/dstate and dg/dparams at K states (x1/x2 are (K, m)), chained
-    through the substeps: J <- J_sub J, P <- J_sub P + P_sub, with each
-    substep's Jacobians taken at its own intermediate state. Only the
+    """dg/dstate and dg/dparams at K states (x1/x2 are (K, m), or (S, K, m)
+    with S VdpParams), chained through the substeps: J <- J_sub J,
+    P <- J_sub P + P_sub, with each substep's Jacobians taken at its own
+    intermediate state. Only the
     requested ones are built (None otherwise); at substeps=1 the parameter
     Jacobian needs no state Jacobian."""
     h = _substep_size(dt, substeps)
     x1 = np.atleast_2d(x1)
     x2 = np.atleast_2d(x2)
-    jx = _substep_state_jacobian(params, x1, h) if want_state else None
+    alpha, coupling = _param_arrays(params, x1)
+    jx = _substep_state_jacobian(alpha, coupling, x1, h) if want_state else None
     jp = _substep_param_jacobian(x1, x2, h) if want_params else None
     for _ in range(substeps - 1):
-        x1, x2 = euler_map(params, x1, x2, h)
-        j_sub = _substep_state_jacobian(params, x1, h)
+        x1, x2 = _euler_arrays(alpha, coupling, x1, x2, h, 1)
+        j_sub = _substep_state_jacobian(alpha, coupling, x1, h)
         if want_state:
             jx = j_sub @ jx
         if want_params:
@@ -276,7 +296,7 @@ def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
 
 
 def rollout(
-    params: Union[VdpParams, Sequence[VdpParams]],
+    params: Params,
     x1: np.ndarray,
     x2: np.ndarray,
     n_steps: int,
@@ -298,16 +318,7 @@ def rollout(
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if isinstance(params, VdpParams):
-        alpha, coupling = params.alpha, params.coupling
-    else:
-        if x1.ndim != 2 or len(params) != x1.shape[0] or len({p.m for p in params}) != 1:
-            raise DimensionError(
-                f"per-trajectory params need one VdpParams of one size per row of "
-                f"(K, m) start states, got {len(params)} for starts {x1.shape}"
-            )
-        alpha = np.stack([p.alpha for p in params])
-        coupling = np.stack([p.coupling for p in params])
+    alpha, coupling = _param_arrays(params, x1)
     m = alpha.shape[-2]
     if x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != m:
         raise DimensionError(
@@ -364,14 +375,16 @@ def jacobians(
 
 
 def batch_state_jacobians(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: Params, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
-    """dg/dstate at K states at once; x1/x2 are (K, m), result is (K, 2m, 2m)."""
+    """dg/dstate at K states at once; x1/x2 are (K, m), result is (K, 2m, 2m),
+    or (S, K, 2m, 2m) for (S, K, m) states and a sequence of S VdpParams."""
     return _chained_jacobians(params, x1, x2, dt, substeps, True, False)[0]
 
 
 def batch_param_jacobians(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: Params, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
-    """dg/dparams at K states at once; result is (K, 2m, 2m + m^2)."""
+    """dg/dparams at K states at once; result is (K, 2m, 2m + m^2), or
+    (S, K, 2m, 2m + m^2) for (S, K, m) states and S VdpParams."""
     return _chained_jacobians(params, x1, x2, dt, substeps, False, True)[1]

@@ -252,6 +252,26 @@ def _trace_row(sink: Optional[IO[str]], round_idx: int, proposal: int, f: float,
         sink.write(json.dumps(rec) + "\n")
 
 
+def vp_start(z: np.ndarray, search_cfg: SearchConfig, vp_cfg: PenaltyConfig,
+             init: Optional[VdpParams], x2_init: Optional[np.ndarray], dt: float):
+    """(init params, x2 start, stacked state) of a fit of (N, m) z: init (default
+    unit alpha, zero coupling) clipped to vp_cfg.bounds, x2_init (default zeros) to
+    x2_bounds. A given x2_init seeds the state (z over `hidden_x2_estimate` shifted
+    to start at it, so the fit's anchor is the search's start), else it is None."""
+    m = z.shape[1]
+    if init is None:
+        init = VdpParams(alpha=np.ones((m, 2)), coupling=np.zeros((m, m)))
+    x2_start = np.zeros(m) if x2_init is None else np.asarray(x2_init, dtype=float)
+    if init.m != m or x2_start.shape != (m,):
+        raise DimensionError("init/x2_init dimensions must match observations")
+    x2_start = np.clip(x2_start, *search_cfg.x2_bounds)
+    x_init = None
+    if x2_init is not None:
+        x2 = hidden_x2_estimate(z, dt)
+        x_init = stack_states(z, x2 - x2[0] + x2_start)
+    return vp_cfg.bounds.clip_params(init), x2_start, x_init
+
+
 def search_and_refine(
     z: np.ndarray,
     search_cfg: SearchConfig,
@@ -267,33 +287,18 @@ def search_and_refine(
 
     Stops on max_rounds or when the best fitness has improved by less than
     plateau_tol for `patience` consecutive rounds. With max_rounds=0 this is
-    exactly a single VP fit from the initial parameters; a given x2_init
-    (clipped to x2_bounds) then seeds its hidden track, shifted from the
-    `hidden_x2_estimate` heuristic so that it starts at x2_init, which makes
-    the fit's anchor the search's start state. Candidate scoring and
+    exactly a single VP fit from `vp_start`'s start. Candidate scoring and
     the VP fits both integrate with `substeps` Euler substeps per sample.
     vp_cfg.bounds clips the initial candidate and every proposal.
     Raises FitError when no candidate survives to the end.
     """
     z = check_observations(z)
-    m = z.shape[1]
-    if init is None:
-        init = VdpParams(alpha=np.ones((m, 2)), coupling=np.zeros((m, m)))
-    init_x2 = np.zeros(m) if x2_init is None else np.asarray(x2_init, dtype=float)
-    if init.m != m or init_x2.shape != (m,):
-        raise DimensionError("init/x2_init dimensions must match observations")
+    init_params, init_x2, x_init = vp_start(z, search_cfg, vp_cfg, init, x2_init, dt)
+    if search_cfg.max_rounds == 0:
+        return fit(z, vp_cfg, init_params, x_init, dt=dt, substeps=substeps)
 
     gamma = search_cfg.gamma
     rng = np.random.default_rng(search_cfg.seed)
-    init_params = vp_cfg.bounds.clip_params(init)
-    init_x2 = np.clip(init_x2, *search_cfg.x2_bounds)
-
-    if search_cfg.max_rounds == 0:
-        x_init = None
-        if x2_init is not None:
-            x2 = hidden_x2_estimate(z, dt)
-            x_init = stack_states(z, x2 - x2[0] + init_x2)
-        return fit(z, vp_cfg, init_params, x_init, dt=dt, substeps=substeps)
 
     best = next(_scored(z, [(init_params, init_x2)], gamma, dt, substeps))
     scales = search_cfg.step_scales

@@ -3,10 +3,12 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from conftest import csv_text, finite_matrices, random_params
 from vdpfit import cli
 from vdpfit.cli import main
 from vdpfit.data import CsvFormatError, load_csv, save_components, save_csv, svd_components
-from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig
+from vdpfit.estimator import FitResult, ParamBounds, PenaltyConfig, fit
 from vdpfit.model import State, VdpParams, simulate
 from vdpfit.search import SearchConfig, StepScales
 
@@ -447,6 +449,19 @@ class TestFit:
         assert "at least 2 samples, got 1" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0, -1, 1, 1.5])
+    def test_armijo_c_outside_0_1_is_config_error_before_any_output(self, workdir, series_csv,
+                                                                    capsys, value):
+        # at 1 or above no trial step can pass; at 0 or below a rising one can
+        cfg = workdir / "armijo.json"
+        cfg.write_text(json.dumps({"dt": 0.1, "penalty": {"armijo_c": value}}))
+        out = workdir / "armijo"
+        assert main(["fit", str(series_csv), "--config", str(cfg), "--seed", "1",
+                     "--vp-only", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "penalty.armijo_c must be in (0, 1)" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_fit_json_is_the_same_under_one_and_two_blas_threads(self, workdir):
         params = VdpParams(alpha=np.array([[1.5, 1.0], [1.2, 0.8], [1.8, 0.6]]),
                            coupling=np.array([[0.0, 0.2, -0.1], [-0.2, 0.0, 0.1],
@@ -536,6 +551,33 @@ class TestForecast:
             assert code == 0
         for name in ("report.json", "report.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_vp_only_segments_fit_in_lockstep_as_one_at_a_time(self, workdir, wave_csv,
+                                                                fit_config, monkeypatch):
+        cfg = workdir / "init.json"
+        cfg.write_text(json.dumps({**json.loads(fit_config.read_text()),
+                                   "init_x2": [0.3, -0.2]}))
+        argv = ["forecast", str(wave_csv), "--methods", "vdp", "--train-len", "30",
+                "--test-len", "10", "--segments", "3", "--horizon", "5", "--vp-only",
+                "--config", str(cfg), "--seed", "3", "-o"]
+        batches = []
+        real = cli.fit_lockstep
+
+        def recording(z, *args, **kwargs):
+            batches.append(z.shape)
+            return real(z, *args, **kwargs)
+
+        def one_at_a_time(z, cfg, inits, x_init, **kwargs):
+            return [fit(zk, cfg, init, x0, **kwargs) for zk, init, x0 in zip(z, inits, x_init)]
+
+        monkeypatch.setattr(cli, "fit_lockstep", recording)
+        assert main(argv + [str(workdir / "lockstep")]) == 0
+        monkeypatch.setattr(cli, "fit_lockstep", one_at_a_time)
+        assert main(argv + [str(workdir / "lone")]) == 0
+        assert batches == [(3, 30, 2)]
+        for name in ("report.json", "report.csv"):
+            assert ((workdir / "lockstep" / name).read_bytes()
+                    == (workdir / "lone" / name).read_bytes())
 
     def test_every_segment_fit_reads_the_init_keys(self, workdir, series_csv, fit_config,
                                                    monkeypatch):
@@ -790,6 +832,106 @@ def test_malformed_components_meta_is_data_error(meta_case, case):
         assert "Traceback" not in err.getvalue()
         assert "meta.json" in err.getvalue() and named in err.getvalue()
     assert not (root / "out").exists()
+
+
+def _schema_leaves(cls, path):
+    """(dotted path, type hint) of every field of config dataclass `cls` that a
+    fit config takes, nested dataclasses expanded."""
+    for name, tp in get_type_hints(cls).items():
+        if name == "seed":  # search.seed comes from --seed
+            continue
+        if is_dataclass(tp):
+            yield from _schema_leaves(tp, path + (name,))
+        else:
+            yield path + (name,), tp
+
+
+_LEAVES = [(("dt",), float), (("substeps",), int),
+           *_schema_leaves(PenaltyConfig, ("penalty",)), *_schema_leaves(SearchConfig, ("search",))]
+_PAIRS = [(path, tp) for path, tp in _LEAVES
+          if path[-1] in ("alpha1", "alpha2", "coupling", "x2_bounds")]
+_NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+
+
+@st.composite
+def _mutated_fit_config(draw):
+    """A small valid fit config with one mutation drawn from its schema: a wrong
+    type, an unknown key, a non-finite number, a reversed bound, a wrong-length
+    init_* or an out-of-range value. Returns (JSON text, the dotted key an
+    exit 2 must name)."""
+    doc = {"dt": 0.1, "penalty": {"outer_max_iter": 2, "inner_max_iter": 10},
+           "search": {"proposals_per_round": 3}}
+    kind = draw(st.sampled_from(["type", "unknown", "non-finite", "reversed", "init", "range"]))
+    if kind == "init":  # the series has one component
+        key, value = draw(st.sampled_from([
+            ("init_alpha", [[1.0, 1.0], [1.0, 1.0]]), ("init_alpha", [1.0, 1.0, 1.0]),
+            ("init_coupling", [[0.0, 0.1], [0.1, 0.0]]), ("init_x2", [0.0, 0.0]),
+            ("init_x2", "x"), ("init_alpha", [1.0, None])]))
+        return json.dumps({**doc, key: value}), key
+    if kind == "unknown":
+        path = draw(st.sampled_from([(), ("penalty",), ("search",), ("penalty", "bounds"),
+                                     ("search", "step_scales")]))
+        path += (draw(st.sampled_from(["lam", "outer_step", "bogus", "Dt", "seed_"])),)
+        value = draw(st.sampled_from([1, 0.5, "x", None, [1, 2]]))
+    else:
+        path, tp = draw(st.sampled_from(_PAIRS if kind == "reversed" else _LEAVES))
+        tuple_field = getattr(tp, "__origin__", None) is tuple
+        if kind == "reversed":
+            value = [1.0, -1.0]
+        elif kind == "non-finite":
+            value = [0.0, "@"] if tuple_field else "@"
+        elif kind == "type":
+            value = draw(st.sampled_from(
+                [5, "x", None, {}, [1.0, "a"], [True, 2.0]] if tuple_field else
+                ["1", None, True, [1], {}] + ([1.5, 2.0] if tp is int else [])))
+        else:  # out of range; integers stay small, as some size work up front
+            value = draw(st.sampled_from(
+                [[], [0.0], [100.0, 10.0], [-1.0, 2.0]] if tuple_field else
+                [0, -1, 1, 2, 10 ** 400] if tp is int else
+                [0.0, -1.0, 1.0, 1.5, 1e300, 1e-300]))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    text = json.dumps(doc).replace('"@"', draw(st.sampled_from(_NON_FINITE)))
+    return text, ".".join(path)
+
+
+@pytest.fixture(scope="module")
+def contract_case(tmp_path_factory):
+    """A 1-component series of 30 samples, for fit and a 2-segment forecast."""
+    root = tmp_path_factory.mktemp("contract")
+    params = VdpParams(alpha=np.array([[1.5, 0.8]]), coupling=np.zeros((1, 1)))
+    traj = simulate(params, State(x1=np.array([0.6]), x2=np.array([0.0])), 30, 0.1)
+    save_csv(traj.x1, root / "series.csv")
+    return root
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_mutated_fit_config())
+@example(case=('{"dt": 0.1, "penalty": {"armijo_c": 1.5}}', "penalty.armijo_c"))
+@example(case=('{"dt": 0.1, "penalty": {"bounds": {"alpha1": [5, 0]}}}',
+               "penalty.bounds.alpha1"))
+@example(case=('{"dt": 0.1, "init_x2": [0.0, 0.0]}', "init_x2"))
+def test_mutated_fit_config_exits_0_1_or_2(contract_case, case):
+    text, key = case
+    root = contract_case
+    (root / "config.json").write_text(text)
+    series = str(root / "series.csv")
+    for argv in (["fit", series],
+                 ["forecast", series, "--methods", "vdp", "--train-len", "10", "--test-len",
+                  "5", "--segments", "2", "--horizon", "3"]):
+        out = root / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--config", str(root / "config.json"), "--seed", "1",
+                                "--vp-only", "-o", str(out)])
+        assert code in (0, 1, 2), argv[0]
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert re.search(rf"{re.escape(key)}(?![\w.])", err.getvalue()), (argv[0], err.getvalue())
+            assert not out.exists(), argv[0]
 
 
 @pytest.mark.parametrize("text", ["{", "", "{\"norm_scale\": 1,}"])

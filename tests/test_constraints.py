@@ -298,3 +298,35 @@ class TestStackStates:
             residual(np.zeros((5, 3)), params, random_state(rng, 2, 0.1), 0.05)
         with pytest.raises(DimensionError):
             residual_jacobian_x(np.zeros(20), params, 0.05)
+
+
+class TestStackOfProblems:
+    """An (S, N, 2m) stack with S parameter sets and anchors is S lone calls."""
+
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_each_slice_equals_its_lone_call(self, rng, m, substeps):
+        params = [random_params(rng, m) for _ in range(3)]
+        anchors = [random_state(rng, m, 0.3) for _ in range(3)]
+        x = rng.normal(0, 0.5, (3, 9, 2 * m))
+        r = residual(x, params, anchors, 0.1, substeps)
+        jx = residual_jacobian_x(x, params, 0.1, substeps)
+        jp = residual_jacobian_params(x, params, 0.1, substeps)
+        assert (r.shape, jx.shape, jp.shape) == (
+            (3, 18 * m), (3, 8, 2 * m, 2 * m), (3, 18 * m, 2 * m + m * m))
+        for k in range(3):
+            npt.assert_array_equal(r[k], residual(x[k], params[k], anchors[k], 0.1, substeps))
+            npt.assert_array_equal(jx[k], residual_jacobian_x(x[k], params[k], 0.1, substeps))
+            npt.assert_array_equal(jp[k], residual_jacobian_params(x[k], params[k], 0.1,
+                                                                   substeps))
+
+    def test_rejects_a_params_count_or_size_that_does_not_match(self, rng):
+        params = [random_params(rng, 2) for _ in range(3)]
+        anchors = [random_state(rng, 2, 0.3) for _ in range(3)]
+        x = np.zeros((3, 5, 4))
+        with pytest.raises(DimensionError):
+            residual(x, params[:2], anchors, 0.1)
+        with pytest.raises(DimensionError):
+            residual_jacobian_x(x, params[:2] + [random_params(rng, 1)], 0.1)
+        with pytest.raises(DimensionError):
+            residual_jacobian_params(x[0], params, 0.1)  # a lone state needs one VdpParams

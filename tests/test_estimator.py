@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields, replace
 
@@ -15,6 +16,7 @@ from vdpfit.estimator import (
     check_observations,
     default_x_init,
     fit,
+    fit_lockstep,
     hidden_x2_estimate,
     inner_solve,
     reduced_jacobian,
@@ -475,6 +477,95 @@ class TestFit:
         npt.assert_allclose(back.params.alpha, res.params.alpha)
         npt.assert_allclose(back.states.x1, res.states.x1)
         assert back.states.dt == res.states.dt
+
+
+def lockstep_series(m, substeps, count, n=30, dt=0.1):
+    """`count` noisy (n, m) series, each simulated from its own parameters and
+    start, as one (count, n, m) array, with one init per series."""
+    rng = np.random.default_rng(100 * m + 10 * substeps + count)
+    z, inits = [], []
+    for _ in range(count):
+        traj = simulate(random_params(rng, m), random_state(rng, m, 0.5), n, dt, substeps)
+        z.append(traj.x1 + rng.normal(0, 0.02, traj.x1.shape))
+        inits.append(random_params(rng, m))
+    return np.array(z), inits
+
+
+def fit_json(result):
+    return json.dumps(result.to_json_dict())
+
+
+class TestFitLockstep:
+    """Each problem of a lockstep fit is its lone `fit`, byte for byte."""
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_each_problem_equals_its_lone_fit(self, m, substeps, count):
+        z, inits = lockstep_series(m, substeps, count)
+        cfg = PenaltyConfig(outer_max_iter=6)
+        results = fit_lockstep(z, cfg, inits, dt=0.1, substeps=substeps)
+        assert len(results) == count
+        for zk, init, res in zip(z, inits, results):
+            assert fit_json(res) == fit_json(fit(zk, cfg, init, dt=0.1, substeps=substeps))
+
+    def test_given_starts_equal_lone_fits_from_them(self):
+        z, inits = lockstep_series(2, 1, 3)
+        x_init = [None, default_x_init(z[1], 0.1) + 0.05, default_x_init(z[2], 0.1) - 0.1]
+        cfg = PenaltyConfig(outer_max_iter=6)
+        results = fit_lockstep(z, cfg, inits, x_init, dt=0.1)
+        for zk, init, x0, res in zip(z, inits, x_init, results):
+            assert fit_json(res) == fit_json(fit(zk, cfg, init, x0, dt=0.1))
+
+    @pytest.mark.parametrize("outer_max_iter", [4, 40])
+    def test_criterion_6_segments_equal_their_lone_fits(self, outer_max_iter):
+        segments = criterion_6_segments()
+        cfg = PenaltyConfig(outer_max_iter=outer_max_iter)
+        init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
+        results = fit_lockstep(np.array(segments), cfg, [init] * 5, dt=0.15)
+        lone = [fit(z, cfg, init, dt=0.15) for z in segments]
+        assert [fit_json(r) for r in results] == [fit_json(r) for r in lone]
+        if outer_max_iter == 40:  # the segments leave the lockstep at different steps
+            assert len({len(r.objective_history) for r in lone}) > 1
+            assert len({r.reason for r in lone}) > 1
+
+    def test_the_lowest_index_failure_is_raised(self, monkeypatch):
+        # segment 3 fails at its first evaluation, segment 1 only at its
+        # second stage's start: one at a time, segment 1 fails first
+        segments = np.array(criterion_6_segments())
+        x_init = [None] * 5
+        x_init[3] = default_x_init(segments[3], 0.15)
+        x_init[3][5, 2] = 1e200  # overflows component 1's residual
+        real = estimator._inner_solves
+
+        def poisoned(params, anchors, z, cfg, x, *, lam, **kwargs):
+            out = real(params, anchors, z, cfg, x, lam=lam, **kwargs)
+            return [replace(res, objective=math.nan)
+                    if lam == 100.0 and np.array_equal(zk, segments[1]) else res
+                    for res, zk in zip(out, z)]
+
+        monkeypatch.setattr(estimator, "_inner_solves", poisoned)
+        cfg = PenaltyConfig(outer_max_iter=2)
+        init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
+        with pytest.raises(FitError, match=r"component 1\)"):
+            fit(segments[3], cfg, init, x_init[3], dt=0.15)
+        with pytest.raises(FitError) as lone:
+            for z, x0 in zip(segments, x_init):
+                fit(z, cfg, init, x0, dt=0.15)
+        assert "(component 0)" in str(lone.value)
+        with pytest.raises(FitError) as lockstep:
+            fit_lockstep(segments, cfg, [init] * 5, x_init, dt=0.15)
+        assert str(lockstep.value) == str(lone.value)
+
+    def test_rejects_mismatched_problem_counts(self):
+        z, inits = lockstep_series(1, 1, 2)
+        cfg = PenaltyConfig()
+        with pytest.raises(DimensionError):
+            fit_lockstep(z, cfg, inits[:1], dt=0.1)
+        with pytest.raises(DimensionError):
+            fit_lockstep(z, cfg, inits, [None], dt=0.1)
+        with pytest.raises(DimensionError):
+            fit_lockstep(z[0], cfg, inits[:1], dt=0.1)
 
 
 class TestParamBounds:
