@@ -75,14 +75,17 @@ def residual(
     """G(x) - eta0 as a flat (2*m*N,) vector for the (N, 2m) stacked state x,
     with eta0 = [anchor, 0, ..., 0]; (S, 2*m*N) for S problems."""
     m = _check_components(x, params)
-    anchors = [anchor] if isinstance(anchor, State) else anchor
-    eta0 = np.array([a.to_flat() for a in anchors]) if len(anchors) > 1 else anchors[0].to_flat()
-    if eta0.shape[-1] != 2 * m:
+    if isinstance(anchor, State):
+        a1, a2 = anchor.x1, anchor.x2
+    else:
+        a1, a2 = np.array([a.x1 for a in anchor]), np.array([a.x2 for a in anchor])
+    if a1.shape[-1] != m:
         raise DimensionError("component count mismatch between anchor and params")
     x1, x2 = x[..., 0::2], x[..., 1::2]
     g1, g2 = euler_map(params, x1[..., :-1, :], x2[..., :-1, :], dt, substeps)
     out = np.empty(x.shape)
-    out[..., 0, :] = x[..., 0, :] - eta0
+    out[..., 0, 0::2] = x1[..., 0, :] - a1
+    out[..., 0, 1::2] = x2[..., 0, :] - a2
     out[..., 1:, 0::2] = x1[..., 1:, :] - g1
     out[..., 1:, 1::2] = x2[..., 1:, :] - g2
     return out.reshape(x.shape[:-2] + (-1,))

@@ -306,9 +306,14 @@ def _objective_parts(x, z, r, lam):
     return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
 
 
-def _join(items: Sequence):
-    """Problems' arrays, VdpParams or anchors as a kernel takes them: one problem's
-    own (no stack axis to pay for), or several problems' (S, ...) stack or list."""
+def _join(items: Sequence, idx=None):
+    """Problems' arrays, VdpParams or anchors (those at `idx`, by default all) as a
+    kernel takes them: one problem's own (no stack axis to pay for), or several
+    problems' (S, ...) stack or list."""
+    if idx is not None:
+        if len(idx) == 1:
+            return items[idx[0]]
+        items = [items[i] for i in idx]
     if len(items) == 1:
         return items[0]
     return np.array(items) if isinstance(items[0], np.ndarray) else list(items)
@@ -324,10 +329,11 @@ def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
     the (..., N-1, b, b) subdiagonal blocks of G_x of one problem or a stack of
     them; A's subdiagonal is lam * sub."""
     n, b = sub.shape[-3] + 1, sub.shape[-1]
-    diag = np.empty(sub.shape[:-3] + (n, b, b))
-    diag[:] = lam * np.eye(b)
+    block = lam * np.eye(b)
     x1_slots = np.arange(0, b, 2)
-    diag[..., x1_slots, x1_slots] += 1.0
+    block[x1_slots, x1_slots] += 1.0
+    diag = np.empty(sub.shape[:-3] + (n, b, b))
+    diag[:] = block
     flat = sub.reshape(-1, b, b)  # one 3-D matmul stack: a 4-D one is slower
     diag[..., :-1, :, :] += lam * (flat.transpose(0, 2, 1) @ flat).reshape(sub.shape)
     return diag
@@ -338,62 +344,85 @@ def _inner_solves(params, anchors, z, cfg: PenaltyConfig, x, *, dt, substeps, la
     """`inner_solve` of S problems in lockstep, from S (N, m) z and (N, 2m) x: each
     keeps its own stopping and step length, and each step's residual, Jacobian
     and normal-matrix blocks are one kernel call for all problems left."""
-    def resid(idx, xs):  # G - eta0 of problems idx at their states xs
-        return _split(residual(_join(xs), _join([params[i] for i in idx]),
-                               _join([anchors[i] for i in idx]), dt, substeps), len(xs))
+    S = len(x)
+    n, b = x[0].shape
+    every = list(range(S))
+    every_params = _join(params)
+    every_anchors = _join(anchors)
 
-    S, (n, b) = len(x), x[0].shape
+    def resid(idx, xs):  # G - eta0 of problems idx at their states xs
+        if len(idx) == S:
+            out = residual(_join(xs), every_params, every_anchors, dt, substeps)
+        else:
+            out = residual(_join(xs), _join(params, idx), _join(anchors, idx), dt, substeps)
+        return _split(out, len(idx))
+
     cur = list(x)  # each problem's iterate, rebound as its steps are accepted
-    r = resid(range(S), cur)
-    f = [_objective_parts(xi, zi, ri, lam) for xi, zi, ri in zip(cur, z, r)]
-    converged, at_floor, grad_inf, iterations, jac_x = (
-        [v] * S for v in (False, False, math.inf, 0, None))
-    active = list(range(S))
+    r = resid(every, cur)
+    f = [_objective_parts(cur[i], z[i], r[i], lam) for i in every]
+    converged = [False] * S
+    at_floor = [False] * S
+    grad_inf = [math.inf] * S
+    iterations = [0] * S
+    subs = [None] * S
+    grads = [None] * S
+    delta = [None] * S
+    dirderiv = [0.0] * S
+    active = every
     for it in range(max_iter + 1):
-        subs = _split(residual_jacobian_x(_join([cur[i] for i in active]),
-                                          _join([params[i] for i in active]), dt, substeps),
-                      len(active))
+        own = every_params if len(active) == S else _join(params, active)
         stepping = []
-        for i, sub in zip(active, subs):
+        jac_blocks = residual_jacobian_x(_join(cur, active), own, dt, substeps)
+        for i, sub in zip(active, _split(jac_blocks, len(active))):
             # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
             r_blocks = r[i].reshape(n, b)
             grad = r_blocks.copy()
             grad[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
             grad *= lam
             grad[:, 0::2] += cur[i][:, 0::2] - z[i]
-            jac_x[i], grad_inf[i], iterations[i] = sub, float(np.max(np.abs(grad))), it
+            subs[i], grads[i], iterations[i] = sub, grad, it
+            grad_inf[i] = float(np.max(np.abs(grad)))
             converged[i] = grad_inf[i] <= tol or at_floor[i]
             if not converged[i] and it < max_iter:
-                stepping.append((sub, grad))
-        active = [i for i in active if not converged[i]] if stepping else []
+                stepping.append(i)
+        active = stepping
         if not active:
             break
-        diags = _split(_normal_diag(_join([sub for sub, _ in stepping]), lam), len(active))
-        delta = [solve_block_tridiagonal(d, lam * sub, -grad)
-                 for d, (sub, grad) in zip(diags, stepping)]
-        dirderiv = [float(np.sum(grad * d)) for (_, grad), d in zip(stepping, delta)]
-        t, left = [1.0] * len(active), list(range(len(active)))
-        for _ in range(_MAX_HALVINGS):  # each step halves until its Armijo test passes
-            trial = {k: cur[active[k]] + t[k] * delta[k] for k in left}
-            tried = [k for k in left if np.isfinite(trial[k]).all()]  # overflowed: rejected
-            own = [active[k] for k in tried]
-            for k, i, r_k in zip(tried, own, resid(own, [trial[k] for k in tried]) if own else ()):
-                f_trial = _objective_parts(trial[k], z[i], r_k, lam)
-                if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t[k] * dirderiv[k]:
+        diags = _normal_diag(_join(subs, active), lam)
+        for i, diag in zip(active, _split(diags, len(active))):
+            delta[i] = solve_block_tridiagonal(diag, lam * subs[i], -grads[i])
+            dirderiv[i] = float(np.sum(grads[i] * delta[i]))
+        left = active  # the problems whose step is not yet accepted
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):  # the steps halve until their Armijo tests pass
+            tried = []
+            trials = []
+            for i in left:
+                trial = cur[i] + t * delta[i]
+                if np.isfinite(trial).all():  # an overflowed trial is rejected
+                    tried.append(i)
+                    trials.append(trial)
+            passed = []
+            r_trials = resid(tried, trials) if tried else []
+            for i, trial, r_trial in zip(tried, trials, r_trials):
+                f_trial = _objective_parts(trial, z[i], r_trial, lam)
+                if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t * dirderiv[i]:
                     at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
-                    cur[i], r[i], f[i] = trial[k], r_k, f_trial
-                    left.remove(k)
-            if not left:
+                    cur[i], r[i], f[i] = trial, r_trial, f_trial
+                    passed.append(i)
+            if len(passed) == len(left):
                 break
-            t = [tk * 0.5 for tk in t]
-        for k in left:  # the step underflowed: stop at the current iterate
-            iterations[active[k]] = it + 1
-        active = [i for k, i in enumerate(active) if k not in left]
-        if not active:
-            break
-    return [InnerResult(x=cur[i], residual=r[i], jac_x=jac_x[i], converged=converged[i],
+            left = [i for i in left if i not in passed]
+            t *= 0.5
+        else:  # the steps left underflowed: those problems stop at their current iterate
+            for i in left:
+                iterations[i] = it + 1
+            active = [i for i in active if i not in left]
+            if not active:
+                break
+    return [InnerResult(x=cur[i], residual=r[i], jac_x=subs[i], converged=converged[i],
                         iterations=iterations[i], grad_inf=grad_inf[i], objective=f[i])
-            for i in range(S)]
+            for i in every]
 
 
 def inner_solve(
@@ -486,21 +515,30 @@ def _reduced_jacobians(vgs: Sequence[ValueGradient], lam: float) -> list[tuple]:
     """`reduced_jacobian` of equal-shape problems: block products as one 3-D
     matmul stack, banded solves one per problem; each dx*/dp keeps its solve's
     memory layout, which the products with it round by."""
-    sub = _join([vg.inner.jac_x for vg in vgs])  # (..., N-1, b, b)
+    count = len(vgs)
     n, b = vgs[0].x.shape
+    sub = _join([vg.inner.jac_x for vg in vgs])  # (..., N-1, b, b)
     gp = _join([vg.jac_params for vg in vgs]).reshape(sub.shape[:-3] + (n, b, -1))
-    flat, blocks, shifted = sub.reshape(-1, b, b), (-1, b, gp.shape[-1]), sub.shape[:-1] + (-1,)
+    flat = sub.reshape(-1, b, b)
+    blocks = (-1, b, gp.shape[-1])  # the products' 3-D stack of (b, p) blocks
+    shifted = sub.shape[:-1] + (-1,)  # and their shape on N-1 block rows
     gx_t_gp = gp.copy()  # G_x' G_p: identity diagonal, sub' above
     gx_t_gp[..., :-1, :, :] += (flat.transpose(0, 2, 1)
                                 @ gp[..., 1:, :, :].reshape(blocks)).reshape(shifted)
-    dx_dp = [solve_block_tridiagonal(d, lam * s, -lam * g) for d, s, g in
-             zip(*(_split(a, len(vgs)) for a in (_normal_diag(sub, lam), sub, gx_t_gp)))]
+    diags = _split(_normal_diag(sub, lam), count)
+    subs = _split(sub, count)
+    rhs = _split(gx_t_gp, count)
+    dx_dp = [solve_block_tridiagonal(diags[k], lam * subs[k], -lam * rhs[k])
+             for k in range(count)]
     dx_stack = _join(dx_dp)
     dg_dp = dx_stack + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
     dg_dp[..., 1:, :, :] += (flat @ dx_stack[..., :-1, :, :].reshape(blocks)).reshape(shifted)
-    return [(np.concatenate([-d[:, 0::2].reshape(n * b // 2, -1),
-                             math.sqrt(lam) * g.reshape(n * b, -1)]), d)
-            for d, g in zip(dx_dp, _split(dg_dp, len(vgs)))]
+    out = []
+    for d, g in zip(dx_dp, _split(dg_dp, count)):
+        jac = np.concatenate([-d[:, 0::2].reshape(n * b // 2, -1),
+                              math.sqrt(lam) * g.reshape(n * b, -1)])
+        out.append((jac, d))
+    return out
 
 
 def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
@@ -601,10 +639,16 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
     lo, hi = cfg.bounds.lower(m), cfg.bounds.upper(m)
     p = [np.clip(init.to_vector(), lo, hi) for init in inits]
     history: list[list[tuple[int, float, float]]] = [[] for _ in range(S)]
-    vg, mu, lin, reason, converged = ([v] * S for v in (None, None, None, "", False))
-    live = list(range(min(errors, default=S)))
+    vg: list[Optional[ValueGradient]] = [None] * S
+    mu: list[Optional[float]] = [None] * S
+    lin: list[Optional[tuple]] = [None] * S  # J'J, its diagonal scale and dx*/dp at p
+    reason = [""] * S
+    converged = [False] * S
+    live = list(range(min(errors, default=S)))  # the problems before the first failure
 
     for lam_s, tol_s, cap_s in stages:
+        if not live:
+            break
         stage = dict(dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s)
         starts = [x_init[i] if vg[i] is None else vg[i].x for i in live]
         for i, v in zip(live, evaluate(live, [p[i] for i in live], starts, stage)):
@@ -623,8 +667,11 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
                     reason[i], converged[i] = "projected gradient below tolerance", True
                     active.remove(i)
             fresh = [i for i in active if lin[i] is None]
-            for i, (jac, dx_dp) in zip(fresh, _reduced_jacobians([vg[i] for i in fresh], lam_s)
-                                       if fresh else ()):
+            if fresh:
+                linearized = _reduced_jacobians([vg[i] for i in fresh], lam_s)
+            else:
+                linearized = []
+            for i, (jac, dx_dp) in zip(fresh, linearized):
                 jtj = jac.T @ jac
                 scale = np.diag(jtj).copy()
                 scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
@@ -633,7 +680,8 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
                     mu[i] = 1e-3 * float(np.max(scale))
             trials, predicted = [], {}
             for i in list(active):
-                (jtj, scale, dx_dp), g, x_opt = lin[i], vg[i].gradient, vg[i].x
+                jtj, scale, dx_dp = lin[i]
+                g, x_opt = vg[i].gradient, vg[i].x
                 try:
                     step = cho_solve(cho_factor(jtj + np.diag(mu[i] * scale)), g)
                 except np.linalg.LinAlgError:  # mu * scale fell below J'J's roundoff
@@ -649,7 +697,11 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
                 # first-order prediction x* + dx*/dp move of the new minimizer
                 x_start = x_opt + (dx_dp.reshape(-1, move.size) @ move).reshape(x_opt.shape)
                 trials.append((i, p_new, x_start if np.isfinite(x_start).all() else x_opt))
-            new = evaluate(*zip(*trials), stage) if trials else ()
+            if trials:
+                tried, p_trials, x_starts = zip(*trials)
+                new = evaluate(tried, p_trials, x_starts, stage)
+            else:
+                new = []
             for (i, p_new, _), v in zip(trials, new):
                 rho = (vg[i].value - v.value) / predicted[i] if predicted[i] > 0 else -math.inf
                 if not rho > cfg.armijo_c:  # also rejects a non-finite value

@@ -579,6 +579,21 @@ class TestForecast:
             assert ((workdir / "lockstep" / name).read_bytes()
                     == (workdir / "lone" / name).read_bytes())
 
+    def test_vp_only_first_segment_failure_is_fit_error(self, workdir, wave_csv, fit_config,
+                                                        capsys):
+        # every segment's objective overflows at its first evaluation; segment
+        # 0's error is raised, as one at a time, with no batch left to step
+        huge = workdir / "huge.csv"
+        save_csv(load_csv(wave_csv) * 1e110, huge)
+        out = workdir / "huge"
+        code = main(["forecast", str(huge), "--methods", "vdp", "--train-len", "30",
+                     "--test-len", "10", "--segments", "3", "--horizon", "5", "--vp-only",
+                     "--config", str(fit_config), "--seed", "3", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: non-finite objective at initial evaluation" in err
+        assert "Traceback" not in err
+
     def test_every_segment_fit_reads_the_init_keys(self, workdir, series_csv, fit_config,
                                                    monkeypatch):
         calls = []

@@ -557,6 +557,39 @@ class TestFitLockstep:
             fit_lockstep(segments, cfg, [init] * 5, x_init, dt=0.15)
         assert str(lockstep.value) == str(lone.value)
 
+    @pytest.mark.parametrize("failure", ["init out of bounds", "first evaluation",
+                                         "second stage start"])
+    def test_a_failing_first_problem_is_raised(self, failure, monkeypatch):
+        # problem 0 fails, so no problem is left to step; problem 2 fails too
+        segments = np.array(criterion_6_segments()[:3])
+        cfg = PenaltyConfig(outer_max_iter=2)
+        init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
+        inits = [init] * 3
+        x_init = [None, None, default_x_init(segments[2], 0.15)]
+        x_init[2][5, 2] = 1e200  # overflows component 1's residual
+        if failure == "init out of bounds":
+            inits[0] = VdpParams(alpha=np.full((2, 2), 9.0), coupling=np.zeros((2, 2)))
+        elif failure == "first evaluation":
+            x_init[0] = default_x_init(segments[0], 0.15)
+            x_init[0][7, 0] = 1e200
+        else:
+            real = estimator._inner_solves
+
+            def poisoned(params, anchors, z, cfg, x, *, lam, **kwargs):
+                out = real(params, anchors, z, cfg, x, lam=lam, **kwargs)
+                return [replace(res, objective=math.nan)
+                        if lam == 100.0 and np.array_equal(zk, segments[0]) else res
+                        for res, zk in zip(out, z)]
+
+            monkeypatch.setattr(estimator, "_inner_solves", poisoned)
+        with pytest.raises(FitError) as lone:
+            for z, p0, x0 in zip(segments, inits, x_init):
+                fit(z, cfg, p0, x0, dt=0.15)
+        with pytest.raises(FitError) as lockstep:
+            fit_lockstep(segments, cfg, inits, x_init, dt=0.15)
+        assert str(lockstep.value) == str(lone.value)
+        assert "component 1" not in str(lockstep.value)  # not problem 2's error
+
     def test_rejects_mismatched_problem_counts(self):
         z, inits = lockstep_series(1, 1, 2)
         cfg = PenaltyConfig()
