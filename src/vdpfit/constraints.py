@@ -20,20 +20,20 @@ LAPACK banded Cholesky (`pbsv`, fetched once through
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
 batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
 `batch_param_jacobians`), for any substep count. Each also takes S problems as
-an (S, N, 2m) stack with S VdpParams (and anchors): its result's S slices are
-bit-identical to the problems' own calls.
+an (S, N, 2m) stack with S stacked parameter sets (and anchor states), one
+`VdpParams` (and one `State`) with a leading axis of length S: its result's S
+slices are bit-identical to the problems' own calls.
 """
 from __future__ import annotations
 
 import functools
-from typing import Sequence, Union
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .model import (
     DimensionError,
-    Params,
     State,
     VdpParams,
     batch_param_jacobians,
@@ -56,42 +56,37 @@ def stack_states(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_components(x: np.ndarray, params: Params) -> int:
-    """m; raises unless x is (N, 2m) for one VdpParams or (S, N, 2m) for S."""
-    one = isinstance(params, VdpParams)
-    m = (params if one else params[0]).m
-    if x.ndim != (2 if one else 3) or x.shape[-1] != 2 * m:
-        raise DimensionError(f"state of shape {x.shape} does not match params with m={m}")
+def _check_components(x: np.ndarray, params: VdpParams, anchor: Optional[State] = None) -> int:
+    """m; raises unless x is (N, 2m), or (S, N, 2m) for S problems, and params
+    (and the anchor) have x's leading shape and its m."""
+    lead, m = x.shape[:-2], params.m
+    if (x.ndim < 2 or x.shape[-1] != 2 * m or params.alpha.shape[:-2] != lead
+            or (anchor is not None and anchor.x1.shape != lead + (m,))):
+        anchored = "" if anchor is None else f" and anchor {anchor.x1.shape}"
+        raise DimensionError(f"state {x.shape} does not match alpha {params.alpha.shape}{anchored}")
     return m
 
 
 def residual(
     x: np.ndarray,
-    params: Params,
-    anchor: Union[State, Sequence[State]],
+    params: VdpParams,
+    anchor: State,
     dt: float,
     substeps: int = 1,
 ) -> np.ndarray:
     """G(x) - eta0 as a flat (2*m*N,) vector for the (N, 2m) stacked state x,
     with eta0 = [anchor, 0, ..., 0]; (S, 2*m*N) for S problems."""
-    m = _check_components(x, params)
-    if isinstance(anchor, State):
-        a1, a2 = anchor.x1, anchor.x2
-    else:
-        a1, a2 = np.array([a.x1 for a in anchor]), np.array([a.x2 for a in anchor])
-    if a1.shape[-1] != m:
-        raise DimensionError("component count mismatch between anchor and params")
-    x1, x2 = x[..., 0::2], x[..., 1::2]
-    g1, g2 = euler_map(params, x1[..., :-1, :], x2[..., :-1, :], dt, substeps)
-    out = np.empty(x.shape)
-    out[..., 0, 0::2] = x1[..., 0, :] - a1
-    out[..., 0, 1::2] = x2[..., 0, :] - a2
-    out[..., 1:, 0::2] = x1[..., 1:, :] - g1
-    out[..., 1:, 1::2] = x2[..., 1:, :] - g2
+    _check_components(x, params, anchor)
+    g1, g2 = euler_map(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
+    out = x.copy()
+    out[..., 0, 0::2] -= anchor.x1
+    out[..., 0, 1::2] -= anchor.x2
+    out[..., 1:, 0::2] -= g1
+    out[..., 1:, 1::2] -= g2
     return out.reshape(x.shape[:-2] + (-1,))
 
 
-def residual_jacobian_x(x: np.ndarray, params: Params, dt: float, substeps: int = 1
+def residual_jacobian_x(x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
                         ) -> np.ndarray:
     """The (N-1, 2m, 2m) subdiagonal blocks of dG/dx at x; (S, N-1, 2m, 2m) for S problems.
 
@@ -102,7 +97,7 @@ def residual_jacobian_x(x: np.ndarray, params: Params, dt: float, substeps: int 
     return -batch_state_jacobians(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
 
 
-def residual_jacobian_params(x: np.ndarray, params: Params, dt: float, substeps: int = 1
+def residual_jacobian_params(x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
                              ) -> np.ndarray:
     """dG/dparams at x, dense (2*m*N, 2m + m^2), or (S, 2*m*N, 2m + m^2) for S
     problems; the anchor block rows are zero.
@@ -113,7 +108,7 @@ def residual_jacobian_params(x: np.ndarray, params: Params, dt: float, substeps:
     n, b = x.shape[-2:]
     out = np.zeros(x.shape + (b + m * m,))
     jp = batch_param_jacobians(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
-    out[..., 1:, :, :] = -jp
+    np.negative(jp, out=out[..., 1:, :, :])
     return out.reshape(x.shape[:-2] + (n * b, -1))
 
 

@@ -19,8 +19,10 @@ with p right-hand sides (Golub & Pereyra 2003; Kaufman 1975). Its gradient
 J'r equals lam G_p'(G - eta0), which is exact at an exact inner minimizer,
 and each outer trial's inner solve starts from x* + dx*/dp dp.
 
-`fit_lockstep` runs both loops over S problems ((S, N, m) z, (S, N, 2m) states)
-with batched kernels; `fit`, `value_gradient` and `inner_solve` are S = 1.
+The loops run over S problems at once: (S, N, m) z, (S, N, 2m) states, and
+the problems' parameters and anchors as one `VdpParams` and one `State` with a
+leading axis of length S. `fit_lockstep` fits S series this way; `fit`,
+`value_gradient` and `inner_solve` run their lone problem as S = 1.
 """
 from __future__ import annotations
 
@@ -245,8 +247,8 @@ class FitResult:
             x2=_numeric(doc["states"]["x2"], "states.x2"),
             dt=float(dt),
         )
-        if states.m != params.m:
-            raise ValueError(f"states have {states.m} components, alpha has {params.m}")
+        if params.alpha.ndim != 2 or states.m != params.m:
+            raise ValueError(f"states have {states.m} components, alpha is {params.alpha.shape}")
         return cls(
             params=params,
             states=states,
@@ -306,32 +308,13 @@ def _objective_parts(x, z, r, lam):
     return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
 
 
-def _join(items: Sequence, idx=None):
-    """Problems' arrays, VdpParams or anchors (those at `idx`, by default all) as a
-    kernel takes them: one problem's own (no stack axis to pay for), or several
-    problems' (S, ...) stack or list."""
-    if idx is not None:
-        if len(idx) == 1:
-            return items[idx[0]]
-        items = [items[i] for i in idx]
-    if len(items) == 1:
-        return items[0]
-    return np.array(items) if isinstance(items[0], np.ndarray) else list(items)
-
-
-def _split(batch: np.ndarray, count: int) -> list:
-    """Per-problem results of a kernel called on `count` problems' `_join`."""
-    return [batch] if count == 1 else list(batch)
-
-
 def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
     """Diagonal blocks of the inner normal matrix A = H'H + lam G_x'G_x, from
     the (..., N-1, b, b) subdiagonal blocks of G_x of one problem or a stack of
     them; A's subdiagonal is lam * sub."""
     n, b = sub.shape[-3] + 1, sub.shape[-1]
     block = lam * np.eye(b)
-    x1_slots = np.arange(0, b, 2)
-    block[x1_slots, x1_slots] += 1.0
+    block.reshape(-1)[:: 2 * b + 2] += 1.0  # the x1 slots (2i, 2i)
     diag = np.empty(sub.shape[:-3] + (n, b, b))
     diag[:] = block
     flat = sub.reshape(-1, b, b)  # one 3-D matmul stack: a 4-D one is slower
@@ -339,26 +322,22 @@ def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
     return diag
 
 
-def _inner_solves(params, anchors, z, cfg: PenaltyConfig, x, *, dt, substeps, lam, tol,
-                  max_iter) -> list[InnerResult]:
-    """`inner_solve` of S problems in lockstep, from S (N, m) z and (N, 2m) x: each
-    keeps its own stopping and step length, and each step's residual, Jacobian
-    and normal-matrix blocks are one kernel call for all problems left."""
-    S = len(x)
-    n, b = x[0].shape
+def _take(stack, idx: list, count: int):
+    """Problems `idx` (ascending) of a stack of `count` problems, an array,
+    VdpParams or State: the stack itself when idx is all of them."""
+    return stack if len(idx) == count else stack[idx]
+
+
+def _inner_solves(params: VdpParams, anchors: State, z: np.ndarray, cfg: PenaltyConfig,
+                  x: np.ndarray, *, dt, substeps, lam, tol, max_iter) -> list[InnerResult]:
+    """`inner_solve` of S problems in lockstep, from S stacked params and anchors,
+    (S, N, m) z and (S, N, 2m) x: each keeps its own stopping and step length,
+    and each step's residual, Jacobian and normal-matrix blocks are one kernel
+    call for the problems left."""
+    S, n, b = x.shape
     every = list(range(S))
-    every_params = _join(params)
-    every_anchors = _join(anchors)
-
-    def resid(idx, xs):  # G - eta0 of problems idx at their states xs
-        if len(idx) == S:
-            out = residual(_join(xs), every_params, every_anchors, dt, substeps)
-        else:
-            out = residual(_join(xs), _join(params, idx), _join(anchors, idx), dt, substeps)
-        return _split(out, len(idx))
-
-    cur = list(x)  # each problem's iterate, rebound as its steps are accepted
-    r = resid(every, cur)
+    cur = np.array(x, dtype=float)  # the iterates; a row is replaced when its step is accepted
+    r = residual(cur, params, anchors, dt, substeps)
     f = [_objective_parts(cur[i], z[i], r[i], lam) for i in every]
     converged = [False] * S
     at_floor = [False] * S
@@ -366,50 +345,50 @@ def _inner_solves(params, anchors, z, cfg: PenaltyConfig, x, *, dt, substeps, la
     iterations = [0] * S
     subs = [None] * S
     grads = [None] * S
-    delta = [None] * S
+    delta = np.empty(cur.shape)
     dirderiv = [0.0] * S
     active = every
     for it in range(max_iter + 1):
-        own = every_params if len(active) == S else _join(params, active)
         stepping = []
-        jac_blocks = residual_jacobian_x(_join(cur, active), own, dt, substeps)
-        for i, sub in zip(active, _split(jac_blocks, len(active))):
+        rows = []  # the stepping problems' rows of jac
+        jac = residual_jacobian_x(_take(cur, active, S), _take(params, active, S), dt, substeps)
+        for k, (i, sub) in enumerate(zip(active, jac)):
             # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
             r_blocks = r[i].reshape(n, b)
             grad = r_blocks.copy()
             grad[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
             grad *= lam
-            grad[:, 0::2] += cur[i][:, 0::2] - z[i]
+            grad[:, 0::2] += cur[i, :, 0::2] - z[i]
             subs[i], grads[i], iterations[i] = sub, grad, it
             grad_inf[i] = float(np.max(np.abs(grad)))
             converged[i] = grad_inf[i] <= tol or at_floor[i]
             if not converged[i] and it < max_iter:
                 stepping.append(i)
+                rows.append(k)
         active = stepping
         if not active:
             break
-        diags = _normal_diag(_join(subs, active), lam)
-        for i, diag in zip(active, _split(diags, len(active))):
+        for i, diag in zip(active, _normal_diag(_take(jac, rows, len(jac)), lam)):
             delta[i] = solve_block_tridiagonal(diag, lam * subs[i], -grads[i])
             dirderiv[i] = float(np.sum(grads[i] * delta[i]))
         left = active  # the problems whose step is not yet accepted
         t = 1.0
         for _ in range(_MAX_HALVINGS):  # the steps halve until their Armijo tests pass
-            tried = []
-            trials = []
-            for i in left:
-                trial = cur[i] + t * delta[i]
-                if np.isfinite(trial).all():  # an overflowed trial is rejected
-                    tried.append(i)
-                    trials.append(trial)
+            trials = _take(cur, left, S) + t * _take(delta, left, S)
+            tried = left
+            if not np.isfinite(trials).all():  # an overflowed trial is rejected
+                finite = np.isfinite(trials).all(axis=(1, 2))
+                tried, trials = [i for i, ok in zip(left, finite) if ok], trials[finite]
             passed = []
-            r_trials = resid(tried, trials) if tried else []
-            for i, trial, r_trial in zip(tried, trials, r_trials):
-                f_trial = _objective_parts(trial, z[i], r_trial, lam)
-                if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t * dirderiv[i]:
-                    at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
-                    cur[i], r[i], f[i] = trial, r_trial, f_trial
-                    passed.append(i)
+            if tried:
+                r_trials = residual(trials, _take(params, tried, S), _take(anchors, tried, S), dt,
+                                    substeps)
+                for i, trial, r_trial in zip(tried, trials, r_trials):
+                    f_trial = _objective_parts(trial, z[i], r_trial, lam)
+                    if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t * dirderiv[i]:
+                        at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
+                        cur[i], r[i], f[i] = trial, r_trial, f_trial
+                        passed.append(i)
             if len(passed) == len(left):
                 break
             left = [i for i in left if i not in passed]
@@ -457,14 +436,15 @@ def inner_solve(
     _check_shapes(z, x_init)
     if lam <= 0:
         raise ValueError("inner solve requires lam > 0")
-    return _inner_solves([params], [anchor], [z], cfg, [x_init], dt=dt, substeps=substeps,
-                         lam=lam, tol=tol, max_iter=max_iter)[0]
+    return _inner_solves(params[None], anchor[None], z[None], cfg, x_init[None], dt=dt,
+                         substeps=substeps, lam=lam, tol=tol, max_iter=max_iter)[0]
 
 
-def _with_gradients(params, inners, lam, dt, substeps) -> list[ValueGradient]:
-    """The value gradient at each inner minimizer, from one batched dG/dparams."""
-    jps = _split(residual_jacobian_params(_join([v.x for v in inners]), _join(params), dt,
-                                          substeps), len(inners))
+def _with_gradients(params: VdpParams, inners: Sequence[InnerResult], lam, dt, substeps
+                    ) -> list[ValueGradient]:
+    """The value gradient at each inner minimizer of S stacked params, from one
+    batched dG/dparams."""
+    jps = residual_jacobian_params(np.array([v.x for v in inners]), params, dt, substeps)
     return [ValueGradient(value=v.objective, gradient=lam * (jp.T @ v.residual), x=v.x,
                           inner=v, jac_params=jp) for v, jp in zip(inners, jps)]
 
@@ -496,7 +476,7 @@ def value_gradient(
         params, anchor, z, cfg, x_init,
         dt=dt, substeps=substeps, lam=lam, tol=tol, max_iter=max_iter,
     )
-    return _with_gradients([params], [inner], lam, dt, substeps)[0]
+    return _with_gradients(params[None], [inner], lam, dt, substeps)[0]
 
 
 def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -508,37 +488,17 @@ def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndar
     the N x1-misfit rows (time-major, component-minor) above the 2*m*N
     constraint rows; dx*/dp is (N, 2m, p) in stacked-state block layout.
     """
-    return _reduced_jacobians([vg], lam)[0]
-
-
-def _reduced_jacobians(vgs: Sequence[ValueGradient], lam: float) -> list[tuple]:
-    """`reduced_jacobian` of equal-shape problems: block products as one 3-D
-    matmul stack, banded solves one per problem; each dx*/dp keeps its solve's
-    memory layout, which the products with it round by."""
-    count = len(vgs)
-    n, b = vgs[0].x.shape
-    sub = _join([vg.inner.jac_x for vg in vgs])  # (..., N-1, b, b)
-    gp = _join([vg.jac_params for vg in vgs]).reshape(sub.shape[:-3] + (n, b, -1))
-    flat = sub.reshape(-1, b, b)
-    blocks = (-1, b, gp.shape[-1])  # the products' 3-D stack of (b, p) blocks
-    shifted = sub.shape[:-1] + (-1,)  # and their shape on N-1 block rows
+    n, b = vg.x.shape
+    sub = vg.inner.jac_x  # (N-1, b, b)
+    gp = vg.jac_params.reshape(n, b, -1)
     gx_t_gp = gp.copy()  # G_x' G_p: identity diagonal, sub' above
-    gx_t_gp[..., :-1, :, :] += (flat.transpose(0, 2, 1)
-                                @ gp[..., 1:, :, :].reshape(blocks)).reshape(shifted)
-    diags = _split(_normal_diag(sub, lam), count)
-    subs = _split(sub, count)
-    rhs = _split(gx_t_gp, count)
-    dx_dp = [solve_block_tridiagonal(diags[k], lam * subs[k], -lam * rhs[k])
-             for k in range(count)]
-    dx_stack = _join(dx_dp)
-    dg_dp = dx_stack + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
-    dg_dp[..., 1:, :, :] += (flat @ dx_stack[..., :-1, :, :].reshape(blocks)).reshape(shifted)
-    out = []
-    for d, g in zip(dx_dp, _split(dg_dp, count)):
-        jac = np.concatenate([-d[:, 0::2].reshape(n * b // 2, -1),
-                              math.sqrt(lam) * g.reshape(n * b, -1)])
-        out.append((jac, d))
-    return out
+    gx_t_gp[:-1] += sub.transpose(0, 2, 1) @ gp[1:]
+    dx_dp = solve_block_tridiagonal(_normal_diag(sub, lam), lam * sub, -lam * gx_t_gp)
+    dg_dp = dx_dp + gp  # G_x dx*/dp + G_p: identity diagonal, sub below
+    dg_dp[1:] += sub @ dx_dp[:-1]
+    jac = np.concatenate([-dx_dp[:, 0::2].reshape(n * b // 2, -1),
+                          math.sqrt(lam) * dg_dp.reshape(n * b, -1)])
+    return jac, dx_dp
 
 
 def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
@@ -585,7 +545,7 @@ def fit(
     trial steps. The (N, 2m) x_init, by default `default_x_init(z, dt)`,
     starts the solve, and its first state anchors the constraint.
     """
-    return _fits([z], cfg, [init], [x_init], dt, substeps, lockstep=False)[0]
+    return _fits(*_problems([z], [init], [x_init], dt), cfg, dt, substeps, lockstep=False)[0]
 
 
 def fit_lockstep(z: np.ndarray, cfg: PenaltyConfig, inits: Sequence[VdpParams],
@@ -596,39 +556,51 @@ def fit_lockstep(z: np.ndarray, cfg: PenaltyConfig, inits: Sequence[VdpParams],
     `fit` bit for bit. Of failing problems the lowest-index one's FitError is
     raised, as a loop of `fit` calls raises it."""
     x_init = [None] * len(z) if x_init is None else x_init
-    if not len(z) == len(inits) == len(x_init):
-        raise DimensionError(f"{len(z)} series, {len(inits)} inits and {len(x_init)} x_inits")
-    return _fits(z, cfg, inits, x_init, dt, substeps, lockstep=True)
+    return _fits(*_problems(z, inits, x_init, dt), cfg, dt, substeps, lockstep=True)
 
 
-def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float,
+def _problems(zs, inits: Sequence[VdpParams], x_inits, dt: float
+              ) -> tuple[np.ndarray, VdpParams, np.ndarray]:
+    """S >= 1 problems' (N, m) series, inits and (N, 2m) starts (None: the
+    default), checked and stacked to (S, N, m) z, S stacked inits and
+    (S, N, 2m) x_init."""
+    if not len(zs) == len(inits) == len(x_inits):
+        raise DimensionError(f"{len(zs)} series, {len(inits)} inits and {len(x_inits)} x_inits")
+    shapes = sorted({np.shape(zi) for zi in zs})
+    if len(shapes) != 1:
+        raise DimensionError(f"need one or more series of one (N, m) shape, got {shapes}")
+    z = [check_observations(zi) for zi in zs]
+    x_init = [default_x_init(zi, dt) if x is None else x for zi, x in zip(z, x_inits)]
+    m = z[0].shape[1]
+    for init, zi, x in zip(inits, z, x_init):
+        if init.alpha.shape != (m, 2):
+            raise DimensionError(f"init alpha {init.alpha.shape} does not match {m} components")
+        _check_shapes(zi, x)
+    return np.stack(z), VdpParams.stack(inits), np.stack(x_init)
+
+
+def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfig, dt: float,
           substeps: int, lockstep: bool) -> list[FitResult]:
-    """`fit`'s outer loop over S problems, one iteration for all at a time; with
+    """`fit`'s outer loop over S problems, from `_problems`' (S, N, m) z, S
+    stacked inits and (S, N, 2m) x_init, one iteration for all at a time; with
     `lockstep` an iteration's trials go to one `_inner_solves`. A problem fails
     on an init outside the bounds or a non-finite objective at a stage start;
     it and every later one then stop, and the lowest-index failure is raised."""
-    z = [check_observations(zi) for zi in zs]
-    x_init = [default_x_init(zi, dt) if x is None else x for zi, x in zip(z, x_inits)]
-    for zi, init, x in zip(z, inits, x_init):
-        if init.m != zi.shape[1]:
-            raise DimensionError(f"init has {init.m} components, observations have {zi.shape[1]}")
-        _check_shapes(zi, x)
-    S, m = len(z), z[0].shape[1]
-    anchors = [State(x1=x[0, 0::2], x2=x[0, 1::2]) for x in x_init]
+    S, _, m = z.shape
+    anchors = State.from_flat(x_init[:, 0])
     stages = cfg.stages()
 
-    def evaluate(idx, ps, xs, stage):
-        params = [VdpParams.from_vector(q, m) for q in ps]
+    def evaluate(idx: list, ps, xs: list, stage):  # problems idx at their p and x starts
         if not lockstep:
-            return [value_gradient(q, anchors[i], z[i], cfg, x, **stage)
-                    for i, q, x in zip(idx, params, xs)]
-        inners = _inner_solves(params, [anchors[i] for i in idx], [z[i] for i in idx], cfg, xs,
-                               **stage)
+            return [value_gradient(VdpParams.from_vector(q, m), anchors[i], z[i], cfg, x, **stage)
+                    for i, q, x in zip(idx, ps, xs)]
+        params = VdpParams.from_vector(np.array(ps), m)
+        inners = _inner_solves(params, anchors[idx], z[idx], cfg, np.stack(xs), **stage)
         return _with_gradients(params, inners, stage["lam"], dt, substeps)
 
     errors: dict[int, FitError] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        r0 = _split(residual(_join(x_init), _join(inits), _join(anchors), dt, substeps), S)
+        r0 = residual(x_init, inits, anchors, dt, substeps)
         f0 = [_objective_parts(x, zi, r, stages[0][0]) for x, zi, r in zip(x_init, z, r0)]
     for i in range(S):
         if not cfg.bounds.contains(inits[i], atol=1e-12):
@@ -637,7 +609,7 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
             errors[i] = _nonfinite_start(x_init[i], r0[i])
 
     lo, hi = cfg.bounds.lower(m), cfg.bounds.upper(m)
-    p = [np.clip(init.to_vector(), lo, hi) for init in inits]
+    p = np.clip(inits.to_vector(), lo, hi)  # (S, P): row i is problem i's parameters
     history: list[list[tuple[int, float, float]]] = [[] for _ in range(S)]
     vg: list[Optional[ValueGradient]] = [None] * S
     mu: list[Optional[float]] = [None] * S
@@ -651,7 +623,7 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
             break
         stage = dict(dt=dt, substeps=substeps, lam=lam_s, tol=tol_s, max_iter=cap_s)
         starts = [x_init[i] if vg[i] is None else vg[i].x for i in live]
-        for i, v in zip(live, evaluate(live, [p[i] for i in live], starts, stage)):
+        for i, v in zip(live, evaluate(live, p[live], starts, stage)):
             vg[i] = v
             if not math.isfinite(v.value):
                 errors[i] = _nonfinite_start(v.x, v.inner.residual)
@@ -666,19 +638,18 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
                 if float(np.max(np.abs(p[i] - np.clip(p[i] - vg[i].gradient, lo, hi)))) < gtol:
                     reason[i], converged[i] = "projected gradient below tolerance", True
                     active.remove(i)
-            fresh = [i for i in active if lin[i] is None]
-            if fresh:
-                linearized = _reduced_jacobians([vg[i] for i in fresh], lam_s)
-            else:
-                linearized = []
-            for i, (jac, dx_dp) in zip(fresh, linearized):
+            for i in active:
+                if lin[i] is not None:
+                    continue
+                jac, dx_dp = reduced_jacobian(vg[i], lam_s)
                 jtj = jac.T @ jac
                 scale = np.diag(jtj).copy()
                 scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
                 lin[i] = jtj, scale, dx_dp
                 if mu[i] is None:
                     mu[i] = 1e-3 * float(np.max(scale))
-            trials, predicted = [], {}
+            tried, p_trials, x_starts = [], [], []
+            predicted = {}
             for i in list(active):
                 jtj, scale, dx_dp = lin[i]
                 g, x_opt = vg[i].gradient, vg[i].x
@@ -696,13 +667,14 @@ def _fits(zs, cfg: PenaltyConfig, inits: Sequence[VdpParams], x_inits, dt: float
                 predicted[i] = -float(g @ move) - 0.5 * float(move @ jtj @ move)
                 # first-order prediction x* + dx*/dp move of the new minimizer
                 x_start = x_opt + (dx_dp.reshape(-1, move.size) @ move).reshape(x_opt.shape)
-                trials.append((i, p_new, x_start if np.isfinite(x_start).all() else x_opt))
-            if trials:
-                tried, p_trials, x_starts = zip(*trials)
+                tried.append(i)
+                p_trials.append(p_new)
+                x_starts.append(x_start if np.isfinite(x_start).all() else x_opt)
+            if tried:
                 new = evaluate(tried, p_trials, x_starts, stage)
             else:
                 new = []
-            for (i, p_new, _), v in zip(trials, new):
+            for i, p_new, v in zip(tried, p_trials, new):
                 rho = (vg[i].value - v.value) / predicted[i] if predicted[i] > 0 else -math.inf
                 if not rho > cfg.armijo_c:  # also rejects a non-finite value
                     mu[i] *= 4.0

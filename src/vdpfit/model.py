@@ -13,10 +13,11 @@ One batched core over (K, m) state arrays holds the whole map: the vector
 field, one Euler substep (`euler_map`), the one-substep state and parameter
 Jacobians, and one loop chaining them through the substeps. `step`, the
 batched `rollout` behind `simulate`, the batch Jacobians and the single-state
-`jacobians` call it, as do the stacked constraints in `constraints.py`. The
-field, its Euler substeps and the step Jacobians also take one parameter set
-per trajectory (or per problem of (S, K, m) states), so one `rollout` can
-integrate K candidates with K different parameters.
+`jacobians` call it, as do the stacked constraints in `constraints.py`.
+`VdpParams` and `State` take an optional leading problem axis: S parameter
+sets stack to (S, m, 2) gains and an (S, m, m) coupling, and S states to
+(S, m) tracks. The core broadcasts them against (S, m) or (S, K, m) states,
+so one `rollout` can integrate K candidates with K different parameters.
 
 Flat state vectors interleave the two variables per component: component i of
 a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
@@ -24,7 +25,7 @@ a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class SimulationDiverged(RuntimeError):
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
 
 
@@ -53,7 +54,8 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
 class VdpParams:
     """Oscillator parameters: per-component gains `alpha` (m x 2 rows of
     (a1_i, a2_i)) and the coupling matrix `coupling` (m x m, row i = inputs
-    into component i)."""
+    into component i). Leading problem axes stack several parameter sets of
+    one size: alpha (..., m, 2) and coupling (..., m, m)."""
 
     alpha: np.ndarray
     coupling: np.ndarray
@@ -61,13 +63,11 @@ class VdpParams:
     def __post_init__(self):
         alpha = np.atleast_2d(np.asarray(self.alpha, dtype=float))
         coupling = np.atleast_2d(np.asarray(self.coupling, dtype=float))
-        m = alpha.shape[0]
-        if alpha.shape != (m, 2):
-            raise DimensionError(f"alpha must be (m, 2), got {alpha.shape}")
-        if coupling.shape != (m, m):
-            raise DimensionError(
-                f"coupling must be ({m}, {m}) to match alpha, got {coupling.shape}"
-            )
+        if alpha.shape[-1] != 2:
+            raise DimensionError(f"alpha must be (..., m, 2), got {alpha.shape}")
+        want = alpha.shape[:-1] + (alpha.shape[-2],)
+        if coupling.shape != want:
+            raise DimensionError(f"coupling must be {want} to match alpha, got {coupling.shape}")
         _check_finite(alpha, "alpha")
         _check_finite(coupling, "coupling")
         object.__setattr__(self, "alpha", alpha)
@@ -75,30 +75,41 @@ class VdpParams:
 
     @property
     def m(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-2]
+
+    def __getitem__(self, idx) -> "VdpParams":
+        """The problems at `idx` of stacked parameters."""
+        return VdpParams(alpha=self.alpha[idx], coupling=self.coupling[idx])
+
+    @classmethod
+    def stack(cls, items: Sequence["VdpParams"]) -> "VdpParams":
+        """Parameter sets of one size stacked along a new leading problem axis."""
+        return cls(alpha=np.array([p.alpha for p in items]),
+                   coupling=np.array([p.coupling for p in items]))
 
     def to_vector(self) -> np.ndarray:
-        """Flatten as [a1_1..a1_m, a2_1..a2_m, W row-major]."""
+        """Flatten as [a1_1..a1_m, a2_1..a2_m, W row-major], one row per problem."""
+        lead = self.alpha.shape[:-2]
         return np.concatenate(
-            [self.alpha[:, 0], self.alpha[:, 1], self.coupling.ravel()]
+            [self.alpha[..., 0], self.alpha[..., 1], self.coupling.reshape(lead + (-1,))],
+            axis=-1,
         )
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, m: int) -> "VdpParams":
+        """The parameters of `to_vector` rows: vec is (P,), or (..., P) for a stack."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (2 * m + m * m,):
+        if vec.ndim == 0 or vec.shape[-1] != 2 * m + m * m:
             raise DimensionError(f"expected {2 * m + m * m} entries, got {vec.shape}")
-        alpha = np.stack([vec[:m], vec[m : 2 * m]], axis=1)
-        coupling = vec[2 * m :].reshape(m, m)
+        alpha = np.stack([vec[..., :m], vec[..., m : 2 * m]], axis=-1)
+        coupling = vec[..., 2 * m :].reshape(vec.shape[:-1] + (m, m))
         return cls(alpha=alpha, coupling=coupling)
-
-
-Params = Union[VdpParams, Sequence[VdpParams]]
 
 
 @dataclass(frozen=True)
 class State:
-    """One time sample: activity `x1` and hidden excitability `x2`, each (m,)."""
+    """One time sample: activity `x1` and hidden excitability `x2`, each (m,);
+    leading problem axes stack several samples of one size, (..., m)."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -106,28 +117,32 @@ class State:
     def __post_init__(self):
         x1 = np.atleast_1d(np.asarray(self.x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(self.x2, dtype=float))
-        if x1.shape != x2.shape or x1.ndim != 1:
-            raise DimensionError(f"x1/x2 must be equal-length vectors, got {x1.shape} and {x2.shape}")
+        if x1.shape != x2.shape:
+            raise DimensionError(f"x1/x2 must have equal shapes, got {x1.shape} and {x2.shape}")
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
 
     @property
     def m(self) -> int:
-        return self.x1.shape[0]
+        return self.x1.shape[-1]
+
+    def __getitem__(self, idx) -> "State":
+        """The problems at `idx` of stacked states."""
+        return State(x1=self.x1[idx], x2=self.x2[idx])
 
     def to_flat(self) -> np.ndarray:
-        """Interleave as [x1_1, x2_1, x1_2, x2_2, ...]."""
-        out = np.empty(2 * self.m)
-        out[0::2] = self.x1
-        out[1::2] = self.x2
+        """Interleave as [x1_1, x2_1, x1_2, x2_2, ...], one row per problem."""
+        out = np.empty(self.x1.shape[:-1] + (2 * self.m,))
+        out[..., 0::2] = self.x1
+        out[..., 1::2] = self.x2
         return out
 
     @classmethod
     def from_flat(cls, flat: np.ndarray) -> "State":
         flat = np.asarray(flat, dtype=float)
-        if flat.ndim != 1 or flat.size % 2:
+        if flat.ndim == 0 or flat.shape[-1] % 2:
             raise DimensionError(f"flat state must have even length, got {flat.shape}")
-        return cls(x1=flat[0::2].copy(), x2=flat[1::2].copy())
+        return cls(x1=flat[..., 0::2].copy(), x2=flat[..., 1::2].copy())
 
 
 @dataclass(frozen=True)
@@ -190,16 +205,12 @@ def _field_arrays(
     return dx1, -x1
 
 
-def _param_arrays(params: Params, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, coupling) of one VdpParams shared by all the (..., m) states x1,
-    or of one VdpParams per leading row of x1, stacked to broadcast against it."""
-    if isinstance(params, VdpParams):
+def _param_arrays(params: VdpParams, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, coupling) to broadcast against (..., m) states x1 that lead with
+    params' problem axes: where x1 has a time axis after them, so do they."""
+    if x1.ndim == params.alpha.ndim - 1:
         return params.alpha, params.coupling
-    if x1.ndim < 2 or len(params) != x1.shape[0] or len({p.m for p in params}) != 1:
-        raise DimensionError(f"{len(params)} per-row params (of one size) for states {x1.shape}")
-    lead = (len(params),) + (1,) * (x1.ndim - 2)
-    return (np.array([p.alpha for p in params]).reshape(lead + params[0].alpha.shape),
-            np.array([p.coupling for p in params]).reshape(lead + params[0].coupling.shape))
+    return params.alpha[..., None, :, :], params.coupling[..., None, :, :]
 
 
 def _euler_arrays(
@@ -218,11 +229,11 @@ def _euler_arrays(
 
 
 def euler_map(
-    params: Params, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sample map g on raw arrays: `substeps` Euler substeps s + h * f(s)
-    with h = dt / substeps. x1/x2 may be (m,) or batched (K, m), or (S, K, m)
-    with a sequence of S VdpParams."""
+    with h = dt / substeps. x1/x2 may be (m,) or batched (K, m), or (S, m) or
+    (S, K, m) for S stacked params."""
     h = _substep_size(dt, substeps)
     return _euler_arrays(*_param_arrays(params, x1), x1, x2, h, substeps)
 
@@ -231,16 +242,20 @@ def _substep_state_jacobian(alpha: np.ndarray, coupling: np.ndarray, x1: np.ndar
                             h: float) -> np.ndarray:
     """d/dstate of one substep s + h * f(s) at (..., K, m) states: (..., K, 2m, 2m)."""
     m = x1.shape[-1]
-    r1 = 2 * np.arange(m)  # x1 rows
-    r2 = r1 + 1  # x2 rows
-    out = np.zeros(x1.shape[:-1] + (2 * m, 2 * m))
+    lead = x1.shape[:-1]
+    out = np.zeros(lead + (2 * m, 2 * m))
+    # views of out: blocks[..., i, a, j, c] is entry (2i + a, 2j + c), and
+    # own[..., 2m * a + c :: step] runs over the entries (2i + a, 2i + c)
+    blocks = out.reshape(lead + (m, 2, m, 2))
+    own = out.reshape(lead + (4 * m * m,))
+    step = 4 * m + 2
     # dx1_i rows: coupling row, self term, excitability term
-    out[..., r1[:, None], r1[None, :]] = h * coupling
-    out[..., r1, r1] += 1.0 + h * alpha[..., 0] * (1.0 - 3.0 * x1 * x1)
-    out[..., r1, r2] = h * alpha[..., 1]
+    blocks[..., :, 0, :, 0] = h * coupling
+    own[..., 0::step] += 1.0 + h * alpha[..., 0] * (1.0 - 3.0 * x1 * x1)
+    own[..., 1::step] = h * alpha[..., 1]
     # dx2_i rows
-    out[..., r2, r1] = -h
-    out[..., r2, r2] = 1.0
+    own[..., 2 * m::step] = -h
+    own[..., 2 * m + 1::step] = 1.0
     return out
 
 
@@ -258,7 +273,7 @@ def _substep_param_jacobian(x1: np.ndarray, x2: np.ndarray, h: float) -> np.ndar
 
 
 def _chained_jacobians(
-    params: Params,
+    params: VdpParams,
     x1: np.ndarray,
     x2: np.ndarray,
     dt: float,
@@ -267,14 +282,12 @@ def _chained_jacobians(
     want_params: bool,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """dg/dstate and dg/dparams at K states (x1/x2 are (K, m), or (S, K, m)
-    with S VdpParams), chained through the substeps: J <- J_sub J,
+    for S stacked params), chained through the substeps: J <- J_sub J,
     P <- J_sub P + P_sub, with each substep's Jacobians taken at its own
     intermediate state. Only the
     requested ones are built (None otherwise); at substeps=1 the parameter
     Jacobian needs no state Jacobian."""
     h = _substep_size(dt, substeps)
-    x1 = np.atleast_2d(x1)
-    x2 = np.atleast_2d(x2)
     alpha, coupling = _param_arrays(params, x1)
     jx = _substep_state_jacobian(alpha, coupling, x1, h) if want_state else None
     jp = _substep_param_jacobian(x1, x2, h) if want_params else None
@@ -296,7 +309,7 @@ def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
 
 
 def rollout(
-    params: Params,
+    params: VdpParams,
     x1: np.ndarray,
     x2: np.ndarray,
     n_steps: int,
@@ -305,8 +318,8 @@ def rollout(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate `n_steps` samples from start states x1/x2 of shape (m,) or (K, m).
 
-    `params` is one VdpParams shared by every trajectory, or, for (K, m)
-    starts, a sequence of K VdpParams, one per trajectory.
+    `params` is one parameter set shared by every trajectory, or, for (K, m)
+    starts, K stacked sets, one per trajectory.
     Returns (x1, x2, diverged): the samples as (n_steps, m) or (n_steps, K, m)
     arrays, starting with (and including) the start states, and, per
     trajectory, the first step whose state leaves the guard box
@@ -318,12 +331,13 @@ def rollout(
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    alpha, coupling = _param_arrays(params, x1)
-    m = alpha.shape[-2]
-    if x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != m:
+    alpha, coupling = params.alpha, params.coupling
+    lead, m = alpha.shape[:-2], params.m
+    if (x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != m
+            or lead not in ((), x1.shape[:-1])):
         raise DimensionError(
-            f"start states must both be ({m},) or (K, {m}), "
-            f"got {x1.shape} and {x2.shape}"
+            f"start states must both be ({m},) or (K, {m}), with K the stack size of "
+            f"stacked params; got {x1.shape} and {x2.shape} for alpha {alpha.shape}"
         )
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -369,22 +383,22 @@ def jacobians(
     d/dW (2m x m^2)), in the interleaved state layout and the [a1 block,
     a2 block, W row-major] parameter column order."""
     _check_components(params, s)
-    jx, jp = _chained_jacobians(params, s.x1, s.x2, dt, substeps, True, True)
+    jx, jp = _chained_jacobians(params, s.x1[None], s.x2[None], dt, substeps, True, True)
     b = 2 * params.m
     return jx[0], jp[0, :, :b], jp[0, :, b:]
 
 
 def batch_state_jacobians(
-    params: Params, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
     """dg/dstate at K states at once; x1/x2 are (K, m), result is (K, 2m, 2m),
-    or (S, K, 2m, 2m) for (S, K, m) states and a sequence of S VdpParams."""
+    or (S, K, 2m, 2m) for (S, K, m) states and S stacked params."""
     return _chained_jacobians(params, x1, x2, dt, substeps, True, False)[0]
 
 
 def batch_param_jacobians(
-    params: Params, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
     """dg/dparams at K states at once; result is (K, 2m, 2m + m^2), or
-    (S, K, 2m, 2m + m^2) for (S, K, m) states and S VdpParams."""
+    (S, K, 2m, 2m + m^2) for (S, K, m) states and S stacked params."""
     return _chained_jacobians(params, x1, x2, dt, substeps, False, True)[1]

@@ -145,7 +145,8 @@ def _scored(z: np.ndarray, pairs: list[tuple[VdpParams, np.ndarray]], gamma: flo
     lazy, so a caller that stops early scores no further rows."""
     x2 = np.stack([x2_init for _, x2_init in pairs])
     x1 = np.broadcast_to(z[0], x2.shape)
-    out1, out2, diverged = rollout([p for p, _ in pairs], x1, x2, len(z), dt, substeps)
+    params = VdpParams.stack([p for p, _ in pairs])
+    out1, out2, diverged = rollout(params, x1, x2, len(z), dt, substeps)
     for k, (params, x2_init) in enumerate(pairs):
         if diverged[k]:
             yield Candidate(params, x2_init, -math.inf)

@@ -301,13 +301,13 @@ class TestStackStates:
 
 
 class TestStackOfProblems:
-    """An (S, N, 2m) stack with S parameter sets and anchors is S lone calls."""
+    """An (S, N, 2m) stack with S stacked parameter sets and anchors is S lone calls."""
 
     @pytest.mark.parametrize("substeps", [1, 2])
     @pytest.mark.parametrize("m", [1, 3])
     def test_each_slice_equals_its_lone_call(self, rng, m, substeps):
-        params = [random_params(rng, m) for _ in range(3)]
-        anchors = [random_state(rng, m, 0.3) for _ in range(3)]
+        params = VdpParams.stack([random_params(rng, m) for _ in range(3)])
+        anchors = State(x1=rng.normal(0, 0.3, (3, m)), x2=rng.normal(0, 0.3, (3, m)))
         x = rng.normal(0, 0.5, (3, 9, 2 * m))
         r = residual(x, params, anchors, 0.1, substeps)
         jx = residual_jacobian_x(x, params, 0.1, substeps)
@@ -321,12 +321,20 @@ class TestStackOfProblems:
                                                                    substeps))
 
     def test_rejects_a_params_count_or_size_that_does_not_match(self, rng):
-        params = [random_params(rng, 2) for _ in range(3)]
-        anchors = [random_state(rng, 2, 0.3) for _ in range(3)]
+        params = VdpParams.stack([random_params(rng, 2) for _ in range(3)])
+        anchors = State.from_flat(rng.normal(0, 0.3, (3, 4)))
         x = np.zeros((3, 5, 4))
         with pytest.raises(DimensionError):
             residual(x, params[:2], anchors, 0.1)
+        with pytest.raises(DimensionError):  # one anchor for three problems
+            residual(x, params, anchors[:1], 0.1)
         with pytest.raises(DimensionError):
-            residual_jacobian_x(x, params[:2] + [random_params(rng, 1)], 0.1)
+            residual(x, params, anchors[0], 0.1)
         with pytest.raises(DimensionError):
-            residual_jacobian_params(x[0], params, 0.1)  # a lone state needs one VdpParams
+            residual(x, params, anchors[:2], 0.1)
+        with pytest.raises(DimensionError):
+            residual_jacobian_x(x, VdpParams.stack([random_params(rng, 1)] * 3), 0.1)
+        with pytest.raises(DimensionError):
+            residual_jacobian_params(x[0], params, 0.1)  # a lone state needs lone params
+        with pytest.raises(DimensionError):
+            residual_jacobian_params(x, params[0], 0.1)  # a stack needs stacked params

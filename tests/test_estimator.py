@@ -599,6 +599,13 @@ class TestFitLockstep:
             fit_lockstep(z, cfg, inits, [None], dt=0.1)
         with pytest.raises(DimensionError):
             fit_lockstep(z[0], cfg, inits[:1], dt=0.1)
+        with pytest.raises(DimensionError, match=r"\[\]"):  # no problem at all
+            fit_lockstep(z[:0], cfg, [], dt=0.1)
+        with pytest.raises(DimensionError, match=r"\(29, 1\), \(30, 1\)"):  # unequal N
+            fit_lockstep([z[0], z[1][:-1]], cfg, inits, dt=0.1)
+        wide, wide_inits = lockstep_series(2, 1, 1)
+        with pytest.raises(DimensionError, match=r"\(30, 1\), \(30, 2\)"):  # unequal m
+            fit_lockstep([z[0], wide[0]], cfg, [inits[0], wide_inits[0]], dt=0.1)
 
 
 class TestParamBounds:
@@ -645,6 +652,15 @@ def test_json_needs_dt_and_defaults_substeps(rng):
         FitResult.from_json_dict(doc)
     doc["config_echo"] = {}
     with pytest.raises(ValueError, match="'dt'"):
+        FitResult.from_json_dict(doc)
+
+
+def test_json_rejects_stacked_parameters(rng):
+    params = random_params(rng, 1)
+    traj = simulate(params, random_state(rng, 1, 0.3), 10, 0.1)
+    doc = FitResult(params, traj, [], [], True, "synthetic", {"dt": 0.1}).to_json_dict()
+    doc["alpha"], doc["W"] = [doc["alpha"]], [doc["W"]]  # one problem of a stack
+    with pytest.raises(ValueError, match=r"alpha is \(1, 1, 2\)"):
         FitResult.from_json_dict(doc)
 
 

@@ -152,8 +152,8 @@ class TestRollout:
                 rows[1] = VdpParams(alpha=np.tile([40.0, 0.0], (3, 1)),
                                     coupling=np.zeros((3, 3)))
                 x1[1] = 3.0
-        out1, out2, diverged = rollout(rows if per_row else params, x1, x2, 60, 0.1,
-                                       substeps)
+        out1, out2, diverged = rollout(VdpParams.stack(rows) if per_row else params, x1, x2,
+                                       60, 0.1, substeps)
         assert out1.shape == out2.shape == (60, batch, 3)
         npt.assert_array_equal(diverged > 0, [per_row and k == 1 for k in range(batch)])
         for k in range(batch):
@@ -209,12 +209,12 @@ class TestRollout:
         with pytest.raises(DimensionError):
             rollout(params, np.zeros((4, 2)), np.zeros((3, 2)), 5, 0.1)
         with pytest.raises(DimensionError):  # one parameter set per row
-            rollout([params] * 3, np.zeros((4, 2)), np.zeros((4, 2)), 5, 0.1)
+            rollout(VdpParams.stack([params] * 3), np.zeros((4, 2)), np.zeros((4, 2)), 5, 0.1)
         with pytest.raises(DimensionError):
-            rollout([params], np.zeros(2), np.zeros(2), 5, 0.1)
+            rollout(VdpParams.stack([params]), np.zeros(2), np.zeros(2), 5, 0.1)
         with pytest.raises(DimensionError):
-            rollout([params, random_params(rng, 3)], np.zeros((2, 2)), np.zeros((2, 2)),
-                    5, 0.1)
+            rollout(VdpParams.stack([random_params(rng, 3)] * 2), np.zeros((2, 2)),
+                    np.zeros((2, 2)), 5, 0.1)
         with pytest.raises(ValueError):
             rollout(params, np.zeros(2), np.zeros(2), 0, 0.1)
         with pytest.raises(ValueError):
@@ -232,6 +232,19 @@ class TestParamsVector:
         back = VdpParams.from_vector(vec, 2)
         npt.assert_array_equal(back.alpha, params.alpha)
         npt.assert_array_equal(back.coupling, params.coupling)
+
+    def test_stacked_rows_round_trip_and_equal_the_lone_vectors(self, rng):
+        lone = [random_params(rng, 3) for _ in range(4)]
+        stacked = VdpParams.stack(lone)
+        vec = stacked.to_vector()
+        assert vec.shape == (4, 15)
+        for k, params in enumerate(lone):
+            npt.assert_array_equal(vec[k], params.to_vector())
+        back = VdpParams.from_vector(vec, 3)
+        npt.assert_array_equal(back.alpha, stacked.alpha)
+        npt.assert_array_equal(back.coupling, stacked.coupling)
+        with pytest.raises(DimensionError):
+            VdpParams.from_vector(vec[:, :-1], 3)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
