@@ -263,7 +263,7 @@ def _load_fits(paths) -> list[FitResult]:
         doc = _load_json(p)
         try:
             fits.append(FitResult.from_json_dict(doc))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{p}: not a fit result ({exc})")
     return fits
 

@@ -27,6 +27,7 @@ leading axis of length S. `fit_lockstep` fits S series this way; `fit`,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -187,12 +188,34 @@ class ValueGradient:
         return not self.inner.converged
 
 
-def _numeric(value, key: str) -> np.ndarray:
-    """A fit.json array whose entries are all JSON numbers (no bools or strings)."""
+def _numeric(value) -> np.ndarray:
+    """A fit.json array whose entries are all finite JSON numbers (no bools or strings)."""
     arr = np.array(value)
-    if arr.dtype.kind not in "if":
-        raise TypeError(f"{key} must hold numbers only")
+    if arr.dtype.kind not in "if" or not np.isfinite(arr).all():
+        raise TypeError("must hold finite numbers only")
     return arr
+
+
+def _field(doc: dict, key: str, *default):
+    """The value at dotted `key` of a fit.json document, or the default where
+    it is absent."""
+    for part in key.split("."):
+        if not isinstance(doc, dict):
+            raise TypeError("must be in a JSON object")
+        if part not in doc:
+            if default:
+                return default[0]
+            raise ValueError(f"missing key {part!r}")
+        doc = doc[part]
+    return doc
+
+
+def _positive(value, integer: bool = False):
+    """A positive finite JSON number, or a positive integer; NaN and bools fail."""
+    kinds, name = ((int,), "integer") if integer else ((int, float), "finite number")
+    if type(value) not in kinds or not 0 < value <= sys.float_info.max:
+        raise ValueError(f"must be a positive {name}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -228,35 +251,29 @@ class FitResult:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitResult":
-        """Read a `to_json_dict` document; KeyError, TypeError or ValueError
-        means `doc` is not one."""
-        echo, conv = doc.get("config_echo", {}), doc.get("converged", {})
-        if not (isinstance(echo, dict) and isinstance(conv, dict)):
-            raise TypeError("config_echo and converged must be JSON objects")
-        dt = echo.get("dt")
-        if type(dt) not in (int, float) or not math.isfinite(dt):
-            raise ValueError(f"config_echo time step 'dt' must be a finite number: {dt!r}")
-        substeps = echo.get("substeps", 1)
-        if type(substeps) is not int or substeps < 1:
-            raise ValueError("config_echo.substeps must be an integer >= 1")
-        params = VdpParams(
-            alpha=_numeric(doc["alpha"], "alpha"), coupling=_numeric(doc["W"], "W")
-        )
-        states = Trajectory(
-            x1=_numeric(doc["states"]["x1"], "states.x1"),
-            x2=_numeric(doc["states"]["x2"], "states.x2"),
-            dt=float(dt),
-        )
+        """Read a `to_json_dict` document; a ValueError means `doc` is not one,
+        and its message starts with the keys at fault."""
+        def read(keys: str, parse, *default):
+            try:
+                return parse(*(_field(doc, key, *default) for key in keys.split(", ")))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{keys}: {exc}") from None
+
+        dt = float(read("config_echo.dt", _positive))
+        read("config_echo.substeps", lambda n: _positive(n, integer=True), 1)
+        params = read("alpha, W", lambda a, w: VdpParams(alpha=_numeric(a), coupling=_numeric(w)))
+        states = read("states.x1, states.x2",
+                      lambda x1, x2: Trajectory(x1=_numeric(x1), x2=_numeric(x2), dt=dt))
         if params.alpha.ndim != 2 or states.m != params.m:
             raise ValueError(f"states have {states.m} components, alpha is {params.alpha.shape}")
         return cls(
             params=params,
             states=states,
-            objective_history=[tuple(e) for e in doc.get("objective_history", [])],
-            per_component_stats=list(doc.get("stats", [])),
-            converged=bool(conv.get("flag", False)),
-            reason=str(conv.get("reason", "")),
-            config_echo=echo,
+            objective_history=read("objective_history", lambda h: [tuple(e) for e in h], []),
+            per_component_stats=read("stats", list, []),
+            converged=read("converged.flag", bool, False),
+            reason=read("converged.reason", str, ""),
+            config_echo=doc["config_echo"],
         )
 
 
@@ -532,12 +549,14 @@ def fit(
 
     Sweeps the (lam, inner_tol, inner_max_iter) stages of `cfg.stages()` with
     warm starts. Each stage damps the Gauss-Newton matrix J'J of
-    `reduced_jacobian` with Marquardt's diagonal scaling, mu starting at
-    1e-3 * max diag(J'J), clips each trial step to the bounds, and accepts it
-    when its gain ratio (actual over predicted decrease of f_tilde) exceeds
-    `cfg.armijo_c`; mu then shrinks by Nielsen's rule, and a rejection
-    quadruples it. A damped matrix whose Cholesky factorization fails (mu
-    below the roundoff of J'J) also counts as a rejection. Each trial's inner
+    `reduced_jacobian` with Marquardt's diagonal scaling, clips each trial
+    step to the bounds, and accepts it when its gain ratio (actual over
+    predicted decrease of f_tilde) exceeds `cfg.armijo_c`; mu then shrinks by
+    Nielsen's rule, and a rejection quadruples it. mu starts at
+    1e-3 * max diag(J'J) in the first stage only: each later stage starts from
+    the mu the previous one ended with. A damped matrix whose Cholesky
+    factorization fails (mu below the roundoff of J'J) also counts as a
+    rejection. Each trial's inner
     solve starts from the first-order prediction x* + (dx*/dp) dp of its
     minimizer, or from x* when that is not finite. A stage stops on a
     projected gradient below max(outer_gtol, the stage's inner tolerance), a
@@ -630,7 +649,7 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
         live = [i for i in live if i < min(errors, default=S)]
         for i in live:
             history[i].append((len(history[i]), lam_s, vg[i].value))
-            reason[i], converged[i], lin[i], mu[i] = "max outer iterations", False, None, None
+            reason[i], converged[i], lin[i] = "max outer iterations", False, None
         gtol = max(cfg.outer_gtol, tol_s)  # f_tilde is resolved only to tol_s
         active = list(live)
         for _ in range(cfg.outer_max_iter):

@@ -50,6 +50,15 @@ def _check_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def _problems_at(item, idx):
+    """The problems at `idx` of stacked `VdpParams` or `State`: slices of its
+    arrays, which were checked already, so `__post_init__` is not run again."""
+    out = object.__new__(type(item))
+    for name, arr in vars(item).items():
+        object.__setattr__(out, name, arr[idx])
+    return out
+
+
 @dataclass(frozen=True)
 class VdpParams:
     """Oscillator parameters: per-component gains `alpha` (m x 2 rows of
@@ -77,9 +86,7 @@ class VdpParams:
     def m(self) -> int:
         return self.alpha.shape[-2]
 
-    def __getitem__(self, idx) -> "VdpParams":
-        """The problems at `idx` of stacked parameters."""
-        return VdpParams(alpha=self.alpha[idx], coupling=self.coupling[idx])
+    __getitem__ = _problems_at
 
     @classmethod
     def stack(cls, items: Sequence["VdpParams"]) -> "VdpParams":
@@ -126,9 +133,7 @@ class State:
     def m(self) -> int:
         return self.x1.shape[-1]
 
-    def __getitem__(self, idx) -> "State":
-        """The problems at `idx` of stacked states."""
-        return State(x1=self.x1[idx], x2=self.x2[idx])
+    __getitem__ = _problems_at
 
     def to_flat(self) -> np.ndarray:
         """Interleave as [x1_1, x2_1, x1_2, x2_2, ...], one row per problem."""
@@ -262,13 +267,15 @@ def _substep_state_jacobian(alpha: np.ndarray, coupling: np.ndarray, x1: np.ndar
 def _substep_param_jacobian(x1: np.ndarray, x2: np.ndarray, h: float) -> np.ndarray:
     """d/dparams of one substep at (..., K, m) states: (..., K, 2m, 2m + m^2)."""
     m = x1.shape[-1]
-    r1 = 2 * np.arange(m)
-    cols = np.arange(m)
-    out = np.zeros(x1.shape[:-1] + (2 * m, 2 * m + m * m))
-    out[..., r1, cols] = h * x1 * (1.0 - x1 * x1)
-    out[..., r1, m + cols] = h * x2
-    # row x1_i carries h * x1 under the W[i, :] columns
-    out[..., r1[:, None], 2 * m + m * cols[:, None] + cols] = (h * x1)[..., None, :]
+    p = 2 * m + m * m
+    out = np.zeros(x1.shape[:-1] + (2 * m, p))
+    # a flat view: entry (2i, c) is own[..., 2i*p + c], so each strided slice below
+    # holds one entry per row x1_i: (2i, i), (2i, m + i) and (2i, 2m + m*i + j)
+    own = out.reshape(x1.shape[:-1] + (2 * m * p,))
+    own[..., 0::2 * p + 1] = h * x1 * (1.0 - x1 * x1)
+    own[..., m::2 * p + 1] = h * x2
+    for j in range(m):  # row x1_i carries h * x1_j under W[i, j]
+        own[..., 2 * m + j::2 * p + m] = (h * x1[..., j])[..., None]
     return out
 
 

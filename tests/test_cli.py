@@ -949,6 +949,65 @@ def test_mutated_fit_config_exits_0_1_or_2(contract_case, case):
             assert not out.exists(), argv[0]
 
 
+_FIT_FIELDS = ["alpha", "W", "states", "states.x1", "states.x2", "stats", "objective_history",
+               "converged", "converged.flag", "converged.reason", "config_echo",
+               "config_echo.dt", "config_echo.substeps"]
+_DROP = "<drop>"
+
+
+# one fit.json field dropped, or replaced by any JSON value or by a numeric
+# array of any shape, NaN and infinities included: (dotted key, value)
+_FIT_MUTATIONS = st.tuples(st.sampled_from(_FIT_FIELDS), st.just(_DROP) | _JSON | st.lists(
+    st.lists(st.floats() | st.integers(-3, 3), min_size=1, max_size=3), max_size=4))
+
+
+@pytest.fixture(scope="module")
+def fit_json_case(tmp_path_factory):
+    """A 2-component components directory and a matching fit.json."""
+    root = tmp_path_factory.mktemp("fit_json")
+    save_components(svd_components(np.random.default_rng(3).normal(size=(6, 40)), 2),
+                    root / "comps")
+    return root, write_fit_json(root / "fa.json", m=2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_FIT_MUTATIONS)
+@example(case=("W", [[True, False], [False, True]]))
+@example(case=("states.x1", _DROP))
+@example(case=("states.x2", [[0.1, float("nan")]] * 30))
+@example(case=("config_echo.dt", 0))
+@example(case=("config_echo.dt", 10 ** 400))  # past the float range
+@example(case=("converged", 5))
+@example(case=("stats", 5))
+def test_mutated_fit_json_exits_0_1_or_2(fit_json_case, case):
+    root, fit_json = fit_json_case
+    key, value = case
+    doc = json.loads(fit_json.read_text())
+    *parents, leaf = key.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if value == _DROP:
+        node.pop(leaf, None)  # config_echo.substeps may be absent already
+    else:
+        node[leaf] = value
+    mutated = root / "mutated.json"
+    mutated.write_text(json.dumps(doc))
+    for argv in (["connectivity", str(root / "comps"), str(mutated)],
+                 ["export-sim", str(mutated), "--n-series", "2", "--length", "10", "--seed", "1"]):
+        out = root / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["-o", str(out)])
+        assert code in (0, 1, 2), argv[0]
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err.getvalue()), (
+                argv[0], err.getvalue())
+            assert not out.exists(), argv[0]
+
+
 @pytest.mark.parametrize("text", ["{", "", "{\"norm_scale\": 1,}"])
 def test_components_meta_that_is_not_json_is_data_error(meta_case, capsys, text):
     root, fit_json, _ = meta_case

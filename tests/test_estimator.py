@@ -405,10 +405,11 @@ class TestFit:
         res = fit(z, cfg, init, dt=0.05)
         assert bounds.contains(res.params)
 
-    def test_criterion_6_segments_stop_for_a_tolerance_reason(self):
+    @pytest.mark.parametrize("outer_max_iter", [4, 40])  # the benchmark's cap and the paper's
+    def test_criterion_6_segments_stop_for_a_tolerance_reason(self, outer_max_iter):
         init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
         for z in criterion_6_segments():
-            res = fit(z, PenaltyConfig(outer_max_iter=40), init, dt=0.15)
+            res = fit(z, PenaltyConfig(outer_max_iter=outer_max_iter), init, dt=0.15)
             assert res.converged
             assert res.reason in ("projected gradient below tolerance", "step below tolerance")
 
@@ -525,9 +526,17 @@ class TestFitLockstep:
         results = fit_lockstep(np.array(segments), cfg, [init] * 5, dt=0.15)
         lone = [fit(z, cfg, init, dt=0.15) for z in segments]
         assert [fit_json(r) for r in results] == [fit_json(r) for r in lone]
-        if outer_max_iter == 40:  # the segments leave the lockstep at different steps
-            assert len({len(r.objective_history) for r in lone}) > 1
-            assert len({r.reason for r in lone}) > 1
+
+    def test_problems_leaving_at_different_steps_equal_their_lone_fits(self):
+        z, inits = lockstep_series(1, 1, 5)
+        cfg = PenaltyConfig(outer_max_iter=40)
+        results = fit_lockstep(z, cfg, inits, dt=0.1)
+        lone = [fit(zk, cfg, init, dt=0.1) for zk, init in zip(z, inits)]
+        assert [fit_json(r) for r in results] == [fit_json(r) for r in lone]
+        # the problems leave the lockstep at different steps and for every reason
+        assert len({len(r.objective_history) for r in lone}) == 5
+        assert {r.reason for r in lone} == {"projected gradient below tolerance",
+                                            "step below tolerance", "max outer iterations"}
 
     def test_the_lowest_index_failure_is_raised(self, monkeypatch):
         # segment 3 fails at its first evaluation, segment 1 only at its
@@ -738,7 +747,7 @@ NON_DEFAULT = {
     "outer_max_iter": 2,
     "outer_ftol": 1e-2,
     "outer_gtol": 1.0,
-    "armijo_c": 0.3,
+    "armijo_c": 0.5,
     "bounds.alpha1": (0.0, 1.2),
     "bounds.alpha2": (-0.7, 0.7),
     "bounds.coupling": (-0.1, 0.1),
@@ -804,6 +813,47 @@ def test_lm_trial_is_accepted_only_when_its_gain_ratio_beats_armijo_c(monkeypatc
     assert 0.2 < rho_lo < 0.45 and 0.2 < rho_hi < 0.45
     assert [f for _, _, f in accepted][1:] == [f_trial]
     assert len(rejected) == 1
+
+
+def test_a_stage_starts_from_the_damping_the_last_one_ended_with(monkeypatch):
+    # on small_series with these settings the lam = 10 stage ends on a step
+    # below outer_ftol, so its last damped J'J holds the mu it ends with
+    z, init = small_series()
+    events = []
+    real_jacobian, real_factor = estimator.reduced_jacobian, estimator.cho_factor
+
+    def jacobian_spy(vg, lam):
+        jac, dx_dp = real_jacobian(vg, lam)
+        events.append(("linearize", lam, jac.T @ jac))
+        return jac, dx_dp
+
+    def factor_spy(a, *args, **kwargs):
+        events.append(("factor", a))
+        return real_factor(a, *args, **kwargs)
+
+    def value_spy(*args, **kwargs):
+        events.append(("evaluate", kwargs["lam"]))
+        return value_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "reduced_jacobian", jacobian_spy)
+    monkeypatch.setattr(estimator, "cho_factor", factor_spy)
+    monkeypatch.setattr(estimator, "value_gradient", value_spy)
+    fit(z, PenaltyConfig(lam_schedule=(10.0, 100.0), outer_ftol=1e-4), init, dt=0.1)
+    mus = []  # (lam, mu, 1e-3 max diag(J'J)) per damped factorization
+    for kind, *rest in events:
+        if kind == "linearize":
+            lam, jtj = rest
+            scale = np.diag(jtj)
+        elif kind == "factor":  # the damped matrix is J'J + mu diag(J'J)
+            mus.append((lam, float(np.median((np.diag(rest[0]) - scale) / scale)),
+                        1e-3 * float(np.max(scale))))
+    first_stage = [(mu, restart) for lam, mu, restart in mus if lam == 10.0]
+    carried, restart = next((mu, restart) for lam, mu, restart in mus if lam == 100.0)
+    stage_2_start = events.index(("evaluate", 100.0))
+    assert events[stage_2_start - 1][0] == "factor"  # no trial after the last factorization
+    assert first_stage[0][0] == pytest.approx(first_stage[0][1], rel=1e-9)
+    assert carried == pytest.approx(first_stage[-1][0], rel=1e-9)
+    assert carried != pytest.approx(restart, rel=0.1)
 
 
 def test_an_early_stage_stops_at_its_inner_tolerance(monkeypatch):

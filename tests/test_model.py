@@ -17,6 +17,7 @@ from vdpfit.model import (
     simulate,
     step,
     _field_arrays,
+    _substep_param_jacobian,
 )
 
 from conftest import random_params, random_state
@@ -251,6 +252,57 @@ class TestParamsVector:
             VdpParams(alpha=np.array([[np.nan, 1.0]]), coupling=np.zeros((1, 1)))
 
 
+class TestProblemIndexing:
+    """Indexing stacked params or states slices their arrays; the public
+    constructors still check what they are given."""
+
+    @pytest.mark.parametrize("idx", [0, 2, -1, None, [0, 2], [1], slice(1, 3),
+                                     np.array([True, False, True])])
+    def test_an_indexed_item_holds_the_sliced_arrays(self, rng, idx):
+        params = VdpParams.stack([random_params(rng, 2) for _ in range(3)])
+        anchors = State.from_flat(rng.normal(size=(3, 4)))
+        p, a = params[idx], anchors[idx]
+        assert type(p) is VdpParams and type(a) is State
+        for got, arr in [(p.alpha, params.alpha), (p.coupling, params.coupling),
+                         (a.x1, anchors.x1), (a.x2, anchors.x2)]:
+            assert got.shape == arr[idx].shape
+            assert got.tobytes() == arr[idx].tobytes()
+        assert p.m == a.m == 2
+
+    def test_a_lone_item_gains_a_problem_axis(self, rng):
+        params, s = random_params(rng, 3), random_state(rng, 3)
+        npt.assert_array_equal(params[None].alpha, params.alpha[None])
+        npt.assert_array_equal(params[None].coupling, params.coupling[None])
+        npt.assert_array_equal(s[None].x1, s.x1[None])
+        npt.assert_array_equal(s[None].x2, s.x2[None])
+
+    @pytest.mark.parametrize("alpha, coupling, error", [
+        (np.array([[1.0, np.inf]]), np.zeros((1, 1)), ValueError),
+        (np.ones((1, 2)), np.array([[np.nan]]), ValueError),
+        (np.ones((2, 2, 2)), np.array([[[0.0, np.nan], [0.0, 0.0]]] * 2), ValueError),
+        (np.ones((2, 3)), np.zeros((2, 2)), DimensionError),
+        (np.ones((2, 2)), np.zeros((2, 3)), DimensionError),
+        (np.ones((3, 2, 2)), np.zeros((2, 2, 2)), DimensionError),
+    ])
+    def test_constructors_reject_bad_params(self, alpha, coupling, error):
+        with pytest.raises(error):
+            VdpParams(alpha=alpha, coupling=coupling)
+
+    def test_stack_and_from_vector_reject_bad_input(self, rng):
+        with pytest.raises(ValueError):  # parameter sets of different sizes
+            VdpParams.stack([random_params(rng, 1), random_params(rng, 2)])
+        with pytest.raises(ValueError):
+            VdpParams.from_vector(np.array([1.0, np.nan, 0.0]), 1)
+        with pytest.raises(DimensionError):
+            VdpParams.from_vector(np.ones((2, 7)), 2)
+
+    def test_constructors_reject_bad_states(self):
+        with pytest.raises(DimensionError):
+            State(x1=np.zeros((2, 3)), x2=np.zeros((2, 2)))
+        with pytest.raises(DimensionError):
+            State.from_flat(np.zeros((2, 3)))
+
+
 class TestStateLayout:
     def test_flat_interleaves_components(self):
         s = State(x1=[1.0, 3.0], x2=[2.0, 4.0])
@@ -286,6 +338,28 @@ def _fd_param_jacobian(params, s, dt, substeps, h=1e-6):
         f_lo = step(VdpParams.from_vector(lo, m), s, dt, substeps=substeps).to_flat()
         out[:, j] = (f_hi - f_lo) / (2 * h)
     return out
+
+
+def _fancy_param_jacobian(x1, x2, h):
+    """`_substep_param_jacobian` written with fancy-index assignments: the oracle
+    for its strided-slice writes."""
+    m = x1.shape[-1]
+    r1 = 2 * np.arange(m)
+    cols = np.arange(m)
+    out = np.zeros(x1.shape[:-1] + (2 * m, 2 * m + m * m))
+    out[..., r1, cols] = h * x1 * (1.0 - x1 * x1)
+    out[..., r1, m + cols] = h * x2
+    out[..., r1[:, None], 2 * m + m * cols[:, None] + cols] = (h * x1)[..., None, :]
+    return out
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 5)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_substep_param_jacobian_equals_its_fancy_index_form(rng, m, lead):
+    x1, x2 = rng.normal(size=lead + (m,)), rng.normal(size=lead + (m,))
+    got, want = _substep_param_jacobian(x1, x2, 0.07), _fancy_param_jacobian(x1, x2, 0.07)
+    assert got.shape == want.shape == lead + (2 * m, 2 * m + m * m)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestJacobians:
