@@ -556,9 +556,9 @@ def fit(
     1e-3 * max diag(J'J) in the first stage only: each later stage starts from
     the mu the previous one ended with. A damped matrix whose Cholesky
     factorization fails (mu below the roundoff of J'J) also counts as a
-    rejection. Each trial's inner
-    solve starts from the first-order prediction x* + (dx*/dp) dp of its
-    minimizer, or from x* when that is not finite. A stage stops on a
+    rejection. Each trial's inner solve starts from the first-order
+    prediction x* + (dx*/dp) dp of its minimizer, or from x* when that is
+    not finite. A stage stops on a
     projected gradient below max(outer_gtol, the stage's inner tolerance), a
     step with max |dp| / (1 + max |p|) below outer_ftol, or outer_max_iter
     trial steps. The (N, 2m) x_init, by default `default_x_init(z, dt)`,
