@@ -5,8 +5,8 @@ oscillator parameters for one series), forecast (sliding-window benchmark),
 connectivity (project coupling matrices to pixel edges), export-sim
 (simulation corpus generation).
 
-Exit codes: 0 success, 1 data or runtime failure, 2 usage or config error
-(a flag value outside its range included).
+Exit codes: 0 success, 1 data or runtime failure (running out of memory
+included), 2 usage or config error (a flag value outside its range included).
 A fit config's "penalty" and "search" objects take the fields of PenaltyConfig
 and SearchConfig, typed as there (search.seed comes from --seed); a malformed
 key or value exits 2 and names its dotted key, as does a malformed fit.json.
@@ -403,6 +403,9 @@ def main(argv=None) -> int:
         return 2
     except (FitError, SimulationDiverged, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError) as exc:  # a count in range, but too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

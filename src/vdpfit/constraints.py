@@ -46,14 +46,11 @@ _pbsv = get_lapack_funcs("pbsv", dtype=np.float64)
 
 def stack_states(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """The (N, 2m) stacked state of (N, m) tracks: each row is one time sample,
-    with component i at columns (2i, 2i+1) = (x1_i, x2_i) as in `State.to_flat`."""
+    with component i at columns (2i, 2i+1) = (x1_i, x2_i), laid out by `State.to_flat`."""
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     if x1.shape != x2.shape or x1.ndim != 2:
         raise DimensionError(f"x1/x2 must be equal (N, m) arrays, got {x1.shape} and {x2.shape}")
-    x = np.empty((x1.shape[0], 2 * x1.shape[1]))
-    x[:, 0::2] = x1
-    x[:, 1::2] = x2
-    return x
+    return State(x1=x1, x2=x2).to_flat()
 
 
 def _check_components(x: np.ndarray, params: VdpParams, anchor: Optional[State] = None) -> int:

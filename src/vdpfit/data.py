@@ -29,6 +29,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import metrics
 from .model import DimensionError
 
 
@@ -276,12 +277,8 @@ def normalize_components(comps: SvdComponents) -> SvdComponents:
     restored; renormalizing an already normalized result is a no-op up to
     floating point.
     """
-    # each row's std taken on the row divided by a power of two near its peak,
-    # so squaring cannot overflow, then scaled back; power-of-two scaling is exact
-    _, exp = np.frexp(np.max(np.abs(comps.temporal), axis=1))
-    stds = np.ldexp(np.ldexp(comps.temporal, -exp[:, None]).std(axis=1), exp)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        scale = float(stds.mean())
+        scale = float(metrics.std(comps.temporal, axis=1).mean())
     if scale == 0.0 or not math.isfinite(scale):
         raise ValueError(f"mean of component standard deviations is {scale}; cannot normalize")
     return SvdComponents(

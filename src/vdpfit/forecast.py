@@ -47,7 +47,6 @@ class VarModel:
 
     coefs: np.ndarray  # (k, m, m)
     intercept: np.ndarray  # (m,)
-    ridge_fallback: bool = False
 
     def __post_init__(self):
         coefs = np.asarray(self.coefs, dtype=float)
@@ -75,8 +74,8 @@ def var_fit(train: np.ndarray, k: int = 6) -> VarModel:
 
     Predictors and targets are column-centered so the intercept drops out of
     the solve; a rank-deficient design falls back to ridge normal equations
-    with RIDGE_EPS and flags the result. On a constant series this yields
-    zero lag coefficients and intercept equal to the constant.
+    with RIDGE_EPS. On a constant series this yields zero lag coefficients
+    and intercept equal to the constant.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     m, t = train.shape
@@ -91,13 +90,12 @@ def var_fit(train: np.ndarray, k: int = 6) -> VarModel:
     xc = x - x_mean
     yc = y - y_mean
     b, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
-    ridge = rank < k * m
-    if ridge:
+    if rank < k * m:
         gram = xc.T @ xc + RIDGE_EPS * np.eye(k * m)
         b = np.linalg.solve(gram, xc.T @ yc)
     coefs = np.stack([b[(l - 1) * m : l * m].T for l in range(1, k + 1)])
     intercept = y_mean - x_mean @ b
-    return VarModel(coefs=coefs, intercept=intercept, ridge_fallback=ridge)
+    return VarModel(coefs=coefs, intercept=intercept)
 
 
 def var_predict(model: VarModel, history: np.ndarray, steps: int) -> np.ndarray:
@@ -208,7 +206,6 @@ class WindowForecast:
     segment: int
     component: int
     window: int
-    start: int
     true: np.ndarray  # (H,)
     pred: np.ndarray  # (H,)
     corr: np.ndarray  # (H,) cumulative Pearson through h (NaN where undefined)
@@ -305,7 +302,7 @@ def evaluate(
             continue
         method.prepare(data, split)
         skipped = 0
-        kept: list[tuple[int, int, int]] = []  # (segment, window, start)
+        kept: list[tuple[int, int]] = []  # (segment, window)
         trues, preds = [], []
         for s_idx, seg in enumerate(split.segments):
             t0, t1 = seg.test
@@ -323,7 +320,7 @@ def evaluate(
                     raise DimensionError(
                         f"{method.name} returned {pred.shape}, expected {(m, horizon)}"
                     )
-                kept.append((s_idx, w_idx, start))
+                kept.append((s_idx, w_idx))
                 trues.append(data[:, start : start + horizon])
                 preds.append(pred)
         true = np.array(trues, dtype=float).reshape(-1, m, horizon)
@@ -334,9 +331,9 @@ def evaluate(
             for h in range(2, horizon + 1):
                 corr[w, c, h - 1] = metrics.pearson(true[w, c, :h], pred[w, c, :h])
         records.extend(
-            WindowForecast(method.name, s_idx, c, w_idx, start,
+            WindowForecast(method.name, s_idx, c, w_idx,
                            true[i, c], pred[i, c], corr[i, c], rmse[i, c])
-            for i, (s_idx, w_idx, start) in enumerate(kept)
+            for i, (s_idx, w_idx) in enumerate(kept)
             for c in range(m)
         )
         stats[method.name] = _horizon_stats(true, pred, corr, rmse, skipped)
@@ -430,7 +427,7 @@ def export_simulations(
     if not 0 <= noise_sigma < math.inf:
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
-    sds = [(f.states.x1.std(axis=0), f.states.x2.std(axis=0)) for f in fits]
+    sds = [(metrics.std(f.states.x1, axis=0), metrics.std(f.states.x2, axis=0)) for f in fits]
     made: dict[int, tuple[np.ndarray, int]] = {}  # index -> (x1 series, round)
     pending = list(range(n_series))
     for attempt in range(1, MAX_EXPORT_ATTEMPTS + 1):
@@ -458,12 +455,12 @@ def export_simulations(
     if real_series is None:
         real_series = [f.states.x1 for f in fits]
     real_series = [np.atleast_2d(np.asarray(r, dtype=float)) for r in real_series]
+    real_sds = [metrics.std(r, axis=0) for r in real_series]
     noisy = Corpus(series=[], sources=[])
     for idx in range(n_series):
         src = idx % len(real_series)
         base = real_series[src]
-        sd = base.std(axis=0)
-        noisy.series.append(base + rng.normal(size=base.shape) * noise_sigma * sd)
+        noisy.series.append(base + rng.normal(size=base.shape) * noise_sigma * real_sds[src])
         noisy.sources.append({"index": idx, "source_series": src})
     return ExportResult(
         simulated=sim,

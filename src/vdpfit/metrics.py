@@ -60,6 +60,17 @@ def component_scores(
     return c, r2
 
 
+def std(values: np.ndarray, axis: int) -> np.ndarray:
+    """`np.std` along `axis`, without overflow for any finite input.
+
+    Each slice is divided by a power of two near its peak magnitude before
+    squaring and scaled back after; power-of-two scaling is exact, so inputs
+    clear of the subnormal range give `np.std`'s bits.
+    """
+    _, exp = np.frexp(np.max(np.abs(values), axis=axis, keepdims=True))
+    return np.ldexp(np.ldexp(values, -exp).std(axis=axis), exp.squeeze(axis))
+
+
 def median_and_se(values: np.ndarray) -> tuple[float, float]:
     """Median of the finite entries plus the sigma/sqrt(n) standard error of the median.
 

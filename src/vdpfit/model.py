@@ -41,7 +41,6 @@ class SimulationDiverged(RuntimeError):
 
     def __init__(self, step: int, limit: float):
         self.step = step
-        self.limit = limit
         super().__init__(f"state magnitude exceeded {limit:g} at step {step}")
 
 

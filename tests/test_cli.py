@@ -1096,6 +1096,46 @@ class TestExportSim:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["source_series"] for s in manifest["noisy_real"]["series"]] == [0, 0]
 
+    def test_states_near_the_float_limit_export_finite_noisy_series(self, workdir, capsys):
+        # squaring 1e300 overflows, so a plain std of these tracks is inf; under the
+        # suite's filterwarnings = error its overflow warning would also escape main
+        fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
+        doc = json.loads(fit.read_text())
+        doc["states"]["x1"] = (np.array(doc["states"]["x1"]) * 1e300).tolist()
+        fit.write_text(json.dumps(doc))
+        out = workdir / "c"
+        code = main(["export-sim", str(fit), "--n-series", "3", "--length", "5", "--seed", "1",
+                     "-o", str(out)])
+        assert code == 0
+        assert "Warning" not in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["simulated"]["skipped"] == 3 and manifest["noisy_real"]["count"] == 3
+        for path in (out / "noisy_real").iterdir():
+            assert np.isfinite(load_csv(path, layout="rows=time")).all()  # load_csv checks too
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-series", "1", "--length", str(10 ** 12)],
+        ["--n-series", str(10 ** 8), "--length", "5"],
+        ["--n-series", str(10 ** 30), "--length", "5"],
+    ], ids=["length-1e12", "n-series-1e8", "n-series-1e30"])
+    def test_count_too_large_to_hold_is_data_error(self, workdir, flags):
+        # in range, so the program tries to allocate; the child's address space is
+        # capped, so the attempt fails at once instead of taking real memory
+        fit = write_fit_json(workdir / "fa.json", m=1)
+        out = workdir / "c"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-c", "import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20)); "
+             "from vdpfit.cli import main; sys.exit(main(sys.argv[1:]))",
+             "export-sim", str(fit), "--seed", "1", *flags, "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert not out.exists()
+
 
 # (argv with every required flag in range, flag, out-of-range value)
 BASE_ARGV = {
@@ -1148,6 +1188,60 @@ def test_negative_seed_is_usage_error_before_any_output(workdir, series_csv, fit
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every numeric flag: (argv with the other required flags in range, flag, type, minimum)
+NUMERIC_FLAGS = [
+    (BASE_ARGV["svd"], "-m", int, 1),
+    *[(BASE_ARGV["forecast"], flag, int, 1) for flag in
+      ("--train-len", "--test-len", "--segments", "--horizon", "--var-order")],
+    (BASE_ARGV["forecast"], "--seed", int, 0),
+    (BASE_ARGV["connectivity"], "--top-k", int, 1),
+    (BASE_ARGV["export-sim"], "--n-series", int, 0),
+    (BASE_ARGV["export-sim"], "--length", int, 2),
+    (BASE_ARGV["export-sim"], "--seed", int, 0),
+    (BASE_ARGV["export-sim"], "--noise-sigma", float, 0.0),
+    (["fit", "in.csv", "--config", "fit.json", "--seed", "1"], "--seed", int, 0),
+]
+
+
+@st.composite
+def _out_of_range_flag(draw):
+    """(argv, flag, text): text below the flag's minimum, not a number, not
+    finite, past the float range, or a float for an integer flag."""
+    argv, flag, kind, lo = draw(st.sampled_from(NUMERIC_FLAGS))
+    below = (st.integers(max_value=lo - 1) if kind is int
+             else st.floats(max_value=np.nextafter(lo, -np.inf)))
+    bad = [below.map(str),
+           st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "infinity", "1e400", "-1e400",
+                            "", " ", "two", "1,5", "0x10", "1_0e", "--"])]
+    if kind is int:
+        bad.append(st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    return argv, flag, draw(st.one_of(bad))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_out_of_range_flag())
+@example(case=(BASE_ARGV["export-sim"], "--length", "2.0"))
+@example(case=(BASE_ARGV["export-sim"], "--noise-sigma", "1e400"))
+def test_out_of_range_numeric_flag_exits_2_naming_it(tmp_path_factory, case):
+    argv, flag, text = case
+    out = tmp_path_factory.getbasetemp() / "flag-out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(out), flag, text])
+    assert exc.value.code == 2
+    assert flag in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
+def test_package_binds_only_its_version_and_submodules():
+    # each name has one home, its module; `vdpfit` re-exports none of them
+    import vdpfit
+    public = {name for name, value in vars(vdpfit).items()
+              if not name.startswith("_") and not isinstance(value, type(vdpfit))}
+    assert public == set()
+    assert isinstance(vdpfit.__version__, str)
 
 
 def test_flags_at_their_lower_bound_are_accepted(workdir):

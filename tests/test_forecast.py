@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vdpfit import metrics
 from vdpfit.data import split_segments
@@ -119,6 +120,26 @@ class TestMetrics:
         assert med_a == med_b
         assert se_a == pytest.approx(se_b, rel=1e-12, abs=1e-300)
 
+    @given(x=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=st.floats(-1e100, 1e100, allow_subnormal=False)),
+           axis=st.sampled_from([0, 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_std_is_np_std_bit_for_bit(self, x, axis):
+        assert metrics.std(x, axis).tobytes() == np.std(x, axis=axis).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 3e100])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_std_is_np_std_bit_for_bit_on_long_slices(self, rng, scale, axis):
+        # 500 samples a slice, past the 128-element blocks of numpy's pairwise sums
+        x = rng.normal(size=(500, 500)) * scale + scale
+        assert metrics.std(x, axis).tobytes() == np.std(x, axis=axis).tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_std_stays_finite_past_the_square_root_of_the_float_range(self, rng, axis):
+        x = rng.normal(size=(40, 3))
+        big = metrics.std(x * 1e300, axis)  # np.std would overflow (and warn) here
+        npt.assert_allclose(big, np.std(x, axis=axis) * 1e300, rtol=1e-14)
+
 
 class TestVarFit:
     def test_exact_recovery_noise_free(self):
@@ -126,7 +147,6 @@ class TestVarFit:
         model = var_fit(y, k=2)
         npt.assert_allclose(model.coefs, coefs, atol=1e-8)
         npt.assert_allclose(model.intercept, intercept, atol=1e-8)
-        assert not model.ridge_fallback
         assert model.order == 2 and model.m == 2
 
     def test_one_step_predictions_match_data(self):
@@ -139,7 +159,6 @@ class TestVarFit:
         model = var_fit(np.full((2, 30), 3.7), k=2)
         npt.assert_allclose(model.coefs, 0.0, atol=1e-12)
         npt.assert_allclose(model.intercept, [3.7, 3.7], atol=1e-12)
-        assert model.ridge_fallback
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError, match="samples"):
