@@ -9,7 +9,7 @@ stacked constraint is
 
 so G vanishes exactly on simulated trajectories whose first sample matches the
 anchor: the batched map rounds every transition as `simulate` rounds it alone,
-for any strides of the stacked state (see `model._field_arrays`). The state
+for any strides of the stacked state (see `model._euler_core`). The state
 Jacobian dG/dx is block lower-bidiagonal with identity diagonal blocks, so
 `residual_jacobian_x` returns only its (N-1, 2m, 2m) subdiagonal blocks. The
 structure keeps Gauss-Newton normal systems block-tridiagonal: with b = 2m

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from . import metrics
 from .constraints import (
@@ -44,6 +44,7 @@ from .constraints import (
 )
 from .model import DimensionError, State, Trajectory, VdpParams
 
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 _MAX_HALVINGS = 48
 # an accepted step that lowers f by no more than this times |f| is roundoff
 _ROUNDOFF_DECREASE = 8 * np.finfo(float).eps
@@ -518,6 +519,19 @@ def reduced_jacobian(vg: ValueGradient, lam: float) -> tuple[np.ndarray, np.ndar
     return jac, dx_dp
 
 
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for symmetric positive definite `a`, by LAPACK potrf/potrs on its
+    upper triangle (scipy's `cho_factor`/`cho_solve`, bit for bit). Raises
+    LinAlgError when `a` is not positive definite, ValueError on non-finite input."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _potrf(a, lower=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not "
+                                    "positive definite")
+    return _potrs(c, b, lower=False)[0]
+
+
 def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
     c, r2 = metrics.component_scores(z_values, x1_fit)
     return [
@@ -673,7 +687,7 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
                 jtj, scale, dx_dp = lin[i]
                 g, x_opt = vg[i].gradient, vg[i].x
                 try:
-                    step = cho_solve(cho_factor(jtj + np.diag(mu[i] * scale)), g)
+                    step = _cholesky_solve(jtj + np.diag(mu[i] * scale), g)
                 except np.linalg.LinAlgError:  # mu * scale fell below J'J's roundoff
                     mu[i] *= 4.0
                     continue

@@ -325,11 +325,15 @@ def evaluate(
                 preds.append(pred)
         true = np.array(trues, dtype=float).reshape(-1, m, horizon)
         pred = np.array(preds, dtype=float).reshape(-1, m, horizon)
-        rmse = np.sqrt(np.cumsum((true - pred) ** 2, axis=2) / np.arange(1, horizon + 1))
+        # one power-of-two scale per (window, component): exact, and the
+        # squares cannot overflow
+        exp = metrics.scale_exponent(true, pred, axis=2)
+        diff = np.ldexp(true, -exp) - np.ldexp(pred, -exp)
+        rmse = np.ldexp(np.sqrt(np.cumsum(diff**2, axis=2) / np.arange(1, horizon + 1)), exp)
         corr = np.full(true.shape, math.nan)
-        for w, c in np.ndindex(true.shape[:2]):
-            for h in range(2, horizon + 1):
-                corr[w, c, h - 1] = metrics.pearson(true[w, c, :h], pred[w, c, :h])
+        for h in range(2, horizon + 1):  # every (window, component) over the first h steps
+            corr[:, :, h - 1] = metrics.component_scores(
+                np.swapaxes(true[:, :, :h], 1, 2), np.swapaxes(pred[:, :, :h], 1, 2))[0]
         records.extend(
             WindowForecast(method.name, s_idx, c, w_idx,
                            true[i, c], pred[i, c], corr[i, c], rmse[i, c])
@@ -347,21 +351,18 @@ def evaluate(
 def _horizon_stats(true: np.ndarray, pred: np.ndarray, corr: np.ndarray, rmse: np.ndarray,
                    skipped: int) -> HorizonStats:
     """Pool one method's (windows, m, H) arrays per horizon step."""
-    n, m, horizon = true.shape
     rmse_stats, corr_stats, corr_components = [], [], []
-    for h in range(horizon):
+    # (H, m): at each step, each component's correlation across the windows
+    step_corrs = metrics.component_scores(np.moveaxis(true, 2, 0), np.moveaxis(pred, 2, 0))[0]
+    for h, comp_corrs in enumerate(step_corrs):
         rmse_stats.append(metrics.median_and_se(rmse[:, :, h]))
-        comp_corrs = np.array([
-            metrics.pearson(true[:, c, h], pred[:, c, h]) if n >= 2 else math.nan
-            for c in range(m)
-        ])
         corr_stats.append(metrics.median_and_se(comp_corrs))
         corr_components.append(int(np.sum(np.isfinite(comp_corrs))))
     corr_median, corr_se = map(list, zip(*corr_stats))
     rmse_median, rmse_se = map(list, zip(*rmse_stats))
     undefined = int(np.sum(~np.isfinite(corr[:, :, 1:])))
     return HorizonStats(corr_median, corr_se, corr_components, rmse_median, rmse_se,
-                        n, skipped, undefined)
+                        len(true), skipped, undefined)
 
 
 @dataclass

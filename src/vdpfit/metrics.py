@@ -1,6 +1,7 @@
 """Correlation and goodness-of-fit helpers shared by the fitting and forecasting code."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -9,54 +10,87 @@ from .model import DimensionError
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of two 1-d arrays.
+    """Pearson correlation of two 1-d arrays, by `component_scores`.
 
     Returns NaN when either input has zero variance or fewer than two
     samples, so callers can decide how degenerate tracks are handled.
     """
+    return float(component_scores(*_columns(a, b))[0][0])
+
+
+def r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
+    """Coefficient of determination 1 - SS_res/SS_tot of `predicted` against
+    `observed`, by `component_scores`.
+
+    NaN when the observed track has zero variance (SS_tot = 0).
+    """
+    return float(component_scores(*_columns(observed, predicted))[1][0])
+
+
+def _columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
-        return math.nan
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
-    if denom == 0.0 or not math.isfinite(denom):
-        return math.nan
-    return float(da @ db) / denom
+    return a[:, None], b[:, None]
 
 
-def r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
-    """Coefficient of determination 1 - SS_res/SS_tot of `predicted` against `observed`.
-
-    NaN when the observed track has zero variance (SS_tot = 0).
+def scale_exponent(*arrays: np.ndarray, axis: int) -> np.ndarray:
+    """The binary exponent of the peak magnitude along `axis` over `arrays`
+    (broadcast together, axis kept): `np.ldexp(a, -exp)` brings every entry to
+    |x| <= 1, so squares and their sums cannot overflow. Power-of-two scaling
+    is exact, so entries clear of the subnormal range keep their bits up to
+    that factor. Non-finite peaks give 0, which leaves their slices as they are.
     """
-    observed = np.asarray(observed, dtype=float).ravel()
-    predicted = np.asarray(predicted, dtype=float).ravel()
-    if observed.size != predicted.size:
-        raise ValueError(f"length mismatch: {observed.size} vs {predicted.size}")
-    resid = observed - predicted
-    ss_res = float(resid @ resid)
-    centered = observed - observed.mean()
-    ss_tot = float(centered @ centered)
-    if ss_tot == 0.0 or not math.isfinite(ss_tot):
-        return math.nan
-    return 1.0 - ss_res / ss_tot
+    peaks = [np.max(np.abs(a), axis=axis, keepdims=True) for a in arrays]
+    return np.frexp(functools.reduce(np.maximum, peaks))[1]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis. Each is one BLAS ddot, as a 1-d `a @ b`
+    is, so on contiguous rows each rounds exactly as that 1-d product."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def component_scores(
     observed: np.ndarray, simulated: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (pearson, r_squared) arrays of (n, m) tracks; NaN marks undefined entries."""
-    observed = np.atleast_2d(observed)
-    simulated = np.atleast_2d(simulated)
-    if observed.shape != simulated.shape:
+    """Per-component (pearson, r_squared) of simulated tracks against observed
+    ones, each (..., N, m) with leading axes that broadcast (a stack of
+    simulations against one (N, m) observation, say): two (..., m) arrays.
+
+    NaN marks undefined entries (a zero-variance track, fewer than two
+    samples, a non-finite value), with no floating-point warning. Each track is
+    scaled by a power of two before its sums (`scale_exponent`; observed and
+    simulated share one scale in R^2), so finite tracks of any magnitude score
+    without overflow. Every score has the bits of the 1-d formula on that
+    column alone: time runs along a contiguous last axis, where a mean is
+    numpy's pairwise sum of the row and a dot product one BLAS ddot.
+    """
+    observed = np.atleast_2d(np.asarray(observed, dtype=float))
+    simulated = np.atleast_2d(np.asarray(simulated, dtype=float))
+    if observed.shape[-2:] != simulated.shape[-2:]:
         raise DimensionError(f"observed {observed.shape} vs simulated {simulated.shape} tracks")
-    cols = range(observed.shape[1])
-    c = np.array([pearson(observed[:, i], simulated[:, i]) for i in cols], dtype=float)
-    r2 = np.array([r_squared(observed[:, i], simulated[:, i]) for i in cols], dtype=float)
+    # (2, ..., m, N): observed, then simulated, time last and contiguous
+    *lead, n, m = np.broadcast_shapes(observed.shape, simulated.shape)
+    x = np.empty((2, *lead, m, n))
+    xt = np.swapaxes(x, -1, -2)
+    xt[0], xt[1] = observed, simulated
+    if x.shape[-1] < 2:
+        undefined = np.full(x.shape[1:-1], math.nan)
+        return undefined, undefined.copy()
+    with np.errstate(all="ignore"):
+        exp = scale_exponent(x, axis=-1)
+        d = np.ldexp(x, -exp)
+        d -= d.mean(axis=-1, keepdims=True)
+        ss = _dots(d, d)
+        # a zero sum of squares means all-zero deviations, so 0/0; a non-finite
+        # value makes its row of d NaN
+        c = _dots(d[0], d[1]) / np.sqrt(ss[0] * ss[1])
+        shared = exp.max(axis=0)
+        resid = np.subtract(*np.ldexp(x, -shared))
+        ss_tot = np.ldexp(ss[0], 2 * (exp[0] - shared)[..., 0])
+        r2 = np.where(ss_tot == 0.0, math.nan, 1.0 - _dots(resid, resid) / ss_tot)
     return c, r2
 
 
@@ -64,10 +98,10 @@ def std(values: np.ndarray, axis: int) -> np.ndarray:
     """`np.std` along `axis`, without overflow for any finite input.
 
     Each slice is divided by a power of two near its peak magnitude before
-    squaring and scaled back after; power-of-two scaling is exact, so inputs
-    clear of the subnormal range give `np.std`'s bits.
+    squaring and scaled back after (`scale_exponent`), so inputs clear of the
+    subnormal range give `np.std`'s bits.
     """
-    _, exp = np.frexp(np.max(np.abs(values), axis=axis, keepdims=True))
+    exp = scale_exponent(values, axis=axis)
     return np.ldexp(np.ldexp(values, -exp).std(axis=axis), exp.squeeze(axis))
 
 
@@ -81,5 +115,5 @@ def median_and_se(values: np.ndarray) -> tuple[float, float]:
     if finite.size == 0:
         return math.nan, math.nan
     med = float(np.median(finite))
-    se = float(np.std(finite) / math.sqrt(finite.size))
+    se = float(std(finite, axis=0) / math.sqrt(finite.size))
     return med, se

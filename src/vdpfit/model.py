@@ -25,7 +25,7 @@ a single time sample occupies slots (2i, 2i+1) = (x1_i, x2_i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -192,23 +192,6 @@ def _substep_size(dt: float, substeps: int) -> float:
     return dt / substeps
 
 
-def _field_arrays(
-    alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray, x2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vector field on raw arrays; x1/x2 may be (m,) or batched (..., m), and
-    alpha/coupling either shared, (m, 2) and (m, m), or one per trajectory,
-    (..., m, 2) and (..., m, m).
-
-    The coupling sum W x1 is an elementwise product reduced over a fresh
-    contiguous axis, not a BLAS matmul: its summation order then depends on m
-    only, so each row of a batch rounds exactly as the same state alone, for
-    any batch size, any input strides and shared or per-trajectory parameters.
-    """
-    coupled = (x1[..., None, :] * coupling).sum(axis=-1)
-    dx1 = alpha[..., 0] * x1 * (1.0 - x1 * x1) + alpha[..., 1] * x2 + coupled
-    return dx1, -x1
-
-
 def _param_arrays(params: VdpParams, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, coupling) to broadcast against (..., m) states x1 that lead with
     params' problem axes: where x1 has a time axis after them, so do they."""
@@ -217,19 +200,39 @@ def _param_arrays(params: VdpParams, x1: np.ndarray) -> tuple[np.ndarray, np.nda
     return params.alpha[..., None, :, :], params.coupling[..., None, :, :]
 
 
-def _euler_arrays(
-    alpha: np.ndarray,
-    coupling: np.ndarray,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    h: float,
-    substeps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`substeps` Euler substeps s + h * f(s) on raw arrays (see `_field_arrays`)."""
-    for _ in range(substeps):
-        dx1, dx2 = _field_arrays(alpha, coupling, x1, x2)
-        x1, x2 = x1 + h * dx1, x2 + h * dx2
-    return x1, x2
+def _euler_core(alpha: np.ndarray, coupling: np.ndarray, shape: tuple[int, ...], h: float,
+                substeps: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """The sample map g, `substeps` Euler substeps s + h * f(s), on raw state
+    arrays of `shape`, (m,) or batched (..., m), with alpha/coupling shared,
+    (m, 2) and (m, m), or one per trajectory, (..., m, 2) and (..., m, m).
+    Returns g(x1, x2, out1, out2), which writes the mapped states into out1/out2
+    and returns them; its scratch arrays are allocated here, once, so the steps
+    of a rollout allocate nothing.
+
+    dx1/dt is added left to right, (self + excitability) + coupling, and
+    x2 - h * x1 has the bits of x2 + h * dx2/dt = x2 + h * (-x1). The coupling
+    sum W x1 is an elementwise product reduced over a fresh contiguous axis,
+    not a BLAS matmul: its summation order then depends on m only, so each row
+    of a batch rounds exactly as the same state alone, for any batch size, any
+    input strides and shared or per-trajectory parameters.
+    """
+    a1, a2 = alpha[..., 0], alpha[..., 1]
+    dx1, tmp, terms = np.empty(shape), np.empty(shape), np.empty(shape + shape[-1:])
+    mul, add, sub, add_up = np.multiply, np.add, np.subtract, np.add.reduce
+
+    def g(x1, x2, out1, out2):
+        for _ in range(substeps):
+            mul(a1, x1, out=dx1)
+            mul(dx1, sub(1.0, mul(x1, x1, out=tmp), out=tmp), out=dx1)
+            add(dx1, mul(a2, x2, out=tmp), out=dx1)
+            add(dx1, add_up(mul(x1[..., None, :], coupling, out=terms), axis=-1, out=tmp),
+                out=dx1)
+            mul(dx1, h, out=dx1)
+            x2 = sub(x2, mul(x1, h, out=tmp), out=out2)
+            x1 = add(x1, dx1, out=out1)
+        return x1, x2
+
+    return g
 
 
 def euler_map(
@@ -239,7 +242,8 @@ def euler_map(
     with h = dt / substeps. x1/x2 may be (m,) or batched (K, m), or (S, m) or
     (S, K, m) for S stacked params."""
     h = _substep_size(dt, substeps)
-    return _euler_arrays(*_param_arrays(params, x1), x1, x2, h, substeps)
+    g = _euler_core(*_param_arrays(params, x1), x1.shape, h, substeps)
+    return g(x1, x2, np.empty(x1.shape), np.empty(x1.shape))
 
 
 def _substep_state_jacobian(alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray,
@@ -298,7 +302,7 @@ def _chained_jacobians(
     jx = _substep_state_jacobian(alpha, coupling, x1, h) if want_state else None
     jp = _substep_param_jacobian(x1, x2, h) if want_params else None
     for _ in range(substeps - 1):
-        x1, x2 = _euler_arrays(alpha, coupling, x1, x2, h, 1)
+        x1, x2 = euler_map(params, x1, x2, h)
         j_sub = _substep_state_jacobian(alpha, coupling, x1, h)
         if want_state:
             jx = j_sub @ jx
@@ -352,10 +356,9 @@ def rollout(
     out2 = np.empty((n_steps,) + x1.shape)
     out1[0], out2[0] = x1, x2
     with np.errstate(over="ignore", invalid="ignore"):
+        g = _euler_core(alpha, coupling, x1.shape, h, substeps)
         for k in range(1, n_steps):
-            out1[k], out2[k] = _euler_arrays(
-                alpha, coupling, out1[k - 1], out2[k - 1], h, substeps
-            )
+            g(out1[k - 1], out2[k - 1], out1[k], out2[k])
         outside = ~(
             (np.abs(out1) <= DIVERGENCE_LIMIT) & (np.abs(out2) <= DIVERGENCE_LIMIT)
         ).all(axis=-1)

@@ -14,16 +14,19 @@ rounds the incumbent seeds a variable-projection fit and the better of the two
 survives.
 
 One scorer, `_scored`, scores every candidate (the start, the proposals, each
-refinement) in one batched rollout, and a `Candidate` keeps the track it was
-scored on: refinements start from it and results report it, so no candidate
-is simulated twice.
+refinement): one batched rollout and one `component_scores` call per batch.
+A `Candidate` keeps the track it was scored on: refinements start from it and
+results report it, so no candidate is simulated twice.
 
 The draws never depend on the incumbent, so a round draws all its proposals
 up front and scores them in speculative batches: the rest of the round is
-built from the incumbent and integrated in one batched rollout, and its rows
-are scored in order up to the first accept. Fitness values, accepts, trace
-rows and results are those of `propose` called once per proposal, bit for
-bit; a round costs accepts + 1 rollouts instead of one per proposal.
+built from the incumbent in one stacked build (`_proposals`), integrated in
+one batched rollout and scored in one call, and its rows are taken in order
+up to the first accept. A round costs accepts + 1 rollouts instead of one per
+proposal. Proposals need the start's parameters but not its fitness, so the
+start rides in round 1's first rollout as row 0. Fitness values, accepts,
+trace rows and results are those of scoring the start alone and calling
+`propose` once per proposal, bit for bit.
 """
 from __future__ import annotations
 
@@ -102,7 +105,8 @@ class Candidate:
     """A scored point in (params, x2_init) space.
 
     `provenance` is (round, proposal index, accepted-from tag); fitness is
-    -inf for invalid candidates (diverged simulation or degenerate tracks).
+    -inf for invalid candidates (diverged simulation or degenerate tracks),
+    and NaN for the search's start until round 1 scores it.
     `track` is the simulation it was scored on (None if it diverged) and
     `result` the refinement it came from, if any.
     """
@@ -119,12 +123,12 @@ class Candidate:
         return math.isfinite(self.fitness)
 
 
-def combine_scores(c: np.ndarray, r2: np.ndarray, gamma: float) -> float:
-    """min_i (c_i + gamma * R2_i); any undefined component makes it -inf."""
-    vals = np.asarray(c, dtype=float) + gamma * np.asarray(r2, dtype=float)
-    if np.any(~np.isfinite(vals)):
-        return -math.inf
-    return float(np.min(vals))
+def combine_scores(c: np.ndarray, r2: np.ndarray, gamma: float) -> np.ndarray:
+    """min_i (c_i + gamma * R2_i) over the last axis of (..., m) scores: one
+    fitness per row, -inf for a row with any undefined component."""
+    with np.errstate(invalid="ignore"):  # 0 * inf: an undefined row either way
+        vals = np.asarray(c, dtype=float) + gamma * np.asarray(r2, dtype=float)
+    return np.where(np.isfinite(vals).all(axis=-1), vals.min(axis=-1), -math.inf)
 
 
 def fitness(z: np.ndarray, sim: Trajectory, gamma: float) -> float:
@@ -134,64 +138,74 @@ def fitness(z: np.ndarray, sim: Trajectory, gamma: float) -> float:
     undefined and the whole candidate scores -inf. Tracks of different shapes
     raise DimensionError.
     """
-    c, r2 = metrics.component_scores(z, sim.x1)
-    return combine_scores(c, r2, gamma)
+    return float(combine_scores(*metrics.component_scores(z, sim.x1), gamma))
 
 
-def _scored(z: np.ndarray, pairs: list[tuple[VdpParams, np.ndarray]], gamma: float,
+def _scored(z: np.ndarray, params: VdpParams, x2: np.ndarray, gamma: float,
             dt: float, substeps: int) -> Iterator[Candidate]:
-    """The one scorer: integrate the (params, x2_init) pairs from the first
-    observation in one rollout and yield their Candidates in order. Scoring is
-    lazy, so a caller that stops early scores no further rows."""
-    x2 = np.stack([x2_init for _, x2_init in pairs])
-    x1 = np.broadcast_to(z[0], x2.shape)
-    params = VdpParams.stack([p for p, _ in pairs])
-    out1, out2, diverged = rollout(params, x1, x2, len(z), dt, substeps)
-    for k, (params, x2_init) in enumerate(pairs):
+    """The one scorer: integrate R stacked params from the first observation
+    and the (R, m) x2 starts in one rollout, score every row in one call, and
+    yield the rows' Candidates in order. A row's Candidate and the copy of its
+    track are built only when the caller takes it."""
+    out1, out2, diverged = rollout(params, np.broadcast_to(z[0], x2.shape), x2, len(z),
+                                   dt, substeps)
+    fit = combine_scores(*metrics.component_scores(z, np.moveaxis(out1, 1, 0)), gamma)
+    for k in range(len(x2)):
         if diverged[k]:
-            yield Candidate(params, x2_init, -math.inf)
+            yield Candidate(params[k], x2[k], -math.inf)
         else:  # contiguous copies of the row equal a lone simulate's track bit for bit
             track = Trajectory(x1=out1[:, k].copy(), x2=out2[:, k].copy(), dt=dt)
-            yield Candidate(params, x2_init, fitness(z, track, gamma), track=track)
+            yield Candidate(params[k], x2[k], float(fit[k]), track=track)
 
 
-def _draw(m: int, sc: StepScales, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """The one consumer of the proposal RNG: a uniformly chosen group and its
-    Gaussian noise. Groups are m alpha rows, m^2 coupling entries and m x2
-    entries; the draws never depend on the incumbent."""
-    pick = int(rng.integers(0, m + m * m + m))
-    if pick < m:
-        noise = rng.normal(0.0, sc.alpha, size=2)
-    elif pick < m + m * m:
-        noise = rng.normal(0.0, sc.coupling)
-    else:
-        noise = rng.normal(0.0, sc.x2)
-    return pick, noise
+def _draws(m: int, sc: StepScales, rng: np.random.Generator,
+           count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one consumer of the proposal RNG: `count` uniformly chosen groups,
+    (count,), and their Gaussian noise, (count, 2), a one-entry group's in
+    column 0. Groups are m alpha rows, m^2 coupling entries and m x2 entries;
+    the draws never depend on the incumbent."""
+    picks = np.empty(count, dtype=int)
+    noise = np.zeros((count, 2))
+    for k in range(count):
+        picks[k] = pick = int(rng.integers(0, m + m * m + m))
+        if pick < m:
+            noise[k] = rng.normal(0.0, sc.alpha, size=2)
+        elif pick < m + m * m:
+            noise[k, 0] = rng.normal(0.0, sc.coupling)
+        else:
+            noise[k, 0] = rng.normal(0.0, sc.x2)
+    return picks, noise
 
 
-def _perturb(
+def _proposals(
     current: Candidate,
-    draw: tuple[int, np.ndarray],
+    picks: np.ndarray,
+    noise: np.ndarray,
     bounds: ParamBounds,
     x2_bounds: tuple[float, float],
+    include_current: bool = False,
 ) -> tuple[VdpParams, np.ndarray]:
-    """Apply a draw to the incumbent, clipped to `bounds` (x2 to `x2_bounds`)."""
-    pick, noise = draw
+    """The incumbent with each draw applied, clipped to `bounds` (x2 to
+    `x2_bounds`): R stacked params and their (R, m) x2 starts, checked once.
+    With `include_current`, row 0 is the incumbent itself and draw k goes to
+    row k + 1."""
     m = current.params.m
-    alpha = current.params.alpha.copy()
-    coupling = current.params.coupling.copy()
-    x2_init = np.asarray(current.x2_init, dtype=float).copy()
-    if pick < m:
-        alpha[pick] += noise
-        alpha[pick, 0] = np.clip(alpha[pick, 0], *bounds.alpha1)
-        alpha[pick, 1] = np.clip(alpha[pick, 1], *bounds.alpha2)
-    elif pick < m + m * m:
-        i, j = divmod(pick - m, m)
-        coupling[i, j] = np.clip(coupling[i, j] + noise, *bounds.coupling)
-    else:
-        i = pick - m - m * m
-        x2_init[i] = np.clip(x2_init[i] + noise, *x2_bounds)
-    return VdpParams(alpha=alpha, coupling=coupling), x2_init
+    n = len(picks) + include_current
+    rows = np.arange(include_current, n)
+    alpha = np.repeat(current.params.alpha[None], n, axis=0)
+    coupling = np.repeat(current.params.coupling[None], n, axis=0)
+    x2 = np.repeat(np.asarray(current.x2_init, dtype=float)[None], n, axis=0)
+    g = picks < m
+    r, i = rows[g], picks[g]
+    alpha[r, i, 0] = np.clip(alpha[r, i, 0] + noise[g, 0], *bounds.alpha1)
+    alpha[r, i, 1] = np.clip(alpha[r, i, 1] + noise[g, 1], *bounds.alpha2)
+    g = (picks >= m) & (picks < m + m * m)
+    r, (i, j) = rows[g], np.divmod(picks[g] - m, m)
+    coupling[r, i, j] = np.clip(coupling[r, i, j] + noise[g, 0], *bounds.coupling)
+    g = picks >= m + m * m
+    r, i = rows[g], picks[g] - m - m * m
+    x2[r, i] = np.clip(x2[r, i] + noise[g, 0], *x2_bounds)
+    return VdpParams(alpha=alpha, coupling=coupling), x2
 
 
 def propose(
@@ -207,10 +221,10 @@ def propose(
 ) -> Candidate:
     """One Gaussian perturbation of a uniformly chosen group, clipped to
     `bounds` (and x2 to cfg.x2_bounds) and scored on its own. The search
-    round draws and perturbs through the same helpers, so a one-at-a-time
+    round draws and builds through the same helpers, so a one-at-a-time
     loop over `propose` is its reference."""
-    draw = _draw(current.params.m, scales or cfg.step_scales, rng)
-    return next(_scored(z, [_perturb(current, draw, bounds, cfg.x2_bounds)],
+    draws = _draws(current.params.m, scales or cfg.step_scales, rng, 1)
+    return next(_scored(z, *_proposals(current, *draws, bounds, cfg.x2_bounds),
                         cfg.gamma, dt, substeps))
 
 
@@ -225,24 +239,31 @@ def _run_round(
     substeps: int,
     round_idx: int,
     trace: Optional[IO[str]],
-) -> tuple[Candidate, int]:
+) -> tuple[Candidate, Candidate, int]:
     """One greedy round of cfg.proposals_per_round proposals in speculative
-    batches (see the module docstring); returns the round's best and its
-    invalid count. A one-at-a-time loop over `propose` gives the same bits."""
-    draws = [_draw(z.shape[1], scales, rng) for _ in range(cfg.proposals_per_round)]
+    batches (see the module docstring). A `best` of NaN fitness is the unscored
+    start, which rides in the first rollout as row 0. Returns the scored
+    incumbent the round started from, the round's best and its invalid count.
+    A one-at-a-time loop over `propose` gives the same bits."""
+    picks, noise = _draws(z.shape[1], scales, rng, cfg.proposals_per_round)
+    first = None if math.isnan(best.fitness) else best
     invalid = 0
     start = 0
-    while start < len(draws):
-        built = [_perturb(best, d, bounds, cfg.x2_bounds) for d in draws[start:]]
-        for k, cand in enumerate(_scored(z, built, cfg.gamma, dt, substeps)):
+    while start < len(picks):
+        built = _proposals(best, picks[start:], noise[start:], bounds, cfg.x2_bounds,
+                           include_current=first is None)
+        rows = _scored(z, *built, cfg.gamma, dt, substeps)
+        if first is None:
+            first = best = next(rows)
+        for k, cand in enumerate(rows, start):
             invalid += not cand.valid
             accepted = cand.fitness > best.fitness
-            _trace_row(trace, round_idx, start + k, cand.fitness, accepted)
+            _trace_row(trace, round_idx, k, cand.fitness, accepted)
             if accepted:
-                best = replace(cand, provenance=(round_idx, start + k, "proposal"))
+                best = replace(cand, provenance=(round_idx, k, "proposal"))
                 break
-        start += k + 1
-    return best, invalid
+        start = k + 1
+    return first, best, invalid
 
 
 def _trace_row(sink: Optional[IO[str]], round_idx: int, proposal: int, f: float,
@@ -301,7 +322,7 @@ def search_and_refine(
     gamma = search_cfg.gamma
     rng = np.random.default_rng(search_cfg.seed)
 
-    best = next(_scored(z, [(init_params, init_x2)], gamma, dt, substeps))
+    best = Candidate(init_params, init_x2, math.nan)  # scored in round 1's first rollout
     scales = search_cfg.step_scales
     halved_once = False
     all_invalid_rounds = 0
@@ -312,9 +333,8 @@ def search_and_refine(
 
     for round_idx in range(1, search_cfg.max_rounds + 1):
         rounds_run = round_idx
-        round_start = best
-        best, invalid = _run_round(z, best, search_cfg, rng, scales, vp_cfg.bounds,
-                                   dt, substeps, round_idx, trace)
+        round_start, best, invalid = _run_round(z, best, search_cfg, rng, scales,
+                                                vp_cfg.bounds, dt, substeps, round_idx, trace)
         invalid_candidates += invalid
         if invalid == search_cfg.proposals_per_round:
             all_invalid_rounds += 1
@@ -375,5 +395,5 @@ def _run_vp(z: np.ndarray, best: Candidate, vp_cfg: PenaltyConfig, gamma: float,
         result = fit(z, vp_cfg, best.params, x_init, dt=dt, substeps=substeps)
     except (FitError, ValueError, np.linalg.LinAlgError):
         return None
-    cand = next(_scored(z, [(result.params, result.states.x2[0])], gamma, dt, substeps))
+    cand = next(_scored(z, result.params[None], result.states.x2[:1], gamma, dt, substeps))
     return replace(cand, provenance=(round_idx, -1, "vp"), result=result)

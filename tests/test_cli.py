@@ -540,6 +540,28 @@ class TestForecast:
         doc = json.loads((out / "report.json").read_text())
         assert doc["methods"]["vdp"]["n_windows"] == 1
 
+    @pytest.mark.parametrize("protocol", ["short", "long"])
+    def test_series_near_the_float_limit_scores_without_overflow(self, workdir, protocol):
+        # a 1-component oscillator track scaled by 1e200: the squares of its errors,
+        # and of its deviations from their means, are past the float range; numpy's
+        # overflow warnings fail this test, as warnings are errors here
+        params = VdpParams(alpha=np.array([[1.5, 1.0]]), coupling=np.zeros((1, 1)))
+        traj = simulate(params, State(x1=np.array([1.0]), x2=np.array([0.0])), 120, 0.1)
+        path = workdir / "huge.csv"
+        save_csv(traj.x1 * 1e200, path)
+        out = workdir / protocol
+        code = main(["forecast", str(path), "--methods", "var", "--train-len", "50",
+                     "--test-len", "20", "--segments", "1", "--protocol", protocol,
+                     "-o", str(out)])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())["methods"]["var6"]
+        # one short window leaves the correlation across windows undefined
+        keys = ["rmse_median"] if protocol == "short" else [
+            "rmse_median", "rmse_se", "corr_median", "corr_se"]
+        for key in keys:
+            assert all(v is not None and np.isfinite(v) for v in doc[key]), key
+        assert 1e190 < doc["rmse_median"][-1] < 1e210
+
     def test_rerun_is_byte_identical(self, workdir, series_csv, fit_config):
         outs = [workdir / "run1", workdir / "run2"]
         for out in outs:

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from vdpfit import estimator
 from vdpfit.constraints import residual, residual_jacobian_x, stack_states
@@ -787,6 +788,21 @@ def test_every_penalty_field_changes_the_fit(small_fit, name):
     assert not same
 
 
+def test_damped_step_solve_is_scipys_cholesky_bit_for_bit(rng):
+    for p in (1, 8, 15):
+        jac = rng.normal(size=(p + 4, p)) * 10.0 ** rng.uniform(-4, 4, p)
+        jtj = jac.T @ jac
+        a, g = jtj + np.diag(1e-3 * np.diag(jtj)), rng.normal(size=p)
+        assert (estimator._cholesky_solve(a, g).tobytes()
+                == cho_solve(cho_factor(a), g).tobytes())
+    with pytest.raises(np.linalg.LinAlgError):  # a rejected LM trial in `_fits`
+        estimator._cholesky_solve(-np.eye(3), np.ones(3))
+    with pytest.raises(ValueError):
+        estimator._cholesky_solve(np.diag([1.0, math.nan]), np.ones(2))
+    with pytest.raises(ValueError):
+        estimator._cholesky_solve(np.eye(2), np.array([1.0, math.inf]))
+
+
 def test_lm_trial_is_accepted_only_when_its_gain_ratio_beats_armijo_c(monkeypatch):
     # the first trial step on small_series at lam = 1000 has a gain ratio near
     # 0.38 under either armijo_c below, though each also sets the inner Armijo test
@@ -820,7 +836,7 @@ def test_a_stage_starts_from_the_damping_the_last_one_ended_with(monkeypatch):
     # below outer_ftol, so its last damped J'J holds the mu it ends with
     z, init = small_series()
     events = []
-    real_jacobian, real_factor = estimator.reduced_jacobian, estimator.cho_factor
+    real_jacobian, real_solve = estimator.reduced_jacobian, estimator._cholesky_solve
 
     def jacobian_spy(vg, lam):
         jac, dx_dp = real_jacobian(vg, lam)
@@ -829,14 +845,14 @@ def test_a_stage_starts_from_the_damping_the_last_one_ended_with(monkeypatch):
 
     def factor_spy(a, *args, **kwargs):
         events.append(("factor", a))
-        return real_factor(a, *args, **kwargs)
+        return real_solve(a, *args, **kwargs)
 
     def value_spy(*args, **kwargs):
         events.append(("evaluate", kwargs["lam"]))
         return value_gradient(*args, **kwargs)
 
     monkeypatch.setattr(estimator, "reduced_jacobian", jacobian_spy)
-    monkeypatch.setattr(estimator, "cho_factor", factor_spy)
+    monkeypatch.setattr(estimator, "_cholesky_solve", factor_spy)
     monkeypatch.setattr(estimator, "value_gradient", value_spy)
     fit(z, PenaltyConfig(lam_schedule=(10.0, 100.0), outer_ftol=1e-4), init, dt=0.1)
     mus = []  # (lam, mu, 1e-3 max diag(J'J)) per damped factorization

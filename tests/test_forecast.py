@@ -61,7 +61,73 @@ def damped_oscillator_var2(t=90):
     return y, np.stack([a1, a2]), c
 
 
+def reference_scores(observed, simulated):
+    """Per-column oracle for `metrics.component_scores`: the 1-d Pearson and R^2
+    formulas on one contiguous column at a time, unscaled."""
+    lead, m = simulated.shape[:-2], observed.shape[-1]
+    c, r2 = np.empty(lead + (m,)), np.empty(lead + (m,))
+    with np.errstate(all="ignore"):
+        for idx in np.ndindex(lead):
+            for i in range(m):
+                a, b = observed[:, i].copy(), simulated[idx][:, i].copy()
+                da, db = a - a.mean(), b - b.mean()
+                denom = math.sqrt(float(da @ da) * float(db @ db))
+                defined = denom != 0.0 and math.isfinite(denom)
+                c[idx + (i,)] = float(da @ db) / denom if defined else math.nan
+                resid, centered = a - b, a - a.mean()
+                ss_tot = float(centered @ centered)
+                defined = ss_tot != 0.0 and math.isfinite(ss_tot)
+                r2[idx + (i,)] = 1.0 - float(resid @ resid) / ss_tot if defined else math.nan
+    return c, r2
+
+
+def assert_same_bits(got, want):
+    """Equal shapes, NaN at the same places, and byte-equal elsewhere."""
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
 class TestMetrics:
+    @given(n=st.integers(2, 60), m=st.integers(1, 4), rows=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1),
+           special=st.lists(st.sampled_from(["flat obs", "flat sim", "nan obs",
+                                             "inf", "-inf", "nan"]), max_size=3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_component_scores_equal_a_per_column_reference_bit_for_bit(
+            self, n, m, rows, seed, special):
+        rng = np.random.default_rng(seed)
+        observed = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, m)
+        simulated = observed + (rng.normal(size=(rows, n, m))
+                                * 10.0 ** rng.uniform(-3, 3, (rows, 1, m)))
+        for kind in special:  # zero-variance tracks, and rows holding inf or NaN
+            k, i, j = rng.integers(rows), rng.integers(n), rng.integers(m)
+            if kind == "flat obs":
+                observed[:, j] = rng.normal()
+            elif kind == "flat sim":
+                simulated[k, :, j] = rng.normal()
+            elif kind == "nan obs":
+                observed[i, j] = math.nan
+            else:
+                simulated[k, i, j] = float(kind)
+        c, r2 = metrics.component_scores(observed, simulated)
+        ref_c, ref_r2 = reference_scores(observed, simulated)
+        assert_same_bits(c, ref_c)
+        assert_same_bits(r2, ref_r2)
+
+    @pytest.mark.parametrize("obs_exp, sim_exp", [(660, 660), (600, -600), (-700, 0)])
+    def test_component_scores_are_exact_at_any_power_of_two_scale(self, rng, obs_exp,
+                                                                 sim_exp):
+        # the unscaled sums of squares would overflow or underflow at these scales
+        observed = rng.normal(size=(50, 3))
+        simulated = observed + rng.normal(size=(4, 50, 3))
+        c, r2 = metrics.component_scores(np.ldexp(observed, obs_exp),
+                                         np.ldexp(simulated, sim_exp))
+        ref_c, ref_r2 = reference_scores(observed, simulated)
+        assert_same_bits(c, ref_c)
+        if obs_exp == sim_exp:  # R^2 is scale invariant only when both sides scale alike
+            assert_same_bits(r2, ref_r2)
+
     def test_pearson_hand_value(self):
         assert metrics.pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
         assert metrics.pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)

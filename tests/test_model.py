@@ -12,11 +12,11 @@ from vdpfit.model import (
     VdpParams,
     batch_param_jacobians,
     batch_state_jacobians,
+    euler_map,
     jacobians,
     rollout,
     simulate,
     step,
-    _field_arrays,
     _substep_param_jacobian,
 )
 
@@ -28,7 +28,9 @@ def p1(a1, a2, w=0.0):
 
 
 def vector_field(params, s):
-    return _field_arrays(params.alpha, params.coupling, s.x1, s.x2)
+    """f(s) as g(s) - s at dt = 1: one unit Euler step of the model's one core."""
+    x1, x2 = euler_map(params, s.x1, s.x2, 1.0)
+    return x1 - s.x1, x2 - s.x2
 
 
 class TestVectorField:

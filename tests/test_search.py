@@ -39,7 +39,8 @@ def coupled_pair(noise=0.05, n=100, seed=21):
 
 
 def score_candidate(z, params, x2_init, gamma, dt, substeps=1):
-    return next(search._scored(z, [(params, x2_init)], gamma, dt, substeps)).fitness
+    x2 = np.asarray(x2_init, dtype=float)[None]
+    return next(search._scored(z, params[None], x2, gamma, dt, substeps)).fitness
 
 
 class TestFitness:
@@ -132,6 +133,53 @@ class TestPropose:
             x2_entries = int(np.sum(cand.x2_init != cur.x2_init))
             assert alpha_rows * 2 + w_entries + x2_entries <= 2
             assert (alpha_rows, w_entries, x2_entries).count(0) >= 2
+
+
+def perturb_one(current, pick, noise, bounds, x2_bounds):
+    """Reference proposal: one draw applied to a copy of the incumbent, entry by
+    entry, clipped as the search clips."""
+    m = current.params.m
+    alpha, coupling = current.params.alpha.copy(), current.params.coupling.copy()
+    x2 = np.array(current.x2_init, dtype=float)
+    if pick < m:
+        alpha[pick] += noise
+        alpha[pick, 0] = np.clip(alpha[pick, 0], *bounds.alpha1)
+        alpha[pick, 1] = np.clip(alpha[pick, 1], *bounds.alpha2)
+    elif pick < m + m * m:
+        i, j = divmod(pick - m, m)
+        coupling[i, j] = np.clip(coupling[i, j] + noise[0], *bounds.coupling)
+    else:
+        i = pick - m - m * m
+        x2[i] = np.clip(x2[i] + noise[0], *x2_bounds)
+    return alpha, coupling, x2
+
+
+class TestProposals:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("include_current", [False, True])
+    def test_stacked_build_equals_one_draw_at_a_time_within_bounds(self, m,
+                                                                   include_current):
+        rng = np.random.default_rng(m)
+        bounds = ParamBounds(alpha1=(0.0, 2.0), alpha2=(-1.0, 1.0), coupling=(-0.5, 0.5))
+        x2_bounds = (-1.0, 1.0)
+        params = VdpParams(alpha=rng.uniform(0.0, 1.0, (m, 2)),
+                           coupling=rng.uniform(-0.5, 0.5, (m, m)))
+        cur = Candidate(params=params, x2_init=rng.uniform(-1.0, 1.0, m), fitness=-1.0)
+        # scales far past the bounds, so most draws are clipped
+        picks, noise = search._draws(m, StepScales(3.0, 3.0, 3.0), rng, 60)
+        stacked, x2 = search._proposals(cur, picks, noise, bounds, x2_bounds,
+                                        include_current)
+        assert x2.shape == (60 + include_current, m)
+        assert bounds.contains(stacked) and np.all(np.abs(x2) <= 1.0)
+        if include_current:
+            assert np.array_equal(stacked.alpha[0], params.alpha)
+            assert np.array_equal(stacked.coupling[0], params.coupling)
+            assert np.array_equal(x2[0], cur.x2_init)
+        for k, (pick, row_noise) in enumerate(zip(picks, noise), start=include_current):
+            alpha, coupling, x2_ref = perturb_one(cur, pick, row_noise, bounds, x2_bounds)
+            assert np.array_equal(stacked.alpha[k], alpha)
+            assert np.array_equal(stacked.coupling[k], coupling)
+            assert np.array_equal(x2[k], x2_ref)
 
 
 class TestSearchAndRefine:
@@ -237,6 +285,24 @@ class TestSearchAndRefine:
         diag = res.config_echo["search"]
         assert diag["best_fitness"] >= 1.2
 
+    def test_the_start_rides_in_round_1s_first_rollout(self, monkeypatch):
+        truth, traj, z = coupled_pair(noise=0.0)
+        rows = []
+        real_rollout = search.rollout
+
+        def counting_rollout(params, x1, x2, *args):
+            rows.append(len(x2))
+            return real_rollout(params, x1, x2, *args)
+
+        monkeypatch.setattr(search, "rollout", counting_rollout)
+        cfg = SearchConfig(max_rounds=2, proposals_per_round=10, vp_every=5, seed=3)
+        res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=2, lam_schedule=(10.0,)),
+                                dt=0.1, init=truth, x2_init=traj.x2[0])
+        # nothing beats the noise-free start, so each round is one rollout; the
+        # start is row 0 of the first, and the refinement scores alone
+        assert rows == [11, 10, 1]
+        assert res.config_echo["search"]["best_provenance"] == [0, 0, "init"]
+
     def test_unbeatable_plateau_tol_stops_after_patience_rounds(self):
         _, _, z = coupled_pair()
         buf = io.StringIO()
@@ -311,15 +377,15 @@ class TestSearchAndRefine:
         _, _, z = coupled_pair()
         bounds = ParamBounds(alpha1=(0.5, 1.5), alpha2=(0.0, 1.5), coupling=(-0.1, 0.1))
         built = []
-        # the round builds every candidate it scores through the one perturbation helper
-        perturb = search._perturb
+        # the round builds every candidate it scores through the one proposal builder
+        proposals = search._proposals
 
-        def recording_perturb(*args, **kwargs):
-            params, x2_init = perturb(*args, **kwargs)
+        def recording_proposals(*args, **kwargs):
+            params, x2_init = proposals(*args, **kwargs)
             built.append(params)
             return params, x2_init
 
-        monkeypatch.setattr(search, "_perturb", recording_perturb)
+        monkeypatch.setattr(search, "_proposals", recording_proposals)
         cfg = SearchConfig(max_rounds=1, proposals_per_round=20, seed=1,
                            step_scales=StepScales(5.0, 5.0, 5.0))
         vp_cfg = PenaltyConfig(bounds=bounds, lam_schedule=(10.0,), outer_max_iter=3,
@@ -328,7 +394,7 @@ class TestSearchAndRefine:
         search_and_refine(z, cfg, vp_cfg, dt=0.1, trace=buf)
         rows = [json.loads(l) for l in buf.getvalue().splitlines()]
         assert sum(r["proposal"] >= 0 for r in rows) == 20
-        assert len(built) >= 20
+        assert sum(len(params.alpha) for params in built) >= 20
         for params in built:
             assert bounds.contains(params)
 
@@ -351,7 +417,12 @@ def one_component(n=80, seed=4):
 
 
 def one_at_a_time_round(z, best, cfg, rng, scales, bounds, dt, substeps, round_idx, trace):
-    """Reference round: one `propose`, so one lone simulate, per proposal."""
+    """Reference round: one `propose`, so one lone simulate, per proposal; an
+    unscored start (NaN fitness) is first scored alone, in its own rollout."""
+    if math.isnan(best.fitness):
+        x2 = np.asarray(best.x2_init)[None]
+        best = next(search._scored(z, best.params[None], x2, cfg.gamma, dt, substeps))
+    first = best
     invalid = 0
     for j in range(cfg.proposals_per_round):
         cand = propose(best, z, cfg, rng, dt=dt, substeps=substeps, scales=scales,
@@ -361,7 +432,7 @@ def one_at_a_time_round(z, best, cfg, rng, scales, bounds, dt, substeps, round_i
         search._trace_row(trace, round_idx, j, cand.fitness, accepted)
         if accepted:
             best = dataclasses.replace(cand, provenance=(round_idx, j, "proposal"))
-    return best, invalid
+    return first, best, invalid
 
 
 DIVERGING = dict(max_rounds=2, proposals_per_round=12, vp_every=5, seed=0,
