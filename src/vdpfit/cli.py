@@ -334,20 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, layout=None):
+        """-o, and --layout with its default on the subcommands that read a CSV."""
         p.add_argument("-o", "--out", help=f"output directory (default ${OUT_ENV} or '.')")
-        p.add_argument(
-            "--layout",
-            choices=["rows=space", "rows=time"],
-            default="rows=space",
-            help="what the input CSV's rows mean",
-        )
+        if layout:
+            p.add_argument("--layout", choices=["rows=space", "rows=time"], default=layout,
+                           help="what the input CSV's rows mean")
 
     p = sub.add_parser("svd", help="decompose a recording into temporal components")
     p.add_argument("input")
     p.add_argument("-m", "--components", type=_at_least(1), required=True)
     p.add_argument("--raw", action="store_true", help="skip variance normalization")
-    add_common(p)
+    add_common(p, layout="rows=space")
     p.set_defaults(func=cmd_svd)
 
     p = sub.add_parser("fit", help="fit oscillator parameters to one series")
@@ -355,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON config (requires 'dt')")
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--vp-only", action="store_true", help="skip the stochastic search")
-    add_common(p)
-    p.set_defaults(func=cmd_fit, layout="rows=time")
+    add_common(p, layout="rows=time")
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="sliding-window forecast benchmark")
     p.add_argument("input", help="series CSV or a components directory")
@@ -371,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="fit config for the vdp method")
     p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--vp-only", action="store_true", help="skip the stochastic search")
-    add_common(p)
-    p.set_defaults(func=cmd_forecast, layout="rows=time")
+    add_common(p, layout="rows=time")
+    p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("connectivity", help="project coupling matrices to pixel edges")
     p.add_argument("components", help="components directory from `vdpfit svd`")
@@ -388,8 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=_at_least(0, float), default=0.1)
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--real", help="optional real series (CSV or components dir)")
-    add_common(p)
-    p.set_defaults(func=cmd_export_sim, layout="rows=time")
+    add_common(p, layout="rows=time")
+    p.set_defaults(func=cmd_export_sim)
 
     return parser
 

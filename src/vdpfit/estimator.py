@@ -237,7 +237,9 @@ class FitResult:
                 "x1": self.states.x1.tolist(),
                 "x2": self.states.x2.tolist(),
             },
-            "stats": self.per_component_stats,
+            # an undefined score is null, not the non-JSON token NaN
+            "stats": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in s.items()} for s in self.per_component_stats],
             "objective_history": [
                 [int(i), float(lam), float(f)] for i, lam, f in self.objective_history
             ],

@@ -14,25 +14,9 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
     Returns NaN when either input has zero variance or fewer than two
     samples, so callers can decide how degenerate tracks are handled.
+    Inputs of unequal lengths raise DimensionError (a ValueError).
     """
-    return float(component_scores(*_columns(a, b))[0][0])
-
-
-def r_squared(observed: np.ndarray, predicted: np.ndarray) -> float:
-    """Coefficient of determination 1 - SS_res/SS_tot of `predicted` against
-    `observed`, by `component_scores`.
-
-    NaN when the observed track has zero variance (SS_tot = 0).
-    """
-    return float(component_scores(*_columns(observed, predicted))[1][0])
-
-
-def _columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return a[:, None], b[:, None]
+    return float(component_scores(np.ravel(a)[:, None], np.ravel(b)[:, None])[0][0])
 
 
 def scale_exponent(*arrays: np.ndarray, axis: int) -> np.ndarray:

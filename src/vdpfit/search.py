@@ -131,16 +131,6 @@ def combine_scores(c: np.ndarray, r2: np.ndarray, gamma: float) -> np.ndarray:
     return np.where(np.isfinite(vals).all(axis=-1), vals.min(axis=-1), -math.inf)
 
 
-def fitness(z: np.ndarray, sim: Trajectory, gamma: float) -> float:
-    """Fitness of a simulated trajectory against observations.
-
-    A zero-variance track on either side leaves that component's correlation
-    undefined and the whole candidate scores -inf. Tracks of different shapes
-    raise DimensionError.
-    """
-    return float(combine_scores(*metrics.component_scores(z, sim.x1), gamma))
-
-
 def _scored(z: np.ndarray, params: VdpParams, x2: np.ndarray, gamma: float,
             dt: float, substeps: int) -> Iterator[Candidate]:
     """The one scorer: integrate R stacked params from the first observation

@@ -314,6 +314,24 @@ class TestFit:
         for line in (out / "trace.ndjson").read_text().splitlines():
             assert json.loads(line)["proposal"] == -1
 
+    def test_undefined_scores_are_written_as_null(self, workdir, fit_config):
+        # a constant component has no Pearson or R^2; fit.json holds null there,
+        # not the non-JSON token NaN, and still reads back as a fit result
+        params = VdpParams(alpha=np.array([[1.5, 0.8]]), coupling=np.zeros((1, 1)))
+        x1 = simulate(params, State(x1=np.array([0.6]), x2=np.array([0.0])), 60, 0.1).x1
+        series = workdir / "flat.csv"
+        save_csv(np.column_stack([x1, np.full(60, 0.5)]), series)
+        out = workdir / "flat"
+        assert main(["fit", str(series), "--config", str(fit_config), "--seed", "3",
+                     "--vp-only", "-o", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        doc = json.loads((out / "fit.json").read_text(), parse_constant=reject)
+        assert doc["stats"][1] == {"component": 1, "pearson": None, "r_squared": None}
+        assert FitResult.from_json_dict(doc).per_component_stats == doc["stats"]
+
     def test_byte_identical_reruns(self, workdir, series_csv, fit_config):
         out_a, out_b = workdir / "a", workdir / "b"
         for out in (out_a, out_b):
@@ -1177,6 +1195,7 @@ OUT_OF_RANGE = [
     ("forecast", "--segments", "0"),
     ("forecast", "--segments", "two"),
     ("connectivity", "--top-k", "0"),
+    ("connectivity", "--layout", "rows=time"),  # it reads no CSV, so it offers no --layout
     ("export-sim", "--n-series", "-1"),
     ("export-sim", "--length", "1"),
     ("export-sim", "--noise-sigma", "nan"),

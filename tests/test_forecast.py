@@ -136,10 +136,15 @@ class TestMetrics:
         assert math.isnan(metrics.pearson([1.0, 1.0, 1.0], [1, 2, 3]))
         assert math.isnan(metrics.pearson([1.0], [2.0]))
 
+    def test_pearson_unequal_lengths_raise(self):
+        with pytest.raises(ValueError):
+            metrics.pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
     def test_r_squared_hand_value(self):
         obs = np.array([0.0, 1.0, 2.0])
-        assert metrics.r_squared(obs, obs) == pytest.approx(1.0)
-        assert metrics.r_squared(obs, obs.mean() * np.ones(3)) == pytest.approx(0.0)
+        assert metrics.component_scores(obs[:, None], obs[:, None])[1] == pytest.approx(1.0)
+        assert metrics.component_scores(
+            obs[:, None], obs.mean() * np.ones((3, 1)))[1] == pytest.approx(0.0)
 
     def test_component_scores_hand_value(self):
         observed = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [2.0, 1.0, 3.0]])
@@ -155,7 +160,8 @@ class TestMetrics:
         c, r2 = metrics.component_scores(observed, simulated)
         for i in range(3):
             assert c[i] == metrics.pearson(observed[:, i], simulated[:, i])
-            assert r2[i] == metrics.r_squared(observed[:, i], simulated[:, i])
+            assert r2[i] == metrics.component_scores(observed[:, i, None],
+                                                     simulated[:, i, None])[1][0]
         with pytest.raises(ValueError):
             metrics.component_scores(observed, simulated[:, :2])
 

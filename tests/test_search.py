@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 from vdpfit import search
 from vdpfit.constraints import stack_states
 from vdpfit.estimator import ParamBounds, PenaltyConfig, fit, hidden_x2_estimate
-from vdpfit.metrics import pearson
+from vdpfit.metrics import component_scores, pearson
 from vdpfit.model import (
-    DimensionError, State, Trajectory, VdpParams, simulate,
+    DimensionError, State, VdpParams, simulate,
 )
 from vdpfit.search import (
     Candidate,
     SearchConfig,
     StepScales,
     combine_scores,
-    fitness,
     propose,
     search_and_refine,
 )
@@ -47,7 +46,7 @@ class TestFitness:
     def test_exact_match_scores_two(self):
         _, traj, _ = coupled_pair(noise=0.0)
         z = traj.x1
-        assert fitness(z, traj, gamma=1.0) == pytest.approx(2.0)
+        assert combine_scores(*component_scores(z, traj.x1), gamma=1.0) == pytest.approx(2.0)
 
     def test_hand_combination(self):
         c = np.array([0.9, 0.5])
@@ -61,14 +60,13 @@ class TestFitness:
 
     def test_zero_variance_track_rejected(self):
         _, traj, z = coupled_pair()
-        flat = Trajectory(x1=np.zeros_like(traj.x1), x2=traj.x2, dt=0.1)
-        assert fitness(z, flat, gamma=1.0) == -math.inf
+        flat = np.zeros_like(traj.x1)
+        assert combine_scores(*component_scores(z, flat), gamma=1.0) == -math.inf
 
     def test_shape_mismatch_raises_dimension_error(self):
         _, traj, z = coupled_pair()
-        short = Trajectory(x1=traj.x1[:-1], x2=traj.x2[:-1], dt=0.1)
         with pytest.raises(DimensionError):
-            fitness(z, short, gamma=1.0)
+            combine_scores(*component_scores(z, traj.x1[:-1]), gamma=1.0)
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=20, deadline=None)
@@ -78,12 +76,8 @@ class TestFitness:
         obs = rng.normal(size=(30, m))
         sim = obs + rng.normal(0, 0.3, size=(30, m))
         perm = rng.permutation(m)
-        f = fitness(obs, Trajectory(x1=sim, x2=np.zeros_like(sim), dt=0.1), 1.0)
-        f_p = fitness(
-            obs[:, perm],
-            Trajectory(x1=sim[:, perm], x2=np.zeros_like(sim), dt=0.1),
-            1.0,
-        )
+        f = combine_scores(*component_scores(obs, sim), 1.0)
+        f_p = combine_scores(*component_scores(obs[:, perm], sim[:, perm]), 1.0)
         assert f == pytest.approx(f_p, rel=1e-12)
 
 
