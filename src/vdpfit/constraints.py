@@ -18,11 +18,14 @@ LAPACK banded Cholesky (`pbsv`, fetched once through
 `scipy.linalg.get_lapack_funcs`).
 
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
-batched dynamics core of `model.py` (`euler_map`, `batch_state_jacobians`,
-`batch_param_jacobians`), for any substep count. Each also takes S problems as
-an (S, N, 2m) stack with S stacked parameter sets (and anchor states), one
-`VdpParams` (and one `State`) with a leading axis of length S: its result's S
-slices are bit-identical to the problems' own calls.
+batched dynamics of `model.py` (`euler_map`, `batch_state_jacobians`,
+`batch_param_jacobians`), for any substep count. G hands `euler_map` the
+stacked-state view [x1, x2] of x (`_stacked`, no copy), so its transitions go
+through `model._euler_core`, the one Euler core behind `rollout` and
+`simulate`. Each also takes S problems as an (S, N, 2m) stack with S stacked
+parameter sets (and anchor states), one `VdpParams` (and one `State`) with a
+leading axis of length S: its result's S slices are bit-identical to the
+problems' own calls.
 """
 from __future__ import annotations
 
@@ -74,13 +77,20 @@ def residual(
     """G(x) - eta0 as a flat (2*m*N,) vector for the (N, 2m) stacked state x,
     with eta0 = [anchor, 0, ..., 0]; (S, 2*m*N) for S problems."""
     _check_components(x, params, anchor)
-    g1, g2 = euler_map(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
-    out = x.copy()
-    out[..., 0, 0::2] -= anchor.x1
-    out[..., 0, 1::2] -= anchor.x2
-    out[..., 1:, 0::2] -= g1
-    out[..., 1:, 1::2] -= g2
+    out = np.empty(x.shape)
+    np.subtract(x[..., 0, 0::2], anchor.x1, out[..., 0, 0::2])
+    np.subtract(x[..., 0, 1::2], anchor.x2, out[..., 0, 1::2])
+    s = _stacked(x)
+    g = euler_map(params, s[..., :-1, :], dt, substeps)
+    np.subtract(s[..., 1:, :], g, _stacked(out)[..., 1:, :])
     return out.reshape(x.shape[:-2] + (-1,))
+
+
+def _stacked(x: np.ndarray) -> np.ndarray:
+    """The (2, ..., N, m) stacked state [x1, x2] of (..., N, 2m) samples: a
+    view wherever x's last axis is contiguous, as it is for a fresh array."""
+    pairs = x.reshape(x.shape[:-1] + (-1, 2))
+    return pairs.transpose(-1, *range(pairs.ndim - 1))
 
 
 def residual_jacobian_x(x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1

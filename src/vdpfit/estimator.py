@@ -338,7 +338,10 @@ def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
     diag = np.empty(sub.shape[:-3] + (n, b, b))
     diag[:] = block
     flat = sub.reshape(-1, b, b)  # one 3-D matmul stack: a 4-D one is slower
-    diag[..., :-1, :, :] += lam * (flat.transpose(0, 2, 1) @ flat).reshape(sub.shape)
+    # a copy of the right operand takes gemm, not numpy's slower A'A (syrk) path;
+    # the upper triangles, all that `solve_block_tridiagonal` reads, keep syrk's
+    # bits on every OpenBLAS kernel tested, the lower ones need not mirror them
+    diag[..., :-1, :, :] += lam * (flat.transpose(0, 2, 1) @ flat.copy()).reshape(sub.shape)
     return diag
 
 

@@ -9,11 +9,13 @@ excitability variable x2_i:
 Discrete trajectories use the explicit Euler map g(s) = s + dt * f(s), with an
 optional substep count for stiff parameter regimes (dt/n applied n times).
 
-One batched core over (K, m) state arrays holds the whole map: the vector
-field, one Euler substep (`euler_map`), the one-substep state and parameter
-Jacobians, and one loop chaining them through the substeps. `step`, the
-batched `rollout` behind `simulate`, the batch Jacobians and the single-state
-`jacobians` call it, as do the stacked constraints in `constraints.py`.
+One batched core, `_euler_core`, holds the sample map on stacked states
+s = [x1, x2] of shape (2, ..., m): `euler_map` maps one such array, and
+`rollout` integrates into one (n_steps, 2, ..., m) buffer of them. Beside it
+sit the one-substep state and parameter Jacobians and one loop chaining them
+through the substeps. `step`, the batched `rollout` behind `simulate`, the
+batch Jacobians and the single-state `jacobians` call them, as do the stacked
+constraints in `constraints.py`.
 `VdpParams` and `State` take an optional leading problem axis: S parameter
 sets stack to (S, m, 2) gains and an (S, m, m) coupling, and S states to
 (S, m) tracks. The core broadcasts them against (S, m) or (S, K, m) states,
@@ -201,49 +203,75 @@ def _param_arrays(params: VdpParams, x1: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _euler_core(alpha: np.ndarray, coupling: np.ndarray, shape: tuple[int, ...], h: float,
-                substeps: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """The sample map g, `substeps` Euler substeps s + h * f(s), on raw state
-    arrays of `shape`, (m,) or batched (..., m), with alpha/coupling shared,
-    (m, 2) and (m, m), or one per trajectory, (..., m, 2) and (..., m, m).
-    Returns g(x1, x2, out1, out2), which writes the mapped states into out1/out2
-    and returns them; its scratch arrays are allocated here, once, so the steps
-    of a rollout allocate nothing.
+                substeps: int) -> Callable[[tuple, tuple], np.ndarray]:
+    """The sample map g, `substeps` Euler substeps s + h * f(s), on stacked
+    states s = [x1, x2] of shape (2,) + `shape`, `shape` being (m,) or batched
+    (..., m). alpha (..., m, 2) and coupling (..., m, m) are as `_param_arrays`
+    gives them, with one axis per state axis, of size 1 where trajectories
+    share a parameter set. Returns g(src, dst), which maps the state of the
+    `_views` pair src into the one of dst (src may be dst: every read of a
+    substep comes before its one write) and returns it. The scratch arrays
+    and their views are made here, once, so the steps of a rollout allocate
+    nothing.
 
-    dx1/dt is added left to right, (self + excitability) + coupling, and
-    x2 - h * x1 has the bits of x2 + h * dx2/dt = x2 + h * (-x1). The coupling
-    sum W x1 is an elementwise product reduced over a fresh contiguous axis,
-    not a BLAS matmul: its summation order then depends on m only, so each row
-    of a batch rounds exactly as the same state alone, for any batch size, any
-    input strides and shared or per-trajectory parameters.
+    One substep is 11 ufunc calls, in the association order of the unstacked
+    map: dx1/dt = (a1 x1 (1 - x1^2) + a2 x2) + W x1, added left to right,
+    then s + h * [dx1, -x1], one product and one sum, where x2 + h * (-x1)
+    has the bits of x2 - h * x1. [a1, a2] is copied contiguous once, so one
+    product gives [a1 x1, a2 x2] with no strided parameter view; h and 1.0
+    are 0-d arrays, so no call converts a Python float, and `out` is passed
+    positionally, which is cheaper than by keyword. The coupling sum W x1 is
+    not a BLAS matmul but the products w * x1, with w[i, ..., j] = W_ij copied
+    out once for every state so that the product runs over contiguous
+    operands, reduced over their last, contiguous axis j. Its summation
+    order then depends on m only, so each row of a batch rounds exactly as
+    the same state alone, for any batch size, any input strides and shared or
+    per-trajectory parameters.
     """
-    a1, a2 = alpha[..., 0], alpha[..., 1]
-    dx1, tmp, terms = np.empty(shape), np.empty(shape), np.empty(shape + shape[-1:])
-    mul, add, sub, add_up = np.multiply, np.add, np.subtract, np.add.reduce
+    lead = tuple(range(len(shape) - 1))
+    ca = alpha.transpose((len(shape),) + lead + (len(shape) - 1,)).copy()
+    w = np.empty(shape[-1:] + shape)  # w[i, ..., j] = W_ij, for every state
+    w[...] = coupling.transpose((len(shape) - 1,) + lead + (len(shape),))
+    d = np.empty((2,) + shape)  # [dx1, -x1], then times h
+    d1, d2, t, terms = d[0], d[1], np.empty(shape), np.empty(w.shape)
+    tt = t.transpose((len(shape) - 1,) + lead)  # t with the component axis first
+    one, h = np.array(1.0), np.array(h)
+    mul, add, sub, neg, add_up = np.multiply, np.add, np.subtract, np.negative, np.add.reduce
 
-    def g(x1, x2, out1, out2):
+    def g(src, dst):
         for _ in range(substeps):
-            mul(a1, x1, out=dx1)
-            mul(dx1, sub(1.0, mul(x1, x1, out=tmp), out=tmp), out=dx1)
-            add(dx1, mul(a2, x2, out=tmp), out=dx1)
-            add(dx1, add_up(mul(x1[..., None, :], coupling, out=terms), axis=-1, out=tmp),
-                out=dx1)
-            mul(dx1, h, out=dx1)
-            x2 = sub(x2, mul(x1, h, out=tmp), out=out2)
-            x1 = add(x1, dx1, out=out1)
-        return x1, x2
+            s, x1 = src
+            mul(ca, s, d)
+            mul(x1, x1, t)
+            sub(one, t, t)
+            mul(d1, t, d1)
+            add(d1, d2, d1)
+            add_up(mul(x1, w, terms), -1, None, tt)
+            add(d1, t, d1)
+            neg(x1, d2)
+            mul(d, h, d)
+            add(s, d, dst[0])
+            src = dst
+        return dst[0]
 
     return g
 
 
-def euler_map(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sample map g on raw arrays: `substeps` Euler substeps s + h * f(s)
-    with h = dt / substeps. x1/x2 may be (m,) or batched (K, m), or (S, m) or
-    (S, K, m) for S stacked params."""
+def _views(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each stacked state s = [x1, x2] along the first axis of `states`, the
+    views that `_euler_core`'s map reads and writes: s and x1."""
+    return list(zip(states, states[:, 0]))
+
+
+def euler_map(params: VdpParams, s: np.ndarray, dt: float, substeps: int = 1) -> np.ndarray:
+    """The sample map g on a stacked state s = [x1, x2], `substeps` Euler
+    substeps s + h * f(s) with h = dt / substeps. s is (2, m) or batched
+    (2, K, m), or (2, S, m) or (2, S, K, m) for S stacked params, with any
+    strides; the result is a new array of s's shape."""
     h = _substep_size(dt, substeps)
-    g = _euler_core(*_param_arrays(params, x1), x1.shape, h, substeps)
-    return g(x1, x2, np.empty(x1.shape), np.empty(x1.shape))
+    g = _euler_core(*_param_arrays(params, s[0]), s.shape[1:], h, substeps)
+    (out,) = _views(np.array(s[None], order="C"))  # contiguous operands beat s's strides
+    return g(out, out)
 
 
 def _substep_state_jacobian(alpha: np.ndarray, coupling: np.ndarray, x1: np.ndarray,
@@ -302,7 +330,7 @@ def _chained_jacobians(
     jx = _substep_state_jacobian(alpha, coupling, x1, h) if want_state else None
     jp = _substep_param_jacobian(x1, x2, h) if want_params else None
     for _ in range(substeps - 1):
-        x1, x2 = euler_map(params, x1, x2, h)
+        x1, x2 = euler_map(params, np.stack((x1, x2)), h)
         j_sub = _substep_state_jacobian(alpha, coupling, x1, h)
         if want_state:
             jx = j_sub @ jx
@@ -314,7 +342,7 @@ def _chained_jacobians(
 def step(params: VdpParams, s: State, dt: float, substeps: int = 1) -> State:
     """One explicit Euler sample: s + dt * f(s), optionally split into substeps."""
     _check_components(params, s)
-    x1, x2 = euler_map(params, s.x1, s.x2, dt, substeps)
+    x1, x2 = euler_map(params, np.stack((s.x1, s.x2)), dt, substeps)
     return State(x1=x1, x2=x2)
 
 
@@ -337,11 +365,13 @@ def rollout(
     `diverged` has the shape of one start state without its last axis. The
     start states are not tested. Every step is taken and written, so samples
     past a divergence hold inf/NaN; they raise no floating-point warning.
+    x1 and x2 are the two halves of one (n_steps, 2, ...) buffer of stacked
+    states, so they are strided views, not contiguous arrays.
     Each trajectory of a batch is bit-identical to its own lone rollout.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    alpha, coupling = params.alpha, params.coupling
+    alpha = params.alpha
     lead, m = alpha.shape[:-2], params.m
     if (x1.shape != x2.shape or x1.ndim not in (1, 2) or x1.shape[-1] != m
             or lead not in ((), x1.shape[:-1])):
@@ -352,19 +382,18 @@ def rollout(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = _substep_size(dt, substeps)  # reject a bad substep count before any step
-    out1 = np.empty((n_steps,) + x1.shape)
-    out2 = np.empty((n_steps,) + x1.shape)
-    out1[0], out2[0] = x1, x2
+    out = np.empty((n_steps, 2) + x1.shape)
+    out[0, 0], out[0, 1] = x1, x2
+    views = _views(out)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _euler_core(alpha, coupling, x1.shape, h, substeps)
-        for k in range(1, n_steps):
-            g(out1[k - 1], out2[k - 1], out1[k], out2[k])
-        outside = ~(
-            (np.abs(out1) <= DIVERGENCE_LIMIT) & (np.abs(out2) <= DIVERGENCE_LIMIT)
-        ).all(axis=-1)
+        g = _euler_core(*_param_arrays(params, x1), x1.shape, h, substeps)
+        for src, dst in zip(views, views[1:]):
+            g(src, dst)
+        inside = np.abs(out) <= DIVERGENCE_LIMIT
+        outside = ~(inside[:, 0] & inside[:, 1]).all(axis=-1)
     outside[0] = False
     # argmax finds the first True step, and gives 0 where every step is False
-    return out1, out2, outside.argmax(axis=0)
+    return out[:, 0], out[:, 1], outside.argmax(axis=0)
 
 
 def simulate(

@@ -118,6 +118,34 @@ class TestNormalDiag:
                                 rtol=1e-13)
 
 
+def _reference_normal_diag(sub, lam):
+    """`_normal_diag` with the products sub' @ sub on one buffer, numpy's A'A
+    (syrk) path: the reference the gemm-path products must equal."""
+    n, b = sub.shape[-3] + 1, sub.shape[-1]
+    block = lam * np.eye(b)
+    block.reshape(-1)[:: 2 * b + 2] += 1.0
+    diag = np.empty(sub.shape[:-3] + (n, b, b))
+    diag[:] = block
+    flat = sub.reshape(-1, b, b)
+    diag[..., :-1, :, :] += lam * (flat.transpose(0, 2, 1) @ flat).reshape(sub.shape)
+    return diag
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["lone", "lockstep"])
+@pytest.mark.parametrize("b", range(2, 9))
+def test_normal_diag_upper_triangles_equal_the_syrk_reference(rng, b, lead):
+    # `solve_block_tridiagonal` reads only the upper triangles; the lower ones
+    # of a gemm product need not mirror them on every BLAS kernel
+    iu, il = np.triu_indices(b), np.tril_indices(b, -1)
+    for n, lam in ((2, 1.0), (40, 70.0), (150, 1000.0)):
+        sub = rng.normal(0.0, 1.5, lead + (n - 1, b, b))
+        got, want = estimator._normal_diag(sub, lam), _reference_normal_diag(sub, lam)
+        npt.assert_array_equal(got[..., iu[0], iu[1]].view(np.int64),
+                               want[..., iu[0], iu[1]].view(np.int64))
+        npt.assert_allclose(got[..., il[0], il[1]], want[..., il[0], il[1]], rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(want)))
+
+
 class TestInnerSolve:
     def test_linear_case_matches_dense_oracle(self):
         for trial in range(20):

@@ -3,7 +3,11 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vdpfit import model
+from vdpfit.constraints import residual
 from vdpfit.model import (
     DimensionError,
     SimulationDiverged,
@@ -29,7 +33,7 @@ def p1(a1, a2, w=0.0):
 
 def vector_field(params, s):
     """f(s) as g(s) - s at dt = 1: one unit Euler step of the model's one core."""
-    x1, x2 = euler_map(params, s.x1, s.x2, 1.0)
+    x1, x2 = euler_map(params, np.stack((s.x1, s.x2)), 1.0)
     return x1 - s.x1, x2 - s.x2
 
 
@@ -222,6 +226,119 @@ class TestRollout:
             rollout(params, np.zeros(2), np.zeros(2), 0, 0.1)
         with pytest.raises(ValueError):
             rollout(params, np.zeros(2), np.zeros(2), 5, 0.1, substeps=0)
+
+
+def _reference_core(alpha, coupling, shape, h, substeps):
+    """The 13-call Euler core that the stacked one replaced, as the reference
+    its maps must equal bit for bit: g(x1, x2, out1, out2)."""
+    a1, a2 = alpha[..., 0], alpha[..., 1]
+    dx1, tmp, terms = np.empty(shape), np.empty(shape), np.empty(shape + shape[-1:])
+    mul, add, sub, add_up = np.multiply, np.add, np.subtract, np.add.reduce
+
+    def g(x1, x2, out1, out2):
+        for _ in range(substeps):
+            mul(a1, x1, out=dx1)
+            mul(dx1, sub(1.0, mul(x1, x1, out=tmp), out=tmp), out=dx1)
+            add(dx1, mul(a2, x2, out=tmp), out=dx1)
+            add(dx1, add_up(mul(x1[..., None, :], coupling, out=terms), axis=-1, out=tmp),
+                out=dx1)
+            mul(dx1, h, out=dx1)
+            x2 = sub(x2, mul(x1, h, out=tmp), out=out2)
+            x1 = add(x1, dx1, out=out1)
+        return x1, x2
+
+    return g
+
+
+def _reference_map(params, x1, x2, dt, substeps):
+    g = _reference_core(*model._param_arrays(params, x1), x1.shape, dt / substeps, substeps)
+    return g(x1, x2, np.empty(x1.shape), np.empty(x1.shape))
+
+
+def _reference_rollout(params, x1, x2, n_steps, dt, substeps):
+    out1, out2 = np.empty((n_steps,) + x1.shape), np.empty((n_steps,) + x1.shape)
+    out1[0], out2[0] = x1, x2
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _reference_core(params.alpha, params.coupling, x1.shape, dt / substeps, substeps)
+        for k in range(1, n_steps):
+            g(out1[k - 1], out2[k - 1], out1[k], out2[k])
+        outside = ~((np.abs(out1) <= model.DIVERGENCE_LIMIT)
+                    & (np.abs(out2) <= model.DIVERGENCE_LIMIT)).all(axis=-1)
+    outside[0] = False
+    return out1, out2, outside.argmax(axis=0)
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal bits, a NaN matching any NaN (the two cores may
+    give a NaN opposite signs)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    npt.assert_array_equal(np.isnan(got), nan)
+    npt.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@st.composite
+def euler_cases(draw):
+    """(params for K rows, the same as K lone sets, x1 and x2 starts (K, m), dt,
+    substeps): shared or per-row params, broadcast starts, and rows that leave
+    the guard box or start at inf/NaN."""
+    m, k, substeps = draw(st.integers(1, 4)), draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.5, 3.0, 40.0]))  # 40 drives most rows out of the box
+    rows = [VdpParams(alpha=rng.uniform(-scale, scale, (m, 2)),
+                      coupling=rng.uniform(-1.0, 1.0, (m, m)))
+            for _ in range(k if draw(st.booleans()) else 1)]
+    x2 = rng.normal(0.0, 1.0, (k, m))
+    x1 = (np.broadcast_to(rng.normal(0.0, 1.0, m), (k, m)) if draw(st.booleans())
+          else rng.normal(0.0, 1.0, (k, m)))
+    if draw(st.booleans()):
+        x1 = x1.copy()
+        x1[rng.integers(0, k)] = rng.choice([np.inf, -np.inf, np.nan], m)
+    params = VdpParams.stack(rows) if len(rows) > 1 else rows[0]
+    return params, rows * k if len(rows) == 1 else rows, x1, x2, 0.1, substeps
+
+
+@settings(max_examples=120, deadline=None)
+@given(euler_cases())
+def test_the_stacked_core_equals_the_13_call_reference_bit_for_bit(case):
+    params, rows, x1, x2, dt, substeps = case
+    n = 12
+    got = rollout(params, x1, x2, n, dt, substeps)
+    want = _reference_rollout(params, x1, x2, n, dt, substeps)
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+    with np.errstate(all="ignore"):
+        assert_same_bits(euler_map(params, np.stack((x1, x2)), dt, substeps),
+                         _reference_map(params, x1, x2, dt, substeps))
+        for k in (0, len(rows) - 1):  # a lone state, through `step` and `simulate`
+            s = State(x1=x1[k], x2=x2[k])
+            lone_step = step(rows[k], s, dt, substeps)
+            want = _reference_map(rows[k], s.x1, s.x2, dt, substeps)
+            assert_same_bits(lone_step.x1, want[0])
+            assert_same_bits(lone_step.x2, want[1])
+            lone = _reference_rollout(rows[k], s.x1, s.x2, n, dt, substeps)
+            if lone[2]:
+                with pytest.raises(SimulationDiverged, match=f"at step {lone[2]}$"):
+                    simulate(rows[k], s, n, dt, substeps)
+            else:
+                traj = simulate(rows[k], s, n, dt, substeps)
+                assert_same_bits(traj.x1, lone[0])
+                assert_same_bits(traj.x2, lone[1])
+        # the residual maps the strided x[..., :-1, 0::2] views of a stacked
+        # state: the rollout's rows as S = K problems, and the first as a lone one
+        x = np.empty((len(rows), n, 2 * x1.shape[-1]))
+        x[..., 0::2], x[..., 1::2] = np.swapaxes(got[0], 0, 1), np.swapaxes(got[1], 0, 1)
+        stacked = VdpParams.stack(rows)
+        anchors = State(x1=x2, x2=x1)
+        g1, g2 = _reference_map(stacked, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
+        want = x.copy()
+        want[..., 0, 0::2] -= anchors.x1
+        want[..., 0, 1::2] -= anchors.x2
+        want[..., 1:, 0::2] -= g1
+        want[..., 1:, 1::2] -= g2
+        assert_same_bits(residual(x, stacked, anchors, dt, substeps), want.reshape(len(rows), -1))
+        assert_same_bits(residual(x[0], rows[0], anchors[0], dt, substeps), want[0].ravel())
 
 
 class TestParamsVector:
