@@ -103,8 +103,9 @@ _FIT_KEYS = {"dt", "substeps", "init_alpha", "init_coupling", "init_x2", "penalt
 def _fitter(args):
     """Read the fit config of --config (and --vp-only) once; return fit(z, seed,
     trace=False), the one way a series is fitted, and fit_all(zs, seed), seeds
-    seed + k, in lockstep under --vp-only. With `trace` the output directory is
-    made once the init_* shapes check, and receives the search trace."""
+    seed + k, in lockstep when search.max_rounds is 0, as --vp-only sets it.
+    With `trace` the output directory is made once the init_* shapes check,
+    and receives the search trace."""
     doc = _load_json(args.config)
     if "dt" not in doc:
         raise ConfigError("missing required config key 'dt'")
@@ -135,7 +136,7 @@ def _fitter(args):
                                      trace=sink)
 
     def fit_all(zs: list[np.ndarray], seed: int) -> list[FitResult]:
-        if not args.vp_only:
+        if s_cfg.max_rounds:
             return [fit(z, seed + k) for k, z in enumerate(zs)]
         starts = [vp_start(check_observations(z), s_cfg, p_cfg,
                            *_init_values(init, z.shape[1]), dt) for z in zs]
@@ -153,7 +154,7 @@ def _array(value, key: str) -> np.ndarray:
     return leaves.astype(float)
 
 
-def _init_values(init: dict, m: int) -> tuple[Optional[VdpParams], Optional[np.ndarray]]:
+def _init_values(init: dict, m: int) -> tuple[VdpParams, Optional[np.ndarray]]:
     """The initial (params, x2_init) for m components from the init_* arrays;
     init_alpha may be one [a1, a2] row and init_coupling one number."""
     alpha = init.get("init_alpha", np.ones(2))
@@ -168,8 +169,6 @@ def _init_values(init: dict, m: int) -> tuple[Optional[VdpParams], Optional[np.n
         if value is not None and value.shape != shape:
             raise ConfigError(f"{key} must have shape {shape} for the data's {m} components, "
                               f"got {value.shape}")
-    if "init_alpha" not in init and "init_coupling" not in init:
-        return None, x2_init
     return VdpParams(alpha=alpha, coupling=coupling), x2_init
 
 

@@ -19,13 +19,14 @@ LAPACK banded Cholesky (`pbsv`, fetched once through
 
 G, dG/dx and dG/dparams evaluate all N-1 transitions in one call to the
 batched dynamics of `model.py` (`euler_map`, `batch_state_jacobians`,
-`batch_param_jacobians`), for any substep count. G hands `euler_map` the
-stacked-state view [x1, x2] of x (`_stacked`, no copy), so its transitions go
-through `model._euler_core`, the one Euler core behind `rollout` and
-`simulate`. Each also takes S problems as an (S, N, 2m) stack with S stacked
-parameter sets (and anchor states), one `VdpParams` (and one `State`) with a
-leading axis of length S: its result's S slices are bit-identical to the
-problems' own calls.
+`batch_param_jacobians`), for any substep count. Every model kernel takes
+stacked states, and each of the three is handed the one stacked-state view
+[x1, x2] of the samples 0..N-2 of x (`_stacked`, no copy), so G's
+transitions go through `model._euler_core`, the one Euler core behind
+`rollout` and `simulate`. Each also takes S problems as an (S, N, 2m) stack
+with S stacked parameter sets (and anchor states), one `VdpParams` (and one
+`State`) with a leading axis of length S: its result's S slices are
+bit-identical to the problems' own calls.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ def residual_jacobian_x(x: np.ndarray, params: VdpParams, dt: float, substeps: i
     block k, at block position (k+1, k), is -dg/dstate evaluated at x^k.
     """
     _check_components(x, params)
-    return -batch_state_jacobians(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
+    return -batch_state_jacobians(params, _stacked(x)[..., :-1, :], dt, substeps)
 
 
 def residual_jacobian_params(x: np.ndarray, params: VdpParams, dt: float, substeps: int = 1
@@ -114,7 +115,7 @@ def residual_jacobian_params(x: np.ndarray, params: VdpParams, dt: float, subste
     m = _check_components(x, params)
     n, b = x.shape[-2:]
     out = np.zeros(x.shape + (b + m * m,))
-    jp = batch_param_jacobians(params, x[..., :-1, 0::2], x[..., :-1, 1::2], dt, substeps)
+    jp = batch_param_jacobians(params, _stacked(x)[..., :-1, :], dt, substeps)
     np.negative(jp, out=out[..., 1:, :, :])
     return out.reshape(x.shape[:-2] + (n * b, -1))
 

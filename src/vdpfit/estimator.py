@@ -397,16 +397,12 @@ def _inner_solves(params: VdpParams, anchors: State, z: np.ndarray, cfg: Penalty
         left = active  # the problems whose step is not yet accepted
         t = 1.0
         for _ in range(_MAX_HALVINGS):  # the steps halve until their Armijo tests pass
-            trials = _take(cur, left, S) + t * _take(delta, left, S)
-            tried = left
-            if not np.isfinite(trials).all():  # an overflowed trial is rejected
-                finite = np.isfinite(trials).all(axis=(1, 2))
-                tried, trials = [i for i, ok in zip(left, finite) if ok], trials[finite]
             passed = []
-            if tried:
-                r_trials = residual(trials, _take(params, tried, S), _take(anchors, tried, S), dt,
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trial is rejected
+                trials = _take(cur, left, S) + t * _take(delta, left, S)
+                r_trials = residual(trials, _take(params, left, S), _take(anchors, left, S), dt,
                                     substeps)
-                for i, trial, r_trial in zip(tried, trials, r_trials):
+                for i, trial, r_trial in zip(left, trials, r_trials):
                     f_trial = _objective_parts(trial, z[i], r_trial, lam)
                     if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t * dirderiv[i]:
                         at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
@@ -446,7 +442,8 @@ def inner_solve(
     `lam`, `tol` and `max_iter` are one stage of `cfg.stages()`; `cfg` gives
     only the Armijo constant. Stops when the gradient infinity-norm drops to
     `tol` or after `max_iter` steps. Steps solve the block-tridiagonal normal
-    equations exactly, then halve under an Armijo test; a step that underflows
+    equations exactly, then halve under an Armijo test, which a trial whose
+    objective overflows fails without a warning; a step that underflows
     returns the current iterate flagged not-converged.
 
     It also stops, as converged, at the roundoff floor: when an accepted step

@@ -13,9 +13,9 @@ One batched core, `_euler_core`, holds the sample map on stacked states
 s = [x1, x2] of shape (2, ..., m): `euler_map` maps one such array, and
 `rollout` integrates into one (n_steps, 2, ..., m) buffer of them. Beside it
 sit the one-substep state and parameter Jacobians and one loop chaining them
-through the substeps. `step`, the batched `rollout` behind `simulate`, the
-batch Jacobians and the single-state `jacobians` call them, as do the stacked
-constraints in `constraints.py`.
+through the substeps, on the same stacked states. `step`, the batched
+`rollout` behind `simulate`, the batch Jacobians and the single-state
+`jacobians` call them, as do the stacked constraints in `constraints.py`.
 `VdpParams` and `State` take an optional leading problem axis: S parameter
 sets stack to (S, m, 2) gains and an (S, m, m) coupling, and S states to
 (S, m) tracks. The core broadcasts them against (S, m) or (S, K, m) states,
@@ -295,8 +295,9 @@ def _substep_state_jacobian(alpha: np.ndarray, coupling: np.ndarray, x1: np.ndar
     return out
 
 
-def _substep_param_jacobian(x1: np.ndarray, x2: np.ndarray, h: float) -> np.ndarray:
-    """d/dparams of one substep at (..., K, m) states: (..., K, 2m, 2m + m^2)."""
+def _substep_param_jacobian(s: np.ndarray, h: float) -> np.ndarray:
+    """d/dparams of one substep at stacked (2, ..., K, m) states: (..., K, 2m, 2m + m^2)."""
+    x1, x2 = s
     m = x1.shape[-1]
     p = 2 * m + m * m
     out = np.zeros(x1.shape[:-1] + (2 * m, p))
@@ -312,30 +313,29 @@ def _substep_param_jacobian(x1: np.ndarray, x2: np.ndarray, h: float) -> np.ndar
 
 def _chained_jacobians(
     params: VdpParams,
-    x1: np.ndarray,
-    x2: np.ndarray,
+    s: np.ndarray,
     dt: float,
     substeps: int,
     want_state: bool,
     want_params: bool,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """dg/dstate and dg/dparams at K states (x1/x2 are (K, m), or (S, K, m)
-    for S stacked params), chained through the substeps: J <- J_sub J,
-    P <- J_sub P + P_sub, with each substep's Jacobians taken at its own
-    intermediate state. Only the
-    requested ones are built (None otherwise); at substeps=1 the parameter
-    Jacobian needs no state Jacobian."""
+    """dg/dstate and dg/dparams at K stacked states s = [x1, x2] ((2, K, m), or
+    (2, S, K, m) for S stacked params, with any strides), chained through the
+    substeps: J <- J_sub J, P <- J_sub P + P_sub, with each substep's
+    Jacobians taken at its own intermediate state, which `euler_map` maps.
+    Only the requested ones are built (None otherwise); at substeps=1 the
+    parameter Jacobian needs no state Jacobian."""
     h = _substep_size(dt, substeps)
-    alpha, coupling = _param_arrays(params, x1)
-    jx = _substep_state_jacobian(alpha, coupling, x1, h) if want_state else None
-    jp = _substep_param_jacobian(x1, x2, h) if want_params else None
+    alpha, coupling = _param_arrays(params, s[0])
+    jx = _substep_state_jacobian(alpha, coupling, s[0], h) if want_state else None
+    jp = _substep_param_jacobian(s, h) if want_params else None
     for _ in range(substeps - 1):
-        x1, x2 = euler_map(params, np.stack((x1, x2)), h)
-        j_sub = _substep_state_jacobian(alpha, coupling, x1, h)
+        s = euler_map(params, s, h)
+        j_sub = _substep_state_jacobian(alpha, coupling, s[0], h)
         if want_state:
             jx = j_sub @ jx
         if want_params:
-            jp = j_sub @ jp + _substep_param_jacobian(x1, x2, h)
+            jp = j_sub @ jp + _substep_param_jacobian(s, h)
     return jx, jp
 
 
@@ -421,22 +421,24 @@ def jacobians(
     d/dW (2m x m^2)), in the interleaved state layout and the [a1 block,
     a2 block, W row-major] parameter column order."""
     _check_components(params, s)
-    jx, jp = _chained_jacobians(params, s.x1[None], s.x2[None], dt, substeps, True, True)
+    jx, jp = _chained_jacobians(params, np.stack((s.x1, s.x2))[:, None], dt, substeps, True, True)
     b = 2 * params.m
     return jx[0], jp[0, :, :b], jp[0, :, b:]
 
 
 def batch_state_jacobians(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: VdpParams, s: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
-    """dg/dstate at K states at once; x1/x2 are (K, m), result is (K, 2m, 2m),
-    or (S, K, 2m, 2m) for (S, K, m) states and S stacked params."""
-    return _chained_jacobians(params, x1, x2, dt, substeps, True, False)[0]
+    """dg/dstate at K stacked states s = [x1, x2] at once: s is (2, K, m), the
+    result (K, 2m, 2m), or (S, K, 2m, 2m) for (2, S, K, m) states and S
+    stacked params."""
+    return _chained_jacobians(params, s, dt, substeps, True, False)[0]
 
 
 def batch_param_jacobians(
-    params: VdpParams, x1: np.ndarray, x2: np.ndarray, dt: float, substeps: int = 1
+    params: VdpParams, s: np.ndarray, dt: float, substeps: int = 1
 ) -> np.ndarray:
-    """dg/dparams at K states at once; result is (K, 2m, 2m + m^2), or
-    (S, K, 2m, 2m + m^2) for (S, K, m) states and S stacked params."""
-    return _chained_jacobians(params, x1, x2, dt, substeps, False, True)[1]
+    """dg/dparams at K stacked states s = [x1, x2] at once: s is (2, K, m), the
+    result (K, 2m, 2m + m^2), or (S, K, 2m, 2m + m^2) for (2, S, K, m) states
+    and S stacked params."""
+    return _chained_jacobians(params, s, dt, substeps, False, True)[1]

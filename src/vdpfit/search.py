@@ -319,10 +319,8 @@ def search_and_refine(
     invalid_candidates = 0
     no_improve = 0
     stop_reason = "max rounds"
-    rounds_run = 0
 
     for round_idx in range(1, search_cfg.max_rounds + 1):
-        rounds_run = round_idx
         round_start, best, invalid = _run_round(z, best, search_cfg, rng, scales,
                                                 vp_cfg.bounds, dt, substeps, round_idx, trace)
         invalid_candidates += invalid
@@ -350,7 +348,7 @@ def search_and_refine(
     search_echo = {
         **asdict(search_cfg),
         "stop_reason": stop_reason,
-        "rounds": rounds_run,
+        "rounds": round_idx,
         "best_fitness": best.fitness if math.isfinite(best.fitness) else None,
         "best_provenance": list(best.provenance),
         "invalid_candidates": invalid_candidates,

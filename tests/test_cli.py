@@ -619,6 +619,29 @@ class TestForecast:
             assert ((workdir / "lockstep" / name).read_bytes()
                     == (workdir / "lone" / name).read_bytes())
 
+    def test_zero_rounds_in_the_config_fit_in_lockstep_as_vp_only(self, workdir, wave_csv,
+                                                                   fit_config, monkeypatch):
+        cfg = workdir / "zero.json"
+        cfg.write_text(json.dumps({**json.loads(fit_config.read_text()),
+                                   "search": {"max_rounds": 0}}))
+        argv = ["forecast", str(wave_csv), "--methods", "vdp", "--train-len", "30",
+                "--test-len", "10", "--segments", "3", "--horizon", "5",
+                "--config", str(cfg), "--seed", "3", "-o"]
+        calls = []
+        real = cli.fit_lockstep
+
+        def recording(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_lockstep", recording)
+        assert main(argv + [str(workdir / "config")]) == 0
+        assert calls == [(3, 30, 2)]
+        assert main(argv[:-1] + ["--vp-only", "-o", str(workdir / "flag")]) == 0
+        for name in ("report.json", "report.csv"):
+            assert ((workdir / "config" / name).read_bytes()
+                    == (workdir / "flag" / name).read_bytes())
+
     def test_vp_only_first_segment_failure_is_fit_error(self, workdir, wave_csv, fit_config,
                                                         capsys):
         # every segment's objective overflows at its first evaluation; segment

@@ -229,6 +229,19 @@ class TestInnerSolve:
         npt.assert_array_equal(res.residual, residual(x_init, params, s0, 0.05))
         assert res.objective == objective(x_init, params, s0, z, dt=0.05, lam=100.0)
 
+    def test_overflowing_trials_are_rejected_without_a_warning(self, rng, monkeypatch):
+        # every trial, even after the last halving, is finite near 1e85 or more
+        # while its residual overflows; warnings are errors under pytest's config
+        params, s0, traj, z = make_instance(rng, m=1, n=30, noise=0.05)
+        x_init = default_x_init(z, 0.05)
+        real = estimator.solve_block_tridiagonal
+        monkeypatch.setattr(estimator, "solve_block_tridiagonal",
+                            lambda *args: 1e100 * real(*args))
+        res = inner_solve(params, s0, z, PenaltyConfig(), x_init, dt=0.05, lam=100.0,
+                          **FINAL_STAGE)
+        assert not res.converged and res.iterations == 1
+        assert res.x.tobytes() == x_init.tobytes()
+
     def test_armijo_c_near_one_halves_a_step_that_passes_at_1e_4(self, rng):
         # on a near-quadratic f the Gauss-Newton step t * delta lowers f by about
         # t (1 - t/2) |grad' delta|, which passes the Armijo test at c = 1e-4 for

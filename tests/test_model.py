@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdpfit import model
-from vdpfit.constraints import residual
+from vdpfit.constraints import residual, residual_jacobian_params, residual_jacobian_x
 from vdpfit.model import (
     DimensionError,
     SimulationDiverged,
@@ -476,7 +476,8 @@ def _fancy_param_jacobian(x1, x2, h):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_substep_param_jacobian_equals_its_fancy_index_form(rng, m, lead):
     x1, x2 = rng.normal(size=lead + (m,)), rng.normal(size=lead + (m,))
-    got, want = _substep_param_jacobian(x1, x2, 0.07), _fancy_param_jacobian(x1, x2, 0.07)
+    got = _substep_param_jacobian(np.stack((x1, x2)), 0.07)
+    want = _fancy_param_jacobian(x1, x2, 0.07)
     assert got.shape == want.shape == lead + (2 * m, 2 * m + m * m)
     assert got.tobytes() == want.tobytes()
 
@@ -504,12 +505,26 @@ class TestJacobians:
         jx_b, _, _ = jacobians(params, random_state(rng, 2), 0.1)
         npt.assert_allclose(jx_a, jx_b, rtol=1e-14)
 
-    def test_batch_matches_single(self, rng):
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    def test_batch_matches_single(self, rng, substeps):
         params = random_params(rng, 2)
-        traj = simulate(params, random_state(rng, 2, 0.3), 12, 0.05)
-        bx = batch_state_jacobians(params, traj.x1, traj.x2, 0.05)
-        bp = batch_param_jacobians(params, traj.x1, traj.x2, 0.05)
+        traj = simulate(params, random_state(rng, 2, 0.3), 12, 0.05, substeps)
+        s = np.stack((traj.x1, traj.x2))
+        bx = batch_state_jacobians(params, s, 0.05, substeps)
+        bp = batch_param_jacobians(params, s, 0.05, substeps)
         for k in range(12):
-            jx, ja, jw = jacobians(params, traj.state(k), 0.05)
+            jx, ja, jw = jacobians(params, traj.state(k), 0.05, substeps)
             npt.assert_allclose(bx[k], jx, rtol=1e-13)
             npt.assert_allclose(bp[k], np.hstack([ja, jw]), rtol=1e-13)
+        # S problems as one strided (S, N, 2m) stack, through the constraints'
+        # stacked-state view: each slice is its problem's own call, bit for bit
+        stack = VdpParams.stack([params, random_params(rng, 2), random_params(rng, 2)])
+        x = np.swapaxes(rng.normal(0, 0.5, (9, 3, 4)), 0, 1)
+        jx = residual_jacobian_x(x, stack, 0.05, substeps)
+        jp = residual_jacobian_params(x, stack, 0.05, substeps)
+        for k in range(3):
+            lone = np.ascontiguousarray(x[k])
+            assert jx[k].tobytes() == residual_jacobian_x(lone, stack[k], 0.05,
+                                                          substeps).tobytes()
+            assert jp[k].tobytes() == residual_jacobian_params(lone, stack[k], 0.05,
+                                                               substeps).tobytes()
