@@ -16,6 +16,7 @@ byte. VDPFIT_OUT supplies the default output root when -o/--out is omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -325,6 +326,7 @@ def _at_least(lo, kind=int):
     return parse
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vdpfit",

@@ -326,6 +326,10 @@ def connectivity_projection(
     ascending, and a cut through such a tie keeps the first of them in that
     order. F is formed in row blocks of at most _BLOCK_ENTRIES entries (whole
     for P <= 4096); each block's candidates merge with the best top_k so far.
+    A block's candidates are its entries at or above a running cut: the k-th
+    weight so far once top_k are held, before that the block's own k-th
+    weight, found by partitioning a copy of the block. Memory is the block,
+    that copy while fewer than top_k are held, and the candidates.
     """
     spatial = np.atleast_2d(np.asarray(spatial, dtype=float))
     sigma = np.atleast_1d(np.asarray(singular_values, dtype=float))
@@ -352,10 +356,19 @@ def connectivity_projection(
         block = left[start : start + rows] @ scaled  # (rows, P)
         for sign in best:
             mag, tgt, src = best[sign]
-            signed = sign * block
-            t, s = np.nonzero(signed > 0)
+            if mag.size == top_k:  # an entry below the k-th weight so far cannot enter
+                cut = mag[-1]
+            elif block.size > top_k:  # nor can one below the block's own k-th weight
+                kth = block.size - top_k if sign > 0 else top_k - 1
+                cut = sign * np.partition(block.ravel(), kth)[kth]
+            else:
+                cut = 0.0
+            above = np.greater_equal
+            if not cut > 0:  # only positive weights are edges; a NaN cut bounds nothing
+                above, cut = np.greater, 0.0
+            t, s = np.nonzero(above(block, cut) if sign > 0 else above(-cut, block))
             best[sign] = _top_entries(
-                np.concatenate([mag, signed[t, s]]),
+                np.concatenate([mag, sign * block[t, s]]),
                 np.concatenate([tgt, t + start]),
                 np.concatenate([src, s]),
                 top_k,

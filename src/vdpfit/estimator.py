@@ -47,7 +47,7 @@ from .model import DimensionError, State, Trajectory, VdpParams
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 _MAX_HALVINGS = 48
 # an accepted step that lowers f by no more than this times |f| is roundoff
-_ROUNDOFF_DECREASE = 8 * np.finfo(float).eps
+_ROUNDOFF_DECREASE = 8 * sys.float_info.epsilon
 
 
 class FitError(RuntimeError):
@@ -322,10 +322,13 @@ def _check_shapes(z: np.ndarray, x: np.ndarray) -> None:
         raise ValueError("stacked state must be finite")
 
 
-def _objective_parts(x, z, r, lam):
-    """1/2 ||z - Hx||^2 + lam/2 ||r||^2 from the residual r = G(x) - eta0."""
-    misfit = x[:, 0::2] - z
-    return 0.5 * float(np.sum(misfit * misfit)) + 0.5 * lam * float(r @ r)
+def _objectives(x, z, r, lam) -> np.ndarray:
+    """1/2 ||z - Hx||^2 + lam/2 ||r||^2 of S problems, from (S, N, 2m) x, (S, N, m)
+    z and their (S, 2mN) residuals r = G(x) - eta0: an (S,) array. Each is the
+    sum of its problem's contiguous misfit squares and one ddot, so it has the
+    bits of the lone problem's objective."""
+    misfit = x[..., 0::2] - z
+    return 0.5 * (misfit * misfit).sum(axis=(-2, -1)) + 0.5 * lam * metrics._dots(r, r)
 
 
 def _normal_diag(sub: np.ndarray, lam: float) -> np.ndarray:
@@ -354,46 +357,47 @@ def _take(stack, idx: list, count: int):
 def _inner_solves(params: VdpParams, anchors: State, z: np.ndarray, cfg: PenaltyConfig,
                   x: np.ndarray, *, dt, substeps, lam, tol, max_iter) -> list[InnerResult]:
     """`inner_solve` of S problems in lockstep, from S stacked params and anchors,
-    (S, N, m) z and (S, N, 2m) x: each keeps its own stopping and step length,
-    and each step's residual, Jacobian and normal-matrix blocks are one kernel
-    call for the problems left."""
+    (S, N, m) z and (S, N, 2m) x: each keeps its own stopping and step length.
+    Each step's residual, Jacobian, normal-matrix blocks, gradients and their
+    norms, directional derivatives and trial objectives are one computation
+    over the problems left; the banded solves and the per-problem decisions,
+    on Python floats, run one problem at a time."""
     S, n, b = x.shape
     every = list(range(S))
     cur = np.array(x, dtype=float)  # the iterates; a row is replaced when its step is accepted
     r = residual(cur, params, anchors, dt, substeps)
-    f = [_objective_parts(cur[i], z[i], r[i], lam) for i in every]
+    f = _objectives(cur, z, r, lam).tolist()
     converged = [False] * S
     at_floor = [False] * S
     grad_inf = [math.inf] * S
     iterations = [0] * S
     subs = [None] * S
-    grads = [None] * S
     delta = np.empty(cur.shape)
     dirderiv = [0.0] * S
     active = every
     for it in range(max_iter + 1):
-        stepping = []
-        rows = []  # the stepping problems' rows of jac
-        jac = residual_jacobian_x(_take(cur, active, S), _take(params, active, S), dt, substeps)
-        for k, (i, sub) in enumerate(zip(active, jac)):
-            # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
-            r_blocks = r[i].reshape(n, b)
-            grad = r_blocks.copy()
-            grad[:-1] += np.einsum("kji,kj->ki", sub, r_blocks[1:])
-            grad *= lam
-            grad[:, 0::2] += cur[i, :, 0::2] - z[i]
-            subs[i], grads[i], iterations[i] = sub, grad, it
-            grad_inf[i] = float(np.max(np.abs(grad)))
-            converged[i] = grad_inf[i] <= tol or at_floor[i]
+        x_act = _take(cur, active, S)
+        jac = residual_jacobian_x(x_act, _take(params, active, S), dt, substeps)
+        # lam (dG/dx)' r: identity diagonal blocks, sub' on the block above
+        r_blocks = _take(r, active, S).reshape(-1, n, b)
+        grad = r_blocks.copy()
+        grad[:, :-1] += np.einsum("skji,skj->ski", jac, r_blocks[:, 1:])
+        grad *= lam
+        grad[..., 0::2] += x_act[..., 0::2] - _take(z, active, S)
+        rows = []  # the stepping problems' rows of the stack
+        for k, (i, g_inf) in enumerate(zip(active, np.abs(grad).max(axis=(1, 2)).tolist())):
+            subs[i], grad_inf[i], iterations[i] = jac[k], g_inf, it
+            converged[i] = g_inf <= tol or at_floor[i]
             if not converged[i] and it < max_iter:
-                stepping.append(i)
                 rows.append(k)
-        active = stepping
+        active = [active[k] for k in rows]
         if not active:
             break
-        for i, diag in zip(active, _normal_diag(_take(jac, rows, len(jac)), lam)):
-            delta[i] = solve_block_tridiagonal(diag, lam * subs[i], -grads[i])
-            dirderiv[i] = float(np.sum(grads[i] * delta[i]))
+        jac, grad = _take(jac, rows, len(jac)), _take(grad, rows, len(grad))
+        for i, diag, sub, g in zip(active, _normal_diag(jac, lam), jac, grad):
+            delta[i] = solve_block_tridiagonal(diag, lam * sub, -g)
+        for i, d in zip(active, (grad * _take(delta, active, S)).sum(axis=(1, 2)).tolist()):
+            dirderiv[i] = d
         left = active  # the problems whose step is not yet accepted
         t = 1.0
         for _ in range(_MAX_HALVINGS):  # the steps halve until their Armijo tests pass
@@ -402,12 +406,12 @@ def _inner_solves(params: VdpParams, anchors: State, z: np.ndarray, cfg: Penalty
                 trials = _take(cur, left, S) + t * _take(delta, left, S)
                 r_trials = residual(trials, _take(params, left, S), _take(anchors, left, S), dt,
                                     substeps)
-                for i, trial, r_trial in zip(left, trials, r_trials):
-                    f_trial = _objective_parts(trial, z[i], r_trial, lam)
-                    if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t * dirderiv[i]:
-                        at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
-                        cur[i], r[i], f[i] = trial, r_trial, f_trial
-                        passed.append(i)
+                f_trials = _objectives(trials, _take(z, left, S), r_trials, lam).tolist()
+            for i, trial, r_trial, f_trial in zip(left, trials, r_trials, f_trials):
+                if math.isfinite(f_trial) and f_trial <= f[i] + cfg.armijo_c * t * dirderiv[i]:
+                    at_floor[i] = f[i] - f_trial <= _ROUNDOFF_DECREASE * abs(f[i])
+                    cur[i], r[i], f[i] = trial, r_trial, f_trial
+                    passed.append(i)
             if len(passed) == len(left):
                 break
             left = [i for i in left if i not in passed]
@@ -534,12 +538,13 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _potrs(c, b, lower=False)[0]
 
 
-def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[dict]:
+def _component_stats(z_values: np.ndarray, x1_fit: np.ndarray) -> list[list[dict]]:
+    """fit.json's per-component scores of S problems' (S, N, m) fitted x1 tracks
+    against their observed ones, from one `component_scores` call: one list of
+    per-component dicts per problem."""
     c, r2 = metrics.component_scores(z_values, x1_fit)
-    return [
-        {"component": i, "pearson": float(ci), "r_squared": float(ri)}
-        for i, (ci, ri) in enumerate(zip(c, r2))
-    ]
+    return [[{"component": i, "pearson": ci, "r_squared": ri}
+             for i, (ci, ri) in enumerate(zip(*row))] for row in zip(c.tolist(), r2.tolist())]
 
 
 def _nonfinite_start(x: np.ndarray, r: np.ndarray) -> FitError:
@@ -636,7 +641,7 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
     errors: dict[int, FitError] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         r0 = residual(x_init, inits, anchors, dt, substeps)
-        f0 = [_objective_parts(x, zi, r, stages[0][0]) for x, zi, r in zip(x_init, z, r0)]
+        f0 = _objectives(x_init, z, r0, stages[0][0])
     for i in range(S):
         if not cfg.bounds.contains(inits[i], atol=1e-12):
             errors[i] = FitError("init violates parameter bounds")
@@ -669,10 +674,15 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
         gtol = max(cfg.outer_gtol, tol_s)  # f_tilde is resolved only to tol_s
         active = list(live)
         for _ in range(cfg.outer_max_iter):
-            for i in list(active):
-                if float(np.max(np.abs(p[i] - np.clip(p[i] - vg[i].gradient, lo, hi)))) < gtol:
+            if not active:
+                break
+            pa = p[active]
+            pa_grad = np.array([vg[i].gradient for i in active])
+            small = (np.abs(pa - np.clip(pa - pa_grad, lo, hi)).max(axis=1) < gtol).tolist()
+            for i, done in zip(active, small):
+                if done:
                     reason[i], converged[i] = "projected gradient below tolerance", True
-                    active.remove(i)
+            active = [i for i, done in zip(active, small) if not done]
             for i in active:
                 if lin[i] is not None:
                     continue
@@ -717,16 +727,15 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
                 mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 p[i], vg[i], lin[i] = p_new, v, None
                 history[i].append((len(history[i]), lam_s, v.value))
-            if not active:
-                break
 
     if errors:
         raise errors[min(errors)]
-    results = []
-    for i, v in enumerate(vg):
-        states = Trajectory(x1=v.x[:, 0::2].copy(), x2=v.x[:, 1::2].copy(), dt=dt)
-        results.append(FitResult(
-            params=VdpParams.from_vector(p[i], m), states=states, objective_history=history[i],
-            per_component_stats=_component_stats(z[i], states.x1), converged=converged[i],
-            reason=reason[i], config_echo=fit_echo(cfg, dt, substeps)))
-    return results
+    x = np.array([v.x for v in vg])
+    stats = _component_stats(z, x[..., 0::2])
+    echo = fit_echo(cfg, dt, substeps)
+    return [FitResult(params=VdpParams.from_vector(p[i], m),
+                      states=Trajectory(x1=x[i, :, 0::2].copy(), x2=x[i, :, 1::2].copy(), dt=dt),
+                      objective_history=history[i], per_component_stats=stats[i],
+                      converged=converged[i], reason=reason[i],
+                      config_echo=dict(echo))  # a dict of its own: the CLI adds keys to it
+            for i in range(S)]

@@ -209,7 +209,7 @@ def _euler_core(alpha: np.ndarray, coupling: np.ndarray, shape: tuple[int, ...],
     (..., m). alpha (..., m, 2) and coupling (..., m, m) are as `_param_arrays`
     gives them, with one axis per state axis, of size 1 where trajectories
     share a parameter set. Returns g(src, dst), which maps the state of the
-    `_views` pair src into the one of dst (src may be dst: every read of a
+    `_views` triple src into the one of dst (src may be dst: every read of a
     substep comes before its one write) and returns it. The scratch arrays
     and their views are made here, once, so the steps of a rollout allocate
     nothing.
@@ -221,32 +221,34 @@ def _euler_core(alpha: np.ndarray, coupling: np.ndarray, shape: tuple[int, ...],
     product gives [a1 x1, a2 x2] with no strided parameter view; h and 1.0
     are 0-d arrays, so no call converts a Python float, and `out` is passed
     positionally, which is cheaper than by keyword. The coupling sum W x1 is
-    not a BLAS matmul but the products w * x1, with w[i, ..., j] = W_ij copied
-    out once for every state so that the product runs over contiguous
-    operands, reduced over their last, contiguous axis j. Its summation
-    order then depends on m only, so each row of a batch rounds exactly as
-    the same state alone, for any batch size, any input strides and shared or
-    per-trajectory parameters.
+    not a BLAS matmul but the products x1_j * w, with w[j, ..., i] = W_ij
+    copied out once for every state and x1_j the (m, ..., 1) column view of
+    x1 that `_views` makes, reduced over their leading axis j. That sum runs
+    j = 0, 1, ..., m - 1 in sequence whatever the batch size, input strides
+    or shared or per-trajectory parameters, so each row of a batch rounds
+    exactly as the same state alone. For m <= 7 it is also the order of
+    numpy's reduction over a last axis, which the core used before; for
+    m >= 8 numpy sums a last axis pairwise, so there the last bits differ
+    from that older core's.
     """
     lead = tuple(range(len(shape) - 1))
     ca = alpha.transpose((len(shape),) + lead + (len(shape) - 1,)).copy()
-    w = np.empty(shape[-1:] + shape)  # w[i, ..., j] = W_ij, for every state
-    w[...] = coupling.transpose((len(shape) - 1,) + lead + (len(shape),))
+    w = np.empty(shape[-1:] + shape)  # w[j, ..., i] = W_ij, for every state
+    w[...] = coupling.transpose((len(shape),) + lead + (len(shape) - 1,))
     d = np.empty((2,) + shape)  # [dx1, -x1], then times h
     d1, d2, t, terms = d[0], d[1], np.empty(shape), np.empty(w.shape)
-    tt = t.transpose((len(shape) - 1,) + lead)  # t with the component axis first
     one, h = np.array(1.0), np.array(h)
     mul, add, sub, neg, add_up = np.multiply, np.add, np.subtract, np.negative, np.add.reduce
 
     def g(src, dst):
         for _ in range(substeps):
-            s, x1 = src
+            s, x1, x1_j = src
             mul(ca, s, d)
             mul(x1, x1, t)
             sub(one, t, t)
             mul(d1, t, d1)
             add(d1, d2, d1)
-            add_up(mul(x1, w, terms), -1, None, tt)
+            add_up(mul(x1_j, w, terms), 0, None, t)
             add(d1, t, d1)
             neg(x1, d2)
             mul(d, h, d)
@@ -257,10 +259,13 @@ def _euler_core(alpha: np.ndarray, coupling: np.ndarray, shape: tuple[int, ...],
     return g
 
 
-def _views(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _views(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """For each stacked state s = [x1, x2] along the first axis of `states`, the
-    views that `_euler_core`'s map reads and writes: s and x1."""
-    return list(zip(states, states[:, 0]))
+    views that `_euler_core`'s map reads and writes: s, x1 and x1's (m, ..., 1)
+    column view x1_j."""
+    x1 = states[:, 0]
+    x1_j = x1.transpose(0, x1.ndim - 1, *range(1, x1.ndim - 1))[..., None]
+    return list(zip(states, x1, x1_j))
 
 
 def euler_map(params: VdpParams, s: np.ndarray, dt: float, substeps: int = 1) -> np.ndarray:

@@ -368,7 +368,7 @@ def search_and_refine(
         params=best.params,
         states=best.track,
         objective_history=[],
-        per_component_stats=_component_stats(z, best.track.x1),
+        per_component_stats=_component_stats(z[None], best.track.x1[None])[0],
         converged=stop_reason == "fitness plateau",
         reason=f"search stopped: {stop_reason}",
         config_echo=echo,

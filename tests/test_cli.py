@@ -521,6 +521,46 @@ class TestFit:
         assert not (out / "trace.ndjson").exists()
 
 
+def test_the_cached_parser_keeps_no_state_between_calls(workdir, series_csv, fit_config,
+                                                       capsys):
+    # each later call drops flags an earlier one set; one process runs them all
+    # on the one cached parser, and each must act as in a fresh process
+    forecast = ["forecast", str(series_csv), "--train-len", "40", "--test-len", "10",
+                "--segments", "1", "--config", str(fit_config), "--seed", "2"]
+    calls = [
+        ["fit", str(series_csv), "--config", str(fit_config), "--seed", "1", "--vp-only"],
+        ["fit", str(series_csv), "--config", str(fit_config), "--seed", "1"],
+        forecast + ["--horizon", "5", "--var-order", "3", "--var-refit", "--vp-only"],
+        forecast,
+        ["fit", str(series_csv), "--seed", "1"],  # no --config: a usage error
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {}
+    for way in ("one process", "fresh processes"):
+        runs[way] = []
+        for k, argv in enumerate(calls):
+            out = workdir / way / str(k)
+            argv = argv + ["-o", str(out)]
+            if way == "one process":
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                text = captured.out + captured.err
+            else:
+                proc = subprocess.run(
+                    [sys.executable, "-c", "import sys; from vdpfit.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", *argv],
+                    env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                    timeout=120)
+                code, text = proc.returncode, proc.stdout + proc.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
+            runs[way].append((code, text.replace(str(out), "<out>"), files))
+    assert [code for code, _, _ in runs["one process"]] == [0, 0, 0, 0, 2]
+    assert runs["one process"] == runs["fresh processes"]
+
+
 class TestForecast:
     @pytest.fixture
     def wave_csv(self, workdir):

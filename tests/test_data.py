@@ -519,6 +519,25 @@ class TestConnectivity:
                      for v, t, s in neg[:top_k]]
             assert connectivity_projection(spatial, sigma, [w], top_k) == want
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 4])
+    def test_later_blocks_tying_the_kth_weight_keep_target_source_order(self, monkeypatch,
+                                                                        block_rows):
+        # five copies of three pixel columns and integer weights make F exact,
+        # and each of its rows recurs three rows later, in a later block
+        base = np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 2.0]])
+        spatial = np.hstack([base] * 5)
+        sigma = np.ones(2)
+        w = np.array([[1.0, -1.0], [2.0, 1.0]])
+        f = brute_force_matrix(spatial, sigma, w)
+        monkeypatch.setattr(data, "_BLOCK_ENTRIES", block_rows * 15)
+        for top_k in (2, 5, 12, 40):
+            if top_k <= 5:  # the first block holds top_k edges of each sign, and a later
+                for sign in (1.0, -1.0):  # block ties the k-th weight among them
+                    head = sorted(-sign * f[:block_rows][sign * f[:block_rows] > 0])
+                    assert np.isin(-sign * head[top_k - 1], f[block_rows:])
+            assert (connectivity_projection(spatial, sigma, [w], top_k)
+                    == brute_force_edges(spatial, sigma, w, top_k))
+
     def test_edges_csv_round_trip(self, tmp_path, rng):
         spatial = rng.normal(size=(2, 4))
         edges = connectivity_projection(spatial, np.array([2.0, 1.0]),

@@ -46,7 +46,7 @@ def make_instance(rng, m=1, n=40, dt=0.05, noise=0.0, nonlinear=True):
 def objective(x, params, anchor, z, *, dt=1.0, lam):
     """f_lam(x, params) from the parts `inner_solve` evaluates it with."""
     r = residual(x, params, anchor, dt)
-    return estimator._objective_parts(x, z, r, lam)
+    return float(estimator._objectives(x[None], z[None], r[None], lam)[0])
 
 
 class TestObjective:
@@ -216,6 +216,25 @@ class TestInnerSolve:
                             tol=1e-13, max_iter=5)
         assert res.objective - tight.objective <= 1e-14 * res.objective
 
+
+    def test_every_inner_converged_flag_of_a_fit_is_a_bool(self, monkeypatch):
+        # at lam=1000 this fit's inner solves stop at the roundoff floor, a test
+        # that returned np.True_ while its epsilon was a numpy scalar
+        rng = np.random.default_rng(0)
+        params, s0, traj, z = make_instance(rng, m=2, n=100, noise=0.05)
+        seen = []
+        real = estimator._inner_solves
+
+        def spy(*args, **kwargs):
+            results = real(*args, **kwargs)
+            seen.extend((kwargs["tol"], res) for res in results)
+            return results
+
+        monkeypatch.setattr(estimator, "_inner_solves", spy)
+        init = VdpParams(alpha=np.ones((2, 2)), coupling=np.zeros((2, 2)))
+        fit(z, PenaltyConfig(outer_max_iter=3), init, dt=0.05)
+        assert any(res.converged and res.grad_inf > tol for tol, res in seen)  # at the floor
+        assert all(type(res.converged) is bool for _, res in seen)
 
     def test_stalled_line_search_counts_the_step_and_keeps_the_iterate(self, rng,
                                                                        monkeypatch):

@@ -341,6 +341,47 @@ def test_the_stacked_core_equals_the_13_call_reference_bit_for_bit(case):
         assert_same_bits(residual(x[0], rows[0], anchors[0], dt, substeps), want[0].ravel())
 
 
+def _scalar_map(params, x1, x2, h, substeps):
+    """The sample map of one state, one Python float at a time, with the
+    coupling sum W x1 added j = 0, 1, ..., m - 1 in order."""
+    a, w = params.alpha.tolist(), params.coupling.tolist()
+    x1, x2 = list(x1), list(x2)
+    for _ in range(substeps):
+        dx1 = []
+        for i in range(len(x1)):
+            coupled = 0.0
+            for j in range(len(x1)):
+                coupled += w[i][j] * x1[j]
+            dx1.append((a[i][0] * x1[i] * (1.0 - x1[i] * x1[i]) + a[i][1] * x2[i]) + coupled)
+        x1, x2 = [u + h * d for u, d in zip(x1, dx1)], [v + h * -u for u, v in zip(x1, x2)]
+    return x1, x2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_the_core_adds_the_coupling_terms_in_order_as_a_scalar_loop(m, k, substeps, shared,
+                                                                    seed):
+    rng = np.random.default_rng(seed)
+    rows = [VdpParams(alpha=rng.uniform([0.5, -2.0], [2.0, 2.0], (m, 2)),
+                      coupling=rng.uniform(-1.0, 1.0, (m, m)))
+            for _ in range(1 if shared else k)]
+    params = rows[0] if shared else VdpParams.stack(rows)
+    x1, x2 = rng.normal(0.0, 0.5, (k, m)), rng.normal(0.0, 0.5, (k, m))
+    n, dt = 5, 0.1
+    out1, out2, _ = rollout(params, x1, x2, n, dt, substeps)
+    mapped = euler_map(params, np.stack((x1, x2)), dt, substeps)
+    for row in range(k):
+        lone = rows[0 if shared else row]
+        want = x1[row].tolist(), x2[row].tolist()
+        for sample in range(1, n):
+            want = _scalar_map(lone, *want, dt / substeps, substeps)
+            assert_same_bits(out1[sample, row], want[0])
+            assert_same_bits(out2[sample, row], want[1])
+            if sample == 1:
+                assert_same_bits(mapped[:, row], want)
+
+
 class TestParamsVector:
     def test_round_trip_ordering(self):
         params = VdpParams(
