@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -29,14 +28,18 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    connectivity_projection,
+    json_array,
+    json_number,
     load_components,
     load_csv,
     normalize_components,
+    read_json,
     save_components,
     save_edges,
-    connectivity_projection,
     split_segments,
     svd_components,
+    write_json,
 )
 from .estimator import FitError, FitResult, PenaltyConfig, check_observations, fit_lockstep
 from .forecast import VarMethod, VdpMethod, evaluate, export_simulations, write_corpus
@@ -57,29 +60,21 @@ def _resolve_out(args) -> Path:
     return out
 
 
-def _load_json(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # also undecodable bytes and over-long integers
-        raise ConfigError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return doc
-
-
-def _value(v, tp, key: str):
-    """Check the JSON value of `key` against its type hint `tp`; tuples become float tuples."""
+def _value(v, tp, key: str, positive: bool = False):
+    """Check the JSON value of `key` against its type hint `tp` (np.ndarray: a
+    number or nested lists of them); tuples become float tuples."""
     if is_dataclass(tp):
         return _build(tp, v, key + ".")
-    if get_origin(tp) is tuple:
-        if not isinstance(v, list):
-            raise ConfigError(f"{key}: expected a list of numbers, got {v!r}")
-        return tuple(float(_value(x, float, key)) for x in v)
-    if tp is int and type(v) is not int:
-        raise ConfigError(f"{key}: expected an integer, got {v!r}")
-    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:  # NaN fails too
-        raise ConfigError(f"{key}: expected a finite number, got {v!r}")
-    return v
+    try:
+        if tp is np.ndarray:
+            return json_array(v)
+        if get_origin(tp) is tuple:
+            if not isinstance(v, list):
+                raise ValueError(f"expected a list of numbers, got {v!r}")
+            return tuple(float(json_number(x)) for x in v)
+        return json_number(v, integer=tp is int, positive=positive)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _build(cls, doc, where: str, **fixed):
@@ -107,18 +102,17 @@ def _fitter(args):
     seed + k, in lockstep when search.max_rounds is 0, as --vp-only sets it.
     With `trace` the output directory is made once the init_* shapes check,
     and receives the search trace."""
-    doc = _load_json(args.config)
+    try:
+        doc = read_json(args.config)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
     if "dt" not in doc:
         raise ConfigError("missing required config key 'dt'")
     for key in doc:
         if key not in _FIT_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    dt = float(_value(doc["dt"], float, "dt"))
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
-    substeps = _value(doc.get("substeps", 1), int, "substeps")
-    if substeps < 1:
-        raise ConfigError("substeps must be an integer >= 1")
+    dt = float(_value(doc["dt"], float, "dt", positive=True))
+    substeps = _value(doc.get("substeps", 1), int, "substeps", positive=True)
     penalty = doc.get("penalty", {})
     p_cfg = _build(PenaltyConfig, penalty, "penalty.")
     for key in ("inner_tol_start", "inner_max_iter_start"):
@@ -127,7 +121,7 @@ def _fitter(args):
     s_cfg = _build(SearchConfig, doc.get("search", {}), "search.", seed=0)
     if args.vp_only:
         s_cfg = replace(s_cfg, max_rounds=0)
-    init = {key: _array(v, key) for key, v in doc.items() if key.startswith("init_")}
+    init = {key: _value(v, np.ndarray, key) for key, v in doc.items() if key.startswith("init_")}
 
     def fit(z: np.ndarray, seed: int, trace: bool = False) -> FitResult:
         params, x2_init = _init_values(init, z.shape[1])
@@ -145,14 +139,6 @@ def _fitter(args):
                             [s[2] for s in starts], dt=dt, substeps=substeps)
 
     return fit, fit_all
-
-
-def _array(value, key: str) -> np.ndarray:
-    """A top-level init_* value: a number or nested lists of numbers."""
-    leaves = np.array(value, dtype=object)
-    for v in leaves.flat:
-        _value(v, float, key)
-    return leaves.astype(float)
 
 
 def _init_values(init: dict, m: int) -> tuple[VdpParams, Optional[np.ndarray]]:
@@ -205,7 +191,7 @@ def cmd_fit(args) -> int:
     result = fit(z, args.seed, trace=True)
     out = _resolve_out(args)
     result.config_echo["seed"] = args.seed
-    (out / "fit.json").write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
+    write_json(result.to_json_dict(), out / "fit.json")
     print(f"fit: converged={result.converged} ({result.reason}); wrote {out / 'fit.json'}")
     return 0
 
@@ -249,7 +235,7 @@ def cmd_forecast(args) -> int:
         "var_order": args.var_order,
     }
     out = _resolve_out(args)
-    report.save_json(out / "report.json")
+    write_json(report.to_json_dict(), out / "report.json")
     report.save_csv(out / "report.csv")
     for name, st in report.methods.items():
         print(f"{name}: median rmse at h={args.horizon}: {st.rmse_median[-1]:.6g} "
@@ -260,7 +246,10 @@ def cmd_forecast(args) -> int:
 def _load_fits(paths) -> list[FitResult]:
     fits = []
     for p in paths:
-        doc = _load_json(p)
+        try:
+            doc = read_json(p)
+        except ValueError as exc:
+            raise ConfigError(exc) from None
         try:
             fits.append(FitResult.from_json_dict(doc))
         except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Data ingestion, SVD preprocessing, segment layout, and connectivity maps.
+"""Data ingestion, SVD preprocessing, segment layout, connectivity maps, and
+the JSON documents.
 
 Raw recordings arrive as P x T matrices (spatial locations by time). The
 modeled time series are truncated-SVD temporal components of the row-centered
@@ -14,6 +15,9 @@ CsvFormatError. The top m singular triplets come from the m largest
 eigenpairs of the smaller-side Gram matrix, with the full SVD as the fallback
 when m is more than half of min(P, T), sigma_m / sigma_1 <= 1e-4 (the Gram
 matrix squares the condition number) or the Gram matrix overflows.
+
+JSON documents are parsed by `read_json`, checked by `json_number` and
+`json_array`, and written by `write_json`, which writes a non-finite float as null.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -425,7 +429,7 @@ def save_components(comps: SvdComponents, out_dir: str | Path, extra_meta: Optio
     }
     if extra_meta:
         meta.update(extra_meta)
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(meta, out / "meta.json")
 
 
 def load_components(in_dir: str | Path) -> SvdComponents:
@@ -436,16 +440,65 @@ def load_components(in_dir: str | Path) -> SvdComponents:
     spatial = load_csv(src / "spatial.csv")
     sigma = load_csv(src / "sigma.csv").ravel()
     meta_path = src / "meta.json"
+    meta = read_json(meta_path)
     try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:  # also undecodable bytes
-        raise ValueError(f"{meta_path}: not valid JSON ({exc})")
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: top level must be a JSON object")
-    scale = meta.get("norm_scale", 1.0)
-    if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
-        raise ValueError(f"{meta_path}: norm_scale must be a finite positive number, "
-                         f"got {scale!r}")
+        scale = json_number(meta.get("norm_scale", 1.0), positive=True)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: norm_scale: {exc}") from None
     return SvdComponents(
         temporal=temporal, spatial=spatial, singular_values=sigma, norm_scale=float(scale)
     )
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the file at `path`. A file that is not JSON, or whose
+    top level is not an object, raises ValueError naming the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # also undecodable bytes and over-long integers
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def json_number(value, integer: bool = False, positive: bool = False):
+    """`value` itself when it is a finite JSON number, an integer with `integer`
+    and above 0 with `positive` (true and false are not numbers); anything else
+    raises ValueError saying what was expected."""
+    kind = "integer" if integer else "finite number"
+    if (type(value) in ((int,) if integer else (int, float))
+            and abs(value) <= sys.float_info.max and (value > 0 or not positive)):  # NaN fails
+        return value
+    raise ValueError(f"must be a positive {kind}, got {value!r}" if positive else
+                     f"expected {'an' if integer else 'a'} {kind}, got {value!r}")
+
+
+def json_array(value) -> np.ndarray:
+    """A JSON number or nested lists of them as a float array; every leaf must
+    pass `json_number`, so ragged lists fail too (a list is then a leaf)."""
+    leaves = np.array(value, dtype=object)
+    for v in leaves.flat:
+        json_number(v)
+    return leaves.astype(float)
+
+
+def _nulled(value):
+    """`value` with every non-finite float in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _nulled(v) for k, v in value.items()}
+    return [_nulled(v) for v in value] if isinstance(value, (list, tuple)) else value
+
+
+def write_json(doc, dest: str | Path | IO[str]) -> None:
+    """Write `doc` as strict JSON, each non-finite float as null: indented by 2
+    to the file at path `dest`, or on one line (an ndjson row) to the open text
+    stream `dest`; either way it ends in a newline."""
+    to_file = isinstance(dest, (str, Path))
+    text = json.dumps(_nulled(doc), indent=2 if to_file else None, allow_nan=False) + "\n"
+    if to_file:
+        Path(dest).write_text(text)
+    else:
+        dest.write(text)

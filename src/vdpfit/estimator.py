@@ -42,6 +42,7 @@ from .constraints import (
     solve_block_tridiagonal,
     stack_states,
 )
+from .data import json_array, json_number
 from .model import DimensionError, State, Trajectory, VdpParams
 
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
@@ -189,14 +190,6 @@ class ValueGradient:
         return not self.inner.converged
 
 
-def _numeric(value) -> np.ndarray:
-    """A fit.json array whose entries are all finite JSON numbers (no bools or strings)."""
-    arr = np.array(value)
-    if arr.dtype.kind not in "if" or not np.isfinite(arr).all():
-        raise TypeError("must hold finite numbers only")
-    return arr
-
-
 def _field(doc: dict, key: str, *default):
     """The value at dotted `key` of a fit.json document, or the default where
     it is absent."""
@@ -211,12 +204,14 @@ def _field(doc: dict, key: str, *default):
     return doc
 
 
-def _positive(value, integer: bool = False):
-    """A positive finite JSON number, or a positive integer; NaN and bools fail."""
-    kinds, name = ((int,), "integer") if integer else ((int, float), "finite number")
-    if type(value) not in kinds or not 0 < value <= sys.float_info.max:
-        raise ValueError(f"must be a positive {name}, got {value!r}")
-    return value
+def _typed(kind: type, what: str, item: Optional[type] = None):
+    """A fit.json field parser: the value itself when its type is `kind` and,
+    with `item`, each of its entries' type is `item`; else ValueError."""
+    def parse(value):
+        if type(value) is not kind or item and any(type(v) is not item for v in value):
+            raise ValueError(f"must be {what}")
+        return value
+    return parse
 
 
 @dataclass
@@ -237,9 +232,7 @@ class FitResult:
                 "x1": self.states.x1.tolist(),
                 "x2": self.states.x2.tolist(),
             },
-            # an undefined score is null, not the non-JSON token NaN
-            "stats": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-                       for k, v in s.items()} for s in self.per_component_stats],
+            "stats": self.per_component_stats,
             "objective_history": [
                 [int(i), float(lam), float(f)] for i, lam, f in self.objective_history
             ],
@@ -262,20 +255,24 @@ class FitResult:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{keys}: {exc}") from None
 
-        dt = float(read("config_echo.dt", _positive))
-        read("config_echo.substeps", lambda n: _positive(n, integer=True), 1)
-        params = read("alpha, W", lambda a, w: VdpParams(alpha=_numeric(a), coupling=_numeric(w)))
+        dt = float(read("config_echo.dt", lambda v: json_number(v, positive=True)))
+        read("config_echo.substeps", lambda n: json_number(n, integer=True, positive=True), 1)
+        params = read("alpha, W",
+                      lambda a, w: VdpParams(alpha=json_array(a), coupling=json_array(w)))
         states = read("states.x1, states.x2",
-                      lambda x1, x2: Trajectory(x1=_numeric(x1), x2=_numeric(x2), dt=dt))
+                      lambda x1, x2: Trajectory(x1=json_array(x1), x2=json_array(x2), dt=dt))
         if params.alpha.ndim != 2 or states.m != params.m:
             raise ValueError(f"states have {states.m} components, alpha is {params.alpha.shape}")
+        history = read("objective_history", lambda h: [
+            (json_number(i, integer=True), json_number(lam), json_number(f))
+            for i, lam, f in _typed(list, "a list of [iteration, lam, f] lists", list)(h)], [])
         return cls(
             params=params,
             states=states,
-            objective_history=read("objective_history", lambda h: [tuple(e) for e in h], []),
-            per_component_stats=read("stats", list, []),
-            converged=read("converged.flag", bool, False),
-            reason=read("converged.reason", str, ""),
+            objective_history=history,
+            per_component_stats=read("stats", _typed(list, "a list of JSON objects", dict), []),
+            converged=read("converged.flag", _typed(bool, "true or false"), False),
+            reason=read("converged.reason", _typed(str, "a string"), ""),
             config_echo=doc["config_echo"],
         )
 

@@ -22,7 +22,6 @@ correlations (undefined at h=1) are also recorded for the tidy CSV export.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .data import SegmentSplit, save_csv
+from .data import SegmentSplit, save_csv, write_json
 from .estimator import FitResult
 from .model import DimensionError, SimulationDiverged, rollout, simulate
 
@@ -225,14 +224,6 @@ class HorizonStats:
     skipped_windows: int
     window_corr_undefined: int
 
-    def to_dict(self) -> dict:
-        """The fields, with non-finite floats as None (JSON null)."""
-        def clean(v):
-            return None if isinstance(v, float) and not math.isfinite(v) else v
-
-        return {k: [clean(x) for x in v] if isinstance(v, list) else v
-                for k, v in asdict(self).items()}
-
 
 @dataclass
 class ForecastReport:
@@ -248,12 +239,9 @@ class ForecastReport:
             "horizon": self.horizon,
             "protocol": self.protocol,
             "stride": self.stride,
-            "methods": {name: st.to_dict() for name, st in self.methods.items()},
+            "methods": {name: asdict(st) for name, st in self.methods.items()},
             "metadata": self.metadata,
         }
-
-    def save_json(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     def save_csv(self, path: str | Path):
         """Tidy rows (method, segment, component, window, h, corr, rmse)."""
@@ -479,4 +467,4 @@ def write_corpus(result: ExportResult, out_dir: str | Path):
         (out / sub).mkdir(parents=True, exist_ok=True)
         for i, series in enumerate(corpus.series):
             save_csv(series, out / sub / f"series_{i:04d}.csv")
-    (out / "manifest.json").write_text(json.dumps(result.manifest(), indent=2) + "\n")
+    write_json(result.manifest(), out / "manifest.json")

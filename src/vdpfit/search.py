@@ -30,7 +30,6 @@ trace rows and results are those of scoring the start alone and calling
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Iterator, Optional
@@ -39,6 +38,7 @@ import numpy as np
 
 from . import metrics
 from .constraints import stack_states
+from .data import write_json
 from .estimator import (
     FitError,
     FitResult,
@@ -259,9 +259,8 @@ def _run_round(
 def _trace_row(sink: Optional[IO[str]], round_idx: int, proposal: int, f: float,
                accepted: bool) -> None:
     if sink is not None:
-        rec = {"round": round_idx, "proposal": proposal,
-               "fitness": f if math.isfinite(f) else None, "accepted": accepted}
-        sink.write(json.dumps(rec) + "\n")
+        write_json({"round": round_idx, "proposal": proposal, "fitness": f,
+                    "accepted": accepted}, sink)
 
 
 def vp_start(z: np.ndarray, search_cfg: SearchConfig, vp_cfg: PenaltyConfig,
@@ -349,7 +348,7 @@ def search_and_refine(
         **asdict(search_cfg),
         "stop_reason": stop_reason,
         "rounds": round_idx,
-        "best_fitness": best.fitness if math.isfinite(best.fitness) else None,
+        "best_fitness": best.fitness,
         "best_provenance": list(best.provenance),
         "invalid_candidates": invalid_candidates,
         "all_invalid_rounds": all_invalid_rounds,

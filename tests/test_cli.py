@@ -314,23 +314,45 @@ class TestFit:
         for line in (out / "trace.ndjson").read_text().splitlines():
             assert json.loads(line)["proposal"] == -1
 
-    def test_undefined_scores_are_written_as_null(self, workdir, fit_config):
-        # a constant component has no Pearson or R^2; fit.json holds null there,
-        # not the non-JSON token NaN, and still reads back as a fit result
-        params = VdpParams(alpha=np.array([[1.5, 0.8]]), coupling=np.zeros((1, 1)))
-        x1 = simulate(params, State(x1=np.array([0.6]), x2=np.array([0.0])), 60, 0.1).x1
-        series = workdir / "flat.csv"
-        save_csv(np.column_stack([x1, np.full(60, 0.5)]), series)
-        out = workdir / "flat"
-        assert main(["fit", str(series), "--config", str(fit_config), "--seed", "3",
-                     "--vp-only", "-o", str(out)]) == 0
+    @pytest.mark.parametrize("name", ["fit.json", "trace.ndjson", "report.json"])
+    def test_undefined_scores_are_written_as_null(self, workdir, series_csv, fit_config, name):
+        # an undefined score is null, not the non-JSON token NaN: a constant
+        # component has no Pearson or R^2, a diverged proposal no fitness, and a
+        # lone forecast window no correlation across windows
+        out = workdir / "out"
+        if name == "fit.json":
+            params = VdpParams(alpha=np.array([[1.5, 0.8]]), coupling=np.zeros((1, 1)))
+            x1 = simulate(params, State(x1=np.array([0.6]), x2=np.array([0.0])), 60, 0.1).x1
+            series = workdir / "flat.csv"
+            save_csv(np.column_stack([x1, np.full(60, 0.5)]), series)
+            argv = ["fit", str(series), "--config", str(fit_config), "--seed", "3", "--vp-only"]
+        elif name == "trace.ndjson":  # x2 steps of ~1e7 start past the divergence limit
+            cfg = workdir / "diverging.json"
+            cfg.write_text(json.dumps({
+                "dt": 0.1,
+                "penalty": {"lam_schedule": [10.0], "outer_max_iter": 2, "inner_max_iter": 10},
+                "search": {"max_rounds": 1, "proposals_per_round": 12,
+                           "x2_bounds": [-1e7, 1e7], "step_scales": {"x2": 1e7}},
+            }))
+            argv = ["fit", str(series_csv), "--config", str(cfg), "--seed", "3"]
+        else:
+            argv = ["forecast", str(series_csv), "--methods", "var", "--train-len", "40",
+                    "--test-len", "10", "--segments", "1", "--horizon", "5"]
+        assert main(argv + ["-o", str(out)]) == 0
 
         def reject(token):
             raise ValueError(f"non-JSON token {token}")
 
-        doc = json.loads((out / "fit.json").read_text(), parse_constant=reject)
-        assert doc["stats"][1] == {"component": 1, "pearson": None, "r_squared": None}
-        assert FitResult.from_json_dict(doc).per_component_stats == doc["stats"]
+        text = (out / name).read_text()
+        docs = [json.loads(t, parse_constant=reject)
+                for t in (text.splitlines() if name.endswith(".ndjson") else [text])]
+        if name == "fit.json":
+            assert docs[0]["stats"][1] == {"component": 1, "pearson": None, "r_squared": None}
+            assert FitResult.from_json_dict(docs[0]).per_component_stats == docs[0]["stats"]
+        elif name == "trace.ndjson":
+            assert any(row["fitness"] is None for row in docs)
+        else:
+            assert docs[0]["methods"]["var6"]["corr_median"] == [None] * 5
 
     def test_byte_identical_reruns(self, workdir, series_csv, fit_config):
         out_a, out_b = workdir / "a", workdir / "b"
@@ -1136,8 +1158,15 @@ class TestExportSim:
         (("W",), [["0", "0.1"], ["-0.1", "0"]]),
         (("states",), {"x1": [["0.1", "0.2"], ["0.3", "0.4"]], "x2": [[0, 1], [1, 0]]}),
         (("W",), [[True, False], [False, True]]),
+        (("converged", "flag"), "no"),
+        (("converged", "reason"), 5),
+        (("stats",), "abc"),
+        (("objective_history",), [["a", "b", "c"]]),
+        (("alpha",), [[1.5, True], [1.2, 0.9]]),
+        (("states", "x1", 0), [True, 0.5]),  # the first row of x1
     ], ids=["states", "history-entry", "echo", "converged", "substeps-str", "substeps-float",
-            "dt-str", "dt-bool", "dt-inf", "alpha-str", "W-str", "states-str", "W-bool"])
+            "dt-str", "dt-bool", "dt-inf", "alpha-str", "W-str", "states-str", "W-bool",
+            "flag-str", "reason-int", "stats-str", "history-str", "alpha-bool", "x1-bool"])
     def test_malformed_fit_json_is_config_error(self, workdir, capsys, path, value):
         fit = write_fit_json(workdir / "fa.json", m=2, seed=5)
         doc = json.loads(fit.read_text())
@@ -1151,7 +1180,9 @@ class TestExportSim:
              "--seed", "1", "-o", str(workdir / "x")]
         )
         assert code == 2
-        assert "not a fit result" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not a fit result" in err
+        assert ".".join(p for p in path if isinstance(p, str)) in err  # the dotted key
 
     def test_corpus_layout_and_determinism(self, workdir):
         fit_a = write_fit_json(workdir / "fa.json", m=2, seed=5)

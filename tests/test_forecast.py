@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vdpfit import metrics
-from vdpfit.data import split_segments
+from vdpfit.data import split_segments, write_json
 from vdpfit.estimator import FitResult
 from vdpfit.forecast import (
     HorizonStats,
@@ -496,7 +496,7 @@ class TestEvaluate:
         a = evaluate([OracleMethod(), ZeroMethod()], split, wave_data, horizon=5)
         b = evaluate([ZeroMethod(), OracleMethod()], split, wave_data, horizon=5)
         for name in ("oracle", "zero"):
-            assert a.methods[name].to_dict() == b.methods[name].to_dict()
+            assert json.dumps(asdict(a.methods[name])) == json.dumps(asdict(b.methods[name]))
 
     def test_bad_protocol_and_horizon(self, wave_data):
         split = split_segments(600, 100, 20, 5)
@@ -566,7 +566,7 @@ class TestReportSerialization:
                           wave_data - wave_data.mean(axis=1, keepdims=True),
                           horizon=4)
         path = tmp_path / "report.json"
-        report.save_json(path)
+        write_json(report.to_json_dict(), path)
         doc = json.loads(path.read_text())
         assert doc["horizon"] == 4
         assert doc["protocol"] == "short"
