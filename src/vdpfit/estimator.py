@@ -286,8 +286,9 @@ def hidden_x2_estimate(z_values: np.ndarray, dt: float) -> np.ndarray:
     """
     z_values = np.atleast_2d(np.asarray(z_values, dtype=float))
     x2 = np.zeros_like(z_values)
-    x2[1:] = -dt * np.cumsum(z_values[:-1], axis=0)
-    x2 -= x2.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate falls back
+        x2[1:] = -dt * np.cumsum(z_values[:-1], axis=0)
+        x2 -= x2.mean(axis=0, keepdims=True)
     if not np.all(np.isfinite(x2)):
         return np.zeros_like(z_values)
     return x2
@@ -489,10 +490,10 @@ def value_gradient(
 
     The gradient is exact at an exact inner minimizer; when the inner solve
     stops early the result is still returned with `low_accuracy` set.
+    `inner_solve` checks z; it is checked here only for the default start.
     """
-    z = check_observations(z)
     if x_init is None:
-        x_init = default_x_init(z, dt)
+        x_init = default_x_init(check_observations(z), dt)
     inner = inner_solve(
         params, anchor, z, cfg, x_init,
         dt=dt, substeps=substeps, lam=lam, tol=tol, max_iter=max_iter,
@@ -563,7 +564,7 @@ def fit(
     substeps: int = 1,
 ) -> FitResult:
     """Projected Levenberg-Marquardt outer loop over (alpha, W) with inner
-    state solves.
+    state solves: `fit_lockstep` of the one problem.
 
     Sweeps the (lam, inner_tol, inner_max_iter) stages of `cfg.stages()` with
     warm starts. Each stage damps the Gauss-Newton matrix J'J of
@@ -582,7 +583,7 @@ def fit(
     trial steps. The (N, 2m) x_init, by default `default_x_init(z, dt)`,
     starts the solve, and its first state anchors the constraint.
     """
-    return _fits(*_problems([z], [init], [x_init], dt), cfg, dt, substeps, lockstep=False)[0]
+    return fit_lockstep([z], cfg, [init], [x_init], dt=dt, substeps=substeps)[0]
 
 
 def fit_lockstep(z: np.ndarray, cfg: PenaltyConfig, inits: Sequence[VdpParams],
@@ -590,10 +591,10 @@ def fit_lockstep(z: np.ndarray, cfg: PenaltyConfig, inits: Sequence[VdpParams],
                  substeps: int = 1) -> list[FitResult]:
     """`fit` of S equal-shape problems in lockstep, from (S, N, m) z and per
     problem an init and an (N, 2m) x_init or None; each result equals its lone
-    `fit` bit for bit. Of failing problems the lowest-index one's FitError is
-    raised, as a loop of `fit` calls raises it."""
+    `fit` (this at S = 1) bit for bit. Of failing problems the lowest-index
+    one's FitError is raised, as a loop of `fit` calls raises it."""
     x_init = [None] * len(z) if x_init is None else x_init
-    return _fits(*_problems(z, inits, x_init, dt), cfg, dt, substeps, lockstep=True)
+    return _fits(*_problems(z, inits, x_init, dt), cfg, dt, substeps)
 
 
 def _problems(zs, inits: Sequence[VdpParams], x_inits, dt: float
@@ -617,21 +618,20 @@ def _problems(zs, inits: Sequence[VdpParams], x_inits, dt: float
 
 
 def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfig, dt: float,
-          substeps: int, lockstep: bool) -> list[FitResult]:
+          substeps: int) -> list[FitResult]:
     """`fit`'s outer loop over S problems, from `_problems`' (S, N, m) z, S
-    stacked inits and (S, N, 2m) x_init, one iteration for all at a time; with
-    `lockstep` an iteration's trials go to one `_inner_solves`. A problem fails
-    on an init outside the bounds or a non-finite objective at a stage start;
-    it and every later one then stop, and the lowest-index failure is raised."""
+    stacked inits and (S, N, 2m) x_init, one iteration for all at a time: its
+    trials go to one `_inner_solves`, a lone problem's to `value_gradient`. A
+    problem fails on an init outside the bounds or a non-finite objective at a
+    stage start; it and every later one then stop, and the lowest-index failure is raised."""
     S, _, m = z.shape
     anchors = State.from_flat(x_init[:, 0])
     stages = cfg.stages()
 
     def evaluate(idx: list, ps, xs: list, stage):  # problems idx at their p and x starts
-        if not lockstep:
-            return [value_gradient(VdpParams.from_vector(q, m), anchors[i], z[i], cfg, x, **stage)
-                    for i, q, x in zip(idx, ps, xs)]
         params = VdpParams.from_vector(np.array(ps), m)
+        if S == 1:  # the same bits, through the value_gradient span a tracer reads
+            return [value_gradient(params[0], anchors[0], z[0], cfg, xs[0], **stage)]
         inners = _inner_solves(params, anchors[idx], z[idx], cfg, np.stack(xs), **stage)
         return _with_gradients(params, inners, stage["lam"], dt, substeps)
 

@@ -166,8 +166,7 @@ class Trajectory:
             raise DimensionError(f"x1/x2 shape mismatch: {x1.shape} vs {x2.shape}")
         if x1.shape[0] < 2:
             raise ValueError("a trajectory needs at least 2 samples")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _substep_size(self.dt, 1)
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
 
@@ -189,8 +188,11 @@ def _check_components(params: VdpParams, s: State) -> None:
 
 
 def _substep_size(dt: float, substeps: int) -> float:
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    """dt / substeps: the time grid's one check."""
+    if not (isinstance(substeps, (int, np.integer)) and substeps >= 1):
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     return dt / substeps
 
 
@@ -386,7 +388,7 @@ def rollout(
         )
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    h = _substep_size(dt, substeps)  # reject a bad substep count before any step
+    h = _substep_size(dt, substeps)  # reject a bad time grid before any step
     out = np.empty((n_steps, 2) + x1.shape)
     out[0, 0], out[0, 1] = x1, x2
     views = _views(out)

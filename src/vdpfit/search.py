@@ -105,8 +105,8 @@ class Candidate:
     """A scored point in (params, x2_init) space.
 
     `provenance` is (round, proposal index, accepted-from tag); fitness is
-    -inf for invalid candidates (diverged simulation or degenerate tracks),
-    and NaN for the search's start until round 1 scores it.
+    -inf for invalid candidates (diverged simulation, degenerate tracks or a
+    failed refinement fit), and NaN for the search's start until round 1 scores it.
     `track` is the simulation it was scored on (None if it diverged) and
     `result` the refinement it came from, if any.
     """
@@ -308,12 +308,10 @@ def search_and_refine(
     if search_cfg.max_rounds == 0:
         return fit(z, vp_cfg, init_params, x_init, dt=dt, substeps=substeps)
 
-    gamma = search_cfg.gamma
     rng = np.random.default_rng(search_cfg.seed)
 
     best = Candidate(init_params, init_x2, math.nan)  # scored in round 1's first rollout
     scales = search_cfg.step_scales
-    halved_once = False
     all_invalid_rounds = 0
     invalid_candidates = 0
     no_improve = 0
@@ -325,14 +323,12 @@ def search_and_refine(
         invalid_candidates += invalid
         if invalid == search_cfg.proposals_per_round:
             all_invalid_rounds += 1
-            if not halved_once:
+            if scales is search_cfg.step_scales:  # halved once, in the first such round
                 scales = scales.halved()
-                halved_once = True
         if round_idx % search_cfg.vp_every == 0 or round_idx == search_cfg.max_rounds:
-            vp_candidate = _run_vp(z, best, vp_cfg, gamma, dt, substeps, round_idx)
-            accepted = vp_candidate is not None and vp_candidate.fitness > best.fitness
-            if vp_candidate is not None:
-                _trace_row(trace, round_idx, -1, vp_candidate.fitness, accepted)
+            vp_candidate = _run_vp(z, best, vp_cfg, search_cfg.gamma, dt, substeps, round_idx)
+            accepted = vp_candidate.fitness > best.fitness
+            _trace_row(trace, round_idx, -1, vp_candidate.fitness, accepted)
             if accepted:
                 best = vp_candidate
         # -inf - -inf is nan (no improvement); finite - -inf is +inf (improvement)
@@ -352,7 +348,7 @@ def search_and_refine(
         "best_provenance": list(best.provenance),
         "invalid_candidates": invalid_candidates,
         "all_invalid_rounds": all_invalid_rounds,
-        "scales_halved": halved_once,
+        "scales_halved": scales is not search_cfg.step_scales,
     }
     echo = {**fit_echo(vp_cfg, dt, substeps), "search": search_echo}
     if best.result is not None:
@@ -375,12 +371,14 @@ def search_and_refine(
 
 
 def _run_vp(z: np.ndarray, best: Candidate, vp_cfg: PenaltyConfig, gamma: float,
-            dt: float, substeps: int, round_idx: int) -> Optional[Candidate]:
-    """Refine `best` with a VP fit seeded from its track; None if the fit fails."""
+            dt: float, substeps: int, round_idx: int) -> Candidate:
+    """Refine `best` with a VP fit seeded from its track; a fit that fails gives
+    an unscorable candidate, of fitness -inf as a diverged proposal's."""
+    provenance = (round_idx, -1, "vp")
     try:
         x_init = None if best.track is None else stack_states(best.track.x1, best.track.x2)
         result = fit(z, vp_cfg, best.params, x_init, dt=dt, substeps=substeps)
-    except (FitError, ValueError, np.linalg.LinAlgError):
-        return None
+    except (FitError, ValueError):  # LinAlgError is a ValueError
+        return Candidate(best.params, best.x2_init, -math.inf, provenance)
     cand = next(_scored(z, result.params[None], result.states.x2[:1], gamma, dt, substeps))
-    return replace(cand, provenance=(round_idx, -1, "vp"), result=result)
+    return replace(cand, provenance=provenance, result=result)

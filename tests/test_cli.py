@@ -215,6 +215,12 @@ MALFORMED_CONFIGS = [
     ("search.x2_bounds", {"search": {"x2_bounds": [5, -5]}}),
     ("search.x2_bounds", {"search": {"x2_bounds": [1]}}),
     ("search.x2_bounds", {"search": {"x2_bounds": [1, 2, 3]}}),
+    ("penalty.inner_tol", {"penalty": {"inner_tol": 0}}),
+    ("penalty.outer_ftol", {"penalty": {"outer_ftol": -1e-6}}),
+    ("search.step_scales.x2", {"search": {"step_scales": {"x2": 0}}}),
+    ("search.max_rounds", {"search": {"max_rounds": -1}}),
+    ("search.vp_every", {"search": {"vp_every": 0}}),
+    ("search.patience", {"search": {"patience": 0}}),
 ]
 
 
@@ -1140,6 +1146,34 @@ def test_components_meta_that_is_not_json_is_data_error(meta_case, capsys, text)
     assert main(["connectivity", str(root / "comps"), str(fit_json),
                  "-o", str(root / "out")]) == 1
     assert "meta.json: not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{", "", "[1, 2]"])
+def test_a_fit_json_that_is_not_a_json_object_is_config_error(tmp_path, capsys, text):
+    save_components(svd_components(np.random.default_rng(3).normal(size=(6, 40)), 2),
+                    tmp_path / "comps")
+    bad = tmp_path / "fit.json"
+    bad.write_text(text)
+    for argv in (["connectivity", str(tmp_path / "comps"), str(bad)],
+                 ["export-sim", str(bad), "--n-series", "1", "--length", "10", "--seed", "1"]):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 2, argv[0]
+        assert capsys.readouterr().err.startswith(f"error: {bad}: "), argv[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exc, shown", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+    (OverflowError("cannot fit 'int' into an index-sized integer"),
+     "cannot fit 'int' into an index-sized integer"),
+], ids=["memory-bare", "memory-message", "overflow"])
+def test_running_out_of_memory_exits_1(workdir, recording_csv, monkeypatch, capsys, exc, shown):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "svd_components", failing)
+    assert main(["svd", str(recording_csv), "-m", "1", "-o", str(workdir / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
 
 
 class TestExportSim:

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vdpfit.model import DimensionError
+
 from conftest import NON_FINITE_TOKENS, csv_text, finite_matrices
 from vdpfit import data
 from vdpfit.data import (
     CsvFormatError,
     Edge,
+    Segment,
+    SegmentSplit,
     SvdComponents,
     connectivity_projection,
     load_components,
@@ -22,6 +26,42 @@ from vdpfit.data import (
     split_segments,
     svd_components,
 )
+
+
+# (call, error, message): one bad argument to each of the data layer's checks
+BAD_ARGUMENTS = {
+    "components-rows": (lambda: SvdComponents(np.ones((2, 5)), np.ones((3, 4)), [2.0, 1.0]),
+                        DimensionError, "row counts differ"),
+    "components-increasing": (lambda: SvdComponents(np.ones((2, 5)), np.ones((2, 4)),
+                                                    [1.0, 2.0]), ValueError, "nonincreasing"),
+    "components-negative": (lambda: SvdComponents(np.ones((2, 5)), np.ones((2, 4)),
+                                                  [1.0, -1.0]), ValueError, "nonnegative"),
+    "segment-order": (lambda: SegmentSplit((Segment((0, 10), (5, 15)),)),
+                      ValueError, "out of order"),
+    "segment-overlap": (lambda: SegmentSplit((Segment((0, 10), (10, 15)),
+                                              Segment((12, 20), (20, 25)))),
+                        ValueError, "overlap"),
+    "csv-layout": (lambda: load_csv("missing.csv", layout="rows=cols"),
+                   ValueError, "layout must be 'rows=space' or 'rows=time', got 'rows=cols'"),
+    "split-length": (lambda: split_segments(100, 0, 10, 1), ValueError, "must all be >= 1"),
+    "split-count": (lambda: split_segments(100, 10, 10, 0), ValueError, "must all be >= 1"),
+    "edges-sigma": (lambda: connectivity_projection(np.eye(2, 4), np.ones(3), [np.eye(2)], 5),
+                    DimensionError, "one entry per spatial row"),
+    "edges-top-k": (lambda: connectivity_projection(np.eye(2, 4), np.ones(2), [np.eye(2)], 0),
+                    ValueError, "top_k must be >= 1"),
+    "edges-no-model": (lambda: connectivity_projection(np.eye(2, 4), np.ones(2), [], 5),
+                       ValueError, "at least one coupling matrix"),
+    "edges-model-shape": (lambda: connectivity_projection(np.eye(2, 4), np.ones(2),
+                                                          [np.eye(2), np.eye(3)], 5),
+                          DimensionError, r"shape \(3, 3\), expected \(2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_a_bad_argument_raises_naming_the_fault(case):
+    call, error, match = BAD_ARGUMENTS[case]
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestLoadCsv:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -405,6 +406,13 @@ class TestHiddenInit:
         est = hidden_x2_estimate(z, 0.05)
         assert pearson(est[50:, 0], traj.x2[50:, 0]) > 0.8
 
+    @pytest.mark.parametrize("z, dt", [(np.full((5, 2), 1e308), 0.1), (np.ones((5, 2)), np.inf)],
+                             ids=["overflowing-sum", "infinite-dt"])
+    def test_a_non_finite_estimate_falls_back_to_zeros_without_a_warning(self, z, dt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(hidden_x2_estimate(z, dt), np.zeros((5, 2)))
+
 
 def criterion_6_segments():
     """Acceptance criterion 6's five N=100 training segments (m=2, dt=0.15)."""
@@ -777,6 +785,24 @@ class TestInputChecks:
         x[4, 1] = value
         with pytest.raises(ValueError, match="finite"):
             self.ENTRY_POINTS[entry](z, x, params)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("entry", ["fit", "fit_lockstep"])
+    def test_rejects_an_init_of_another_size(self, rng, entry, m):
+        _, _, _, z = make_instance(rng, m=1, n=10)
+        init = random_params(rng, m)
+        with pytest.raises(DimensionError, match=rf"init alpha \({m}, 2\) does not match 1 "):
+            if entry == "fit":
+                fit(z, PenaltyConfig(), init, dt=0.05)
+            else:
+                fit_lockstep([z, z], PenaltyConfig(), [random_params(rng, 1), init], dt=0.05)
+
+    @pytest.mark.parametrize("lam", [0.0, -10.0])
+    def test_inner_solve_rejects_a_non_positive_lam(self, rng, lam):
+        params, s0, traj, z = make_instance(rng, m=1, n=10)
+        with pytest.raises(ValueError, match="lam > 0"):
+            inner_solve(params, s0, z, PenaltyConfig(), stack_states(traj.x1, traj.x2),
+                        dt=0.05, lam=lam, **FINAL_STAGE)
 
     def test_accepts_a_list_of_rows(self):
         z = check_observations([[1, 2], [3, 4], [5, 6]])

@@ -15,6 +15,7 @@ from vdpfit.estimator import FitResult
 from vdpfit.forecast import (
     HorizonStats,
     VarMethod,
+    VarModel,
     VdpMethod,
     evaluate,
     export_simulations,
@@ -268,6 +269,34 @@ class TestVarPredict:
         assert var_predict(model, np.zeros((3, 2)), 0).shape == (3, 0)
         with pytest.raises(DimensionError):
             var_predict(model, np.zeros((2, 3)), 1)
+
+
+# (call, error, message): one bad argument to each VAR/oscillator forecaster check
+BAD_ARGUMENTS = {
+    "coefs-2d": (lambda: VarModel(np.zeros((2, 2)), np.zeros(2)),
+                 DimensionError, r"coefs must be \(k, m, m\), got \(2, 2\)"),
+    "coefs-not-square": (lambda: VarModel(np.zeros((1, 2, 3)), np.zeros(2)),
+                         DimensionError, "coefs must be"),
+    "intercept-length": (lambda: VarModel(np.zeros((1, 2, 2)), np.zeros(3)),
+                         DimensionError, "intercept length"),
+    "coefs-nan": (lambda: VarModel(np.full((1, 2, 2), np.nan), np.zeros(2)),
+                  ValueError, "must be finite"),
+    "intercept-inf": (lambda: VarModel(np.zeros((1, 2, 2)), [0.0, np.inf]),
+                      ValueError, "must be finite"),
+    "var-order": (lambda: var_fit(np.zeros((2, 50)), k=0), ValueError, "k must be >= 1"),
+    "var-steps": (lambda: var_predict(VarModel(np.zeros((1, 2, 2)), np.zeros(2)),
+                                      np.zeros((2, 1)), -1), ValueError, "steps must be >= 0"),
+    "vdp-steps": (lambda: vdp_predict(make_fit(VdpParams(np.ones((1, 2)), np.zeros((1, 1))),
+                                               State(x1=[0.5], x2=[0.0]), 10, 0.1), -1),
+                  ValueError, "steps must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_a_bad_argument_raises_naming_the_fault(case):
+    call, error, match = BAD_ARGUMENTS[case]
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestVdpPredict:
@@ -537,6 +566,11 @@ class TestVdpMethodGuards:
         split = split_segments(600, 100, 20, 5)
         with pytest.raises(DimensionError, match="fits"):
             VdpMethod(self._fits(rng, 3)).prepare(wave_data, split)
+
+    def test_wrong_component_count(self, rng, wave_data):
+        split = split_segments(600, 100, 20, 5)
+        with pytest.raises(DimensionError, match="component count"):
+            VdpMethod(self._fits(rng, 5, m=3)).prepare(wave_data, split)
 
     def test_only_first_test_index(self, rng, wave_data):
         split = split_segments(600, 100, 20, 5)

@@ -24,6 +24,9 @@ from vdpfit.model import (
     _substep_param_jacobian,
 )
 
+from vdpfit.estimator import PenaltyConfig, fit
+from vdpfit.search import SearchConfig, search_and_refine
+
 from conftest import random_params, random_state
 
 
@@ -139,6 +142,31 @@ class TestSimulate:
     def test_trajectory_needs_two_samples(self):
         with pytest.raises(ValueError):
             simulate(p1(1.0, 1.0), State(x1=[0.1], x2=[0.1]), 1, 0.1)
+
+
+# every entry point that takes the time grid, called with one bad dt or substeps
+GRID_ENTRY_POINTS = {
+    "fit": lambda z, grid: fit(z, PenaltyConfig(), p1(1.0, 1.0), **grid),
+    "search_and_refine": lambda z, grid: search_and_refine(
+        z, SearchConfig(max_rounds=1, proposals_per_round=2), PenaltyConfig(), **grid),
+    "rollout": lambda z, grid: rollout(p1(1.0, 1.0), z[0], np.zeros(1), len(z), **grid),
+    "Trajectory": lambda z, grid: Trajectory(x1=z, x2=np.zeros_like(z), **grid),
+}
+BAD_GRIDS = [({"dt": np.nan}, "dt"), ({"dt": np.inf}, "dt"), ({"dt": 0.0}, "dt"),
+             ({"dt": -0.1}, "dt"), ({"dt": 0.1, "substeps": 1.5}, "substeps"),
+             ({"dt": 0.1, "substeps": 0}, "substeps")]
+GRID_CASES = [(entry, grid, name) for entry in sorted(GRID_ENTRY_POINTS)
+              for grid, name in BAD_GRIDS if entry != "Trajectory" or name == "dt"]
+
+
+@pytest.mark.parametrize("entry, grid, name", GRID_CASES,
+                         ids=[f"{e}-{n}={g[n]}" for e, g, n in GRID_CASES])
+def test_the_time_grid_has_one_rule(entry, grid, name):
+    z = np.sin(0.3 * np.arange(20.0))[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            GRID_ENTRY_POINTS[entry](z, grid)
 
 
 # (batch, substeps, one parameter set per row)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vdpfit import search
 from vdpfit.constraints import stack_states
-from vdpfit.estimator import ParamBounds, PenaltyConfig, fit, hidden_x2_estimate
+from vdpfit.estimator import FitError, ParamBounds, PenaltyConfig, fit, hidden_x2_estimate
 from vdpfit.metrics import component_scores, pearson
 from vdpfit.model import (
     DimensionError, State, VdpParams, simulate,
@@ -188,6 +188,17 @@ class TestSearchAndRefine:
         with pytest.raises(error):
             search_and_refine(z, SearchConfig(max_rounds=rounds), PenaltyConfig(), dt=0.1)
 
+    @pytest.mark.parametrize("start", ["init", "x2_init"])
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_rejects_a_start_of_another_size(self, monkeypatch, start, rounds):
+        monkeypatch.setattr(search, "rollout", None)  # the search never starts
+        _, _, z = coupled_pair()
+        wrong = {"init": VdpParams(alpha=np.ones((3, 2)), coupling=np.zeros((3, 3))),
+                 "x2_init": np.zeros(3)}[start]
+        with pytest.raises(DimensionError, match="must match observations"):
+            search_and_refine(z, SearchConfig(max_rounds=rounds), PenaltyConfig(), dt=0.1,
+                              **{start: wrong})
+
     def test_zero_rounds_equals_vp_fit(self):
         _, _, z = coupled_pair()
         vp_cfg = PenaltyConfig(outer_max_iter=15)
@@ -235,6 +246,28 @@ class TestSearchAndRefine:
                 assert f > best
                 best = f
         assert any(rec["proposal"] == -1 for rec in lines)  # VP refinement rows
+
+    def test_a_refinement_whose_fit_fails_is_traced_as_unscorable(self, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise FitError("non-finite objective at initial evaluation (component 0)")
+
+        monkeypatch.setattr(search, "fit", failing_fit)
+        _, _, z = coupled_pair()
+        buf = io.StringIO()
+        cfg = SearchConfig(max_rounds=4, proposals_per_round=15, vp_every=2, seed=42)
+        res = search_and_refine(z, cfg, PenaltyConfig(outer_max_iter=10), dt=0.1, trace=buf)
+        rows = [json.loads(l) for l in buf.getvalue().splitlines()]
+        assert [r for r in rows if r["proposal"] == -1] == [
+            {"round": k, "proposal": -1, "fitness": None, "accepted": False} for k in (2, 4)]
+        # the result is the best proposal, reported without a fit's history
+        accepted = [r for r in rows if r["accepted"]]
+        diag = res.config_echo["search"]
+        assert accepted and diag["best_fitness"] == accepted[-1]["fitness"]
+        assert diag["best_provenance"] == [accepted[-1]["round"], accepted[-1]["proposal"],
+                                           "proposal"]
+        assert res.objective_history == [] and res.reason.startswith("search stopped")
+        assert score_candidate(z, res.params, res.states.x2[0], cfg.gamma, 0.1) == \
+            diag["best_fitness"]
 
     def test_fixed_seed_reproducible(self):
         _, _, z = coupled_pair()
