@@ -284,6 +284,10 @@ def cmd_export_sim(args) -> int:
     real = None
     if args.real:
         real = [_load_series(args.real, args.layout)]
+        k = real[0].shape[1]
+        for p, f in zip(args.fits, fits):
+            if f.params.m != k:
+                raise ConfigError(f"{p}: coupling is {f.params.m}x{f.params.m}, --real has m={k}")
     result = export_simulations(
         fits,
         n_series=args.n_series,

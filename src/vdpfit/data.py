@@ -11,10 +11,11 @@ sqrt(sigma_i * sigma_j).
 
 Recordings are parsed by np.loadtxt after the header; any file it rejects is
 parsed again token by token, so malformed input keeps its located
-CsvFormatError. The top m singular triplets come from the m largest
-eigenpairs of the smaller-side Gram matrix, with the full SVD as the fallback
-when m is more than half of min(P, T), sigma_m / sigma_1 <= 1e-4 (the Gram
-matrix squares the condition number) or the Gram matrix overflows.
+CsvFormatError; `_records` alone decides which lines are blank. The top m
+singular triplets come from the m largest eigenpairs of the smaller-side Gram
+matrix, with the full SVD as the fallback when m is more than half of
+min(P, T), sigma_m / sigma_1 <= 1e-4 (the Gram matrix squares the condition
+number) or the Gram matrix overflows.
 
 JSON documents are parsed by `read_json`, checked by `json_number` and
 `json_array`, and written by `write_json`, which writes a non-finite float as null.
@@ -133,9 +134,10 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     rows of the result are again spatial locations. A first row none of whose
     tokens parses as a number is a header and is skipped; a first row with both
     kinds of token is data, so its first non-numeric token is an error. Blank
-    lines are skipped and tokens are stripped of surrounding whitespace. A
-    ragged row raises CsvFormatError naming its file line and data row; a
-    non-numeric or non-finite value (nan, inf, 1e400) raises CsvFormatError
+    and whitespace-only lines are skipped, and tokens are stripped of
+    surrounding whitespace; a row of empty fields (`,`) is data. A ragged row
+    raises CsvFormatError naming its file line and data row; a non-numeric
+    (empty too) or non-finite value (nan, inf, 1e400) raises CsvFormatError
     naming its row and column (1-based, counting data rows, in the file's own
     orientation). A token longer than csv.field_size_limit() characters raises
     CsvFormatError naming its file line.
@@ -154,35 +156,33 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
 
 
 def _records(fh) -> Iterator[tuple[int, list[str]]]:
-    """(file line, stripped tokens) of each CSV record. csv's own errors (a
-    field past csv.field_size_limit()) become a CsvFormatError naming the line."""
+    """(file line, stripped tokens) of each CSV record but blank and
+    whitespace-only lines; `,` is a record. csv's own errors (a field past
+    csv.field_size_limit()) become a CsvFormatError naming the line."""
     reader = csv.reader(fh)
     try:
         for record in reader:
-            yield reader.line_num, [tok.strip() for tok in record]
+            tokens = [tok.strip() for tok in record]
+            if tokens not in ([], [""]):
+                yield reader.line_num, tokens
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _loadtxt(path: Path) -> Optional[np.ndarray]:
     """The data rows parsed by np.loadtxt, or None when it rejects the file
-    (quotes, `1_000`, a ragged row, whitespace-only lines, no data rows...)
-    or holds a token longer than csv.field_size_limit(), which np.loadtxt
-    would accept."""
+    (quotes, `1_000`, a ragged row, an empty field, whitespace-only lines, no
+    data rows...) or holds a token longer than csv.field_size_limit(), which
+    np.loadtxt would accept."""
     limit = csv.field_size_limit()
     with path.open("rb") as fh:  # bytes >= characters, so this never misses one
         if any(len(line) > limit and max(map(len, line.rstrip(b"\r\n").split(b","))) > limit
                for line in fh):
             return None
-    skip, width = 0, None
     with path.open(newline="") as fh:
-        for line_no, tokens in _records(fh):
-            if not any(tokens):
-                skip = line_no
-                continue
-            if _is_header(tokens):
-                skip, width = line_no, len(tokens)
-            break
+        line_no, tokens = next(_records(fh), (1, []))
+    # skip the header, or the blank lines before the first data row
+    skip, width = (line_no, len(tokens)) if _is_header(tokens) else (line_no - 1, None)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
@@ -194,13 +194,11 @@ def _loadtxt(path: Path) -> Optional[np.ndarray]:
 
 
 def _parse_exact(path: Path) -> np.ndarray:
-    """Parse token by token, raising CsvFormatError at the first fault."""
+    """Parse `_records` token by token, raising CsvFormatError at the first fault."""
     rows: list[list[float]] = []
     width = None
     with path.open(newline="") as fh:
         for line_no, tokens in _records(fh):
-            if not any(tokens):
-                continue
             row = len(rows) + 1
             if width is None:
                 width = len(tokens)

@@ -619,11 +619,12 @@ def _problems(zs, inits: Sequence[VdpParams], x_inits, dt: float
 
 def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfig, dt: float,
           substeps: int) -> list[FitResult]:
-    """`fit`'s outer loop over S problems, from `_problems`' (S, N, m) z, S
-    stacked inits and (S, N, 2m) x_init, one iteration for all at a time: its
-    trials go to one `_inner_solves`, a lone problem's to `value_gradient`. A
-    problem fails on an init outside the bounds or a non-finite objective at a
-    stage start; it and every later one then stop, and the lowest-index failure is raised."""
+    """`fit`'s outer loop over S problems, from `_problems`' (S, N, m) z, S stacked inits
+    and (S, N, 2m) x_init. Each iteration is one pass over the active problems, which
+    linearizes each stale one and builds its trial; the trials go to one `_inner_solves`,
+    a lone problem's to `value_gradient`. A fit has converged unless it hit the iteration cap.
+    A problem fails on an init outside the bounds or a non-finite objective at a stage
+    start; it and every later one then stop, and the lowest-index failure is raised."""
     S, _, m = z.shape
     anchors = State.from_flat(x_init[:, 0])
     stages = cfg.stages()
@@ -652,7 +653,6 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
     mu: list[Optional[float]] = [None] * S
     lin: list[Optional[tuple]] = [None] * S  # J'J, its diagonal scale and dx*/dp at p
     reason = [""] * S
-    converged = [False] * S
     live = list(range(min(errors, default=S)))  # the problems before the first failure
 
     for lam_s, tol_s, cap_s in stages:
@@ -667,7 +667,7 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
         live = [i for i in live if i < min(errors, default=S)]
         for i in live:
             history[i].append((len(history[i]), lam_s, vg[i].value))
-            reason[i], converged[i], lin[i] = "max outer iterations", False, None
+            reason[i], lin[i] = "max outer iterations", None
         gtol = max(cfg.outer_gtol, tol_s)  # f_tilde is resolved only to tol_s
         active = list(live)
         for _ in range(cfg.outer_max_iter):
@@ -678,21 +678,19 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
             small = (np.abs(pa - np.clip(pa - pa_grad, lo, hi)).max(axis=1) < gtol).tolist()
             for i, done in zip(active, small):
                 if done:
-                    reason[i], converged[i] = "projected gradient below tolerance", True
+                    reason[i] = "projected gradient below tolerance"
             active = [i for i, done in zip(active, small) if not done]
-            for i in active:
-                if lin[i] is not None:
-                    continue
-                jac, dx_dp = reduced_jacobian(vg[i], lam_s)
-                jtj = jac.T @ jac
-                scale = np.diag(jtj).copy()
-                scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
-                lin[i] = jtj, scale, dx_dp
-                if mu[i] is None:
-                    mu[i] = 1e-3 * float(np.max(scale))
             tried, p_trials, x_starts = [], [], []
             predicted = {}
             for i in list(active):
+                if lin[i] is None:  # a new stage or an accepted step: linearize at p
+                    jac, dx_dp = reduced_jacobian(vg[i], lam_s)
+                    jtj = jac.T @ jac
+                    scale = np.diag(jtj).copy()
+                    scale[scale <= 0] = 1.0  # a parameter nothing depends on: unit scale
+                    lin[i] = jtj, scale, dx_dp
+                    if mu[i] is None:
+                        mu[i] = 1e-3 * float(np.max(scale))
                 jtj, scale, dx_dp = lin[i]
                 g, x_opt = vg[i].gradient, vg[i].x
                 try:
@@ -703,7 +701,7 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
                 p_new = np.clip(p[i] - step, lo, hi)
                 move = p_new - p[i]
                 if np.max(np.abs(move)) < cfg.outer_ftol * (1.0 + np.max(np.abs(p[i]))):
-                    reason[i], converged[i] = "step below tolerance", True
+                    reason[i] = "step below tolerance"
                     active.remove(i)
                     continue
                 predicted[i] = -float(g @ move) - 0.5 * float(move @ jtj @ move)
@@ -733,6 +731,6 @@ def _fits(z: np.ndarray, inits: VdpParams, x_init: np.ndarray, cfg: PenaltyConfi
     return [FitResult(params=VdpParams.from_vector(p[i], m),
                       states=Trajectory(x1=x[i, :, 0::2].copy(), x2=x[i, :, 1::2].copy(), dt=dt),
                       objective_history=history[i], per_component_stats=stats[i],
-                      converged=converged[i], reason=reason[i],
+                      converged=reason[i] != "max outer iterations", reason=reason[i],
                       config_echo=dict(echo))  # a dict of its own: the CLI adds keys to it
             for i in range(S)]

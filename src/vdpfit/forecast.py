@@ -338,16 +338,13 @@ def evaluate(
 
 def _horizon_stats(true: np.ndarray, pred: np.ndarray, corr: np.ndarray, rmse: np.ndarray,
                    skipped: int) -> HorizonStats:
-    """Pool one method's (windows, m, H) arrays per horizon step."""
-    rmse_stats, corr_stats, corr_components = [], [], []
+    """Pool one method's (windows, m, H) arrays per horizon step: the median and
+    standard error of the (windows, m) RMSEs and of the m across-window correlations."""
     # (H, m): at each step, each component's correlation across the windows
     step_corrs = metrics.component_scores(np.moveaxis(true, 2, 0), np.moveaxis(pred, 2, 0))[0]
-    for h, comp_corrs in enumerate(step_corrs):
-        rmse_stats.append(metrics.median_and_se(rmse[:, :, h]))
-        corr_stats.append(metrics.median_and_se(comp_corrs))
-        corr_components.append(int(np.sum(np.isfinite(comp_corrs))))
-    corr_median, corr_se = map(list, zip(*corr_stats))
-    rmse_median, rmse_se = map(list, zip(*rmse_stats))
+    corr_median, corr_se = map(list, zip(*map(metrics.median_and_se, step_corrs)))
+    rmse_median, rmse_se = map(list, zip(*map(metrics.median_and_se, np.moveaxis(rmse, 2, 0))))
+    corr_components = np.isfinite(step_corrs).sum(axis=1).tolist()
     undefined = int(np.sum(~np.isfinite(corr[:, :, 1:])))
     return HorizonStats(corr_median, corr_se, corr_components, rmse_median, rmse_se,
                         len(true), skipped, undefined)

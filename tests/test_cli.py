@@ -123,6 +123,13 @@ class TestSvd:
         assert main(["svd", str(bad), "-m", "1", "-o", str(workdir / "x")]) == 1
         assert "row 2" in capsys.readouterr().err
 
+    def test_a_row_of_empty_fields_is_data_error(self, workdir, capsys):
+        bad = workdir / "bad.csv"
+        bad.write_text("1,2\n,\n3,4\n")
+        assert main(["svd", str(bad), "-m", "1", "-o", str(workdir / "x")]) == 1
+        assert capsys.readouterr().err == "error: non-numeric value '' at row 2, column 1\n"
+        assert not (workdir / "x").exists()
+
     def test_non_finite_value_is_data_error_with_its_location(self, workdir, capsys):
         bad = workdir / "bad.csv"
         bad.write_text("1,2,3\n4,inf,6\n")
@@ -1263,6 +1270,22 @@ class TestExportSim:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["source_series"] for s in manifest["noisy_real"]["series"]] == [0, 0]
+
+    @pytest.mark.parametrize("m, rows_space, k", [(2, False, 1), (1, True, 60)],
+                             ids=["fit-m2", "rows-space-file"])
+    def test_real_series_of_another_width_is_config_error(self, workdir, series_csv, capsys,
+                                                          m, rows_space, k):
+        fit = write_fit_json(workdir / "fa.json", m=m, seed=5)
+        if rows_space:  # one row per component, read as the default rows=time
+            save_csv(load_csv(series_csv).T, series_csv)
+        out = workdir / "c"
+        code = main(
+            ["export-sim", str(fit), "--n-series", "2", "--length", "15",
+             "--seed", "4", "--real", str(series_csv), "-o", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {fit}: coupling is {m}x{m}, --real has m={k}\n"
+        assert not out.exists()
 
     def test_states_near_the_float_limit_export_finite_noisy_series(self, workdir, capsys):
         # squaring 1e300 overflows, so a plain std of these tracks is inf; under the

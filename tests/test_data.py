@@ -90,6 +90,23 @@ class TestLoadCsv:
         values = load_csv(p)
         npt.assert_array_equal(values, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("text, row", [
+        ("1,2\n,\n3,4\n", 2),
+        ("1,2\n , \n3,4\n", 2),
+        ('1,2\n"",""\n3,4\n', 2),
+        ("cell_a,cell_b\n,\n1,2\n", 1),
+    ], ids=["empty", "padded", "quoted", "after-header"])
+    def test_a_row_of_empty_fields_is_data_not_a_blank_line(self, tmp_path, text, row):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(CsvFormatError, match=rf"^non-numeric value '' at row {row}, column 1$"):
+            load_csv(p)
+
+    def test_a_first_row_of_empty_fields_is_a_header(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text(",\n1,2\n3,4\n")
+        npt.assert_array_equal(load_csv(p), [[1, 2], [3, 4]])
+
     def test_mixed_first_row_is_data_not_a_header(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2,oops\n4,5,6\n7,8,9\n")
@@ -216,6 +233,7 @@ class TestFastParser:
         "a,b\r\n1,2\r\n3,4\r\n",
         "\n\n a , b \n\n1, 2\n\n3 ,4\n\n",
         "nan,1e400\n3,4\n",
+        ",\n1,2\n3,4\n",  # a first row of empty fields is a header
     ])
     def test_plain_files_take_the_fast_path(self, tmp_path, text):
         p = tmp_path / "a.csv"
@@ -228,6 +246,7 @@ class TestFastParser:
         "1,2\n3\n",  # a ragged row
         "a,b,c\n1,2\n3,4\n",  # a header wider than the data
         "1,2\n \n3,4\n",  # a whitespace-only line
+        "1,2\n,\n3,4\n",  # a row of empty fields
         "a,b\n\n",  # no data rows
         "",
     ])
