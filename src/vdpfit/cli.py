@@ -243,7 +243,9 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _load_fits(paths) -> list[FitResult]:
+def _load_fits(paths, m: Optional[int], what: str) -> list[FitResult]:
+    """The fit results in the fit.json files at `paths`; a file that holds none,
+    or (unless `m` is None) a fit of another m than `m`, exits 2 naming it."""
     fits = []
     for p in paths:
         try:
@@ -251,20 +253,19 @@ def _load_fits(paths) -> list[FitResult]:
         except ValueError as exc:
             raise ConfigError(exc) from None
         try:
-            fits.append(FitResult.from_json_dict(doc))
+            fit = FitResult.from_json_dict(doc)
         except ValueError as exc:
             raise ConfigError(f"{p}: not a fit result ({exc})")
+        k = fit.params.m
+        if m not in (None, k):
+            raise ConfigError(f"{p}: coupling is {k}x{k}, {what}={m}")
+        fits.append(fit)
     return fits
 
 
 def cmd_connectivity(args) -> int:
     comps = load_components(args.components)
-    fits = _load_fits(args.fits)
-    for p, f in zip(args.fits, fits):
-        if f.params.m != comps.m:
-            raise ConfigError(
-                f"{p}: coupling is {f.params.m}x{f.params.m}, components have m={comps.m}"
-            )
+    fits = _load_fits(args.fits, comps.m, "components have m")
     edges = connectivity_projection(
         comps.spatial,
         comps.singular_values,
@@ -280,14 +281,8 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_export_sim(args) -> int:
-    fits = _load_fits(args.fits)
-    real = None
-    if args.real:
-        real = [_load_series(args.real, args.layout)]
-        k = real[0].shape[1]
-        for p, f in zip(args.fits, fits):
-            if f.params.m != k:
-                raise ConfigError(f"{p}: coupling is {f.params.m}x{f.params.m}, --real has m={k}")
+    real = [_load_series(args.real, args.layout)] if args.real else None
+    fits = _load_fits(args.fits, real[0].shape[1] if real else None, "--real has m")
     result = export_simulations(
         fits,
         n_series=args.n_series,

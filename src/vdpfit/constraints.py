@@ -79,8 +79,7 @@ def residual(
     with eta0 = [anchor, 0, ..., 0]; (S, 2*m*N) for S problems."""
     _check_components(x, params, anchor)
     out = np.empty(x.shape)
-    np.subtract(x[..., 0, 0::2], anchor.x1, out[..., 0, 0::2])
-    np.subtract(x[..., 0, 1::2], anchor.x2, out[..., 0, 1::2])
+    np.subtract(x[..., 0, :], anchor.to_flat(), out[..., 0, :])
     s = _stacked(x)
     g = euler_map(params, s[..., :-1, :], dt, substeps)
     np.subtract(s[..., 1:, :], g, _stacked(out)[..., 1:, :])

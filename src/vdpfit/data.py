@@ -9,8 +9,9 @@ normalizes all temporal rows at once. Fitted coupling matrices project back to
 pixel space through outer products of the spatial components scaled by
 sqrt(sigma_i * sigma_j).
 
-Recordings are parsed by np.loadtxt after the header; any file it rejects is
-parsed again token by token, so malformed input keeps its located
+Recordings are parsed by np.loadtxt, which takes plain header-less files; any
+file it rejects (a header among them) is parsed again token by token, and that
+parser alone applies the CSV rules, so malformed input keeps its located
 CsvFormatError; `_records` alone decides which lines are blank. The top m
 singular triplets come from the m largest eigenpairs of the smaller-side Gram
 matrix, with the full SVD as the fallback when m is more than half of
@@ -122,10 +123,6 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _is_header(tokens: list[str]) -> bool:
-    return not any(map(_is_number, tokens))
-
-
 def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     """Read a comma-separated matrix as a finite (P, T) array; `layout` says
     what the file's rows mean.
@@ -135,12 +132,13 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
     tokens parses as a number is a header and is skipped; a first row with both
     kinds of token is data, so its first non-numeric token is an error. Blank
     and whitespace-only lines are skipped, and tokens are stripped of
-    surrounding whitespace; a row of empty fields (`,`) is data. A ragged row
-    raises CsvFormatError naming its file line and data row; a non-numeric
-    (empty too) or non-finite value (nan, inf, 1e400) raises CsvFormatError
-    naming its row and column (1-based, counting data rows, in the file's own
-    orientation). A token longer than csv.field_size_limit() characters raises
-    CsvFormatError naming its file line.
+    surrounding whitespace; a row of empty fields (`,`, or `""` in a one-column
+    file) is data, while a quoted whitespace-only field (`"  "`) reads as a
+    whitespace-only line. A ragged row raises CsvFormatError naming its file
+    line and data row; a non-numeric (empty too) or non-finite value (nan, inf,
+    1e400) raises CsvFormatError naming its row and column (1-based, counting
+    data rows, in the file's own orientation). A token longer than
+    csv.field_size_limit() characters raises CsvFormatError naming its file line.
     """
     if layout not in ("rows=space", "rows=time"):
         raise ValueError(f"layout must be 'rows=space' or 'rows=time', got {layout!r}")
@@ -157,44 +155,39 @@ def load_csv(path: str | Path, layout: str = "rows=space") -> np.ndarray:
 
 def _records(fh) -> Iterator[tuple[int, list[str]]]:
     """(file line, stripped tokens) of each CSV record but blank and
-    whitespace-only lines; `,` is a record. csv's own errors (a field past
+    whitespace-only lines, which csv.reader reads as [] and as one whitespace
+    field, so `,` and `""` are records. csv's own errors (a field past
     csv.field_size_limit()) become a CsvFormatError naming the line."""
     reader = csv.reader(fh)
     try:
         for record in reader:
-            tokens = [tok.strip() for tok in record]
-            if tokens not in ([], [""]):
-                yield reader.line_num, tokens
+            if len(record) > 1 or record and not record[0].isspace():
+                yield reader.line_num, [tok.strip() for tok in record]
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _loadtxt(path: Path) -> Optional[np.ndarray]:
-    """The data rows parsed by np.loadtxt, or None when it rejects the file
-    (quotes, `1_000`, a ragged row, an empty field, whitespace-only lines, no
-    data rows...) or holds a token longer than csv.field_size_limit(), which
-    np.loadtxt would accept."""
+    """np.loadtxt's parse of the file, or None when it rejects the file (a header,
+    quotes, `1_000`, a ragged row, an empty field, whitespace-only lines, no data
+    rows...) or holds a token longer than csv.field_size_limit(), which np.loadtxt
+    would accept. It applies no CSV rule: `_parse_exact` reads each file it takes the same."""
     limit = csv.field_size_limit()
     with path.open("rb") as fh:  # bytes >= characters, so this never misses one
         if any(len(line) > limit and max(map(len, line.rstrip(b"\r\n").split(b","))) > limit
                for line in fh):
             return None
-    with path.open(newline="") as fh:
-        line_no, tokens = next(_records(fh), (1, []))
-    # skip the header, or the blank lines before the first data row
-    skip, width = (line_no, len(tokens)) if _is_header(tokens) else (line_no - 1, None)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            values = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
-                                ndmin=2, skiprows=skip)
+            return np.loadtxt(path, delimiter=",", comments=None, quotechar=None, ndmin=2)
     except (ValueError, UserWarning):
         return None
-    return values if width in (None, values.shape[1]) else None
 
 
 def _parse_exact(path: Path) -> np.ndarray:
-    """Parse `_records` token by token, raising CsvFormatError at the first fault."""
+    """Parse `_records` token by token, raising CsvFormatError at the first
+    fault; a first record of no numbers is a header, which sets the width."""
     rows: list[list[float]] = []
     width = None
     with path.open(newline="") as fh:
@@ -202,7 +195,7 @@ def _parse_exact(path: Path) -> np.ndarray:
             row = len(rows) + 1
             if width is None:
                 width = len(tokens)
-                if _is_header(tokens):
+                if not any(map(_is_number, tokens)):
                     continue
             elif len(tokens) != width:
                 raise CsvFormatError(

@@ -123,9 +123,11 @@ class TestSvd:
         assert main(["svd", str(bad), "-m", "1", "-o", str(workdir / "x")]) == 1
         assert "row 2" in capsys.readouterr().err
 
-    def test_a_row_of_empty_fields_is_data_error(self, workdir, capsys):
+    @pytest.mark.parametrize("text", ["1,2\n,\n3,4\n", '1\n""\n3\n'],
+                             ids=["empty", "quoted-one-column"])
+    def test_a_row_of_empty_fields_is_data_error(self, workdir, capsys, text):
         bad = workdir / "bad.csv"
-        bad.write_text("1,2\n,\n3,4\n")
+        bad.write_text(text)
         assert main(["svd", str(bad), "-m", "1", "-o", str(workdir / "x")]) == 1
         assert capsys.readouterr().err == "error: non-numeric value '' at row 2, column 1\n"
         assert not (workdir / "x").exists()
@@ -146,7 +148,7 @@ class TestSvd:
 
     # each token is longer than csv's default field limit (131072 characters)
     @pytest.mark.parametrize("text, line", [
-        ("1" * 200_000 + ",2\n3,4\n5,6\n", 1),  # row 1: read by the header scan
+        ("1" * 200_000 + ",2\n3,4\n5,6\n", 1),  # row 1: the exact parser
         ('1,2\n"' + "0" * 199_999 + '1",3\n5,6\n', 2),  # quoted: the exact parser
         ("1,2\n" + "0" * 199_999 + "1,3\n5,6\n", 2),  # numeric: np.loadtxt would take it
         ("1,2\n3,4\n5," + "x" * 200_000 + "\n", 3),  # non-numeric: the exact parser
@@ -914,6 +916,17 @@ class TestConnectivity:
         assert code == 2
         assert "m=2" in capsys.readouterr().err
 
+    def test_a_mismatched_fit_is_named_before_a_later_faulty_one(self, workdir, comps_dir,
+                                                                  capsys):
+        fit = write_fit_json(workdir / "f3.json", m=3, seed=7)
+        bogus = workdir / "bogus.json"
+        bogus.write_text("{")
+        code = main(["connectivity", str(comps_dir), str(fit), str(bogus),
+                     "-o", str(workdir / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {fit}: coupling is 3x3, components have m=2\n"
+        assert not (workdir / "x").exists()
+
     def test_non_fit_json_is_config_error(self, workdir, comps_dir, capsys):
         bogus = workdir / "bogus.json"
         bogus.write_text(json.dumps({"hello": 1}))
@@ -1285,6 +1298,18 @@ class TestExportSim:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {fit}: coupling is {m}x{m}, --real has m={k}\n"
+        assert not out.exists()
+
+    def test_real_series_is_read_before_the_fits(self, workdir, capsys):
+        bogus = workdir / "bogus.json"
+        bogus.write_text("{")
+        bad = workdir / "bad.csv"
+        bad.write_text("1,2\n3,oops\n")
+        out = workdir / "c"
+        code = main(["export-sim", str(bogus), "--n-series", "1", "--length", "10",
+                     "--seed", "1", "--real", str(bad), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-numeric value 'oops' at row 2, column 2\n"
         assert not out.exists()
 
     def test_states_near_the_float_limit_export_finite_noisy_series(self, workdir, capsys):

@@ -95,12 +95,20 @@ class TestLoadCsv:
         ("1,2\n , \n3,4\n", 2),
         ('1,2\n"",""\n3,4\n', 2),
         ("cell_a,cell_b\n,\n1,2\n", 1),
-    ], ids=["empty", "padded", "quoted", "after-header"])
+        ('1\n""\n3\n', 2),
+    ], ids=["empty", "padded", "quoted", "after-header", "quoted-one-column"])
     def test_a_row_of_empty_fields_is_data_not_a_blank_line(self, tmp_path, text, row):
         p = tmp_path / "a.csv"
         p.write_text(text)
         with pytest.raises(CsvFormatError, match=rf"^non-numeric value '' at row {row}, column 1$"):
             load_csv(p)
+
+    @pytest.mark.parametrize("text", ["1\n \t \n3\n", '1\n"  "\n3\n'],
+                             ids=["whitespace", "quoted-whitespace"])
+    def test_a_whitespace_only_line_is_blank(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        npt.assert_array_equal(load_csv(p), [[1], [3]])
 
     def test_a_first_row_of_empty_fields_is_a_header(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -230,10 +238,9 @@ class TestFastParser:
 
     @pytest.mark.parametrize("text", [
         "1,2\n3,4\n",
-        "a,b\r\n1,2\r\n3,4\r\n",
-        "\n\n a , b \n\n1, 2\n\n3 ,4\n\n",
+        "1,2\r\n3,4\r\n",
+        "\n\n1, 2\n\n3 ,4\n\n",  # np.loadtxt skips empty lines itself
         "nan,1e400\n3,4\n",
-        ",\n1,2\n3,4\n",  # a first row of empty fields is a header
     ])
     def test_plain_files_take_the_fast_path(self, tmp_path, text):
         p = tmp_path / "a.csv"
@@ -244,6 +251,9 @@ class TestFastParser:
         '"1",2\n3,4\n',  # quotes
         "1_000,2\n3,4\n",  # underscores
         "1,2\n3\n",  # a ragged row
+        "a,b\r\n1,2\r\n3,4\r\n",  # a header
+        "\n\n a , b \n\n1, 2\n\n3 ,4\n\n",
+        ",\n1,2\n3,4\n",  # a first row of empty fields is a header
         "a,b,c\n1,2\n3,4\n",  # a header wider than the data
         "1,2\n \n3,4\n",  # a whitespace-only line
         "1,2\n,\n3,4\n",  # a row of empty fields
